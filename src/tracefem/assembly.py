@@ -10,13 +10,14 @@ Builds, over the active P1 space:
   stabilized-inner-product stiffness K_aux = M + A + S1 + S0,
 * ``D``   the weighted local Gram sum h_T^2 (M_T + h_T S_T),
 
-plus load vectors and the truncated Fourier probe (orthonormal circle
-harmonics, their H1/H-1 diagonal Grams and the coupling matrix G).
+plus the truncated Fourier probe (orthonormal circle harmonics, their
+H1/H-1 diagonal Grams and the coupling matrix G).  Local blocks are
+computed for all quadrature nodes at once and summed per element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
@@ -34,8 +35,7 @@ class FemSystem:
     A: sp.csr_matrix
     S: dict                       # j -> csr matrix, j in {-1, 0, 1}
     D: sp.csr_matrix
-    S_T: list                     # per-element (3, 3) normal Grams
-    M_T: list                     # per-element (3, 3) surface mass blocks
+    S_T: np.ndarray               # (n_active, 3, 3) normal Grams
 
     @property
     def M_star(self):
@@ -54,64 +54,54 @@ class FemSystem:
         return self.mesh.n_dofs
 
 
-def _p1_gradients(tri):
-    """Constant gradients of the three barycentric basis functions."""
-    a, b, c = tri
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-    g = np.array([
-        [b[1] - c[1], c[0] - b[0]],
-        [c[1] - a[1], a[0] - c[0]],
-        [a[1] - b[1], b[0] - a[0]],
-    ]) / det
-    return g
+def _element_runs(topology, max_nodes=128):
+    """Yield (elements, nodes, (k, c)) slices over runs of consecutive
+    elements that have c > 0 surface nodes each, at most max_nodes nodes.
+
+    A run stacks into one batched matrix product that rounds like one
+    product per element; taking the runs in order keeps the summation
+    order of a loop over elements, and the run size bounds the memory of
+    per-node temporaries.
+    """
+    ptr = topology.elem_ptr
+    counts = np.diff(ptr)
+    starts = np.flatnonzero(np.diff(counts, prepend=-1))
+    for s, e in zip(starts, np.append(starts[1:], len(counts))):
+        c = int(counts[s])
+        if c == 0:
+            continue
+        step = max(1, max_nodes // c)
+        for a in range(s, e, step):
+            b = min(a + step, e)
+            yield slice(a, b), slice(ptr[a], ptr[b]), (b - a, c)
 
 
 def assemble(active_mesh, topology):
     """Assemble every Gram matrix of the stabilized method."""
     n = active_mesh.n_dofs
     elems = active_mesh.elements
-    ne = len(elems)
-    h_t = active_mesh.h_T
-
-    s_t_blocks = []
-    m_t_blocks = []
+    h_t = active_mesh.h_T[:, None, None]
     rows = np.repeat(elems, 3, axis=1).ravel()
     cols = np.tile(elems, (1, 3)).ravel()
 
-    m_vals = np.zeros((ne, 9))
-    a_vals = np.zeros((ne, 9))
-    s_vals = {j: np.zeros((ne, 9)) for j in (-1, 0, 1)}
-    d_vals = np.zeros((ne, 9))
+    # Surface terms: P1 values and tangential gradients at arc nodes.
+    w, bary, nrm = topology.w, topology.bary, topology.normal
+    grad = active_mesh.grad[topology.elem]                  # (N, 3, 2)
+    gn = np.einsum("nd,nid->ni", nrm, grad)                 # normal parts
+    gt = grad - gn[:, :, None] * nrm[:, None, :]
+    wbary = bary * w[:, None]
+    m_t = np.zeros((len(elems), 3, 3))
+    a_t = np.zeros((len(elems), 3, 3))
+    for els, nodes, shape in _element_runs(topology):
+        m_t[els] = wbary[nodes].reshape(*shape, 3).transpose(0, 2, 1) \
+            @ bary[nodes].reshape(*shape, 3)
+        gt_k = gt[nodes].reshape(*shape, 3, 2)
+        a_t[els] = np.einsum("kq,kqid,kqjd->kij", w[nodes].reshape(shape),
+                             gt_k, gt_k)
 
-    for e in range(ne):
-        tri = active_mesh.element_coords(e)
-        grad = _p1_gradients(tri)          # (3, 2)
-
-        # Surface terms: P1 values and tangential gradients at arc nodes.
-        bary = topology.s_bary[e]          # (m, 3)
-        w = topology.s_w[e]
-        nrm = topology.s_normal[e]
-        m_loc = (bary * w[:, None]).T @ bary if len(w) else np.zeros((3, 3))
-        if len(w):
-            gn = nrm @ grad.T              # (m, 3) normal components
-            gt = grad[None, :, :] - gn[:, :, None] * nrm[:, None, :]
-            a_loc = np.einsum("q,qid,qjd->ij", w, gt, gt)
-        else:
-            a_loc = np.zeros((3, 3))
-
-        # Normal-derivative Gram over the full triangle.
-        vn = topology.v_normal[e]
-        vw = topology.v_w[e]
-        dn = vn @ grad.T                   # (6, 3)
-        s_loc = (dn * vw[:, None]).T @ dn
-
-        m_t_blocks.append(m_loc)
-        s_t_blocks.append(s_loc)
-        m_vals[e] = m_loc.ravel()
-        a_vals[e] = a_loc.ravel()
-        for j in (-1, 0, 1):
-            s_vals[j][e] = (h_t[e] ** (1 - 2 * j)) * s_loc.ravel()
-        d_vals[e] = (h_t[e] ** 2 * (m_loc + h_t[e] * s_loc)).ravel()
+    # Normal-derivative Gram over the full triangle.
+    dn = topology.v_normal @ active_mesh.grad.transpose(0, 2, 1)
+    s_t = (dn * topology.v_w[..., None]).transpose(0, 2, 1) @ dn
 
     def to_csr(vals):
         m = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -122,27 +112,12 @@ def assemble(active_mesh, topology):
     return FemSystem(
         mesh=active_mesh,
         topology=topology,
-        M=to_csr(m_vals),
-        A=to_csr(a_vals),
-        S={j: to_csr(s_vals[j]) for j in (-1, 0, 1)},
-        D=to_csr(d_vals),
-        S_T=s_t_blocks,
-        M_T=m_t_blocks,
+        M=to_csr(m_t),
+        A=to_csr(a_t),
+        S={j: to_csr(h_t ** (1 - 2 * j) * s_t) for j in (-1, 0, 1)},
+        D=to_csr(h_t ** 2 * (m_t + h_t * s_t)),
+        S_T=s_t,
     )
-
-
-def assemble_load(topology, f, t=None):
-    """Load vector b_i = sum_q w_q f(x_q[, t]) phi_i(x_q)."""
-    mesh = topology.mesh
-    b = np.zeros(mesh.n_dofs)
-    for e, dofs in enumerate(mesh.elements):
-        pts = topology.s_pts[e]
-        if not len(pts):
-            continue
-        w = topology.s_w[e]
-        vals = f(pts) if t is None else f(pts, t)
-        b[dofs] += (topology.s_bary[e] * (w * np.asarray(vals))[:, None]).sum(axis=0)
-    return b
 
 
 @dataclass
@@ -159,7 +134,7 @@ class FourierProbe:
     wavenumbers: np.ndarray       # per mode
     H1_gram: np.ndarray           # diagonal entries
     Hm1_gram: np.ndarray
-    G: np.ndarray                 # (n_dofs, 2 k_max + 1)
+    G: np.ndarray = None          # (n_dofs, 2 k_max + 1)
     orthonormality_defect: float = 0.0
 
     @property
@@ -199,34 +174,21 @@ def assemble_fourier(topology, k_max=128):
         wavenumbers=k,
         H1_gram=1.0 + k ** 2 / radius ** 2,
         Hm1_gram=1.0 / (1.0 + k ** 2 / radius ** 2),
-        G=np.zeros((mesh.n_dofs, 2 * k_max + 1)),
     )
 
+    w = topology.w
+    wbary = topology.bary * w[:, None]
+    probe.G = np.zeros((mesh.n_dofs, probe.n_modes))
     gram = np.zeros((probe.n_modes, probe.n_modes))
-    for e, dofs in enumerate(mesh.elements):
-        theta = topology.s_theta[e]
-        if not len(theta):
-            continue
-        w = topology.s_w[e]
-        basis = probe.eval_basis(theta)
-        probe.G[dofs] += (topology.s_bary[e] * w[:, None]).T @ basis
-        gram += (basis * w[:, None]).T @ basis
+    for els, nodes, shape in _element_runs(topology):
+        basis = probe.eval_basis(topology.theta[nodes])
+        blocks = wbary[nodes].reshape(*shape, 3).transpose(0, 2, 1) \
+            @ basis.reshape(*shape, -1)
+        np.add.at(probe.G, mesh.elements[els], blocks)
+        gram += (basis * w[nodes, None]).T @ basis
     probe.orthonormality_defect = float(
         np.abs(gram - np.eye(probe.n_modes)).max())
     return probe
-
-
-def probe_coefficients(topology, probe, g, t=None):
-    """Fourier coefficients (g, e_m) of a function of the angle theta."""
-    c = np.zeros(probe.n_modes)
-    for e in range(len(topology.s_theta)):
-        theta = topology.s_theta[e]
-        if not len(theta):
-            continue
-        w = topology.s_w[e]
-        vals = g(theta) if t is None else g(theta, t)
-        c += (probe.eval_basis(theta) * (w * np.asarray(vals))[:, None]).sum(axis=0)
-    return c
 
 
 def export_matrices(system, out_dir, prefix=""):

@@ -3,19 +3,21 @@
 Each active triangle intersects the circle in a union of arcs.  The arc
 endpoints come from per-edge quadratics (solved with the stabilized
 b-sign discriminant trick); the intersection angles are sorted and the
-angular intervals classified by a midpoint-in-triangle test.  Surface
-quadrature is Gauss-Legendre in the angle per arc, volume quadrature a
-symmetric 6-point rule exact to total degree 4.
+angular intervals classified by a midpoint-in-triangle test; this is
+the only per-element loop.  Surface quadrature is Gauss-Legendre in the
+angle, generated for all arcs at once into one flat node table; volume
+quadrature is a symmetric 6-point rule exact to total degree 4.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularElement, TangencyWarning
+from .mesh import barycentric, twice_area
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,14 +35,6 @@ _VOL_BARY = np.array([
 
 _MIN_ARC = 1e-12          # arcs narrower than this are measure-zero noise
 _GRAZE = 1e-14            # discriminant band treated as tangential contact
-
-
-def _barycentric(tri, p):
-    a, b, c = tri
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-    l1 = ((b[0] - p[0]) * (c[1] - p[1]) - (c[0] - p[0]) * (b[1] - p[1])) / det
-    l2 = ((c[0] - p[0]) * (a[1] - p[1]) - (a[0] - p[0]) * (c[1] - p[1])) / det
-    return np.array([l1, l2, 1.0 - l1 - l2])
 
 
 def _edge_circle_angles(p0, p1, center, radius):
@@ -83,7 +77,7 @@ def intersect_element(tri, center, radius):
         angles.extend(_edge_circle_angles(tri[k], tri[(k + 1) % 3], center, radius))
     if not angles:
         probe = center + np.array([radius, 0.0])
-        if _barycentric(tri, probe).min() >= 0.0:
+        if barycentric(tri, probe).min() >= 0.0:
             return [(0.0, TWO_PI)]
         return []
     angles = np.sort(np.mod(np.asarray(angles), TWO_PI))
@@ -103,58 +97,73 @@ def intersect_element(tri, center, radius):
             continue
         mid = 0.5 * (th0 + th1)
         p = center + radius * np.array([np.cos(mid), np.sin(mid)])
-        if _barycentric(tri, p).min() >= -1e-12:
+        if barycentric(tri, p).min() >= -1e-12:
             arcs.append((float(th0), float(th1)))
     return arcs
 
 
-def surface_rule(center, radius, arc, q):
-    """Gauss-Legendre nodes on the arc; weights carry the factor R."""
-    th0, th1 = arc
+def surface_rule(center, radius, arcs, q):
+    """Gauss-Legendre nodes on a stack of arcs (m, 2), q per arc in order.
+
+    Weights carry the factor R.  Returns points, weights, normals,
+    tangents and angles, each with m * q rows.
+    """
+    th0, th1 = np.reshape(np.asarray(arcs, dtype=float), (-1, 2)).T
     gx, gw = np.polynomial.legendre.leggauss(q)
-    theta = 0.5 * (th1 - th0) * gx + 0.5 * (th0 + th1)
-    w = 0.5 * (th1 - th0) * gw * radius
-    pts = np.column_stack([center[0] + radius * np.cos(theta),
-                           center[1] + radius * np.sin(theta)])
+    half = 0.5 * (th1 - th0)[:, None]
+    theta = (half * gx + 0.5 * (th0 + th1)[:, None]).ravel()
+    w = (half * gw * radius).ravel()
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
-    tangents = np.column_stack([-np.sin(theta), np.cos(theta)])
+    pts = center + radius * normals
+    tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
     return pts, w, normals, tangents, theta
 
 
 def volume_rule(tri):
-    """Symmetric 6-point rule, exact for total degree <= 4 polynomials."""
+    """Symmetric 6-point rule on triangles (..., 3, 2), exact to degree 4.
+
+    Returns points (..., 6, 2) and weights (..., 6).
+    """
     tri = np.asarray(tri, dtype=float)
-    area = 0.5 * abs((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-                     - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
+    area = 0.5 * np.abs(twice_area(tri))
     pts = _VOL_BARY @ tri
-    return pts, _VOL_W * area
+    return pts, _VOL_W * area[..., None]
 
 
 @dataclass
 class CutTopology:
-    """Per-active-element arcs and quadrature data."""
+    """Quadrature on the cut band as one flat table of surface nodes.
+
+    The nodes of element e are rows elem_ptr[e]:elem_ptr[e+1] of every
+    node array, in the order of the element's arcs.  The volume rule is
+    stored per element.
+    """
 
     surface: object
     mesh: object
     q_surf: int
-    arcs: list = field(default_factory=list)        # per element: list of (th0, th1)
-    s_pts: list = field(default_factory=list)       # per element: (m, 2) points on Gamma
-    s_w: list = field(default_factory=list)         # per element: (m,) weights
-    s_normal: list = field(default_factory=list)    # per element: (m, 2)
-    s_theta: list = field(default_factory=list)     # per element: (m,)
-    s_bary: list = field(default_factory=list)      # per element: (m, 3) P1 values
-    v_pts: list = field(default_factory=list)       # per element: (6, 2)
-    v_w: list = field(default_factory=list)         # per element: (6,)
-    v_normal: list = field(default_factory=list)    # per element: (6, 2)
-    total_length: float = 0.0
+    arcs: list                # per element: list of (th0, th1)
+    arc_ends: np.ndarray      # (n_arcs, 2) all arcs, element by element
+    elem_ptr: np.ndarray      # (n_active + 1,) node offsets per element
+    elem: np.ndarray          # (N,) node -> element
+    pts: np.ndarray           # (N, 2) points on Gamma
+    w: np.ndarray             # (N,) weights
+    normal: np.ndarray        # (N, 2) unit normals
+    theta: np.ndarray         # (N,) angles about the center
+    bary: np.ndarray          # (N, 3) P1 values in the host element
+    v_pts: np.ndarray         # (n_active, 6, 2) volume nodes
+    v_w: np.ndarray           # (n_active, 6) volume weights
+    v_normal: np.ndarray      # (n_active, 6, 2) extended normal at them
+    total_length: float
 
-    def all_theta(self):
-        return np.concatenate([t for t in self.s_theta if len(t)]) \
-            if self.s_theta else np.empty(0)
+    @property
+    def s_w(self):
+        """Per-element weight arrays.
 
-    def all_weights(self):
-        return np.concatenate([w for w in self.s_w if len(w)]) \
-            if self.s_w else np.empty(0)
+        Read only by the node-count hook of perfbench/tracer.py; the
+        package itself works on the flat arrays.
+        """
+        return np.split(self.w, self.elem_ptr[1:-1])
 
 
 def oscillation_order(k_max, h, q_surf=10):
@@ -167,65 +176,47 @@ def build_topology(surface, active_mesh, q_surf=10):
     if surface.kind != "circle":
         raise NotImplementedError("cut quadrature requires the circle kind")
     center, radius = surface.center, surface.radius
-    topo = CutTopology(surface=surface, mesh=active_mesh, q_surf=int(q_surf))
-    total = 0.0
-    for e in range(len(active_mesh.elements)):
-        tri = active_mesh.element_coords(e)
-        area = 0.5 * abs((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-                         - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
-        if area < 1e-14 * active_mesh.h_T[e] ** 2:
-            raise SingularElement("active triangle %d has vanishing area" % e)
-        arcs = intersect_element(tri, center, radius)
-        pts_l, w_l, n_l, th_l = [], [], [], []
-        for arc in arcs:
-            pts, w, normals, _, theta = surface_rule(center, radius, arc, q_surf)
-            pts_l.append(pts)
-            w_l.append(w)
-            n_l.append(normals)
-            th_l.append(theta)
-        if arcs:
-            pts = np.vstack(pts_l)
-            w = np.concatenate(w_l)
-            normals = np.vstack(n_l)
-            theta = np.concatenate(th_l)
-        else:
-            pts = np.empty((0, 2))
-            w = np.empty(0)
-            normals = np.empty((0, 2))
-            theta = np.empty(0)
-        bary = np.array([_barycentric(tri, p) for p in pts]) \
-            if len(pts) else np.empty((0, 3))
-        vp, vw = volume_rule(tri)
-        d = vp - center
-        r = np.hypot(d[:, 0], d[:, 1])
-        vn = d / r[:, None]
-        topo.arcs.append(arcs)
-        topo.s_pts.append(pts)
-        topo.s_w.append(w)
-        topo.s_normal.append(normals)
-        topo.s_theta.append(theta)
-        topo.s_bary.append(bary)
-        topo.v_pts.append(vp)
-        topo.v_w.append(vw)
-        topo.v_normal.append(vn)
-        total += float(w.sum())
-    topo.total_length = total
-    return topo
+    q = int(q_surf)
+    tri = active_mesh.coords[active_mesh.elements]         # (n_active, 3, 2)
+    small = np.flatnonzero(0.5 * np.abs(twice_area(tri))
+                           < 1e-14 * active_mesh.h_T ** 2)
+    if len(small):
+        raise SingularElement("active triangle %d has vanishing area" % small[0])
+
+    # The exact cut is the one per-element step; everything after it is
+    # stacked over all arcs.
+    arcs, ends, owner = [], [], []
+    for e, t in enumerate(tri):
+        arcs.append(intersect_element(t, center, radius))
+        ends.extend(arcs[-1])
+        owner.extend([e] * len(arcs[-1]))
+    ends = np.reshape(np.asarray(ends, dtype=float), (-1, 2))
+    pts, w, normals, _, theta = surface_rule(center, radius, ends, q)
+    elem = np.repeat(np.asarray(owner, dtype=np.int64), q)
+    counts = np.bincount(elem, minlength=len(tri))
+    v_pts, v_w = volume_rule(tri)
+    d = v_pts - center
+    return CutTopology(
+        surface=surface, mesh=active_mesh, q_surf=q, arcs=arcs,
+        arc_ends=ends,
+        elem_ptr=np.concatenate([[0], np.cumsum(counts)]),
+        elem=elem, pts=pts, w=w, normal=normals, theta=theta,
+        bary=barycentric(tri[elem], pts),
+        v_pts=v_pts, v_w=v_w,
+        v_normal=d / np.hypot(d[..., 0], d[..., 1])[..., None],
+        total_length=float(w.sum()),
+    )
 
 
 def arc_cover_defect(topology):
     """Total gap/overlap of the arc intervals as a cover of [0, 2pi)."""
-    ends = []
-    for arcs in topology.arcs:
-        for th0, th1 in arcs:
-            ends.append((np.mod(th0, TWO_PI), th1 - th0))
-    if not ends:
+    ends = topology.arc_ends
+    if not len(ends):
         return TWO_PI
-    ends.sort()
-    defect = 0.0
-    pos = ends[0][0]
-    for th0, width in ends:
-        defect += abs(th0 - pos)
-        pos = th0 + width
-    defect += abs(pos - (ends[0][0] + TWO_PI))
-    return defect
+    start = np.mod(ends[:, 0], TWO_PI)
+    width = ends[:, 1] - ends[:, 0]
+    order = np.lexsort((width, start))
+    start, width = start[order], width[order]
+    pos = np.concatenate([start[:1], start[:-1] + width[:-1]])
+    return float(np.abs(start - pos).sum()
+                 + abs(start[-1] + width[-1] - (start[0] + TWO_PI)))

@@ -121,8 +121,7 @@ def _plain_s(system):
     n = system.n_dofs
     rows = np.repeat(elems, 3, axis=1).ravel()
     cols = np.tile(elems, (1, 3)).ravel()
-    vals = np.array([b.ravel() for b in system.S_T]).ravel()
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((system.S_T.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def condition_number(system, dt, stabilized_time=True, literal=False):

@@ -9,10 +9,6 @@ class InvalidConfig(TraceFemError):
     """A configuration value is out of range or has the wrong shape."""
 
 
-class NonConvergence(TraceFemError):
-    """An iterative procedure exceeded its iteration budget."""
-
-
 class DegeneratePoint(TraceFemError):
     """A point where the closest-point map is undefined (e.g. circle center)."""
 

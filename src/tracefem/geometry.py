@@ -1,11 +1,10 @@
-"""Level-set description of a closed curve in the plane.
+"""Level-set description of the circle Gamma in the plane.
 
-The curve Gamma is given by a level set phi; the two supported kinds are
-an analytic circle (phi(x) = |x - c| - R, exact closest-point formulas)
-and a generic level set supplied as callables for phi and grad phi.  The
-module provides the closest-point projection, the extended unit normal
-n(x) = n(p(x)), the signed distance, and the mesh-resolution check
-max_T h_T <= c_res / curvature_bound.
+The curve Gamma is the zero level set of phi(x) = |x - c| - R, with
+exact closest-point formulas.  The module provides the closest-point
+projection, the extended unit normal n(x) = n(p(x)), the signed
+distance, and the mesh-resolution check max_T h_T <= c_res /
+curvature_bound.
 """
 
 from __future__ import annotations
@@ -14,25 +13,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePoint, NonConvergence
+from .errors import DegeneratePoint
 
 
 @dataclass
 class LevelSetSurface:
-    """A closed curve in R^2 described by a level set.
+    """A circle described by the level set phi(x) = |x - c| - R.
 
-    Use the ``circle`` or ``generic`` constructors rather than building
-    instances directly.
+    Use the ``circle`` constructor rather than building instances
+    directly.
     """
 
     kind: str
     center: np.ndarray | None = None
     radius: float | None = None
-    phi_fn: object = None
-    grad_fn: object = None
     curvature_bound: float | None = None
-    newton_tol: float = 1e-13
-    newton_max_iter: int = 50
 
     @staticmethod
     def circle(center=(0.0, 0.0), radius=1.0):
@@ -45,91 +40,28 @@ class LevelSetSurface:
             curvature_bound=1.0 / float(radius),
         )
 
-    @staticmethod
-    def generic(phi, grad_phi, curvature_bound):
-        if curvature_bound <= 0.0:
-            raise ValueError("curvature bound must be positive")
-        return LevelSetSurface(
-            kind="generic",
-            phi_fn=phi,
-            grad_fn=grad_phi,
-            curvature_bound=float(curvature_bound),
-        )
-
     # -- level set evaluation ------------------------------------------
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "circle":
-            return float(np.hypot(*(x - self.center))) - self.radius
-        return float(self.phi_fn(x))
+        return float(np.hypot(*(x - self.center))) - self.radius
 
     def grad_phi(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "circle":
-            d = x - self.center
-            r = np.hypot(*d)
-            if r == 0.0:
-                raise DegeneratePoint("gradient undefined at circle center")
-            return d / r
-        return np.asarray(self.grad_fn(x), dtype=float)
+        d = np.asarray(x, dtype=float) - self.center
+        r = np.hypot(*d)
+        if r == 0.0:
+            raise DegeneratePoint("gradient undefined at circle center")
+        return d / r
 
     # -- closest point / normal ----------------------------------------
 
     def closest_point(self, x):
-        """Project x onto Gamma.
-
-        Circles use the exact radial formula.  Generic level sets run a
-        damped Newton iteration on the system phi(p) = 0,
-        (x - p) x grad phi(p) = 0, started at the first-order projection
-        x - phi(x) grad phi(x) / |grad phi(x)|^2.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.kind == "circle":
-            d = x - self.center
-            r = np.hypot(*d)
-            if r == 0.0:
-                raise DegeneratePoint("closest point undefined at circle center")
-            return self.center + self.radius * d / r
-        return self._closest_point_newton(x)
-
-    def _residual(self, x, p):
-        g = self.grad_phi(p)
-        e = x - p
-        return np.array([self.phi(p), e[0] * g[1] - e[1] * g[0]])
-
-    def _closest_point_newton(self, x):
-        g = self.grad_phi(x)
-        p = x - self.phi(x) * g / float(g @ g)
-        f = self._residual(x, p)
-        scale = max(1.0, np.hypot(*x))
-        for _ in range(self.newton_max_iter):
-            if np.hypot(*f) <= self.newton_tol * scale:
-                return p
-            # Finite-difference Jacobian of the residual in p; only phi and
-            # grad phi are available, so second derivatives are differenced.
-            eps = np.sqrt(np.finfo(float).eps) * scale
-            jac = np.empty((2, 2))
-            for k in range(2):
-                dp = np.zeros(2)
-                dp[k] = eps
-                jac[:, k] = (self._residual(x, p + dp) - self._residual(x, p - dp)) / (2 * eps)
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                raise NonConvergence("singular Jacobian in closest-point Newton")
-            # Damping: halve the step until the residual decreases.
-            lam = 1.0
-            for _ in range(30):
-                p_new = p + lam * step
-                f_new = self._residual(x, p_new)
-                if np.hypot(*f_new) < np.hypot(*f):
-                    break
-                lam *= 0.5
-            p, f = p_new, f_new
-        if np.hypot(*f) <= self.newton_tol * scale:
-            return p
-        raise NonConvergence("closest-point Newton did not converge")
+        """Project x onto Gamma with the exact radial formula."""
+        d = np.asarray(x, dtype=float) - self.center
+        r = np.hypot(*d)
+        if r == 0.0:
+            raise DegeneratePoint("closest point undefined at circle center")
+        return self.center + self.radius * d / r
 
     def unit_normal(self, x):
         """Extended unit normal n(x) = grad phi(p(x)) / |grad phi(p(x))|."""

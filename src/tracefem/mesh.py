@@ -2,10 +2,10 @@
 
 The background mesh partitions a square bbox into n_cells x n_cells
 squares, each split into two triangles along its NE diagonal.  The
-active mesh keeps the triangles intersecting the curve (exact
-point-triangle distance predicate for circles, sign sampling for
-generic level sets) and numbers the vertices they touch as the degrees
-of freedom of the continuous P1 space.
+active mesh keeps the triangles intersecting the circle (exact
+point-triangle distance predicate) and numbers the vertices they touch
+as the degrees of freedom of the continuous P1 space.  The triangle
+helpers below broadcast over stacks of triangles.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ class BackgroundMesh:
 class ActiveMesh:
     background: BackgroundMesh
     active: np.ndarray        # indices into background.triangles
-    dof_of_vertex: dict       # global vertex index -> dof index
     dofs: np.ndarray          # dof index -> global vertex index
     elements: np.ndarray      # (n_active, 3) dof indices
     coords: np.ndarray        # (n_dof, 2) dof coordinates
     h_T: np.ndarray           # per-active-element diameter (longest edge)
+    grad: np.ndarray          # (n_active, 3, 2) P1 basis gradients
 
     @property
     def n_dofs(self):
@@ -44,15 +44,42 @@ class ActiveMesh:
     def h(self):
         return float(self.h_T.max())
 
-    def element_coords(self, e):
-        return self.coords[self.elements[e]]
+
+def twice_area(tri):
+    """Signed doubled area of triangles tri (..., 3, 2); CCW is positive."""
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    return (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) \
+        - (c[..., 0] - a[..., 0]) * (b[..., 1] - a[..., 1])
+
+
+def barycentric(tri, p):
+    """Barycentric coordinates (..., 3) of points p (..., 2) in tri (..., 3, 2)."""
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    det = twice_area(tri)
+    l1 = ((b[..., 0] - p[..., 0]) * (c[..., 1] - p[..., 1])
+          - (c[..., 0] - p[..., 0]) * (b[..., 1] - p[..., 1])) / det
+    l2 = ((c[..., 0] - p[..., 0]) * (a[..., 1] - p[..., 1])
+          - (a[..., 0] - p[..., 0]) * (c[..., 1] - p[..., 1])) / det
+    return np.stack([l1, l2, 1.0 - l1 - l2], axis=-1)
+
+
+def p1_gradients(tri):
+    """Constant gradients (..., 3, 2) of the three barycentric functions."""
+    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
+    g = np.stack([
+        np.stack([b[..., 1] - c[..., 1], c[..., 0] - b[..., 0]], axis=-1),
+        np.stack([c[..., 1] - a[..., 1], a[..., 0] - c[..., 0]], axis=-1),
+        np.stack([a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]], axis=-1),
+    ], axis=-2)
+    return g / twice_area(tri)[..., None, None]
 
 
 def build_background(bbox, n_cells):
     """Build the uniform criss-cross mesh of the square bbox = (lo, hi).
 
     Each of the n_cells^2 grid squares is split into two triangles along
-    its NE diagonal, giving 2 n_cells^2 congruent right triangles.
+    its NE diagonal, giving 2 n_cells^2 congruent right triangles; the
+    two triangles of cell (i, j) are 2 (i n_cells + j) and the next one.
     """
     lo, hi = float(bbox[0]), float(bbox[1])
     if not hi > lo:
@@ -66,121 +93,90 @@ def build_background(bbox, n_cells):
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.array(tris, dtype=np.int64)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v00 = (i * (n + 1) + j).ravel()
+    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+    triangles = np.stack([np.column_stack([v00, v10, v11]),
+                          np.column_stack([v00, v11, v01])], axis=1)
     return BackgroundMesh(bbox=(lo, hi), n_cells=n, vertices=vertices,
-                          triangles=triangles, h_global=h)
+                          triangles=triangles.reshape(-1, 3).astype(np.int64),
+                          h_global=h)
 
 
-def _point_segment_distance(p, a, b):
+def _cuts_circle(tri, center, radius):
+    """Exact predicate min_{x in T} |x-c| <= R <= max_{x in T} |x-c|.
+
+    ``tri`` is a stack (m, 3, 2).  The dot products go through np.vecdot,
+    which rounds like np.dot on one pair of vectors, so ties on grazing
+    edges and through vertices fall as in a test of one triangle.
+    """
+    rel = tri - center
+    dmax = np.hypot(rel[..., 0], rel[..., 1]).max(axis=1)
+    inside = barycentric(tri, center).min(axis=1) >= 0.0
+    a, b = tri, np.roll(tri, -1, axis=1)          # edges k -> k+1
     d = b - a
-    t = np.clip(np.dot(p - a, d) / np.dot(d, d), 0.0, 1.0)
-    return float(np.hypot(*(a + t * d - p)))
-
-
-def _point_in_triangle(p, tri, tol=0.0):
-    a, b, c = tri
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-    l1 = ((b[0] - p[0]) * (c[1] - p[1]) - (c[0] - p[0]) * (b[1] - p[1])) / det
-    l2 = ((c[0] - p[0]) * (a[1] - p[1]) - (a[0] - p[0]) * (c[1] - p[1])) / det
-    l3 = 1.0 - l1 - l2
-    return min(l1, l2, l3) >= -tol
-
-
-def _circle_cuts_triangle(tri, center, radius):
-    """Exact predicate min_{x in T} |x-c| <= R <= max_{x in T} |x-c|."""
-    dmax = max(float(np.hypot(*(v - center))) for v in tri)
-    if _point_in_triangle(center, tri):
-        dmin = 0.0
-    else:
-        dmin = min(_point_segment_distance(center, tri[k], tri[(k + 1) % 3])
-                   for k in range(3))
-    return dmin <= radius <= dmax
-
-
-def _levelset_cuts_triangle(tri, surface, n_sample=6):
-    """Heuristic sign-change detection along edges and vertices."""
-    signs = []
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        for t in np.linspace(0.0, 1.0, n_sample + 2):
-            signs.append(surface.phi(a + t * (b - a)))
-    signs = np.asarray(signs)
-    return signs.min() <= 0.0 <= signs.max()
+    t = np.clip(np.vecdot(center - a, d) / np.vecdot(d, d), 0.0, 1.0)
+    foot = a + t[..., None] * d - center
+    dmin = np.where(inside, 0.0, np.hypot(foot[..., 0], foot[..., 1]).min(axis=1))
+    return (dmin <= radius) & (radius <= dmax)
 
 
 def select_active(background, surface):
-    """Select the triangles intersecting Gamma and number their dofs."""
-    verts = background.vertices
-    active = []
-    for e, tri in enumerate(background.triangles):
-        pts = verts[tri]
-        if surface.kind == "circle":
-            hit = _circle_cuts_triangle(pts, surface.center, surface.radius)
-        else:
-            hit = _levelset_cuts_triangle(pts, surface)
-        if hit:
-            active.append(e)
-    if not active:
+    """Select the triangles intersecting Gamma and number their dofs.
+
+    Only the grid cells whose centre lies within R +- sqrt2 h of the
+    circle can hold a cut triangle (every point of a cell is within
+    h / sqrt2 of its centre); the exact predicate runs on their
+    triangles.  Dofs are numbered in order of first appearance.
+    """
+    if surface.kind != "circle":
+        raise NotImplementedError("active selection requires the circle kind")
+    center, radius = surface.center, surface.radius
+    verts, n, h = background.vertices, background.n_cells, background.h_global
+    mid = background.bbox[0] + h * (np.arange(n) + 0.5)
+    dist = np.hypot(mid[:, None] - center[0], mid[None, :] - center[1])
+    cells = np.flatnonzero(np.abs(dist - radius) <= np.sqrt(2.0) * h)
+    cand = (2 * cells[:, None] + np.arange(2)).ravel()
+    active = cand[_cuts_circle(verts[background.triangles[cand]], center, radius)]
+    if not len(active):
         raise EmptyIntersection("no background element intersects the surface")
-    active = np.asarray(active, dtype=np.int64)
 
-    dof_of_vertex = {}
-    for e in active:
-        for v in background.triangles[e]:
-            if v not in dof_of_vertex:
-                dof_of_vertex[int(v)] = len(dof_of_vertex)
-    dofs = np.empty(len(dof_of_vertex), dtype=np.int64)
-    for v, d in dof_of_vertex.items():
-        dofs[d] = v
-    coords = verts[dofs]
+    tris = background.triangles[active]
+    uniq, first, inverse = np.unique(tris.ravel(), return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    dofs = uniq[order]
 
-    elements = np.array([[dof_of_vertex[int(v)] for v in background.triangles[e]]
-                         for e in active], dtype=np.int64)
-    h_t = np.empty(len(active))
-    for i, e in enumerate(active):
-        p = verts[background.triangles[e]]
-        edges = [np.hypot(*(p[k] - p[(k + 1) % 3])) for k in range(3)]
-        h_t[i] = max(edges)
-
-    return ActiveMesh(background=background, active=active,
-                      dof_of_vertex=dof_of_vertex, dofs=dofs,
-                      elements=elements, coords=coords, h_T=h_t)
+    pts = verts[tris]
+    edge = pts - np.roll(pts, -1, axis=1)
+    return ActiveMesh(background=background, active=active, dofs=dofs,
+                      elements=rank[inverse].reshape(-1, 3),
+                      coords=verts[dofs],
+                      h_T=np.hypot(edge[..., 0], edge[..., 1]).max(axis=1),
+                      grad=p1_gradients(pts))
 
 
-def write_vtk(active_mesh, path):
-    """Write the active mesh with per-cell h_T as legacy-VTK ASCII."""
-    coords = active_mesh.coords
-    elems = active_mesh.elements
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "active mesh",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        "POINTS %d double" % len(coords),
-    ]
-    for x, y in coords:
-        lines.append("%.17g %.17g 0" % (x, y))
-    lines.append("CELLS %d %d" % (len(elems), 4 * len(elems)))
-    for a, b, c in elems:
-        lines.append("3 %d %d %d" % (a, b, c))
-    lines.append("CELL_TYPES %d" % len(elems))
-    lines.extend(["5"] * len(elems))
-    lines.append("CELL_DATA %d" % len(elems))
-    lines.append("SCALARS h_T double 1")
-    lines.append("LOOKUP_TABLE default")
-    for h in active_mesh.h_T:
-        lines.append("%.17g" % h)
+def write_vtk(active_mesh, path, values=None, time=None):
+    """Write the active mesh as legacy-VTK ASCII.
+
+    Cells carry h_T; ``values`` (one per dof) are written as the point
+    field u_h, and ``time`` goes into the header line.
+    """
+    n, ne = active_mesh.n_dofs, len(active_mesh.elements)
+    title = "active mesh" if time is None else "active mesh t=%.17g" % time
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# vtk DataFile Version 3.0\n%s\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\nPOINTS %d double\n" % (title, n))
+        np.savetxt(fh, active_mesh.coords, fmt="%.17g %.17g 0")
+        fh.write("CELLS %d %d\n" % (ne, 4 * ne))
+        np.savetxt(fh, active_mesh.elements, fmt="3 %d %d %d")
+        fh.write("CELL_TYPES %d\n" % ne + "5\n" * ne)
+        fh.write("CELL_DATA %d\nSCALARS h_T double 1\n"
+                 "LOOKUP_TABLE default\n" % ne)
+        np.savetxt(fh, active_mesh.h_T, fmt="%.17g")
+        if values is not None:
+            fh.write("POINT_DATA %d\nSCALARS u_h double 1\n"
+                     "LOOKUP_TABLE default\n" % n)
+            np.savetxt(fh, values, fmt="%.17g")

@@ -9,7 +9,7 @@ extension.
 
 Surface functions are passed as callables of the circle angle theta
 (and optionally time); their tangential derivative is d/ds = R^-1 d/dtheta.
-All quadrature data is flattened over elements once at construction so
+The surface quadrature is the flat node table of the cut topology, so
 per-step norm evaluations are plain vector operations.
 """
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import _p1_gradients
 from .errors import SolveFailure
 
 
@@ -70,50 +69,33 @@ class DiscreteOperators:
 
     def __init__(self, system, probe=None):
         self.system = system
-        self.topology = system.topology
+        self.topology = topo = system.topology
         self.mesh = system.mesh
         self.probe = probe
         self.mstar = _Factor(system.M_star, "M_star")
         self.kstar = _Factor(system.K_star, "K_star")
         self.kaux = _Factor(system.K_aux, "K_aux")
-        self._flatten()
+        self.node_dofs = self.mesh.elements[topo.elem]          # (N, 3)
+        self.tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
         self._basis_cache = None
 
-    def _flatten(self):
-        """Concatenate all surface quadrature data over elements."""
-        topo, mesh = self.topology, self.mesh
-        theta, w, bary, dofs, nrm, grad = [], [], [], [], [], []
-        for e, dd in enumerate(mesh.elements):
-            m = len(topo.s_theta[e])
-            if not m:
-                continue
-            theta.append(topo.s_theta[e])
-            w.append(topo.s_w[e])
-            bary.append(topo.s_bary[e])
-            nrm.append(topo.s_normal[e])
-            dofs.append(np.tile(dd, (m, 1)))
-            grad.append(np.tile(_p1_gradients(mesh.element_coords(e)), (m, 1, 1)))
-        self.q_theta = np.concatenate(theta)
-        self.q_w = np.concatenate(w)
-        self.q_bary = np.vstack(bary)
-        self.q_dofs = np.vstack(dofs)
-        self.q_normal = np.vstack(nrm)
-        self.q_grad = np.concatenate(grad, axis=0)       # (N, 3, 2)
-        tang = np.column_stack([-np.sin(self.q_theta), np.cos(self.q_theta)])
-        self.q_tangent = tang
+    def _at_nodes(self, v, t=None):
+        """Values of a function of theta (and t) at the surface nodes."""
+        theta = self.topology.theta
+        return np.asarray(v(theta) if t is None else v(theta, t))
 
     def _probe_basis(self):
         if self._basis_cache is None:
-            self._basis_cache = self.probe.eval_basis(self.q_theta)
+            self._basis_cache = self.probe.eval_basis(self.topology.theta)
         return self._basis_cache
 
     # -- data -> Riesz vectors -----------------------------------------
 
     def riesz_data(self, v, t=None):
         """b_i = (v, phi_i) on Gamma for v = v(theta[, t])."""
-        vals = np.asarray(v(self.q_theta) if t is None else v(self.q_theta, t))
-        contrib = self.q_bary * (self.q_w * vals)[:, None]
-        return np.bincount(self.q_dofs.ravel(), weights=contrib.ravel(),
+        vals = self._at_nodes(v, t)
+        contrib = self.topology.bary * (self.topology.w * vals)[:, None]
+        return np.bincount(self.node_dofs.ravel(), weights=contrib.ravel(),
                            minlength=self.mesh.n_dofs)
 
     # -- projection and Laplacian --------------------------------------
@@ -204,27 +186,29 @@ class DiscreteOperators:
     def trace_values(self, x):
         """Values of the discrete function at all surface nodes."""
         x = _vals(x)
-        return np.einsum("ni,ni->n", self.q_bary, x[self.q_dofs])
+        return np.einsum("ni,ni->n", self.topology.bary, x[self.node_dofs])
 
     def trace_tangential_gradient(self, x):
         """Tangential gradient of the discrete function at surface nodes."""
         x = _vals(x)
-        gh = np.einsum("ni,nid->nd", x[self.q_dofs], self.q_grad)
-        gn = np.einsum("nd,nd->n", gh, self.q_normal)
-        return gh - gn[:, None] * self.q_normal
+        nrm = self.topology.normal
+        gh = np.einsum("ei,eid->ed", x[self.mesh.elements],
+                       self.mesh.grad)[self.topology.elem]
+        gn = np.einsum("nd,nd->n", gh, nrm)
+        return gh - gn[:, None] * nrm
 
     def function_coefficients(self, v, t=None):
         """Fourier coefficients (v, e_m) of a function of theta."""
-        vals = np.asarray(v(self.q_theta) if t is None else v(self.q_theta, t))
-        return self._probe_basis().T @ (self.q_w * vals)
+        vals = self._at_nodes(v, t)
+        return self._probe_basis().T @ (self.topology.w * vals)
 
     # -- error functionals ---------------------------------------------
 
     def error_l2_star(self, v, x, t=None):
         """E_L2*[v, v_h]^2 = ||v - v_h||^2_L2 + s0(v_h, v_h), rooted."""
         x = _vals(x)
-        vals = np.asarray(v(self.q_theta) if t is None else v(self.q_theta, t))
-        err2 = float(self.q_w @ (vals - self.trace_values(x)) ** 2)
+        vals = self._at_nodes(v, t)
+        err2 = float(self.topology.w @ (vals - self.trace_values(x)) ** 2)
         return float(np.sqrt(err2 + max(x @ (self.system.S[0] @ x), 0.0)))
 
     def error_h1_star(self, v, dv, x, t=None):
@@ -234,10 +218,9 @@ class DiscreteOperators:
         """
         x = _vals(x)
         radius = self.topology.surface.radius
-        dvds = np.asarray(dv(self.q_theta) if t is None
-                          else dv(self.q_theta, t)) / radius
-        diff = dvds[:, None] * self.q_tangent - self.trace_tangential_gradient(x)
-        acc = float(self.q_w @ (diff ** 2).sum(axis=1))
+        dvds = self._at_nodes(dv, t) / radius
+        diff = dvds[:, None] * self.tangent - self.trace_tangential_gradient(x)
+        acc = float(self.topology.w @ (diff ** 2).sum(axis=1))
         return float(np.sqrt(acc + max(x @ (self.system.S[1] @ x), 0.0)))
 
     def error_hm1_star(self, v, x, t=None):
@@ -250,8 +233,8 @@ class DiscreteOperators:
 
     def l2_gamma_of_function(self, v, t=None):
         """||v||_L2(Gamma) of a function of theta by quadrature."""
-        vals = np.asarray(v(self.q_theta) if t is None else v(self.q_theta, t))
-        return float(np.sqrt(self.q_w @ vals ** 2))
+        vals = self._at_nodes(v, t)
+        return float(np.sqrt(self.topology.w @ vals ** 2))
 
     def hm1_gamma_of_function(self, v, t=None):
         """Truncated H^-1 norm of a function of theta."""

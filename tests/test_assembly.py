@@ -96,8 +96,7 @@ class TestFourierProbe:
     def test_mode_l2_norms(self, setup48):
         topo = setup48.topology
         for k in (1, 8, 32, 64):
-            acc = sum(float(w @ np.cos(k * th) ** 2)
-                      for w, th in zip(topo.s_w, topo.s_theta) if len(w))
+            acc = float(topo.w @ np.cos(k * topo.theta) ** 2)
             assert acc == pytest.approx(np.pi, abs=1e-10)
 
     def test_alias_risk(self, setup48):

@@ -28,6 +28,14 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             load_config(str(p))
 
+    def test_q_vol_rejected(self, tmp_path):
+        # the volume rule is fixed at 6 points; the key is not accepted
+        p = tmp_path / "c.json"
+        p.write_text('{"q_vol": 6}')
+        from tracefem.errors import InvalidConfig
+        with pytest.raises(InvalidConfig, match="q_vol"):
+            load_config(str(p))
+
     def test_malformed_json_exit(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{not json")
@@ -48,10 +56,16 @@ class TestSubcommands:
         assert text.splitlines()[0].startswith("n_cells,")
         assert len(text.splitlines()) == 3
 
-    def test_resolution_violation(self, tmp_path):
+    def test_resolution_violation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", radius=0.05, n_cells=[8])
         assert main(["quadcheck", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_ASSUMPTION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        # bbox 3 / 8 cells: h_T = 0.375 sqrt2 against 0.5 * 0.05
+        assert err[0].startswith("assumption violated: element 0 has "
+                                 "h_T=0.53033 above the threshold 0.025")
+        assert err[0].endswith("(c_res=0.5)")
 
     def test_project_and_rates(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16, 24, 32],
@@ -71,6 +85,24 @@ class TestSubcommands:
         lines = (out / "heat.csv").read_text().splitlines()
         assert lines[0] == "t,l2_star,mean,e_l2_star"
         assert len(lines) > 2
+
+    def test_heat_vtk_series(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16], vtk_every=3)
+        out = tmp_path / "out"
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        files = sorted(out.glob("heat_*.vtk"))
+        assert len(files) >= 2
+        times, fields = [], []
+        for f in files[:2]:
+            lines = f.read_text().splitlines()
+            times.append(float(lines[1].split("t=")[1]))
+            at = lines.index(next(x for x in lines if x.startswith("POINT_DATA")))
+            fields.append([float(v) for v in lines[at + 3:]])
+        rows = (out / "heat.csv").read_text().splitlines()[1:]
+        assert times == [float(rows[0].split(",")[0]),
+                         float(rows[3].split(",")[0])]
+        assert times[1] > 0.0
+        assert fields[0] != fields[1]
 
     def test_dtsweep(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16],

@@ -81,8 +81,7 @@ class TestSurfaceRule:
 
     def test_cos2_over_circle(self, setup48):
         topo = setup48.topology
-        acc = sum(float(w @ np.cos(th) ** 2)
-                  for w, th in zip(topo.s_w, topo.s_theta) if len(w))
+        acc = float(topo.w @ np.cos(topo.theta) ** 2)
         assert acc == pytest.approx(np.pi, abs=1e-12)
 
     def test_normals_and_tangents(self):
@@ -128,17 +127,12 @@ class TestTopology:
 
     def test_nodes_on_circle_inside_host(self, setup96):
         topo = setup96.topology
-        for e in range(len(topo.s_pts)):
-            pts = topo.s_pts[e]
-            if not len(pts):
-                continue
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            assert np.abs(r - 1.0).max() <= 1e-12
-            assert topo.s_bary[e].min() >= -1e-12
+        r = np.hypot(topo.pts[:, 0], topo.pts[:, 1])
+        assert np.abs(r - 1.0).max() <= 1e-12
+        assert topo.bary.min() >= -1e-12
 
     def test_positive_weights(self, setup96):
-        for w in setup96.topology.s_w:
-            assert (w >= 0).all()
+        assert (setup96.topology.w >= 0).all()
 
     def test_spectral_accuracy(self):
         surf = LevelSetSurface.circle((0.0, 0.0), 1.0)
@@ -148,8 +142,6 @@ class TestTopology:
         t1 = build_topology(surf, am, q_surf=q)
         t2 = build_topology(surf, am, q_surf=q + 4)
         for k in (1, 5, 17, 33, 64):
-            a = sum(float(w @ np.cos(k * th))
-                    for w, th in zip(t1.s_w, t1.s_theta) if len(w))
-            b = sum(float(w @ np.cos(k * th))
-                    for w, th in zip(t2.s_w, t2.s_theta) if len(w))
+            a = float(t1.w @ np.cos(k * t1.theta))
+            b = float(t2.w @ np.cos(k * t2.theta))
             assert abs(a - b) <= 1e-11

@@ -11,19 +11,6 @@ def unit_circle():
     return LevelSetSurface.circle((0.0, 0.0), 1.0)
 
 
-def generic_circle(center=(0.0, 0.0), radius=1.0):
-    c = np.asarray(center)
-
-    def phi(x):
-        return np.hypot(*(x - c)) - radius
-
-    def grad(x):
-        d = x - c
-        return d / np.hypot(*d)
-
-    return LevelSetSurface.generic(phi, grad, curvature_bound=1.0 / radius)
-
-
 class TestClosestPoint:
     def test_radial_outside(self):
         p = unit_circle().closest_point((2.0, 0.0))
@@ -48,7 +35,7 @@ class TestClosestPoint:
         surf = unit_circle()
         for x in [(1.3, 0.4), (-0.2, 0.1), (0.0, 5.0)]:
             p = surf.closest_point(x)
-            assert abs(surf.phi(p)) <= 10 * surf.newton_tol
+            assert abs(surf.phi(p)) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.15, 3.0), st.floats(-np.pi, np.pi))
@@ -57,30 +44,6 @@ class TestClosestPoint:
         x = np.array([r * np.cos(th), r * np.sin(th)])
         p = surf.closest_point(x)
         assert np.allclose(surf.closest_point(p), p, atol=1e-12)
-
-
-class TestGenericKind:
-    def test_matches_analytic(self):
-        a, g = unit_circle(), generic_circle()
-        for x in [(2.0, 0.0), (0.3, 0.4), (-1.1, 0.7), (0.0, -0.2)]:
-            pa = a.closest_point(x)
-            pg = g.closest_point(x)
-            assert np.allclose(pa, pg, atol=1e-10)
-            assert np.allclose(a.unit_normal(x), g.unit_normal(x), atol=1e-10)
-
-    def test_normal_example(self):
-        g = generic_circle()
-        x = 1.2 * np.array([3.0, 4.0]) / 5.0
-        assert np.allclose(g.unit_normal(x), (0.6, 0.8), atol=1e-10)
-
-    def test_alignment_with_signed_distance(self):
-        g = generic_circle()
-        for x in [np.array([1.7, 0.3]), np.array([0.2, 0.35])]:
-            p = g.closest_point(x)
-            n = g.unit_normal(x)
-            lhs = float(n @ (x - p))
-            rhs = np.hypot(*(x - p)) * np.sign(g.phi(x))
-            assert abs(lhs - rhs) <= 1e-10
 
 
 class TestUnitNormal:

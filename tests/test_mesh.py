@@ -96,6 +96,12 @@ class TestActiveSelection:
             d = [np.hypot(*(p - (0.6, 0.55))) for p in pts]
             assert min(d) <= 0.01 + 0.3  # circle near the triangle
 
+    def test_circle_kind_only(self):
+        bg = build_background((0.0, 1.0), 4)
+        other = LevelSetSurface(kind="ellipse", curvature_bound=1.0)
+        with pytest.raises(NotImplementedError):
+            select_active(bg, other)
+
     def test_no_intersection(self):
         bg = build_background((0.0, 1.0), 4)
         with pytest.raises(EmptyIntersection):
@@ -145,3 +151,19 @@ def test_vtk_export(tmp_path):
     assert "POINTS %d double" % am.n_dofs in text
     assert "SCALARS h_T double 1" in text
     assert text.count("\n5") >= len(am.elements) - 1
+
+
+def test_vtk_point_field_and_time(tmp_path):
+    bg = build_background((-1.5, 1.5), 8)
+    am = select_active(bg, _circle())
+    u = np.cos(np.arctan2(am.coords[:, 1], am.coords[:, 0]))
+    path = tmp_path / "u.vtk"
+    write_vtk(am, path, values=u, time=0.125)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "active mesh t=0.125"
+    at = lines.index("POINT_DATA %d" % am.n_dofs)
+    assert lines[at + 1:at + 3] == ["SCALARS u_h double 1",
+                                    "LOOKUP_TABLE default"]
+    field = np.array([float(v) for v in lines[at + 3:at + 3 + am.n_dofs]])
+    assert len(lines) == at + 3 + am.n_dofs
+    assert np.array_equal(field, u)
