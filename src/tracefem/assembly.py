@@ -36,18 +36,9 @@ class FemSystem:
     S: dict                       # j -> csr matrix, j in {-1, 0, 1}
     D: sp.csr_matrix
     S_T: np.ndarray               # (n_active, 3, 3) normal Grams
-
-    @property
-    def M_star(self):
-        return self.M + self.S[0]
-
-    @property
-    def K_star(self):
-        return self.M + self.A + self.S[1]
-
-    @property
-    def K_aux(self):
-        return self.K_star + self.S[0]
+    M_star: sp.csr_matrix         # M + S0
+    K_star: sp.csr_matrix         # M + A + S1
+    K_aux: sp.csr_matrix          # K_star + S0
 
     @property
     def n_dofs(self):
@@ -76,13 +67,19 @@ def _element_runs(topology, max_nodes=128):
             yield slice(a, b), slice(ptr[a], ptr[b]), (b - a, c)
 
 
+def element_csr(elements, blocks, n):
+    """Sum per-element 3x3 blocks (n_active, 3, 3) into an n x n CSR matrix;
+    the conversion sums duplicates and sorts the indices."""
+    rows = np.repeat(elements, 3, axis=1).ravel()
+    cols = np.tile(elements, (1, 3)).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def assemble(active_mesh, topology):
     """Assemble every Gram matrix of the stabilized method."""
     n = active_mesh.n_dofs
     elems = active_mesh.elements
     h_t = active_mesh.h_T[:, None, None]
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
 
     # Surface terms: P1 values and tangential gradients at arc nodes.
     w, bary, nrm = topology.w, topology.bary, topology.normal
@@ -103,20 +100,22 @@ def assemble(active_mesh, topology):
     dn = topology.v_normal @ active_mesh.grad.transpose(0, 2, 1)
     s_t = (dn * topology.v_w[..., None]).transpose(0, 2, 1) @ dn
 
-    def to_csr(vals):
-        m = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return m
-
+    mass = element_csr(elems, m_t, n)
+    stiff = element_csr(elems, a_t, n)
+    stab = {j: element_csr(elems, h_t ** (1 - 2 * j) * s_t, n)
+            for j in (-1, 0, 1)}
+    k_star = mass + stiff + stab[1]
     return FemSystem(
         mesh=active_mesh,
         topology=topology,
-        M=to_csr(m_t),
-        A=to_csr(a_t),
-        S={j: to_csr(h_t ** (1 - 2 * j) * s_t) for j in (-1, 0, 1)},
-        D=to_csr(h_t ** 2 * (m_t + h_t * s_t)),
+        M=mass,
+        A=stiff,
+        S=stab,
+        D=element_csr(elems, h_t ** 2 * (m_t + h_t * s_t), n),
         S_T=s_t,
+        M_star=mass + stab[0],
+        K_star=k_star,
+        K_aux=k_star + stab[0],
     )
 
 
@@ -143,14 +142,13 @@ class FourierProbe:
 
     def eval_basis(self, theta):
         """Basis values at angles theta: array (len(theta), n_modes)."""
-        theta = np.asarray(theta, dtype=float)
-        r = self.radius
-        out = np.empty((len(theta), self.n_modes))
-        out[:, 0] = 1.0 / np.sqrt(2.0 * np.pi * r)
-        scale = 1.0 / np.sqrt(np.pi * r)
-        for k in range(1, self.k_max + 1):
-            out[:, 2 * k - 1] = scale * np.cos(k * theta)
-            out[:, 2 * k] = scale * np.sin(k * theta)
+        kt = np.multiply.outer(np.asarray(theta, dtype=float),
+                               np.arange(1, self.k_max + 1))
+        out = np.empty((len(kt), self.n_modes))
+        out[:, 0] = 1.0 / np.sqrt(2.0 * np.pi * self.radius)
+        scale = 1.0 / np.sqrt(np.pi * self.radius)
+        out[:, 1::2] = scale * np.cos(kt)
+        out[:, 2::2] = scale * np.sin(kt)
         return out
 
 

@@ -20,7 +20,7 @@ from .cutquad import arc_cover_defect, build_topology, oscillation_order
 from .errors import InvalidConfig, TraceFemError
 from .geometry import LevelSetSurface, check_resolution
 from .heatsolver import (MANUFACTURED, HeatRun, accumulate_errors,
-                         ConvergenceTable, run)
+                         blockwise, ConvergenceTable, run)
 from .mesh import build_background, select_active, write_vtk
 from .operators import DiscreteOperators
 
@@ -44,7 +44,6 @@ _DEFAULTS = {
     "data": "decaying_mode",
     "stabilized_time_derivative": True,
     "literal_eq_matrices": False,
-    "dense": True,
     "c_res": 0.5,
     "n_random": 50,
     "vtk_every": 0,
@@ -217,13 +216,14 @@ def cmd_heat(cfg, out):
                  u0=lambda th: man.value(th, 0.0), f=man.forcing,
                  manufactured=man)
     result = run(pipe.ops, hr)
-    rows = []
-    for i, (t, x) in enumerate(zip(result.times, result.history)):
-        rows.append([t, result.l2_star_history[i], result.mean_history[i],
-                     pipe.ops.error_l2_star(man.value, x, t)])
-        if cfg["vtk_every"] and i % cfg["vtk_every"] == 0:
+    times, hist = result.times, result.history
+    err = blockwise(lambda b: pipe.ops.error_l2_star(man.value, hist[b],
+                                                     times[b]), len(times))
+    rows = list(zip(times, result.l2_star_history, result.mean_history, err))
+    if cfg["vtk_every"]:
+        for i in range(0, len(times), cfg["vtk_every"]):
             write_vtk(pipe.mesh, os.path.join(out, "heat_%06d.vtk" % i),
-                      values=x, time=t)
+                      values=hist[i], time=times[i])
     hdr = ["t", "l2_star", "mean", "e_l2_star"]
     write_csv(os.path.join(out, "heat.csv"), hdr, rows)
     write_dat(os.path.join(out, "heat.dat"), hdr, rows)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .assembly import element_csr
 from .errors import EigFailure, SingularMatrix
 
 _DENSE_LIMIT = 4000
@@ -114,16 +115,6 @@ def infsup_bounds(norm_ph_h1star, norm_ph_h1gamma, c_inv, t_final,
     return float(lower), float(upper)
 
 
-def _plain_s(system):
-    """Unscaled sum of the per-element normal-derivative Grams."""
-    import scipy.sparse as sp
-    elems = system.mesh.elements
-    n = system.n_dofs
-    rows = np.repeat(elems, 3, axis=1).ravel()
-    cols = np.tile(elems, (1, 3)).ravel()
-    return sp.coo_matrix((system.S_T.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
 def condition_number(system, dt, stabilized_time=True, literal=False):
     """kappa of the one-implicit-step matrix.
 
@@ -136,7 +127,7 @@ def condition_number(system, dt, stabilized_time=True, literal=False):
     if dt <= 0:
         raise ValueError("dt must be positive")
     if literal:
-        s = _plain_s(system)
+        s = element_csr(system.mesh.elements, system.S_T, system.n_dofs)
         h = system.mesh.h
         if stabilized_time:
             mat = (system.M + h * s) / dt + system.A + s / dt

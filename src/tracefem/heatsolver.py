@@ -3,8 +3,9 @@
 One implicit step solves [(c0/dt) Mt + A + S1] u_new = rhs where Mt is
 the stabilized mass M + S0 (default) or the plain surface mass M, with
 BDF1/BDF2/Crank-Nicolson coefficient choices.  Runs start from the
-stabilized projection of the initial datum and can accumulate the error
-functionals of a manufactured solution in time.
+stabilized projection of the initial datum and keep the trajectory as
+one (nsteps + 1, n_dofs) array; its time series and the error
+functionals of a manufactured solution are evaluated on blocks of steps.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .operators import _Factor
+
+BLOCK = 8                     # steps per stacked functional evaluation
+
+
+def blockwise(fn, n):
+    """Concatenate fn(b) over slices b of range(n) of at most BLOCK steps,
+    which bound the (k, n_nodes) temporaries of a stacked functional."""
+    return np.concatenate([fn(slice(a, min(a + BLOCK, n)))
+                           for a in range(0, n, BLOCK)])
 
 
 @dataclass
@@ -66,7 +76,7 @@ class HeatRun:
 @dataclass
 class RunResult:
     config: HeatRun
-    history: list = field(default_factory=list)
+    history: np.ndarray = None    # (nsteps + 1, n_dofs) trajectory
     times: np.ndarray | None = None
     l2_star_history: np.ndarray | None = None
     mean_history: np.ndarray | None = None
@@ -89,6 +99,7 @@ class HeatStepper:
         self.k1 = system.A + system.S[1]
         if scheme == "CrankNicolson":
             mat = self.mt / dt + 0.5 * self.k1
+            self.cn_rhs = self.mt / dt - 0.5 * self.k1
         else:
             mat = self._C0[scheme] * self.mt / dt + self.k1
         self.factor = _Factor(mat.tocsc(), "heat step matrix")
@@ -101,7 +112,7 @@ class HeatStepper:
         return self.factor.solve(rhs)
 
     def step_cn(self, u, b_mid):
-        rhs = (self.mt / self.dt - 0.5 * self.k1) @ u + b_mid
+        rhs = self.cn_rhs @ u + b_mid
         return self.factor.solve(rhs)
 
 
@@ -114,12 +125,11 @@ def run(operators, config):
     ops = operators
     system = ops.system
 
-    u = ops.project(config.u0) if config.u0 is not None \
-        else np.zeros(system.n_dofs)
+    history = np.empty((nsteps + 1, system.n_dofs))
+    history[0] = ops.project(config.u0) if config.u0 is not None else 0.0
     stepper = HeatStepper(ops, config.scheme, dt,
                           config.stabilized_time_derivative)
     f = config.f
-    history = [u]
     if config.scheme == "BDF2":
         # startup: one backward Euler step
         bdf1 = HeatStepper(ops, "BDF1", dt, config.stabilized_time_derivative)
@@ -128,26 +138,26 @@ def run(operators, config):
         if config.scheme == "CrankNicolson":
             b = 0.0 if f is None else 0.5 * (ops.riesz_data(f, n * dt)
                                              + ops.riesz_data(f, t_next))
-            u = stepper.step_cn(history[-1], b)
+            u = stepper.step_cn(history[n], b)
         elif config.scheme == "BDF2":
             b = 0.0 if f is None else ops.riesz_data(f, t_next)
             if n == 0:
-                u = bdf1.step_bdf1(history[-1], b)
+                u = bdf1.step_bdf1(history[n], b)
             else:
-                u = stepper.step_bdf2(history[-1], history[-2], b)
+                u = stepper.step_bdf2(history[n], history[n - 1], b)
         else:
             b = 0.0 if f is None else ops.riesz_data(f, t_next)
-            u = stepper.step_bdf1(history[-1], b)
-        history.append(u)
+            u = stepper.step_bdf1(history[n], b)
+        history[n + 1] = u
 
-    one = np.ones(system.n_dofs)
-    m_one = system.M @ one
+    m_one = system.M @ np.ones(system.n_dofs)
     return RunResult(
         config=config,
         history=history,
         times=dt * np.arange(nsteps + 1),
-        l2_star_history=np.array([ops.l2_star(x) for x in history]),
-        mean_history=np.array([float(m_one @ x) for x in history]),
+        l2_star_history=blockwise(lambda b: ops.l2_star(history[b]),
+                                  nsteps + 1),
+        mean_history=history @ m_one,
     )
 
 
@@ -179,21 +189,20 @@ def accumulate_errors(operators, result, manufactured=None):
     man = manufactured if manufactured is not None else result.config.manufactured
     ops = operators
     dt = result.config.dt
-    hist = result.history
+    hist = np.asarray(result.history)
     times = result.times
+    t_mid = 0.5 * (times[:-1] + times[1:])
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
 
     e0 = ops.error_l2_star(man.value, hist[0], times[0])
-    h1_sq = np.array([ops.error_h1_star(man.value, man.dtheta, x, t) ** 2
-                      for x, t in zip(hist, times)])
-    l2_sq = np.array([ops.error_l2_star(man.value, x, t) ** 2
-                      for x, t in zip(hist, times)])
-    hm1_sq = np.empty(len(hist) - 1)
-    for n in range(len(hist) - 1):
-        dudt = (hist[n + 1] - hist[n]) / dt
-        t_mid = 0.5 * (times[n] + times[n + 1])
-        hm1_sq[n] = ops.error_hm1_star(man.dt_value, dudt, t_mid) ** 2
+    h1_sq = blockwise(lambda b: ops.error_h1_star(
+        man.value, man.dtheta, hist[b], times[b]) ** 2, len(hist))
+    l2_sq = blockwise(lambda b: ops.error_l2_star(
+        man.value, hist[b], times[b]) ** 2, len(hist))
+    hm1_sq = blockwise(lambda b: ops.error_hm1_star(
+        man.dt_value, np.diff(hist[b.start:b.stop + 1], axis=0) / dt,
+        t_mid[b]) ** 2, len(hist) - 1)
 
     int_h1 = float(dt * trap @ h1_sq)
     int_l2 = float(dt * trap @ l2_sq)

@@ -9,8 +9,11 @@ extension.
 
 Surface functions are passed as callables of the circle angle theta
 (and optionally time); their tangential derivative is d/ds = R^-1 d/dtheta.
-The surface quadrature is the flat node table of the cut topology, so
-per-step norm evaluations are plain vector operations.
+Discrete functions reach the surface nodes through two sparse trace
+operators built once: ``trace`` (P1 values) and ``dtrace`` (tangential
+derivatives).  The error functionals and the L2* norm take one
+coefficient vector or a stack (k, n_dofs) with times (k,), so a time
+series is evaluated a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -18,25 +21,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolveFailure
 
-
-@dataclass
-class CoefVec:
-    """Coefficient vector tagged with its meaning.
-
-    ``primal`` vectors hold dof values of a discrete function;
-    ``functional`` vectors hold Riesz data b_i = <l, phi_i> on Gamma.
-    """
-
-    values: np.ndarray
-    kind: str = "primal"
+_PROBE_RUN = 128          # nodes per eval_basis call when tabulating
 
 
-def _vals(x):
-    return x.values if isinstance(x, CoefVec) else np.asarray(x, dtype=float)
+def _form(mat, x):
+    """x' mat x clipped at 0 for each row of x, one vector or a stack."""
+    x = np.atleast_2d(x)
+    return np.maximum(np.einsum("kn,kn->k", x, (mat @ x.T).T), 0.0)
+
+
+def _root(sq, x):
+    """Square roots of the per-row squares; a float when x is one vector."""
+    r = np.sqrt(sq)
+    return float(r[0]) if np.ndim(x) == 1 else r
 
 
 class _Factor:
@@ -70,49 +72,61 @@ class DiscreteOperators:
     def __init__(self, system, probe=None):
         self.system = system
         self.topology = topo = system.topology
-        self.mesh = system.mesh
+        self.mesh = mesh = system.mesh
         self.probe = probe
         self.mstar = _Factor(system.M_star, "M_star")
         self.kstar = _Factor(system.K_star, "K_star")
         self.kaux = _Factor(system.K_aux, "K_aux")
-        self.node_dofs = self.mesh.elements[topo.elem]          # (N, 3)
-        self.tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
+        # (n_nodes, n_dofs): row n holds the P1 functions of n's element
+        cols = mesh.elements[topo.elem].ravel()
+        ptr = np.arange(0, len(cols) + 1, 3)
+        tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
+        dphi = np.einsum("nd,nid->ni", tangent, mesh.grad[topo.elem])
+        shape = (len(topo.w), mesh.n_dofs)
+        self.trace = sp.csr_matrix((topo.bary.ravel(), cols, ptr), shape=shape)
+        self.dtrace = sp.csr_matrix((dphi.ravel(), cols, ptr), shape=shape)
         self._basis_cache = None
 
     def _at_nodes(self, v, t=None):
-        """Values of a function of theta (and t) at the surface nodes."""
+        """Values of a function of theta (and t) at the surface nodes:
+        (n_nodes,) without t or for a scalar t, (k, n_nodes) for t (k,)."""
         theta = self.topology.theta
-        return np.asarray(v(theta) if t is None else v(theta, t))
+        if t is None:
+            return np.asarray(v(theta))
+        return np.asarray(v(theta, np.asarray(t, dtype=float)[..., None]))
 
     def _probe_basis(self):
+        # Filled in runs: one call on all nodes keeps its (n_nodes, k_max)
+        # temporaries resident and raises peak memory.
         if self._basis_cache is None:
-            self._basis_cache = self.probe.eval_basis(self.topology.theta)
+            theta = self.topology.theta
+            basis = np.empty((len(theta), self.probe.n_modes))
+            for a in range(0, len(theta), _PROBE_RUN):
+                basis[a:a + _PROBE_RUN] = \
+                    self.probe.eval_basis(theta[a:a + _PROBE_RUN])
+            self._basis_cache = basis
         return self._basis_cache
 
     # -- data -> Riesz vectors -----------------------------------------
 
     def riesz_data(self, v, t=None):
         """b_i = (v, phi_i) on Gamma for v = v(theta[, t])."""
-        vals = self._at_nodes(v, t)
-        contrib = self.topology.bary * (self.topology.w * vals)[:, None]
-        return np.bincount(self.node_dofs.ravel(), weights=contrib.ravel(),
-                           minlength=self.mesh.n_dofs)
+        return self.trace.T @ (self.topology.w * self._at_nodes(v, t))
 
     # -- projection and Laplacian --------------------------------------
 
     def project(self, data, t=None):
         """Stabilized L2-projection: solve (M + S0) x = b.
 
-        ``data`` is a callable of theta, a ``functional`` CoefVec, a
-        plain Riesz vector, or ("fourier", coefficients in the probe
-        basis).
+        ``data`` is a callable of theta, a plain Riesz vector, or
+        ("fourier", coefficients in the probe basis).
         """
         if callable(data):
             b = self.riesz_data(data, t)
         elif isinstance(data, tuple) and data[0] == "fourier":
             b = self.probe.G @ np.asarray(data[1], dtype=float)
         else:
-            b = _vals(data)
+            b = np.asarray(data, dtype=float)
         return self.mstar.solve(b)
 
     def laplacian(self, x):
@@ -122,30 +136,25 @@ class DiscreteOperators:
         laplacian(project(v)) approximates -Laplace-Beltrami(v), i.e.
         +v for v = cos(theta).
         """
-        x = _vals(x)
         return self.mstar.solve((self.system.A + self.system.S[1]) @ x)
 
     # -- norms of discrete functions -----------------------------------
 
     def l2_gamma(self, x):
-        x = _vals(x)
-        return float(np.sqrt(max(x @ (self.system.M @ x), 0.0)))
+        return _root(_form(self.system.M, x), x)
 
     def l2_star(self, x):
-        x = _vals(x)
-        return float(np.sqrt(max(x @ (self.system.M_star @ x), 0.0)))
+        """||v_h||_L2*; one value per row of a stack (k, n_dofs)."""
+        return _root(_form(self.system.M_star, x), x)
 
     def h1_star_semi(self, x):
-        x = _vals(x)
-        return float(np.sqrt(max(x @ ((self.system.A + self.system.S[1]) @ x), 0.0)))
+        return _root(_form(self.system.A + self.system.S[1], x), x)
 
     def h1_star(self, x):
-        x = _vals(x)
-        return float(np.sqrt(max(x @ (self.system.K_star @ x), 0.0)))
+        return _root(_form(self.system.K_star, x), x)
 
     def h1_gamma(self, x):
-        x = _vals(x)
-        return float(np.sqrt(max(x @ ((self.system.M + self.system.A) @ x), 0.0)))
+        return _root(_form(self.system.M + self.system.A, x), x)
 
     def dual_norm(self, x, aux_gram=False):
         """Discrete dual norm sup_w (v, w)_* / ||w||_H1*.
@@ -155,20 +164,18 @@ class DiscreteOperators:
         product stiffness K_aux = K_star + S0 realizing the norm through
         the auxiliary elliptic solve.
         """
-        x = _vals(x)
         b = self.system.M_star @ x
         y = (self.kaux if aux_gram else self.kstar).solve(b)
         return float(np.sqrt(max(b @ y, 0.0)))
 
     def hm1_gamma(self, x):
         """Fourier-truncated H^-1 norm on Gamma of the trace of v_h."""
-        c = self.probe.G.T @ _vals(x)
-        return float(np.sqrt(np.sum(c ** 2 * self.probe.Hm1_gram)))
+        c = np.atleast_2d(x) @ self.probe.G
+        return _root(c ** 2 @ self.probe.Hm1_gram, x)
 
     def hm1_star(self, x):
-        x = _vals(x)
-        s = x @ (self.system.S[-1] @ x)
-        return float(np.sqrt(self.hm1_gamma(x) ** 2 + max(s, 0.0)))
+        return _root(self.hm1_gamma(x) ** 2
+                     + _form(self.system.S[-1], x), x)
 
     def norm_report(self, x):
         return NormReport(
@@ -184,52 +191,44 @@ class DiscreteOperators:
     # -- pointwise trace data ------------------------------------------
 
     def trace_values(self, x):
-        """Values of the discrete function at all surface nodes."""
-        x = _vals(x)
-        return np.einsum("ni,ni->n", self.topology.bary, x[self.node_dofs])
-
-    def trace_tangential_gradient(self, x):
-        """Tangential gradient of the discrete function at surface nodes."""
-        x = _vals(x)
-        nrm = self.topology.normal
-        gh = np.einsum("ei,eid->ed", x[self.mesh.elements],
-                       self.mesh.grad)[self.topology.elem]
-        gn = np.einsum("nd,nd->n", gh, nrm)
-        return gh - gn[:, None] * nrm
+        """Values of the discrete function at all surface nodes;
+        (k, n_nodes) for a stack (k, n_dofs)."""
+        return (self.trace @ np.transpose(x)).T
 
     def function_coefficients(self, v, t=None):
-        """Fourier coefficients (v, e_m) of a function of theta."""
-        vals = self._at_nodes(v, t)
-        return self._probe_basis().T @ (self.topology.w * vals)
+        """Fourier coefficients (v, e_m) of a function of theta;
+        (k, n_modes) for times t (k,)."""
+        return (self.topology.w * self._at_nodes(v, t)) @ self._probe_basis()
 
     # -- error functionals ---------------------------------------------
+    # Each takes one coefficient vector x and returns a float, or a stack
+    # x (k, n_dofs) with times t (k,) and returns k values.  One vector
+    # runs as a stack of one.
 
     def error_l2_star(self, v, x, t=None):
         """E_L2*[v, v_h]^2 = ||v - v_h||^2_L2 + s0(v_h, v_h), rooted."""
-        x = _vals(x)
-        vals = self._at_nodes(v, t)
-        err2 = float(self.topology.w @ (vals - self.trace_values(x)) ** 2)
-        return float(np.sqrt(err2 + max(x @ (self.system.S[0] @ x), 0.0)))
+        xs = np.atleast_2d(x)
+        diff = self._at_nodes(v, t) - self.trace_values(xs)
+        return _root(diff ** 2 @ self.topology.w
+                     + _form(self.system.S[0], xs), x)
 
     def error_h1_star(self, v, dv, x, t=None):
         """E_H1*[v, v_h]^2 = |v - v_h|^2_H1 + s1(v_h, v_h), rooted.
 
         ``dv`` is the derivative of v with respect to theta.
         """
-        x = _vals(x)
-        radius = self.topology.surface.radius
-        dvds = self._at_nodes(dv, t) / radius
-        diff = dvds[:, None] * self.tangent - self.trace_tangential_gradient(x)
-        acc = float(self.topology.w @ (diff ** 2).sum(axis=1))
-        return float(np.sqrt(acc + max(x @ (self.system.S[1] @ x), 0.0)))
+        xs = np.atleast_2d(x)
+        dvds = self._at_nodes(dv, t) / self.topology.surface.radius
+        diff = dvds - (self.dtrace @ xs.T).T
+        return _root(diff ** 2 @ self.topology.w
+                     + _form(self.system.S[1], xs), x)
 
     def error_hm1_star(self, v, x, t=None):
         """E_Hm1*[v, v_h]^2 = ||v - v_h||^2_Hm1 + s_-1(v_h, v_h), rooted."""
-        x = _vals(x)
-        c = self.function_coefficients(v, t) - self.probe.G.T @ x
-        hm1 = np.sum(c ** 2 * self.probe.Hm1_gram)
-        s = max(x @ (self.system.S[-1] @ x), 0.0)
-        return float(np.sqrt(hm1 + s))
+        xs = np.atleast_2d(x)
+        c = self.function_coefficients(v, t) - xs @ self.probe.G
+        return _root(c ** 2 @ self.probe.Hm1_gram
+                     + _form(self.system.S[-1], xs), x)
 
     def l2_gamma_of_function(self, v, t=None):
         """||v||_L2(Gamma) of a function of theta by quadrature."""

@@ -28,12 +28,14 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             load_config(str(p))
 
-    def test_q_vol_rejected(self, tmp_path):
-        # the volume rule is fixed at 6 points; the key is not accepted
+    @pytest.mark.parametrize("key", ["q_vol", "dense"])
+    def test_q_vol_rejected(self, tmp_path, key):
+        # keys of no effect are not accepted: the volume rule is fixed at
+        # 6 points and the diagnostics are always dense
         p = tmp_path / "c.json"
-        p.write_text('{"q_vol": 6}')
+        p.write_text(json.dumps({key: 6}))
         from tracefem.errors import InvalidConfig
-        with pytest.raises(InvalidConfig, match="q_vol"):
+        with pytest.raises(InvalidConfig, match=key):
             load_config(str(p))
 
     def test_malformed_json_exit(self, tmp_path):

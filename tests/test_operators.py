@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tracefem.assembly import assemble_fourier
-from tracefem.operators import CoefVec
 
 
 def _fit_ratio(coarse, fine):
@@ -77,11 +76,10 @@ class TestProjection:
             assert s.ops.l2_star(x) <= \
                 s.ops.l2_gamma_of_function(v) * (1 + 1e-10)
 
-    def test_accepts_coefvec(self, setup48):
+    def test_riesz_vector_route(self, setup48):
         s = setup48
-        b = s.ops.riesz_data(np.sin)
-        x1 = s.ops.project(CoefVec(b, kind="functional"))
-        x2 = s.ops.project(b)
+        x1 = s.ops.project(s.ops.riesz_data(np.sin))
+        x2 = s.ops.project(np.sin)
         assert np.array_equal(x1, x2)
 
     def test_fourier_data_route(self, setup48):

@@ -1,0 +1,191 @@
+"""Oracle: the stacked time functionals against the per-step path.
+
+The functions prefixed ``old_`` are the per-step error functionals, the
+``bincount`` Riesz data and the einsum gathers of P1 values and
+tangential gradients at the surface nodes that the sparse trace
+operators and the block loop replaced.  They live here only as a
+reference.  Error records, time series and node values must agree to
+1e-13 relative, the Riesz data and the Fourier basis bit for bit, and a
+stack of one must equal the single-vector call.
+"""
+
+import numpy as np
+import pytest
+
+from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorRecord, HeatRun,
+                                 accumulate_errors, run)
+
+RTOL = 1e-13
+NSTEPS = 37                  # not a multiple of the block size
+T_FINAL = 0.37
+
+
+# -- the per-step reference implementation -----------------------------------
+
+def _node_dofs(ops):
+    return ops.mesh.elements[ops.topology.elem]
+
+
+def _at_nodes(ops, v, t=None):
+    theta = ops.topology.theta
+    return np.asarray(v(theta) if t is None else v(theta, t))
+
+
+def old_riesz_data(ops, v, t=None):
+    topo = ops.topology
+    contrib = topo.bary * (topo.w * _at_nodes(ops, v, t))[:, None]
+    return np.bincount(_node_dofs(ops).ravel(), weights=contrib.ravel(),
+                       minlength=ops.mesh.n_dofs)
+
+
+def old_trace_values(ops, x):
+    return np.einsum("ni,ni->n", ops.topology.bary, x[_node_dofs(ops)])
+
+
+def old_trace_tangential_gradient(ops, x):
+    nrm = ops.topology.normal
+    gh = np.einsum("ei,eid->ed", x[ops.mesh.elements],
+                   ops.mesh.grad)[ops.topology.elem]
+    gn = np.einsum("nd,nd->n", gh, nrm)
+    return gh - gn[:, None] * nrm
+
+
+def old_eval_basis(probe, theta):
+    out = np.empty((len(theta), probe.n_modes))
+    out[:, 0] = 1.0 / np.sqrt(2.0 * np.pi * probe.radius)
+    scale = 1.0 / np.sqrt(np.pi * probe.radius)
+    for k in range(1, probe.k_max + 1):
+        out[:, 2 * k - 1] = scale * np.cos(k * theta)
+        out[:, 2 * k] = scale * np.sin(k * theta)
+    return out
+
+
+def old_error_l2_star(ops, v, x, t):
+    vals = _at_nodes(ops, v, t)
+    err2 = float(ops.topology.w @ (vals - old_trace_values(ops, x)) ** 2)
+    return float(np.sqrt(err2 + max(x @ (ops.system.S[0] @ x), 0.0)))
+
+
+def old_error_h1_star(ops, v, dv, x, t):
+    topo = ops.topology
+    tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
+    dvds = _at_nodes(ops, dv, t) / topo.surface.radius
+    diff = dvds[:, None] * tangent - old_trace_tangential_gradient(ops, x)
+    acc = float(topo.w @ (diff ** 2).sum(axis=1))
+    return float(np.sqrt(acc + max(x @ (ops.system.S[1] @ x), 0.0)))
+
+
+def old_error_hm1_star(ops, basis, v, x, t):
+    coef = basis.T @ (ops.topology.w * _at_nodes(ops, v, t))
+    c = coef - ops.probe.G.T @ x
+    hm1 = np.sum(c ** 2 * ops.probe.Hm1_gram)
+    return float(np.sqrt(hm1 + max(x @ (ops.system.S[-1] @ x), 0.0)))
+
+
+def old_accumulate_errors(ops, result, man):
+    dt = result.config.dt
+    hist = list(result.history)
+    times = result.times
+    basis = old_eval_basis(ops.probe, ops.topology.theta)
+    trap = np.ones(len(hist))
+    trap[0] = trap[-1] = 0.5
+    e0 = old_error_l2_star(ops, man.value, hist[0], times[0])
+    h1_sq = np.array([old_error_h1_star(ops, man.value, man.dtheta, x, t) ** 2
+                      for x, t in zip(hist, times)])
+    l2_sq = np.array([old_error_l2_star(ops, man.value, x, t) ** 2
+                      for x, t in zip(hist, times)])
+    hm1_sq = np.empty(len(hist) - 1)
+    for n in range(len(hist) - 1):
+        dudt = (hist[n + 1] - hist[n]) / dt
+        t_mid = 0.5 * (times[n] + times[n + 1])
+        hm1_sq[n] = old_error_hm1_star(ops, basis, man.dt_value, dudt,
+                                       t_mid) ** 2
+    int_h1 = float(dt * trap @ h1_sq)
+    int_l2 = float(dt * trap @ l2_sq)
+    int_hm1 = float(dt * np.sum(hm1_sq))
+    return ErrorRecord(
+        h=ops.system.mesh.h, dt=dt, e_l2_initial=e0, int_h1_sq=int_h1,
+        int_hm1_dt_sq=int_hm1, int_l2_sq=int_l2,
+        e_total=float(np.sqrt(e0 ** 2 + int_hm1 + int_h1)))
+
+
+# -- tests -------------------------------------------------------------------
+
+def _run(ops, scheme, man):
+    cfg = HeatRun(scheme=scheme, dt=T_FINAL / NSTEPS, t_final=T_FINAL,
+                  u0=lambda th: man.value(th, 0.0), f=man.forcing,
+                  manufactured=man)
+    return run(ops, cfg)
+
+
+def test_step_count_is_not_a_block_multiple():
+    assert NSTEPS % BLOCK and (NSTEPS + 1) % BLOCK
+
+
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("scheme, data", [
+    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
+    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
+def test_error_records_match(ladder, n, scheme, data):
+    ops = ladder[n].ops
+    man = MANUFACTURED[data]
+    result = _run(ops, scheme, man)
+    assert result.history.shape == (NSTEPS + 1, ops.system.n_dofs)
+    new = accumulate_errors(ops, result, man)
+    old = old_accumulate_errors(ops, result, man)
+    for name in ("e_l2_initial", "int_h1_sq", "int_hm1_dt_sq", "int_l2_sq",
+                 "e_total"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert abs(a - b) <= RTOL * abs(b), (name, a, b)
+
+    m_star = ops.system.M_star
+    old_l2 = np.array([np.sqrt(max(x @ (m_star @ x), 0.0))
+                       for x in result.history])
+    assert np.abs(result.l2_star_history - old_l2).max() \
+        <= RTOL * old_l2.max()
+    m_one = ops.system.M @ np.ones(ops.system.n_dofs)
+    old_mean = np.array([float(m_one @ x) for x in result.history])
+    assert np.abs(result.mean_history - old_mean).max() <= RTOL * 2 * np.pi
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_riesz_data_bit_identical(ladder, n):
+    ops = ladder[n].ops
+    force = MANUFACTURED["forced_mode_2"].forcing
+    assert np.array_equal(ops.riesz_data(np.sin), old_riesz_data(ops, np.sin))
+    for t in (0.0, 0.3125, 1.7):
+        assert np.array_equal(ops.riesz_data(force, t),
+                              old_riesz_data(ops, force, t))
+
+
+def test_trace_operators_match_gathers(setup96):
+    ops = setup96.ops
+    x = np.random.default_rng(3).standard_normal(ops.system.n_dofs)
+    assert np.abs(ops.trace_values(x) - old_trace_values(ops, x)).max() \
+        <= RTOL * np.abs(x).max()
+    topo = ops.topology
+    tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
+    grad = old_trace_tangential_gradient(ops, x)
+    dvds = np.einsum("nd,nd->n", grad, tangent)
+    assert np.abs(ops.dtrace @ x - dvds).max() <= RTOL * np.abs(grad).max()
+    assert np.array_equal(ops.probe.eval_basis(topo.theta),
+                          old_eval_basis(ops.probe, topo.theta))
+
+
+def test_stack_of_one_equals_single_call(setup48):
+    ops = setup48.ops
+    man = MANUFACTURED["forced_mode_2"]
+    x = ops.project(man.value, 0.4)
+    t = 0.4
+    calls = [
+        lambda y, s: ops.error_l2_star(man.value, y, s),
+        lambda y, s: ops.error_h1_star(man.value, man.dtheta, y, s),
+        lambda y, s: ops.error_hm1_star(man.dt_value, y, s),
+        lambda y, s: ops.l2_star(y),
+    ]
+    for call in calls:
+        single = call(x, t)
+        stacked = call(x[None, :], np.array([t]))
+        assert isinstance(single, float)
+        assert stacked.shape == (1,)
+        assert stacked[0] == single
