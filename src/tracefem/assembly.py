@@ -26,6 +26,11 @@ import scipy.sparse as sp
 from .cutquad import oscillation_order
 from .errors import AliasRisk
 
+# Surface nodes per batched run of per-node work (assembly, Fourier
+# basis tables): the temporaries of larger runs stay resident through
+# the allocator and raise peak memory.
+RUN_NODES = 128
+
 
 @dataclass
 class FemSystem:
@@ -45,9 +50,9 @@ class FemSystem:
         return self.mesh.n_dofs
 
 
-def _element_runs(topology, max_nodes=128):
+def _element_runs(topology):
     """Yield (elements, nodes, (k, c)) slices over runs of consecutive
-    elements that have c > 0 surface nodes each, at most max_nodes nodes.
+    elements that have c > 0 surface nodes each, at most RUN_NODES nodes.
 
     A run stacks into one batched matrix product that rounds like one
     product per element; taking the runs in order keeps the summation
@@ -61,7 +66,7 @@ def _element_runs(topology, max_nodes=128):
         c = int(counts[s])
         if c == 0:
             continue
-        step = max(1, max_nodes // c)
+        step = max(1, RUN_NODES // c)
         for a in range(s, e, step):
             b = min(a + step, e)
             yield slice(a, b), slice(ptr[a], ptr[b]), (b - a, c)
@@ -130,7 +135,6 @@ class FourierProbe:
 
     k_max: int
     radius: float
-    wavenumbers: np.ndarray       # per mode
     H1_gram: np.ndarray           # diagonal entries
     Hm1_gram: np.ndarray
     G: np.ndarray = None          # (n_dofs, 2 k_max + 1)
@@ -169,7 +173,6 @@ def assemble_fourier(topology, k_max=128):
     probe = FourierProbe(
         k_max=int(k_max),
         radius=radius,
-        wavenumbers=k,
         H1_gram=1.0 + k ** 2 / radius ** 2,
         Hm1_gram=1.0 / (1.0 + k ** 2 / radius ** 2),
     )

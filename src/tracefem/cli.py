@@ -17,9 +17,9 @@ import numpy as np
 from . import diagnostics as dg
 from .assembly import assemble, assemble_fourier, export_matrices
 from .cutquad import arc_cover_defect, build_topology, oscillation_order
-from .errors import InvalidConfig, TraceFemError
+from .errors import AssumptionViolation, InvalidConfig, TraceFemError
 from .geometry import LevelSetSurface, check_resolution
-from .heatsolver import (MANUFACTURED, HeatRun, accumulate_errors,
+from .heatsolver import (MANUFACTURED, SCHEMES, HeatRun, accumulate_errors,
                          blockwise, ConvergenceTable, run)
 from .mesh import build_background, select_active, write_vtk
 from .operators import DiscreteOperators
@@ -94,7 +94,7 @@ def load_config(path):
     cfg.update(raw)
     if cfg["radius"] <= 0:
         raise InvalidConfig("radius must be positive")
-    if cfg["scheme"] not in ("BDF1", "BDF2", "CrankNicolson"):
+    if cfg["scheme"] not in SCHEMES:
         raise InvalidConfig("scheme must be BDF1, BDF2 or CrankNicolson")
     if not isinstance(cfg["n_cells"], list) or not cfg["n_cells"]:
         raise InvalidConfig("n_cells must be a non-empty list")
@@ -107,14 +107,24 @@ def load_config(path):
 
 
 class Pipeline:
-    """Mesh/cut/assembly/operators bundle for one mesh size."""
+    """Mesh/cut/assembly/operators bundle for one mesh size.
+
+    Raises AssumptionViolation, before anything is cut or assembled,
+    when an active element does not resolve the curvature.
+    """
 
     def __init__(self, cfg, n_cells, need_probe=True):
         self.surface = LevelSetSurface.circle(cfg["center"], cfg["radius"])
         self.background = build_background(cfg["bbox"], n_cells)
         self.mesh = select_active(self.background, self.surface)
-        self.resolution = check_resolution(self.surface, self.mesh,
-                                           cfg["c_res"])
+        self.resolution = rep = check_resolution(self.surface, self.mesh,
+                                                 cfg["c_res"])
+        if not rep.passed:
+            e, h_t = rep.violations[0]
+            raise AssumptionViolation(
+                "element %d has h_T=%.6g above the threshold %.6g = "
+                "c_res / curvature (c_res=%g)"
+                % (e, h_t, rep.threshold, rep.c_res))
         q = oscillation_order(cfg["k_max"], self.mesh.h, cfg["q_surf"])
         self.topology = build_topology(self.surface, self.mesh, q_surf=q)
         self.system = assemble(self.mesh, self.topology)
@@ -129,36 +139,32 @@ class Pipeline:
             / self.background.n_cells
 
 
-def _assumption_violated(report):
-    """Print the first resolution violation on stderr; return exit 2."""
-    e, h_t = report.violations[0]
-    print("assumption violated: element %d has h_T=%.6g above the threshold "
-          "%.6g = c_res / curvature (c_res=%g)"
-          % (e, h_t, report.threshold, report.c_res), file=sys.stderr)
-    return EXIT_ASSUMPTION
-
-
-def _dt_for(cfg, pipe):
+def _heat_run(cfg, pipe, man):
+    """The configured run of the manufactured solution man on pipe's mesh."""
     if cfg["dt_rule"] == "h2/4":
-        return pipe.h_nominal ** 2 / 4.0
-    try:
-        return float(cfg["dt_rule"])
-    except (TypeError, ValueError):
-        raise InvalidConfig("dt_rule must be 'h2/4' or a number")
+        dt = pipe.h_nominal ** 2 / 4.0
+    else:
+        try:
+            dt = float(cfg["dt_rule"])
+        except (TypeError, ValueError):
+            raise InvalidConfig("dt_rule must be 'h2/4' or a number")
+    return HeatRun(scheme=cfg["scheme"], dt=dt, t_final=cfg["t_final"],
+                   stabilized_time_derivative=cfg["stabilized_time_derivative"],
+                   u0=lambda th: man.value(th, 0.0), f=man.forcing,
+                   manufactured=man)
 
 
 def cmd_quadcheck(cfg, out):
+    hdr = ["n_cells", "h", "n_active", "n_dofs", "arc_length", "rel_err",
+           "cover_defect", "max_arcs_per_element", "spectral_selftest"]
     rows = []
-    worst_rel = 0.0
+    code = EXIT_OK
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n, need_probe=False)
-        if not pipe.resolution.passed:
-            return _assumption_violated(pipe.resolution)
         topo = pipe.topology
         length = topo.total_length
         exact = 2.0 * np.pi * cfg["radius"]
         rel = abs(length - exact) / exact
-        worst_rel = max(worst_rel, rel)
         defect = arc_cover_defect(topo)
         max_arcs = int(np.diff(topo.elem_ptr).max()) // topo.q_surf
         # self-test: q and q+4 Gauss points on each arc must agree on
@@ -170,32 +176,25 @@ def cmd_quadcheck(cfg, out):
         rows.append([n, pipe.mesh.h, len(pipe.mesh.active), pipe.mesh.n_dofs,
                      length, rel, defect, max_arcs, float(spec_diff)])
         if rel > 1e-10 or defect > 1e-10 or spec_diff > 1e-11:
-            write_csv(os.path.join(out, "quadcheck.csv"), _QUAD_HDR, rows)
-            return EXIT_NUMERICAL
-    write_csv(os.path.join(out, "quadcheck.csv"), _QUAD_HDR, rows)
-    return EXIT_OK
-
-
-_QUAD_HDR = ["n_cells", "h", "n_active", "n_dofs", "arc_length", "rel_err",
-             "cover_defect", "max_arcs_per_element", "spectral_selftest"]
+            code = EXIT_NUMERICAL
+            break
+    write_csv(os.path.join(out, "quadcheck.csv"), hdr, rows)
+    return code
 
 
 def cmd_project(cfg, out):
     man = MANUFACTURED[cfg["data"]]
-    table = ConvergenceTable(meta={"data": cfg["data"]})
-    rows = []
+    hdr = ["n_cells", "h", "n_dofs", "e_l2_star", "e_h1_star"]
+    table = ConvergenceTable()
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
-        if not pipe.resolution.passed:
-            return _assumption_violated(pipe.resolution)
         x = pipe.ops.project(man.value, 0.0)
         el2 = pipe.ops.error_l2_star(man.value, x, 0.0)
         eh1 = pipe.ops.error_h1_star(man.value, man.dtheta, x, 0.0)
-        table.add({"h": pipe.mesh.h, "e_l2_star": el2, "e_h1_star": eh1})
-        rows.append([n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])
+        table.add(dict(zip(hdr, [n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])))
         if cfg["export_matrices"]:
             export_matrices(pipe.system, out, prefix="n%d_" % n)
-    hdr = ["n_cells", "h", "n_dofs", "e_l2_star", "e_h1_star"]
+    rows = [[r[c] for c in hdr] for r in table.rows]
     write_csv(os.path.join(out, "project.csv"), hdr, rows)
     write_dat(os.path.join(out, "project.dat"), hdr, rows)
     if len(rows) >= 3:
@@ -208,14 +207,7 @@ def cmd_project(cfg, out):
 def cmd_heat(cfg, out):
     man = MANUFACTURED[cfg["data"]]
     pipe = Pipeline(cfg, cfg["n_cells"][0])
-    if not pipe.resolution.passed:
-        return _assumption_violated(pipe.resolution)
-    dt = _dt_for(cfg, pipe)
-    hr = HeatRun(scheme=cfg["scheme"], dt=dt, t_final=cfg["t_final"],
-                 stabilized_time_derivative=cfg["stabilized_time_derivative"],
-                 u0=lambda th: man.value(th, 0.0), f=man.forcing,
-                 manufactured=man)
-    result = run(pipe.ops, hr)
+    result = run(pipe.ops, _heat_run(cfg, pipe, man))
     times, hist = result.times, result.history
     err = blockwise(lambda b: pipe.ops.error_l2_star(man.value, hist[b],
                                                      times[b]), len(times))
@@ -230,13 +222,11 @@ def cmd_heat(cfg, out):
     return EXIT_OK
 
 
-def cmd_diagnose(cfg, out, seed=0):
-    rng = np.random.default_rng(seed)
+def cmd_diagnose(cfg, out):
+    rng = np.random.default_rng(cfg["seed"])
     rows = []
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
-        if not pipe.resolution.passed:
-            return _assumption_violated(pipe.resolution)
         rep = dg.constants_report(pipe.ops, pipe.probe,
                                   t_final=cfg["T_infsup"], mesh_id="n%d" % n)
         # random-vector dual-norm sandwich audit
@@ -261,8 +251,6 @@ def cmd_diagnose(cfg, out, seed=0):
 
 def cmd_dtsweep(cfg, out):
     pipe = Pipeline(cfg, cfg["n_cells"][0], need_probe=False)
-    if not pipe.resolution.passed:
-        return _assumption_violated(pipe.resolution)
     dts = cfg["dt_list"] or [2.0 ** (-e) for e in range(4, 25)]
     literal = cfg["literal_eq_matrices"]
     rows = []
@@ -283,29 +271,18 @@ def cmd_converge(cfg, out):
     if len(cfg["n_cells"]) < 3:
         raise InvalidConfig("converge needs a ladder of >= 3 meshes")
     man = MANUFACTURED[cfg["data"]]
-    table = ConvergenceTable(meta={"dt_rule": cfg["dt_rule"],
-                                   "scheme": cfg["scheme"],
-                                   "data": cfg["data"]})
-    rows = []
-    for n in cfg["n_cells"]:
-        pipe = Pipeline(cfg, n)
-        if not pipe.resolution.passed:
-            return _assumption_violated(pipe.resolution)
-        dt = _dt_for(cfg, pipe)
-        hr = HeatRun(scheme=cfg["scheme"], dt=dt, t_final=cfg["t_final"],
-                     stabilized_time_derivative=cfg["stabilized_time_derivative"],
-                     u0=lambda th: man.value(th, 0.0), f=man.forcing,
-                     manufactured=man)
-        result = run(pipe.ops, hr)
-        rec = accumulate_errors(pipe.ops, result, man)
-        xp = pipe.ops.project(man.value, 0.0)
-        proj_err = pipe.ops.error_l2_star(man.value, xp, 0.0)
-        table.add({"h": pipe.mesh.h, "e_total": rec.e_total,
-                   "e_l2l2": rec.e_l2l2, "proj_l2_star": proj_err})
-        rows.append([n, pipe.mesh.h, dt, rec.e_total, rec.e_l2l2,
-                     rec.e_l2_initial, proj_err])
     hdr = ["n_cells", "h", "dt", "e_total", "e_l2l2", "e_l2_initial",
            "proj_l2_star"]
+    table = ConvergenceTable()
+    for n in cfg["n_cells"]:
+        pipe = Pipeline(cfg, n)
+        hr = _heat_run(cfg, pipe, man)
+        rec = accumulate_errors(pipe.ops, run(pipe.ops, hr), man)
+        xp = pipe.ops.project(man.value, 0.0)
+        proj_err = pipe.ops.error_l2_star(man.value, xp, 0.0)
+        table.add(dict(zip(hdr, [n, pipe.mesh.h, hr.dt, rec.e_total,
+                                 rec.e_l2l2, rec.e_l2_initial, proj_err])))
+    rows = [[r[c] for c in hdr] for r in table.rows]
     write_csv(os.path.join(out, "converge.csv"), hdr, rows)
     write_dat(os.path.join(out, "converge.dat"), hdr, rows)
     write_csv(os.path.join(out, "converge_rates.csv"),
@@ -354,12 +331,13 @@ def main(argv=None):
     os.makedirs(cfg["out"], exist_ok=True)
 
     try:
-        if args.subcommand == "diagnose":
-            return cmd_diagnose(cfg, cfg["out"], seed=cfg["seed"])
         return _COMMANDS[args.subcommand](cfg, cfg["out"])
     except InvalidConfig as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    except AssumptionViolation as exc:
+        print("assumption violated: %s" % exc, file=sys.stderr)
+        return EXIT_ASSUMPTION
     except TraceFemError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL

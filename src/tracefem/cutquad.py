@@ -173,8 +173,6 @@ def oscillation_order(k_max, h, q_surf=10):
 
 def build_topology(surface, active_mesh, q_surf=10):
     """Cut every active triangle and tabulate its quadrature rules."""
-    if surface.kind != "circle":
-        raise NotImplementedError("cut quadrature requires the circle kind")
     center, radius = surface.center, surface.radius
     q = int(q_surf)
     tri = active_mesh.coords[active_mesh.elements]         # (n_active, 3, 2)
@@ -195,7 +193,6 @@ def build_topology(surface, active_mesh, q_surf=10):
     elem = np.repeat(np.asarray(owner, dtype=np.int64), q)
     counts = np.bincount(elem, minlength=len(tri))
     v_pts, v_w = volume_rule(tri)
-    d = v_pts - center
     return CutTopology(
         surface=surface, mesh=active_mesh, q_surf=q, arcs=arcs,
         arc_ends=ends,
@@ -203,7 +200,7 @@ def build_topology(surface, active_mesh, q_surf=10):
         elem=elem, pts=pts, w=w, normal=normals, theta=theta,
         bary=barycentric(tri[elem], pts),
         v_pts=v_pts, v_w=v_w,
-        v_normal=d / np.hypot(d[..., 0], d[..., 1])[..., None],
+        v_normal=surface.unit_normal(v_pts),
         total_length=float(w.sum()),
     )
 

@@ -10,7 +10,7 @@ right-hand Gram, and extremal pairs are verified by residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -199,9 +199,6 @@ class ConstantsReport:
     c_star_upper: float
     kappa_Pstar: float
     C_MPR_ratio: float = float("nan")
-    dt_list: list = field(default_factory=list)
-    kappa_B: list = field(default_factory=list)
-    kappa_Bstar: list = field(default_factory=list)
 
     FIELDS = ("mesh_id", "h", "n_dofs", "k_max", "norm_Ph_H1gamma",
               "norm_Ph_H1star", "C_inv_h", "Lambda_h", "inv_Lambda_h",

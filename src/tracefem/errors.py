@@ -9,6 +9,10 @@ class InvalidConfig(TraceFemError):
     """A configuration value is out of range or has the wrong shape."""
 
 
+class AssumptionViolation(TraceFemError):
+    """The mesh does not resolve the curvature: h_T > c_res / curvature."""
+
+
 class DegeneratePoint(TraceFemError):
     """A point where the closest-point map is undefined (e.g. circle center)."""
 

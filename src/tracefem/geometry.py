@@ -1,10 +1,9 @@
-"""Level-set description of the circle Gamma in the plane.
+"""The circle Gamma in the plane and the mesh-resolution check.
 
-The curve Gamma is the zero level set of phi(x) = |x - c| - R, with
-exact closest-point formulas.  The module provides the closest-point
-projection, the extended unit normal n(x) = n(p(x)), the signed
-distance, and the mesh-resolution check max_T h_T <= c_res /
-curvature_bound.
+The curve Gamma is the circle |x - c| = R, with exact closest-point
+formulas.  The module provides the closest-point projection, the
+extended unit normal n(x) = n(p(x)), and the mesh-resolution check
+max_T h_T <= c_res / curvature_bound.
 """
 
 from __future__ import annotations
@@ -18,59 +17,43 @@ from .errors import DegeneratePoint
 
 @dataclass
 class LevelSetSurface:
-    """A circle described by the level set phi(x) = |x - c| - R.
+    """The circle |x - c| = R.
 
     Use the ``circle`` constructor rather than building instances
     directly.
     """
 
-    kind: str
-    center: np.ndarray | None = None
-    radius: float | None = None
-    curvature_bound: float | None = None
+    center: np.ndarray
+    radius: float
+    curvature_bound: float
 
     @staticmethod
     def circle(center=(0.0, 0.0), radius=1.0):
         if radius <= 0.0:
             raise ValueError("circle radius must be positive")
         return LevelSetSurface(
-            kind="circle",
             center=np.asarray(center, dtype=float),
             radius=float(radius),
             curvature_bound=1.0 / float(radius),
         )
 
-    # -- level set evaluation ------------------------------------------
-
-    def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        return float(np.hypot(*(x - self.center))) - self.radius
-
-    def grad_phi(self, x):
+    def _offset(self, x):
+        """x - c and |x - c| (..., 1) for points x (..., 2)."""
         d = np.asarray(x, dtype=float) - self.center
-        r = np.hypot(*d)
-        if r == 0.0:
-            raise DegeneratePoint("gradient undefined at circle center")
-        return d / r
-
-    # -- closest point / normal ----------------------------------------
+        r = np.hypot(d[..., 0], d[..., 1])[..., None]
+        if np.any(r == 0.0):
+            raise DegeneratePoint("closest point undefined at circle center")
+        return d, r
 
     def closest_point(self, x):
-        """Project x onto Gamma with the exact radial formula."""
-        d = np.asarray(x, dtype=float) - self.center
-        r = np.hypot(*d)
-        if r == 0.0:
-            raise DegeneratePoint("closest point undefined at circle center")
+        """Project points x (..., 2) onto Gamma with the exact radial formula."""
+        d, r = self._offset(x)
         return self.center + self.radius * d / r
 
     def unit_normal(self, x):
-        """Extended unit normal n(x) = grad phi(p(x)) / |grad phi(p(x))|."""
-        p = self.closest_point(np.asarray(x, dtype=float))
-        g = self.grad_phi(p)
-        return g / np.hypot(*g)
-
-    def signed_distance(self, x):
-        return self.phi(x)
+        """Extended unit normal n(x) = n(p(x)) at points x (..., 2)."""
+        d, r = self._offset(x)
+        return d / r
 
 
 @dataclass

@@ -19,6 +19,9 @@ from .operators import _Factor
 
 BLOCK = 8                     # steps per stacked functional evaluation
 
+# scheme -> c0, the coefficient of Mt/dt in the one-step matrix
+SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
+
 
 def blockwise(fn, n):
     """Concatenate fn(b) over slices b of range(n) of at most BLOCK steps,
@@ -31,7 +34,6 @@ def blockwise(fn, n):
 class Manufactured:
     """Exact solution u(theta, t) on the circle with the data it induces."""
 
-    name: str
     value: object                 # u(theta, t)
     dtheta: object                # du/dtheta
     dt_value: object              # du/dt
@@ -45,7 +47,6 @@ def _decay(theta, t):
 MANUFACTURED = {
     # u = e^-t cos(theta): eigenmode of the circle Laplacian, f = 0.
     "decaying_mode": Manufactured(
-        name="decaying_mode",
         value=_decay,
         dtheta=lambda th, t: -np.exp(-t) * np.sin(th),
         dt_value=lambda th, t: -np.exp(-t) * np.cos(th),
@@ -53,7 +54,6 @@ MANUFACTURED = {
     ),
     # u = cos(t) cos(2 theta) on the unit circle: f = (4 cos t - sin t) cos(2 theta).
     "forced_mode_2": Manufactured(
-        name="forced_mode_2",
         value=lambda th, t: np.cos(t) * np.cos(2 * th),
         dtheta=lambda th, t: -2.0 * np.cos(t) * np.sin(2 * th),
         dt_value=lambda th, t: -np.sin(t) * np.cos(2 * th),
@@ -85,10 +85,8 @@ class RunResult:
 class HeatStepper:
     """Factorized one-step solver for a fixed scheme and dt."""
 
-    _C0 = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
-
     def __init__(self, operators, scheme, dt, stabilized_time_derivative=True):
-        if scheme not in self._C0:
+        if scheme not in SCHEMES:
             raise InvalidConfig("unknown scheme %r" % scheme)
         self.ops = operators
         self.scheme = scheme
@@ -101,7 +99,7 @@ class HeatStepper:
             mat = self.mt / dt + 0.5 * self.k1
             self.cn_rhs = self.mt / dt - 0.5 * self.k1
         else:
-            mat = self._C0[scheme] * self.mt / dt + self.k1
+            mat = SCHEMES[scheme] * self.mt / dt + self.k1
         self.factor = _Factor(mat.tocsc(), "heat step matrix")
 
     def step_bdf1(self, u, b_next):
@@ -133,20 +131,23 @@ def run(operators, config):
     if config.scheme == "BDF2":
         # startup: one backward Euler step
         bdf1 = HeatStepper(ops, "BDF1", dt, config.stabilized_time_derivative)
+
+    def data(t):
+        return 0.0 if f is None else ops.riesz_data(f, t)
+
+    # Crank-Nicolson averages the data at both ends of a step; the start
+    # of step n is the end of step n - 1, so each time is evaluated once.
+    b = data(0.0) if config.scheme == "CrankNicolson" else 0.0
     for n in range(nsteps):
-        t_next = (n + 1) * dt
+        b_prev, b = b, data((n + 1) * dt)
         if config.scheme == "CrankNicolson":
-            b = 0.0 if f is None else 0.5 * (ops.riesz_data(f, n * dt)
-                                             + ops.riesz_data(f, t_next))
-            u = stepper.step_cn(history[n], b)
+            u = stepper.step_cn(history[n], 0.5 * (b_prev + b))
         elif config.scheme == "BDF2":
-            b = 0.0 if f is None else ops.riesz_data(f, t_next)
             if n == 0:
                 u = bdf1.step_bdf1(history[n], b)
             else:
                 u = stepper.step_bdf2(history[n], history[n - 1], b)
         else:
-            b = 0.0 if f is None else ops.riesz_data(f, t_next)
             u = stepper.step_bdf1(history[n], b)
         history[n + 1] = u
 
@@ -220,7 +221,6 @@ class ConvergenceTable:
     """Rows of (h, dt, errors) with least-squares fitted rates."""
 
     rows: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def add(self, row):
         self.rows.append(row)

@@ -129,8 +129,6 @@ def select_active(background, surface):
     h / sqrt2 of its centre); the exact predicate runs on their
     triangles.  Dofs are numbered in order of first appearance.
     """
-    if surface.kind != "circle":
-        raise NotImplementedError("active selection requires the circle kind")
     center, radius = surface.center, surface.radius
     verts, n, h = background.vertices, background.n_cells, background.h_global
     mid = background.bbox[0] + h * (np.arange(n) + 0.5)

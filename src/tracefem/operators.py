@@ -24,9 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import RUN_NODES
 from .errors import SolveFailure
-
-_PROBE_RUN = 128          # nodes per eval_basis call when tabulating
 
 
 def _form(mat, x):
@@ -96,14 +95,12 @@ class DiscreteOperators:
         return np.asarray(v(theta, np.asarray(t, dtype=float)[..., None]))
 
     def _probe_basis(self):
-        # Filled in runs: one call on all nodes keeps its (n_nodes, k_max)
-        # temporaries resident and raises peak memory.
         if self._basis_cache is None:
             theta = self.topology.theta
             basis = np.empty((len(theta), self.probe.n_modes))
-            for a in range(0, len(theta), _PROBE_RUN):
-                basis[a:a + _PROBE_RUN] = \
-                    self.probe.eval_basis(theta[a:a + _PROBE_RUN])
+            for a in range(0, len(theta), RUN_NODES):
+                basis[a:a + RUN_NODES] = \
+                    self.probe.eval_basis(theta[a:a + RUN_NODES])
             self._basis_cache = basis
         return self._basis_cache
 

@@ -5,39 +5,21 @@ import warnings
 import numpy as np
 import pytest
 
-from tracefem.cutquad import TangencyWarning, build_topology, oscillation_order
-from tracefem.assembly import assemble, assemble_fourier
-from tracefem.geometry import LevelSetSurface, check_resolution
-from tracefem.mesh import build_background, select_active
-from tracefem.operators import DiscreteOperators
+from tracefem.cli import _DEFAULTS, Pipeline
+from tracefem.cutquad import TangencyWarning
 
 warnings.simplefilter("ignore", TangencyWarning)
 
 LADDER = (48, 96, 192)      # cell sizes 1/16, 1/32, 1/64
 BBOX = (-1.5, 1.5)
 K_MAX = 128
-
-
-class Setup:
-    """Everything assembled for one mesh size of the unit circle."""
-
-    def __init__(self, n_cells, k_max=K_MAX):
-        self.n_cells = n_cells
-        self.h_cell = (BBOX[1] - BBOX[0]) / n_cells
-        self.surface = LevelSetSurface.circle((0.0, 0.0), 1.0)
-        self.background = build_background(BBOX, n_cells)
-        self.mesh = select_active(self.background, self.surface)
-        q = oscillation_order(k_max, self.mesh.h)
-        self.topology = build_topology(self.surface, self.mesh, q_surf=q)
-        self.system = assemble(self.mesh, self.topology)
-        self.probe = assemble_fourier(self.topology, k_max)
-        self.ops = DiscreteOperators(self.system, self.probe)
-        self.resolution = check_resolution(self.surface, self.mesh)
+# the unit circle, q_surf 10 and c_res 0.5 come from the defaults
+CONFIG = dict(_DEFAULTS, bbox=BBOX, k_max=K_MAX)
 
 
 @pytest.fixture(scope="session")
 def ladder():
-    return {n: Setup(n) for n in LADDER}
+    return {n: Pipeline(CONFIG, n) for n in LADDER}
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +45,7 @@ def decay_runs(ladder):
     man = MANUFACTURED["decaying_mode"]
     out = {}
     for n, s in ladder.items():
-        dt = s.h_cell ** 2 / 4.0
+        dt = s.h_nominal ** 2 / 4.0
         cfg = HeatRun(scheme="BDF1", dt=dt, t_final=0.25,
                       u0=lambda th: np.cos(th), f=None, manufactured=man)
         result = run(s.ops, cfg)

@@ -58,9 +58,11 @@ class TestSubcommands:
         assert text.splitlines()[0].startswith("n_cells,")
         assert len(text.splitlines()) == 3
 
-    def test_resolution_violation(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "c.json", radius=0.05, n_cells=[8])
-        assert main(["quadcheck", "--config", cfg,
+    @pytest.mark.parametrize("sub", ["quadcheck", "project", "heat",
+                                     "diagnose", "dtsweep", "converge"])
+    def test_resolution_violation(self, tmp_path, capsys, sub):
+        cfg = write_cfg(tmp_path / "c.json", radius=0.05, n_cells=[8, 12, 16])
+        assert main([sub, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_ASSUMPTION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -132,6 +134,27 @@ class TestSubcommands:
         assert (out / "converge.csv").exists()
         assert (out / "converge_rates.csv").exists()
         assert (out / "converge.dat").exists()
+
+    @pytest.mark.parametrize("sub, name, flag, key, value", [
+        ("dtsweep", "dtsweep.csv", "--literal-eq-matrices",
+         "literal_eq_matrices", True),
+        ("heat", "heat.csv", "--no-time-stab",
+         "stabilized_time_derivative", False),
+    ])
+    def test_flag_matches_config_key(self, tmp_path, sub, name, flag, key,
+                                     value):
+        outs = []
+        for tag, extra, overrides in (("default", [], {}),
+                                      ("flag", [flag], {}),
+                                      ("key", [], {key: value})):
+            cfg = write_cfg(tmp_path / ("%s.json" % tag), n_cells=[16],
+                            **overrides)
+            out = tmp_path / tag
+            assert main([sub, "--config", cfg, "--out", str(out)]
+                        + extra) == EXIT_OK
+            outs.append((out / name).read_bytes())
+        assert outs[1] == outs[2]
+        assert outs[1] != outs[0]
 
 
 class TestDeterminism:

@@ -35,7 +35,7 @@ class TestClosestPoint:
         surf = unit_circle()
         for x in [(1.3, 0.4), (-0.2, 0.1), (0.0, 5.0)]:
             p = surf.closest_point(x)
-            assert abs(surf.phi(p)) <= 1e-12
+            assert abs(np.hypot(*(p - surf.center)) - surf.radius) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.15, 3.0), st.floats(-np.pi, np.pi))

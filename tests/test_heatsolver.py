@@ -65,11 +65,29 @@ class TestStepping:
             coef = (setup96.probe.G.T @ result.history[-1])[1] / np.sqrt(np.pi)
             assert abs(coef - np.exp(-0.3)) <= 0.02
 
+    def test_cn_evaluates_each_forcing_once(self, setup48, monkeypatch):
+        man = MANUFACTURED["forced_mode_2"]
+        ops = setup48.ops
+        riesz = ops.riesz_data
+        times = []
+
+        def counted(v, t=None):
+            if v is man.forcing:
+                times.append(t)
+            return riesz(v, t)
+
+        monkeypatch.setattr(ops, "riesz_data", counted)
+        cfg = HeatRun(scheme="CrankNicolson", dt=0.01, t_final=0.1,
+                      u0=lambda th: man.value(th, 0.0), f=man.forcing)
+        result = run(ops, cfg)
+        assert len(result.times) == 11
+        assert times == list(result.times)
+
     def test_stabilized_vs_unstabilized_close(self, setup48, setup96):
         # both variants are consistent; their gap shrinks under refinement
         diffs = []
         for s in (setup48, setup96):
-            dt = s.h_cell
+            dt = s.h_nominal
             runs = []
             for stab in (True, False):
                 cfg = HeatRun(dt=dt, t_final=0.5, u0=_cos,
@@ -86,7 +104,7 @@ class TestErrorAccumulation:
         man = MANUFACTURED["forced_mode_2"]
         errs = []
         for s in (setup48, setup96):
-            dt = s.h_cell / 2
+            dt = s.h_nominal / 2
             cfg = HeatRun(dt=dt, t_final=0.5,
                           u0=lambda th: man.value(th, 0.0),
                           f=man.forcing, manufactured=man)

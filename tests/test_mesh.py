@@ -96,12 +96,6 @@ class TestActiveSelection:
             d = [np.hypot(*(p - (0.6, 0.55))) for p in pts]
             assert min(d) <= 0.01 + 0.3  # circle near the triangle
 
-    def test_circle_kind_only(self):
-        bg = build_background((0.0, 1.0), 4)
-        other = LevelSetSurface(kind="ellipse", curvature_bound=1.0)
-        with pytest.raises(NotImplementedError):
-            select_active(bg, other)
-
     def test_no_intersection(self):
         bg = build_background((0.0, 1.0), 4)
         with pytest.raises(EmptyIntersection):
