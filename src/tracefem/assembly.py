@@ -6,13 +6,14 @@ Builds, over the active P1 space:
 * ``A``   surface stiffness with tangential gradients (I - n n^T) grad,
 * ``S_T`` per-element normal-derivative Grams int_T (n.grad u)(n.grad v),
 * ``S_j`` scaled sums over elements h_T^(1-2j) S_T for j in {-1, 0, 1},
-* derived combinations M_* = M + S0, K_* = M + A + S1 and the
+* derived combinations M_* = M + S0, A_* = A + S1, K_* = M + A + S1 and the
   stabilized-inner-product stiffness K_aux = M + A + S1 + S0,
 * ``D``   the weighted local Gram sum h_T^2 (M_T + h_T S_T),
 
 plus the truncated Fourier probe (orthonormal circle harmonics, their
 H1/H-1 diagonal Grams and the coupling matrix G).  Local blocks are
-computed for all quadrature nodes at once and summed per element.
+computed as batched products over runs of at most RUN_NODES quadrature
+nodes and summed per element.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class FemSystem:
     D: sp.csr_matrix
     S_T: np.ndarray               # (n_active, 3, 3) normal Grams
     M_star: sp.csr_matrix         # M + S0
+    A_star: sp.csr_matrix         # A + S1
     K_star: sp.csr_matrix         # M + A + S1
     K_aux: sp.csr_matrix          # K_star + S0
 
@@ -119,6 +121,7 @@ def assemble(active_mesh, topology):
         D=element_csr(elems, h_t ** 2 * (m_t + h_t * s_t), n),
         S_T=s_t,
         M_star=mass + stab[0],
+        A_star=stiff + stab[1],
         K_star=k_star,
         K_aux=k_star + stab[0],
     )

@@ -17,6 +17,7 @@ import scipy.linalg as sla
 
 from .assembly import element_csr
 from .errors import EigFailure, SingularMatrix
+from .heatsolver import blockwise
 
 _DENSE_LIMIT = 4000
 
@@ -160,22 +161,23 @@ def max_regularity_ratio(operators, history, dt, u0=None, f=None):
     the trapezoid rule on the step grid and backward differences for
     d_t u_h.  Returns 0 for identically zero data.
     """
+    history = np.asarray(history)
     nsteps = len(history) - 1
     lap_sq = np.array([operators.hm1_star(operators.laplacian(x)) ** 2
                        for x in history])
     trap = np.ones(len(history))
     trap[0] = trap[-1] = 0.5
     lap_int = float(np.sqrt(dt * trap @ lap_sq))
-    dtu_sq = [operators.hm1_star((history[n + 1] - history[n]) / dt) ** 2
-              for n in range(nsteps)]
+    dtu_sq = blockwise(lambda b: operators.hm1_star(
+        np.diff(history[b.start:b.stop + 1], axis=0) / dt) ** 2, nsteps)
     dtu_int = float(np.sqrt(dt * np.sum(dtu_sq)))
 
     den = 0.0
     if u0 is not None:
         den += operators.l2_gamma_of_function(u0)
     if f is not None:
-        f_sq = np.array([operators.hm1_gamma_of_function(f, n * dt) ** 2
-                         for n in range(len(history))])
+        f_sq = operators.hm1_gamma_of_function(
+            f, dt * np.arange(len(history))) ** 2
         den += float(np.sqrt(dt * trap @ f_sq))
     if den == 0.0:
         return 0.0

@@ -4,8 +4,9 @@ One implicit step solves [(c0/dt) Mt + A + S1] u_new = rhs where Mt is
 the stabilized mass M + S0 (default) or the plain surface mass M, with
 BDF1/BDF2/Crank-Nicolson coefficient choices.  Runs start from the
 stabilized projection of the initial datum and keep the trajectory as
-one (nsteps + 1, n_dofs) array; its time series and the error
-functionals of a manufactured solution are evaluated on blocks of steps.
+one (nsteps + 1, n_dofs) array; the forcing's Riesz data, the time
+series and the error functionals of a manufactured solution are
+evaluated on blocks of steps.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import InvalidConfig
 from .operators import _Factor
 
-BLOCK = 8                     # steps per stacked functional evaluation
+BLOCK = 8                     # steps per stacked data/functional evaluation
 
 # scheme -> c0, the coefficient of Mt/dt in the one-step matrix
 SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
@@ -25,9 +26,10 @@ SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
 
 def blockwise(fn, n):
     """Concatenate fn(b) over slices b of range(n) of at most BLOCK steps,
-    which bound the (k, n_nodes) temporaries of a stacked functional."""
-    return np.concatenate([fn(slice(a, min(a + BLOCK, n)))
-                           for a in range(0, n, BLOCK)])
+    which bound the (k, n_nodes) temporaries of a stacked functional;
+    empty for n = 0."""
+    return np.concatenate([np.empty(0)] + [fn(slice(a, min(a + BLOCK, n)))
+                                           for a in range(0, n, BLOCK)])
 
 
 @dataclass
@@ -94,7 +96,7 @@ class HeatStepper:
         self.stabilized = bool(stabilized_time_derivative)
         system = operators.system
         self.mt = system.M_star if self.stabilized else system.M
-        self.k1 = system.A + system.S[1]
+        self.k1 = system.A_star
         if scheme == "CrankNicolson":
             mat = self.mt / dt + 0.5 * self.k1
             self.cn_rhs = self.mt / dt - 0.5 * self.k1
@@ -133,13 +135,17 @@ def run(operators, config):
         bdf1 = HeatStepper(ops, "BDF1", dt, config.stabilized_time_derivative)
 
     def data(t):
-        return 0.0 if f is None else ops.riesz_data(f, t)
+        t = np.asarray(t, dtype=float)
+        return np.zeros(t.shape + (1,)) if f is None else ops.riesz_data(f, t)
 
+    # One call gives the data of the next BLOCK step ends, a row each.
     # Crank-Nicolson averages the data at both ends of a step; the start
     # of step n is the end of step n - 1, so each time is evaluated once.
     b = data(0.0) if config.scheme == "CrankNicolson" else 0.0
     for n in range(nsteps):
-        b_prev, b = b, data((n + 1) * dt)
+        if n % BLOCK == 0:
+            ends = data(dt * np.arange(n + 1, min(n + BLOCK, nsteps) + 1))
+        b_prev, b = b, ends[n % BLOCK]
         if config.scheme == "CrankNicolson":
             u = stepper.step_cn(history[n], 0.5 * (b_prev + b))
         elif config.scheme == "BDF2":
@@ -201,9 +207,10 @@ def accumulate_errors(operators, result, manufactured=None):
         man.value, man.dtheta, hist[b], times[b]) ** 2, len(hist))
     l2_sq = blockwise(lambda b: ops.error_l2_star(
         man.value, hist[b], times[b]) ** 2, len(hist))
+    coef = ops.function_coefficients(man.dt_value, t_mid)
     hm1_sq = blockwise(lambda b: ops.error_hm1_star(
-        man.dt_value, np.diff(hist[b.start:b.stop + 1], axis=0) / dt,
-        t_mid[b]) ** 2, len(hist) - 1)
+        coef[b], np.diff(hist[b.start:b.stop + 1], axis=0) / dt) ** 2,
+        len(hist) - 1)
 
     int_h1 = float(dt * trap @ h1_sq)
     int_l2 = float(dt * trap @ l2_sq)

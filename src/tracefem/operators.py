@@ -13,7 +13,9 @@ Discrete functions reach the surface nodes through two sparse trace
 operators built once: ``trace`` (P1 values) and ``dtrace`` (tangential
 derivatives).  The error functionals and the L2* norm take one
 coefficient vector or a stack (k, n_dofs) with times (k,), so a time
-series is evaluated a block of steps at a time.
+series is evaluated a block of steps at a time.  The H^-1 error takes
+the Fourier coefficients of the smooth function (``function_coefficients``,
+formed once for a whole time grid) instead of the function itself.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class DiscreteOperators:
         shape = (len(topo.w), mesh.n_dofs)
         self.trace = sp.csr_matrix((topo.bary.ravel(), cols, ptr), shape=shape)
         self.dtrace = sp.csr_matrix((dphi.ravel(), cols, ptr), shape=shape)
-        self._basis_cache = None
 
     def _at_nodes(self, v, t=None):
         """Values of a function of theta (and t) at the surface nodes:
@@ -94,21 +95,12 @@ class DiscreteOperators:
             return np.asarray(v(theta))
         return np.asarray(v(theta, np.asarray(t, dtype=float)[..., None]))
 
-    def _probe_basis(self):
-        if self._basis_cache is None:
-            theta = self.topology.theta
-            basis = np.empty((len(theta), self.probe.n_modes))
-            for a in range(0, len(theta), RUN_NODES):
-                basis[a:a + RUN_NODES] = \
-                    self.probe.eval_basis(theta[a:a + RUN_NODES])
-            self._basis_cache = basis
-        return self._basis_cache
-
     # -- data -> Riesz vectors -----------------------------------------
 
     def riesz_data(self, v, t=None):
-        """b_i = (v, phi_i) on Gamma for v = v(theta[, t])."""
-        return self.trace.T @ (self.topology.w * self._at_nodes(v, t))
+        """b_i = (v, phi_i) on Gamma for v = v(theta[, t]);
+        (k, n_dofs) for times t (k,)."""
+        return (self.trace.T @ (self.topology.w * self._at_nodes(v, t)).T).T
 
     # -- projection and Laplacian --------------------------------------
 
@@ -133,7 +125,7 @@ class DiscreteOperators:
         laplacian(project(v)) approximates -Laplace-Beltrami(v), i.e.
         +v for v = cos(theta).
         """
-        return self.mstar.solve((self.system.A + self.system.S[1]) @ x)
+        return self.mstar.solve(self.system.A_star @ x)
 
     # -- norms of discrete functions -----------------------------------
 
@@ -145,7 +137,7 @@ class DiscreteOperators:
         return _root(_form(self.system.M_star, x), x)
 
     def h1_star_semi(self, x):
-        return _root(_form(self.system.A + self.system.S[1], x), x)
+        return _root(_form(self.system.A_star, x), x)
 
     def h1_star(self, x):
         return _root(_form(self.system.K_star, x), x)
@@ -194,13 +186,29 @@ class DiscreteOperators:
 
     def function_coefficients(self, v, t=None):
         """Fourier coefficients (v, e_m) of a function of theta;
-        (k, n_modes) for times t (k,)."""
-        return (self.topology.w * self._at_nodes(v, t)) @ self._probe_basis()
+        (k, n_modes) for times t (k,).
+
+        The basis is evaluated on one run of RUN_NODES nodes at a time and
+        dropped; each node run adds its share for runs of RUN_NODES times,
+        so no (n_nodes, n_modes) or (k, n_nodes) array is formed.
+        """
+        theta, w = self.topology.theta, self.topology.w
+        times = np.atleast_1d(0.0 if t is None else t).astype(float)
+        out = np.zeros((len(times), self.probe.n_modes))
+        for a in range(0, len(theta), RUN_NODES):
+            nodes = slice(a, a + RUN_NODES)
+            basis = self.probe.eval_basis(theta[nodes])
+            for s in range(0, len(times), RUN_NODES):
+                run = slice(s, s + RUN_NODES)
+                vals = (v(theta[nodes]) if t is None
+                        else v(theta[nodes], times[run, None]))
+                out[run] += (w[nodes] * vals) @ basis
+        return out[0] if np.ndim(t) == 0 else out
 
     # -- error functionals ---------------------------------------------
     # Each takes one coefficient vector x and returns a float, or a stack
-    # x (k, n_dofs) with times t (k,) and returns k values.  One vector
-    # runs as a stack of one.
+    # x (k, n_dofs) with times t (k,) (for the H^-1 error, coefficients
+    # (k, n_modes)) and returns k values.  One vector runs as a stack of one.
 
     def error_l2_star(self, v, x, t=None):
         """E_L2*[v, v_h]^2 = ||v - v_h||^2_L2 + s0(v_h, v_h), rooted."""
@@ -220,10 +228,12 @@ class DiscreteOperators:
         return _root(diff ** 2 @ self.topology.w
                      + _form(self.system.S[1], xs), x)
 
-    def error_hm1_star(self, v, x, t=None):
-        """E_Hm1*[v, v_h]^2 = ||v - v_h||^2_Hm1 + s_-1(v_h, v_h), rooted."""
+    def error_hm1_star(self, coef, x):
+        """E_Hm1*[v, v_h]^2 = ||v - v_h||^2_Hm1 + s_-1(v_h, v_h), rooted;
+        ``coef`` holds the Fourier coefficients of v
+        (``function_coefficients``), one row per row of x."""
         xs = np.atleast_2d(x)
-        c = self.function_coefficients(v, t) - xs @ self.probe.G
+        c = coef - xs @ self.probe.G
         return _root(c ** 2 @ self.probe.Hm1_gram
                      + _form(self.system.S[-1], xs), x)
 
@@ -233,9 +243,10 @@ class DiscreteOperators:
         return float(np.sqrt(self.topology.w @ vals ** 2))
 
     def hm1_gamma_of_function(self, v, t=None):
-        """Truncated H^-1 norm of a function of theta."""
+        """Truncated H^-1 norm of a function of theta; k values for
+        times t (k,)."""
         c = self.function_coefficients(v, t)
-        return float(np.sqrt(np.sum(c ** 2 * self.probe.Hm1_gram)))
+        return _root(np.atleast_2d(c) ** 2 @ self.probe.Hm1_gram, c)
 
     # -- interpolation -------------------------------------------------
 

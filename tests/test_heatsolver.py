@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tracefem.errors import InvalidConfig
 from tracefem.heatsolver import (MANUFACTURED, ConvergenceTable, HeatRun,
                                  accumulate_errors, projection_history, run)
+from tracefem.operators import DiscreteOperators
 
 
 def _cos(th):
@@ -73,7 +76,7 @@ class TestStepping:
 
         def counted(v, t=None):
             if v is man.forcing:
-                times.append(t)
+                times.extend(np.atleast_1d(t).tolist())
             return riesz(v, t)
 
         monkeypatch.setattr(ops, "riesz_data", counted)
@@ -143,3 +146,23 @@ class TestErrorAccumulation:
         t.add({"h": 0.05, "e": 0.5})
         with pytest.raises(InvalidConfig):
             t.rate("e")
+
+    def test_memory_below_basis_table(self, setup96):
+        # The error pass holds no (n_nodes, n_modes) Fourier basis table:
+        # its peak traced allocation stays below half of one.  Fresh
+        # operators, so nothing is cached by earlier tests.
+        s = setup96
+        ops = DiscreteOperators(s.system, s.probe)
+        man = MANUFACTURED["forced_mode_2"]
+        cfg = HeatRun(dt=0.01, t_final=0.37,
+                      u0=lambda th: man.value(th, 0.0),
+                      f=man.forcing, manufactured=man)
+        result = run(ops, cfg)
+        tracemalloc.start()
+        try:
+            accumulate_errors(ops, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = len(ops.topology.w) * ops.probe.n_modes * 8
+        assert peak < table / 2, (peak, table)

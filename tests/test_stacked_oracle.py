@@ -1,19 +1,24 @@
 """Oracle: the stacked time functionals against the per-step path.
 
 The functions prefixed ``old_`` are the per-step error functionals, the
-``bincount`` Riesz data and the einsum gathers of P1 values and
-tangential gradients at the surface nodes that the sparse trace
-operators and the block loop replaced.  They live here only as a
-reference.  Error records, time series and node values must agree to
-1e-13 relative, the Riesz data and the Fourier basis bit for bit, and a
-stack of one must equal the single-vector call.
+``bincount`` Riesz data taken one step end at a time, the einsum
+gathers of P1 values and tangential gradients at the surface nodes, the
+Fourier coefficients formed against a whole (n_nodes, n_modes) basis
+table and the per-step maximal-regularity ratio that the sparse trace
+operators, the node runs and the block loop replaced.  They live here
+only as a reference.  Error records, time series, node values, Fourier
+coefficients and the ratio must agree to 1e-13 relative; the Riesz data
+(single or stacked times), the forced trajectories and the Fourier
+basis bit for bit; and a stack of one must equal the single-vector call.
 """
 
 import numpy as np
 import pytest
 
+from tracefem.assembly import RUN_NODES
+from tracefem.diagnostics import max_regularity_ratio
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorRecord, HeatRun,
-                                 accumulate_errors, run)
+                                 HeatStepper, accumulate_errors, run)
 
 RTOL = 1e-13
 NSTEPS = 37                  # not a multiple of the block size
@@ -58,6 +63,50 @@ def old_eval_basis(probe, theta):
         out[:, 2 * k - 1] = scale * np.cos(k * theta)
         out[:, 2 * k] = scale * np.sin(k * theta)
     return out
+
+
+def old_function_coefficients(ops, v, t=None):
+    theta = ops.topology.theta
+    vals = v(theta) if t is None else v(theta, np.asarray(t)[..., None])
+    return (ops.topology.w * vals) @ old_eval_basis(ops.probe, theta)
+
+
+def old_max_regularity_ratio(ops, history, dt, u0=None, f=None):
+    nsteps = len(history) - 1
+    lap_sq = np.array([ops.hm1_star(ops.laplacian(x)) ** 2 for x in history])
+    trap = np.ones(len(history))
+    trap[0] = trap[-1] = 0.5
+    lap_int = float(np.sqrt(dt * trap @ lap_sq))
+    dtu_sq = [ops.hm1_star((history[n + 1] - history[n]) / dt) ** 2
+              for n in range(nsteps)]
+    dtu_int = float(np.sqrt(dt * np.sum(dtu_sq)))
+    den = 0.0
+    if u0 is not None:
+        den += ops.l2_gamma_of_function(u0)
+    if f is not None:
+        f_sq = np.array([np.sum(old_function_coefficients(ops, f, n * dt) ** 2
+                                * ops.probe.Hm1_gram)
+                         for n in range(len(history))])
+        den += float(np.sqrt(dt * trap @ f_sq))
+    return (lap_int + dtu_int) / den
+
+
+def old_run_history(ops, cfg):
+    dt = cfg.dt
+    stepper = HeatStepper(ops, cfg.scheme, dt)
+    bdf1 = HeatStepper(ops, "BDF1", dt)
+    hist = [ops.project(cfg.u0)]
+    b = old_riesz_data(ops, cfg.f, 0.0)
+    for n in range(int(np.ceil(cfg.t_final / dt - 1e-12))):
+        b_prev, b = b, old_riesz_data(ops, cfg.f, (n + 1) * dt)
+        if cfg.scheme == "CrankNicolson":
+            u = stepper.step_cn(hist[n], 0.5 * (b_prev + b))
+        elif cfg.scheme == "BDF2" and n > 0:
+            u = stepper.step_bdf2(hist[n], hist[n - 1], b)
+        else:
+            u = bdf1.step_bdf1(hist[n], b)
+        hist.append(u)
+    return np.array(hist)
 
 
 def old_error_l2_star(ops, v, x, t):
@@ -120,6 +169,7 @@ def _run(ops, scheme, man):
 
 def test_step_count_is_not_a_block_multiple():
     assert NSTEPS % BLOCK and (NSTEPS + 1) % BLOCK
+    assert 300 % RUN_NODES
 
 
 @pytest.mark.parametrize("n", [48, 96])
@@ -148,14 +198,68 @@ def test_error_records_match(ladder, n, scheme, data):
     assert np.abs(result.mean_history - old_mean).max() <= RTOL * 2 * np.pi
 
 
+@pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
+def test_blocked_forcing_history_bit_identical(setup48, scheme):
+    # run() takes the forcing's Riesz data BLOCK step ends at a time
+    man = MANUFACTURED["forced_mode_2"]
+    result = _run(setup48.ops, scheme, man)
+    assert np.array_equal(result.history,
+                          old_run_history(setup48.ops, result.config))
+
+
 @pytest.mark.parametrize("n", [48, 96])
 def test_riesz_data_bit_identical(ladder, n):
     ops = ladder[n].ops
     force = MANUFACTURED["forced_mode_2"].forcing
     assert np.array_equal(ops.riesz_data(np.sin), old_riesz_data(ops, np.sin))
-    for t in (0.0, 0.3125, 1.7):
-        assert np.array_equal(ops.riesz_data(force, t),
-                              old_riesz_data(ops, force, t))
+    times = np.concatenate([[0.0, 0.3125, 1.7], 0.01 * np.arange(1, BLOCK)])
+    stacked = ops.riesz_data(force, times)
+    assert stacked.shape == (len(times), ops.mesh.n_dofs)
+    for t, row in zip(times, stacked):
+        single = ops.riesz_data(force, t)
+        assert np.array_equal(single, old_riesz_data(ops, force, t))
+        assert np.array_equal(row, single)
+
+
+def _travelling(theta, t):
+    return np.exp(np.cos(theta - t)) * (1.0 + t)
+
+
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("v, t", [
+    (lambda th: np.exp(np.sin(th)), None),
+    (_travelling, 0.3),
+    (_travelling, np.linspace(0.0, 2.0, 37)),
+    (_travelling, np.linspace(0.0, 2.0, 300)),     # not a multiple of the run
+], ids=["no-t", "scalar-t", "37-times", "300-times"])
+def test_function_coefficients_match_table(ladder, n, v, t):
+    ops = ladder[n].ops
+    new = ops.function_coefficients(v, t)
+    old = old_function_coefficients(ops, v, t)
+    assert new.shape == old.shape
+    assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_max_regularity_ratio_matches(ladder, decay_runs, n):
+    ops = ladder[n].ops
+    result, _ = decay_runs[n]
+    u0 = np.cos
+    for hist in (result.history, result.history[:1]):   # no step at all
+        new = max_regularity_ratio(ops, hist, result.config.dt, u0=u0)
+        old = old_max_regularity_ratio(ops, hist, result.config.dt, u0=u0)
+        assert abs(new - old) <= RTOL * old
+
+
+def test_max_regularity_ratio_with_forcing_matches(setup48):
+    ops = setup48.ops
+    man = MANUFACTURED["forced_mode_2"]
+    result = _run(ops, "BDF1", man)
+    u0 = lambda th: man.value(th, 0.0)
+    args = (ops, result.history, result.config.dt)
+    new = max_regularity_ratio(*args, u0=u0, f=man.forcing)
+    old = old_max_regularity_ratio(*args, u0=u0, f=man.forcing)
+    assert abs(new - old) <= RTOL * old
 
 
 def test_trace_operators_match_gathers(setup96):
@@ -180,7 +284,8 @@ def test_stack_of_one_equals_single_call(setup48):
     calls = [
         lambda y, s: ops.error_l2_star(man.value, y, s),
         lambda y, s: ops.error_h1_star(man.value, man.dtheta, y, s),
-        lambda y, s: ops.error_hm1_star(man.dt_value, y, s),
+        lambda y, s: ops.error_hm1_star(
+            ops.function_coefficients(man.dt_value, s), y),
         lambda y, s: ops.l2_star(y),
     ]
     for call in calls:
