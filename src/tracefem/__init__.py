@@ -12,14 +12,14 @@ from .geometry import LevelSetSurface, check_resolution
 from .mesh import build_background, select_active
 from .cutquad import build_topology, intersect_element
 from .assembly import assemble, assemble_fourier
-from .operators import DiscreteOperators, NormReport
+from .operators import DiscreteOperators
 from .heatsolver import MANUFACTURED, HeatRun, run, accumulate_errors
 
 __all__ = [
     "LevelSetSurface", "check_resolution", "build_background",
     "select_active", "build_topology", "intersect_element", "assemble",
-    "assemble_fourier", "DiscreteOperators", "NormReport", "MANUFACTURED",
-    "HeatRun", "run", "accumulate_errors",
+    "assemble_fourier", "DiscreteOperators", "MANUFACTURED", "HeatRun",
+    "run", "accumulate_errors",
 ]
 
 __version__ = "0.1.0"

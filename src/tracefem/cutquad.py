@@ -105,8 +105,8 @@ def intersect_element(tri, center, radius):
 def surface_rule(center, radius, arcs, q):
     """Gauss-Legendre nodes on a stack of arcs (m, 2), q per arc in order.
 
-    Weights carry the factor R.  Returns points, weights, normals,
-    tangents and angles, each with m * q rows.
+    Weights carry the factor R.  Returns points, weights, unit normals
+    and angles, each with m * q rows.
     """
     th0, th1 = np.reshape(np.asarray(arcs, dtype=float), (-1, 2)).T
     gx, gw = np.polynomial.legendre.leggauss(q)
@@ -115,8 +115,7 @@ def surface_rule(center, radius, arcs, q):
     w = (half * gw * radius).ravel()
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
     pts = center + radius * normals
-    tangents = np.column_stack([-normals[:, 1], normals[:, 0]])
-    return pts, w, normals, tangents, theta
+    return pts, w, normals, theta
 
 
 def volume_rule(tri):
@@ -189,7 +188,7 @@ def build_topology(surface, active_mesh, q_surf=10):
         ends.extend(arcs[-1])
         owner.extend([e] * len(arcs[-1]))
     ends = np.reshape(np.asarray(ends, dtype=float), (-1, 2))
-    pts, w, normals, _, theta = surface_rule(center, radius, ends, q)
+    pts, w, normals, theta = surface_rule(center, radius, ends, q)
     elem = np.repeat(np.asarray(owner, dtype=np.int64), q)
     counts = np.bincount(elem, minlength=len(tri))
     v_pts, v_w = volume_rule(tri)

@@ -57,7 +57,7 @@ def op_norms_ph(operators, probe):
     Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.
     """
     system = operators.system
-    bmat = operators.mstar.lu.solve(probe.G)
+    bmat = operators.mstar.solve(probe.G)
     w = 1.0 / np.sqrt(probe.H1_gram)
     out = []
     for q in (system.M + system.A, system.K_star):
@@ -72,7 +72,7 @@ def op_norms_ph(operators, probe):
 def _dual_gram(operators):
     """N = M_* K_*^-1 M_*, the Gram of the discrete dual norm."""
     mstar = _dense(operators.system.M_star)
-    n = mstar @ operators.kstar.lu.solve(mstar)
+    n = mstar @ operators.kstar.solve(mstar)
     return 0.5 * (n + n.T)
 
 
@@ -159,12 +159,12 @@ def max_regularity_ratio(operators, history, dt, u0=None, f=None):
     (||Lap_h u_h||_{L2t H^-1_*} + ||d_t u_h||_{L2t H^-1_*}) /
     (||f||_{L2t H^-1_Gamma} + ||u0||_{L2_Gamma}); the time integrals use
     the trapezoid rule on the step grid and backward differences for
-    d_t u_h.  Returns 0 for identically zero data.
+    d_t u_h, over blocks of states.  Returns 0 for identically zero data.
     """
     history = np.asarray(history)
     nsteps = len(history) - 1
-    lap_sq = np.array([operators.hm1_star(operators.laplacian(x)) ** 2
-                       for x in history])
+    lap_sq = blockwise(lambda b: operators.hm1_star(
+        operators.laplacian(history[b])) ** 2, len(history))
     trap = np.ones(len(history))
     trap[0] = trap[-1] = 0.5
     lap_int = float(np.sqrt(dt * trap @ lap_sq))

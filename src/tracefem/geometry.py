@@ -3,16 +3,16 @@
 The curve Gamma is the circle |x - c| = R, with exact closest-point
 formulas.  The module provides the closest-point projection, the
 extended unit normal n(x) = n(p(x)), and the mesh-resolution check
-max_T h_T <= c_res / curvature_bound.
+max_T h_T <= c_res / curvature_bound, which raises AssumptionViolation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePoint
+from .errors import AssumptionViolation, DegeneratePoint
 
 
 @dataclass
@@ -56,33 +56,19 @@ class LevelSetSurface:
         return d / r
 
 
-@dataclass
-class ResolutionReport:
-    """Outcome of the curvature-resolution check."""
-
-    passed: bool
-    h_max: float
-    threshold: float
-    c_res: float
-    violations: list = field(default_factory=list)
-
-
 def check_resolution(surface, active_mesh, c_res=0.5):
     """Check max_T h_T <= c_res / curvature_bound over the active elements.
 
-    Returns a report listing the violating (element index, h_T) pairs;
-    nothing is raised.
+    Raises AssumptionViolation naming the first element that exceeds the
+    threshold.
     """
     if c_res <= 0.0:
         raise ValueError("c_res must be positive")
     threshold = c_res / surface.curvature_bound
     h_t = np.asarray(active_mesh.h_T, dtype=float)
-    bad = np.nonzero(h_t > threshold)[0]
-    violations = [(int(i), float(h_t[i])) for i in bad]
-    return ResolutionReport(
-        passed=len(violations) == 0,
-        h_max=float(h_t.max()) if h_t.size else 0.0,
-        threshold=float(threshold),
-        c_res=float(c_res),
-        violations=violations,
-    )
+    bad = np.flatnonzero(h_t > threshold)
+    if len(bad):
+        raise AssumptionViolation(
+            "element %d has h_T=%.6g above the threshold %.6g = "
+            "c_res / curvature (c_res=%g)"
+            % (bad[0], h_t[bad[0]], threshold, c_res))

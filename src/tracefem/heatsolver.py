@@ -242,8 +242,3 @@ class ConvergenceTable:
 
     def column(self, name):
         return [r[name] for r in self.rows]
-
-
-def projection_history(operators, manufactured, times):
-    """Per-step stabilized projection of the exact solution."""
-    return [operators.project(manufactured.value, t) for t in times]

@@ -45,7 +45,7 @@ def decay_runs(ladder):
     man = MANUFACTURED["decaying_mode"]
     out = {}
     for n, s in ladder.items():
-        dt = s.h_nominal ** 2 / 4.0
+        dt = s.background.h_global ** 2 / 4.0
         cfg = HeatRun(scheme="BDF1", dt=dt, t_final=0.25,
                       u0=lambda th: np.cos(th), f=None, manufactured=man)
         result = run(s.ops, cfg)

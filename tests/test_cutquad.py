@@ -70,12 +70,12 @@ class TestIntersectElement:
 class TestSurfaceRule:
     def test_arc_length_weight(self):
         for q in (1, 3, 10):
-            _, w, _, _, _ = surface_rule(np.zeros(2), 0.5, (0.0, np.pi / 2), q)
+            _, w, _, _ = surface_rule(np.zeros(2), 0.5, (0.0, np.pi / 2), q)
             assert w.sum() == pytest.approx(np.pi / 4, abs=1e-14)
 
     def test_gauss1_midpoint(self):
         eps = 1e-3
-        pts, w, _, _, theta = surface_rule(np.zeros(2), 1.0, (0.0, eps), 1)
+        pts, w, _, theta = surface_rule(np.zeros(2), 1.0, (0.0, eps), 1)
         assert theta[0] == pytest.approx(eps / 2)
         assert w[0] == pytest.approx(eps)
 
@@ -84,9 +84,8 @@ class TestSurfaceRule:
         acc = float(topo.w @ np.cos(topo.theta) ** 2)
         assert acc == pytest.approx(np.pi, abs=1e-12)
 
-    def test_normals_and_tangents(self):
-        pts, _, n, t, _ = surface_rule(np.zeros(2), 1.0, (0.2, 1.1), 5)
-        assert np.allclose((n * t).sum(axis=1), 0.0, atol=1e-14)
+    def test_unit_normals(self):
+        pts, _, n, _ = surface_rule(np.zeros(2), 1.0, (0.2, 1.1), 5)
         assert np.allclose(np.hypot(n[:, 0], n[:, 1]), 1.0, atol=1e-14)
         assert np.allclose(pts, n)      # unit circle at origin
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracefem.errors import DegeneratePoint
+from tracefem.errors import AssumptionViolation, DegeneratePoint
 from tracefem.geometry import LevelSetSurface, check_resolution
 
 
@@ -66,21 +66,20 @@ class _FakeMesh:
 
 class TestResolutionCheck:
     def test_pass(self):
-        rep = check_resolution(unit_circle(), _FakeMesh([0.1] * 5), c_res=0.5)
-        assert rep.passed and not rep.violations
+        check_resolution(unit_circle(), _FakeMesh([0.1] * 5), c_res=0.5)
 
     def test_fail_small_circle(self):
         surf = LevelSetSurface.circle((0.0, 0.0), 0.05)
-        rep = check_resolution(surf, _FakeMesh([0.1] * 5), c_res=0.5)
-        assert not rep.passed
-        assert rep.threshold == pytest.approx(0.025)
+        with pytest.raises(AssumptionViolation,
+                           match=r"h_T=0\.1 above the threshold 0\.025 "):
+            check_resolution(surf, _FakeMesh([0.1] * 5), c_res=0.5)
 
-    def test_lists_violators(self):
-        rep = check_resolution(unit_circle(), _FakeMesh([0.4, 0.6, 0.4, 0.6]),
-                               c_res=0.5)
-        assert not rep.passed
-        assert [i for i, _ in rep.violations] == [1, 3]
+    def test_names_first_violator(self):
+        with pytest.raises(AssumptionViolation,
+                           match=r"^element 1 has h_T=0\.6 .*\(c_res=0\.5\)$"):
+            check_resolution(unit_circle(), _FakeMesh([0.4, 0.6, 0.4, 0.6]),
+                             c_res=0.5)
 
     def test_ladder_passes(self, ladder):
         for s in ladder.values():
-            assert s.resolution.passed
+            check_resolution(s.surface, s.mesh)

@@ -1,11 +1,55 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tracefem.assembly import assemble_fourier
+from tracefem.errors import SolveFailure
+from tracefem.operators import _Factor
 
 
 def _fit_ratio(coarse, fine):
     return coarse / fine
+
+
+class _SkewedLU:
+    """LU stand-in for the identity that adds err[j] to column j of each
+    solve; the first ``skewed`` calls only, then exact."""
+
+    def __init__(self, err, skewed=None):
+        self.err, self.skewed = np.asarray(err), skewed
+
+    def solve(self, b):
+        if self.skewed == 0:
+            return b.copy()
+        if self.skewed is not None:
+            self.skewed -= 1
+        return b + (self.err[-b.shape[1]:] if b.ndim == 2 else self.err[-1])
+
+
+class TestFactor:
+    N = 50
+
+    def _factor(self, lu):
+        f = _Factor(sp.identity(self.N, format="csc"), "I")
+        f.lu = lu
+        return f
+
+    def test_small_bad_column_not_hidden(self):
+        # column 0 is 1e6 times larger; its residual is zero, so the 1e-9
+        # error of column 1 is 1e-15 of the whole right-hand side
+        b = np.column_stack([1e6 * np.ones(self.N), np.ones(self.N)])
+        with pytest.raises(SolveFailure):
+            self._factor(_SkewedLU([0.0, 1e-9])).solve(b)
+
+    def test_refines_only_failing_columns(self):
+        b = np.column_stack([1e6 * np.ones(self.N), np.ones(self.N)])
+        x = self._factor(_SkewedLU([1e-7, 1e-9], skewed=1)).solve(b)
+        assert np.array_equal(x[:, 0], b[:, 0] + 1e-7)   # within tolerance
+        assert np.array_equal(x[:, 1], b[:, 1])           # refined
+
+    def test_one_vector(self):
+        b = np.arange(1.0, self.N + 1)
+        assert np.array_equal(self._factor(_SkewedLU([1e-9], skewed=1)).solve(b), b)
 
 
 class TestProjection:
@@ -86,7 +130,7 @@ class TestProjection:
         s = setup48
         c = np.zeros(s.probe.n_modes)
         c[1] = np.sqrt(np.pi)          # cos(theta) in the orthonormal basis
-        x1 = s.ops.project(("fourier", c))
+        x1 = s.ops.project(s.probe.G @ c)
         x2 = s.ops.project(np.cos)
         assert np.abs(x1 - x2).max() <= 1e-9
 
@@ -155,15 +199,17 @@ class TestNorms:
         assert vals[1] >= vals[0] - 1e-12      # monotone in k_max
         assert abs(vals[1] - vals[0]) <= 1e-8  # tail negligible for smooth
 
-    def test_norm_report_orderings(self, setup96):
+    def test_norm_orderings(self, setup96):
         s = setup96
         rng = np.random.default_rng(9)
+        k_star, h1_gram = s.system.K_star, s.system.M + s.system.A
         for _ in range(10):
-            r = s.ops.norm_report(rng.standard_normal(s.system.n_dofs))
-            assert r.h1_star >= r.h1_gamma - 1e-12
-            assert r.hm1_star >= r.hm1_gamma_trunc - 1e-12
-            assert r.vh_minus1 <= r.hm1_star * (1 + 1e-9) + 1e-9
-            assert len(r.row()) == 7
+            x = rng.standard_normal(s.system.n_dofs)
+            # ||x||_H1* >= ||x||_H1(Gamma): K_* = M + A + S0 + S1
+            assert np.sqrt(x @ (k_star @ x)) >= np.sqrt(x @ (h1_gram @ x)) - 1e-12
+            hm1_star = s.ops.hm1_star(x)
+            assert hm1_star >= s.ops.hm1_gamma(x) - 1e-12
+            assert s.ops.dual_norm(x) <= hm1_star * (1 + 1e-9) + 1e-9
 
 
 class TestErrorFunctionals:
