@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -92,8 +93,6 @@ def load_config(path):
         raise InvalidConfig("unknown config keys: %s" % ", ".join(unknown))
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
-    if cfg["radius"] <= 0:
-        raise InvalidConfig("radius must be positive")
     if cfg["scheme"] not in SCHEMES:
         raise InvalidConfig("scheme must be BDF1, BDF2 or CrankNicolson")
     if not isinstance(cfg["n_cells"], list) or not cfg["n_cells"]:
@@ -101,8 +100,18 @@ def load_config(path):
     if cfg["data"] not in MANUFACTURED:
         raise InvalidConfig("unknown manufactured data %r (have: %s)"
                             % (cfg["data"], ", ".join(sorted(MANUFACTURED))))
-    if cfg["k_max"] < 1 or cfg["q_surf"] < 1:
-        raise InvalidConfig("k_max and q_surf must be positive")
+    # type() and not isinstance(): JSON true/false must not pass as 1/0
+    for key, kind in (("radius", float), ("c_res", float),
+                      ("k_max", int), ("q_surf", int)):
+        if not (type(cfg[key]) in (kind, int) and cfg[key] > 0):
+            raise InvalidConfig("%s must be a positive %s"
+                                % (key, kind.__name__))
+    dts = cfg["dt_list"]
+    if dts is not None and (type(dts) is not list or not all(
+            type(dt) in (float, int) and dt > 0 for dt in dts)):
+        raise InvalidConfig("dt_list must be a list of positive numbers")
+    if not (type(cfg["n_random"]) is int and cfg["n_random"] >= 0):
+        raise InvalidConfig("n_random must be an integer >= 0")
     return cfg
 
 
@@ -218,19 +227,18 @@ def cmd_diagnose(cfg, out):
                                   t_final=cfg["T_infsup"], mesh_id="n%d" % n)
         # random-vector dual-norm sandwich audit
         bound = rep.norm_Ph_H1star + rep.C_inv_h
-        sandwich_ok = True
-        for _ in range(cfg["n_random"]):
-            x = rng.standard_normal(pipe.mesh.n_dofs)
-            lo = pipe.ops.dual_norm(x)
-            hi = pipe.ops.hm1_star(x)
-            if lo > hi * (1.0 + 0.02) or hi > bound * lo * (1.0 + 0.02):
-                sandwich_ok = False
+        x = rng.standard_normal((cfg["n_random"], pipe.mesh.n_dofs))
+        lo = pipe.ops.dual_norm(x)
+        hi = pipe.ops.hm1_star(x)
+        sandwich_ok = bool(np.all((lo <= hi * 1.02)
+                                  & (hi <= bound * lo * 1.02)))
         lam_ok = (rep.norm_Ph_H1gamma <= rep.inv_Lambda_h * 1.02
                   and rep.inv_Lambda_h <= bound * 1.02
                   and rep.Lambda_h <= 1.0 + 1e-9)
         rows.append(rep.row() + [sandwich_ok, lam_ok])
-    hdr = list(dg.ConstantsReport.FIELDS) + ["sandwich_pass", "lambda_pass"]
-    write_csv(os.path.join(out, "diagnose.csv"), hdr, rows)
+    hdr = [f.name for f in fields(dg.ConstantsReport)]
+    write_csv(os.path.join(out, "diagnose.csv"),
+              hdr + ["sandwich_pass", "lambda_pass"], rows)
     if not all(r[-1] and r[-2] for r in rows):
         return EXIT_NUMERICAL
     return EXIT_OK

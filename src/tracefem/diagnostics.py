@@ -4,13 +4,13 @@ Measures the operator norms of the stabilized projection, the inverse
 parameter C_inv,h, the dual-norm gap Lambda_h, the inf-sup bounds built
 from them, and the condition numbers of the one-step system matrices.
 Everything runs densely (the active systems stay far below 4000 dofs)
-with LAPACK's symmetric solvers, reduced via Cholesky of the SPD
-right-hand Gram, and extremal pairs are verified by residual.
+with LAPACK's symmetric solvers: each norm and gap is the top pair of an
+SPD pencil, checked by its residual; the dual-norm Gram is formed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,15 +38,23 @@ def _check_pair(lam, x, lhs, rhs, tol=1e-8):
         raise EigFailure("extremal eigenpair residual %.3e above tolerance" % res)
 
 
-def _gen_eig_max(lhs, rhs):
+def _top_eig(lhs, rhs):
     """Largest eigenvalue of the pencil (lhs, rhs), rhs SPD; residual-checked."""
     try:
-        w, v = sla.eigh(lhs, rhs)
+        w, v = sla.eigh(lhs, rhs, subset_by_index=[len(lhs) - 1] * 2)
     except sla.LinAlgError as exc:
         raise EigFailure(str(exc))
-    lam = float(w[-1])
-    _check_pair(lam, v[:, -1], lhs, rhs)
+    lam = float(w[0])
+    _check_pair(lam, v[:, 0], lhs, rhs)
     return lam
+
+
+def _kappa(mat, what):
+    """kappa of the sparse SPD matrix mat; ``what`` names it on failure."""
+    w = sla.eigvalsh(_dense(mat))
+    if w[0] <= 0.0:
+        raise SingularMatrix("%s has lambda_min = %.3e" % (what, w[0]))
+    return float(w[-1] / w[0])
 
 
 def op_norms_ph(operators, probe):
@@ -58,13 +66,10 @@ def op_norms_ph(operators, probe):
     """
     system = operators.system
     bmat = operators.mstar.solve(probe.G)
-    w = 1.0 / np.sqrt(probe.H1_gram)
     out = []
     for q in (system.M + system.A, system.K_star):
-        c = bmat.T @ (q.toarray() @ bmat)
-        c = 0.5 * (c + c.T)
-        scaled = w[:, None] * c * w[None, :]
-        lam = float(sla.eigvalsh(scaled)[-1])
+        c = bmat.T @ (q @ bmat)
+        lam = _top_eig(0.5 * (c + c.T), np.diag(probe.H1_gram))
         out.append(float(np.sqrt(max(lam, 0.0))))
     return out[0], out[1]
 
@@ -76,27 +81,24 @@ def _dual_gram(operators):
     return 0.5 * (n + n.T)
 
 
-def c_inv_h(operators):
+def c_inv_h(operators, n):
     """sqrt of the largest eigenvalue of (D, N) with the h-weighted
-    local Gram D and the dual-norm Gram N."""
-    d = _dense(operators.system.D)
-    n = _dual_gram(operators)
-    lam = _gen_eig_max(d, n)
+    local Gram D and the dual-norm Gram N (``_dual_gram``)."""
+    lam = _top_eig(_dense(operators.system.D), n)
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def lambda_h(operators, probe):
+def lambda_h(operators, probe, n):
     """Dual-norm gap Lambda_h = inf ||v||_{V^-1} / ||v||_{H^-1_*}.
 
     Computed from the largest eigenvalue of (H + S_-1, N) where H is
-    the truncated H^-1-Gamma Gram G Hm1 G' of the trace functionals;
-    returns (Lambda_h, 1/Lambda_h).
+    the truncated H^-1-Gamma Gram G Hm1 G' of the trace functionals and
+    N the dual-norm Gram (``_dual_gram``); returns (Lambda_h, 1/Lambda_h).
     """
-    n = _dual_gram(operators)
     g = probe.G
     h = g @ (probe.Hm1_gram[:, None] * g.T)
     h = h + operators.system.S[-1].toarray()
-    lam = _gen_eig_max(0.5 * (h + h.T), n)
+    lam = _top_eig(0.5 * (h + h.T), n)
     inv = float(np.sqrt(max(lam, 0.0)))
     return 1.0 / inv, inv
 
@@ -129,28 +131,20 @@ def condition_number(system, dt, stabilized_time=True, literal=False):
         raise ValueError("dt must be positive")
     if literal:
         s = element_csr(system.mesh.elements, system.S_T, system.n_dofs)
-        h = system.mesh.h
         if stabilized_time:
-            mat = (system.M + h * s) / dt + system.A + s / dt
+            mat = (system.M + system.mesh.h * s) / dt + system.A + s / dt
         else:
             mat = system.M / dt + system.A + s / dt
+    elif stabilized_time:
+        mat = system.M_star / dt + system.A + system.S[1]
     else:
-        if stabilized_time:
-            mat = system.M_star / dt + system.A + system.S[1]
-        else:
-            mat = system.M / dt + system.A + system.S[1]
-    w = sla.eigvalsh(_dense(mat))
-    if w[0] <= 0.0:
-        raise SingularMatrix("one-step matrix has lambda_min = %.3e" % w[0])
-    return float(w[-1] / w[0])
+        mat = system.M / dt + system.A + system.S[1]
+    return _kappa(mat, "one-step matrix")
 
 
 def kappa_pstar(system):
     """Condition number of the stabilized mass matrix M + S0."""
-    w = sla.eigvalsh(_dense(system.M_star))
-    if w[0] <= 0.0:
-        raise SingularMatrix("M + S0 not positive definite")
-    return float(w[-1] / w[0])
+    return _kappa(system.M_star, "M + S0")
 
 
 def max_regularity_ratio(operators, history, dt, u0=None, f=None):
@@ -202,20 +196,17 @@ class ConstantsReport:
     kappa_Pstar: float
     C_MPR_ratio: float = float("nan")
 
-    FIELDS = ("mesh_id", "h", "n_dofs", "k_max", "norm_Ph_H1gamma",
-              "norm_Ph_H1star", "C_inv_h", "Lambda_h", "inv_Lambda_h",
-              "c_star_lower", "c_star_upper", "kappa_Pstar", "C_MPR_ratio")
-
     def row(self):
-        return [getattr(self, f) for f in self.FIELDS]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 def constants_report(operators, probe, t_final=1.0, mesh_id=""):
     """Measure every eigenvalue-based constant on one mesh."""
     system = operators.system
     g_norm, s_norm = op_norms_ph(operators, probe)
-    c_inv = c_inv_h(operators)
-    lam, inv_lam = lambda_h(operators, probe)
+    n = _dual_gram(operators)
+    c_inv = c_inv_h(operators, n)
+    lam, inv_lam = lambda_h(operators, probe, n)
     lower, upper = infsup_bounds(s_norm, g_norm, c_inv, t_final)
     return ConstantsReport(
         mesh_id=mesh_id,

@@ -11,11 +11,11 @@ Surface functions are passed as callables of the circle angle theta
 (and optionally time); their tangential derivative is d/ds = R^-1 d/dtheta.
 Discrete functions reach the surface nodes through two sparse trace
 operators built once: ``trace`` (P1 values) and ``dtrace`` (tangential
-derivatives).  The error functionals and the L2* norm take one
-coefficient vector or a stack (k, n_dofs) with times (k,), so a time
-series is evaluated a block of steps at a time.  The H^-1 error takes
-the Fourier coefficients of the smooth function (``function_coefficients``,
-formed once for a whole time grid) instead of the function itself.
+derivatives).  The error functionals and the L2*, dual and H^-1 norms
+take one coefficient vector or a stack (k, n_dofs), with times (k,) for
+data, so a time series is evaluated a block of steps at a time.  The
+H^-1 error takes the Fourier coefficients of the smooth function
+(``function_coefficients``, formed once for a time grid) instead of it.
 """
 
 from __future__ import annotations
@@ -139,16 +139,16 @@ class DiscreteOperators:
         return _root(_form(self.system.M_star, x), x)
 
     def dual_norm(self, x, aux_gram=False):
-        """Discrete dual norm sup_w (v, w)_* / ||w||_H1*.
+        """Discrete dual norm sup_w (v, w)_* / ||w||_H1*, per row of x.
 
         Equals sqrt(x' M_* K^-1 M_* x) with K = K_star (the literal
         normalization) or, with ``aux_gram``, the stabilized-inner-
         product stiffness K_aux = K_star + S0 realizing the norm through
         the auxiliary elliptic solve.
         """
-        b = self.system.M_star @ x
+        b = self.system.M_star @ np.atleast_2d(x).T
         y = (self.kaux if aux_gram else self.kstar).solve(b)
-        return float(np.sqrt(max(b @ y, 0.0)))
+        return _root(np.maximum(np.einsum("nk,nk->k", b, y), 0.0), x)
 
     def hm1_gamma(self, x):
         """Fourier-truncated H^-1 norm on Gamma of the trace of v_h."""

@@ -48,6 +48,27 @@ class TestConfig:
         p.write_text('{"scheme": "RK4"}')
         assert main(["heat", "--config", str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("sub, overrides", [
+        ("dtsweep", {"dt_list": [-0.1]}),
+        ("dtsweep", {"dt_list": [1e-3, "1e-4"]}),
+        ("dtsweep", {"dt_list": 0.01}),
+        ("quadcheck", {"c_res": 0}),
+        ("quadcheck", {"c_res": "0.5"}),
+        ("diagnose", {"k_max": "12"}),
+        ("diagnose", {"k_max": 12.5}),
+        ("quadcheck", {"q_surf": 0}),
+        ("quadcheck", {"q_surf": True}),
+        ("quadcheck", {"radius": "1"}),
+        ("diagnose", {"n_random": -1}),
+    ])
+    def test_out_of_range_values_exit(self, tmp_path, capsys, sub, overrides):
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16], **overrides)
+        assert main([sub, "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ")
+
 
 class TestSubcommands:
     def test_quadcheck(self, tmp_path):
@@ -124,6 +145,14 @@ class TestSubcommands:
                      "--seed", "3"]) == EXIT_OK
         lines = (out / "diagnose.csv").read_text().splitlines()
         assert lines[0].endswith("sandwich_pass,lambda_pass")
+        assert lines[1].endswith(",1,1")
+
+    def test_diagnose_without_random_vectors(self, tmp_path):
+        # an empty sandwich audit passes
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16], n_random=0)
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        lines = (out / "diagnose.csv").read_text().splitlines()
         assert lines[1].endswith(",1,1")
 
     def test_converge(self, tmp_path):

@@ -62,7 +62,7 @@ class TestLambda:
         for k_max in (128, 256):
             probe = assemble_fourier(topo, k_max=k_max)
             ops = DiscreteOperators(system, probe)
-            inv.append(dg.lambda_h(ops, probe)[1])
+            inv.append(dg.lambda_h(ops, probe, dg._dual_gram(ops))[1])
         assert inv[1] >= inv[0] - 1e-9
         assert abs(inv[1] - inv[0]) / inv[0] <= 0.01
 

@@ -174,6 +174,17 @@ class TestNorms:
             x = rng.standard_normal(s.system.n_dofs)
             assert s.ops.dual_norm(x) <= s.ops.hm1_star(x) * (1 + 1e-9) + 1e-9
 
+    @pytest.mark.parametrize("aux_gram", [False, True])
+    def test_dual_norm_stack_matches_rows(self, setup48, aux_gram):
+        s = setup48
+        xs = np.random.default_rng(3).standard_normal((5, s.system.n_dofs))
+        stacked = s.ops.dual_norm(xs, aux_gram=aux_gram)
+        rows = [s.ops.dual_norm(x, aux_gram=aux_gram) for x in xs]
+        assert stacked.shape == (5,)
+        assert isinstance(rows[0], float)
+        np.testing.assert_allclose(stacked, rows, rtol=1e-13)
+        assert s.ops.dual_norm(xs[:0]).shape == (0,)
+
     def test_aux_gram_variant_smaller(self, setup48):
         s = setup48
         x = np.random.default_rng(6).standard_normal(s.system.n_dofs)
