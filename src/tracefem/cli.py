@@ -21,7 +21,7 @@ from .cutquad import arc_cover_defect, build_topology, oscillation_order
 from .errors import AssumptionViolation, InvalidConfig, TraceFemError
 from .geometry import LevelSetSurface, check_resolution
 from .heatsolver import (MANUFACTURED, SCHEMES, HeatRun, accumulate_errors,
-                         blockwise, ConvergenceTable, run)
+                         blockwise, ConvergenceTable, run, time_grid)
 from .mesh import build_background, select_active, write_vtk
 from .operators import DiscreteOperators
 
@@ -93,15 +93,19 @@ def load_config(path):
         raise InvalidConfig("unknown config keys: %s" % ", ".join(unknown))
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
-    if cfg["scheme"] not in SCHEMES:
+    # type() and not isinstance(): JSON true/false must not pass as 1/0
+    if type(cfg["scheme"]) is not str or cfg["scheme"] not in SCHEMES:
         raise InvalidConfig("scheme must be BDF1, BDF2 or CrankNicolson")
-    if not isinstance(cfg["n_cells"], list) or not cfg["n_cells"]:
-        raise InvalidConfig("n_cells must be a non-empty list")
-    if cfg["data"] not in MANUFACTURED:
+    if type(cfg["n_cells"]) is not list or not cfg["n_cells"] or not all(
+            type(n) is int and n >= 1 for n in cfg["n_cells"]):
+        raise InvalidConfig("n_cells must be a non-empty list of integers >= 1")
+    if type(cfg["data"]) is not str or cfg["data"] not in MANUFACTURED:
         raise InvalidConfig("unknown manufactured data %r (have: %s)"
                             % (cfg["data"], ", ".join(sorted(MANUFACTURED))))
-    # type() and not isinstance(): JSON true/false must not pass as 1/0
+    if type(cfg["dt_rule"]) not in (str, float, int):
+        raise InvalidConfig("dt_rule must be 'h2/4' or a number")
     for key, kind in (("radius", float), ("c_res", float),
+                      ("t_final", float), ("T_infsup", float),
                       ("k_max", int), ("q_surf", int)):
         if not (type(cfg[key]) in (kind, int) and cfg[key] > 0):
             raise InvalidConfig("%s must be a positive %s"
@@ -110,8 +114,9 @@ def load_config(path):
     if dts is not None and (type(dts) is not list or not all(
             type(dt) in (float, int) and dt > 0 for dt in dts)):
         raise InvalidConfig("dt_list must be a list of positive numbers")
-    if not (type(cfg["n_random"]) is int and cfg["n_random"] >= 0):
-        raise InvalidConfig("n_random must be an integer >= 0")
+    for key in ("n_random", "vtk_every"):
+        if not (type(cfg[key]) is int and cfg[key] >= 0):
+            raise InvalidConfig("%s must be an integer >= 0" % key)
     return cfg
 
 
@@ -203,16 +208,27 @@ def cmd_project(cfg, out):
 def cmd_heat(cfg, out):
     man = MANUFACTURED[cfg["data"]]
     pipe = Pipeline(cfg, cfg["n_cells"][0])
-    result = run(pipe.ops, _heat_run(cfg, pipe, man))
-    times, hist = result.times, result.history
-    err = blockwise(lambda b: pipe.ops.error_l2_star(man.value, hist[b],
-                                                     times[b]), len(times))
-    rows = list(zip(times, result.l2_star_history, result.mean_history, err))
-    if cfg["vtk_every"]:
-        for i in range(0, len(times), cfg["vtk_every"]):
-            write_vtk(pipe.mesh, os.path.join(out, "heat_%06d.vtk" % i),
-                      values=hist[i], time=times[i])
+    ops, hr = pipe.ops, _heat_run(cfg, pipe, man)
+    m_one = pipe.system.M @ np.ones(pipe.system.n_dofs)
+    every = cfg["vtk_every"]
     hdr = ["t", "l2_star", "mean", "e_l2_star"]
+    times = time_grid(hr)
+    rows = np.empty((len(times), len(hdr)))
+    rows[:, 0] = times
+
+    def fold(first, states):
+        row = rows[first:first + len(states)]
+        row[:, 1] = blockwise(lambda b: ops.l2_star(states[b]), len(states))
+        row[:, 2] = states @ m_one
+        row[:, 3] = blockwise(lambda b: ops.error_l2_star(
+            man.value, states[b], row[b, 0]), len(states))
+        if every:
+            for i in range(-first % every, len(states), every):
+                write_vtk(pipe.mesh,
+                          os.path.join(out, "heat_%06d.vtk" % (first + i)),
+                          values=states[i], time=row[i, 0])
+
+    run(ops, hr, fold)
     write_csv(os.path.join(out, "heat.csv"), hdr, rows)
     write_dat(os.path.join(out, "heat.dat"), hdr, rows)
     return EXIT_OK
@@ -272,7 +288,7 @@ def cmd_converge(cfg, out):
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
         hr = _heat_run(cfg, pipe, man)
-        rec = accumulate_errors(pipe.ops, run(pipe.ops, hr), man)
+        rec = accumulate_errors(pipe.ops, hr, man)
         xp = pipe.ops.project(man.value, 0.0)
         proj_err = pipe.ops.error_l2_star(man.value, xp, 0.0)
         table.add(dict(zip(hdr, [n, pipe.mesh.h, hr.dt, rec.e_total,

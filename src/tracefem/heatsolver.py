@@ -3,10 +3,12 @@
 One implicit step solves [(c0/dt) Mt + A + S1] u_new = rhs where Mt is
 the stabilized mass M + S0 (default) or the plain surface mass M, with
 BDF1/BDF2/Crank-Nicolson coefficient choices.  Runs start from the
-stabilized projection of the initial datum and keep the trajectory as
-one (nsteps + 1, n_dofs) array; the forcing's Riesz data, the time
-series and the error functionals of a manufactured solution are
-evaluated on blocks of steps.
+stabilized projection of the initial datum and keep no trajectory: the
+states are stepped into a buffer of CHUNK states that a consumer (the
+error fold, the heat series, the VTK writer) reads before it is reused,
+so memory does not grow with the number of steps.  The forcing's Riesz
+data and the error functionals of a manufactured solution are evaluated
+on blocks of steps.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ from .errors import InvalidConfig
 from .operators import _Factor
 
 BLOCK = 8                     # steps per stacked data/functional evaluation
+# States per buffer handed to a run's consumer: CHUNK x n_dofs doubles
+# (1.8 MB at n=192) in place of the whole trajectory.  A multiple of BLOCK,
+# so the blocks of a chunk are the blocks of the run.
+CHUNK = 256
+# Steps whose du/dt Fourier coefficients are formed in one call, ahead of
+# the states that use them: COEF_CHUNK x n_modes doubles (8.4 MB at k_max
+# 128).  A multiple of RUN_NODES (and of BLOCK), so every row sums the same
+# time run as one call over the whole grid would; each further call
+# evaluates the Fourier basis on every node again.
+COEF_CHUNK = 4096
 
 # scheme -> c0, the coefficient of Mt/dt in the one-step matrix
 SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
@@ -78,10 +90,7 @@ class HeatRun:
 @dataclass
 class RunResult:
     config: HeatRun
-    history: np.ndarray = None    # (nsteps + 1, n_dofs) trajectory
     times: np.ndarray | None = None
-    l2_star_history: np.ndarray | None = None
-    mean_history: np.ndarray | None = None
 
 
 class HeatStepper:
@@ -116,17 +125,27 @@ class HeatStepper:
         return self.factor.solve(rhs)
 
 
-def run(operators, config):
-    """March the scheme from P_h u0 to t_final; returns the full history."""
+def time_grid(config):
+    """Times 0, dt, ..., nsteps dt of a run, nsteps = ceil(t_final / dt)."""
     dt = config.dt
     if dt <= 0 or config.t_final <= 0:
         raise InvalidConfig("dt and t_final must be positive")
-    nsteps = int(np.ceil(config.t_final / dt - 1e-12))
-    ops = operators
-    system = ops.system
+    return dt * np.arange(int(np.ceil(config.t_final / dt - 1e-12)) + 1)
 
-    history = np.empty((nsteps + 1, system.n_dofs))
-    history[0] = ops.project(config.u0) if config.u0 is not None else 0.0
+
+def run(operators, config, consume=None):
+    """March the scheme from P_h u0 to t_final.
+
+    The states are stepped into a buffer of CHUNK states.  Whenever it is
+    full, and once at the end, consume(first, states) gets its filled part,
+    ``first`` being the index of its first state in the run; the buffer is
+    then reused, so a consumer copies what it keeps.  Returns the times.
+    """
+    times = time_grid(config)
+    nsteps = len(times) - 1
+    dt = config.dt
+    ops = operators
+    n_dofs = ops.system.n_dofs
     stepper = HeatStepper(ops, config.scheme, dt,
                           config.stabilized_time_derivative)
     f = config.f
@@ -138,34 +157,38 @@ def run(operators, config):
         t = np.asarray(t, dtype=float)
         return np.zeros(t.shape + (1,)) if f is None else ops.riesz_data(f, t)
 
+    u = ops.project(config.u0) if config.u0 is not None else np.zeros(n_dofs)
+    u_prev = None
+    buf = np.empty((min(CHUNK, nsteps + 1), n_dofs))
+    buf[0] = u
+    first, filled = 0, 1
     # One call gives the data of the next BLOCK step ends, a row each.
     # Crank-Nicolson averages the data at both ends of a step; the start
     # of step n is the end of step n - 1, so each time is evaluated once.
     b = data(0.0) if config.scheme == "CrankNicolson" else 0.0
     for n in range(nsteps):
         if n % BLOCK == 0:
-            ends = data(dt * np.arange(n + 1, min(n + BLOCK, nsteps) + 1))
+            ends = data(times[n + 1:n + BLOCK + 1])
         b_prev, b = b, ends[n % BLOCK]
         if config.scheme == "CrankNicolson":
-            u = stepper.step_cn(history[n], 0.5 * (b_prev + b))
+            u_next = stepper.step_cn(u, 0.5 * (b_prev + b))
         elif config.scheme == "BDF2":
             if n == 0:
-                u = bdf1.step_bdf1(history[n], b)
+                u_next = bdf1.step_bdf1(u, b)
             else:
-                u = stepper.step_bdf2(history[n], history[n - 1], b)
+                u_next = stepper.step_bdf2(u, u_prev, b)
         else:
-            u = stepper.step_bdf1(history[n], b)
-        history[n + 1] = u
-
-    m_one = system.M @ np.ones(system.n_dofs)
-    return RunResult(
-        config=config,
-        history=history,
-        times=dt * np.arange(nsteps + 1),
-        l2_star_history=blockwise(lambda b: ops.l2_star(history[b]),
-                                  nsteps + 1),
-        mean_history=history @ m_one,
-    )
+            u_next = stepper.step_bdf1(u, b)
+        u_prev, u = u, u_next
+        if filled == len(buf):
+            if consume is not None:
+                consume(first, buf)
+            first, filled = first + filled, 0
+        buf[filled] = u
+        filled += 1
+    if consume is not None:
+        consume(first, buf[:filled])
+    return RunResult(config=config, times=times)
 
 
 @dataclass
@@ -185,42 +208,88 @@ class ErrorRecord:
         return float(np.sqrt(self.int_l2_sq))
 
 
-def accumulate_errors(operators, result, manufactured=None):
-    """Total error functional of a run.
+class ErrorFold:
+    """Consumer of a run that folds its states into the error functionals.
 
     E^2 = E_L2*[u(0), u_h(0)]^2 + int_I E_Hm1*[du/dt, d_t u_h]^2
         + int_I E_H1*[u, u_h]^2, with trapezoid time integrals, backward
     differences for d_t u_h (paired with du/dt at step midpoints), plus
-    the companion integral int_I E_L2*^2.
+    the companion integral int_I E_L2*^2.  The squared errors are kept one
+    float per step and evaluated on blocks of BLOCK states or steps,
+    aligned to multiples of BLOCK in the run; a step block waits for the
+    state that ends it, which may come with the next chunk.  Feed it every
+    state of the run in order, then read ``record``.
     """
-    man = manufactured if manufactured is not None else result.config.manufactured
-    ops = operators
-    dt = result.config.dt
-    hist = np.asarray(result.history)
-    times = result.times
-    t_mid = 0.5 * (times[:-1] + times[1:])
-    trap = np.ones(len(hist))
-    trap[0] = trap[-1] = 0.5
 
-    e0 = ops.error_l2_star(man.value, hist[0], times[0])
-    h1_sq = blockwise(lambda b: ops.error_h1_star(
-        man.value, man.dtheta, hist[b], times[b]) ** 2, len(hist))
-    l2_sq = blockwise(lambda b: ops.error_l2_star(
-        man.value, hist[b], times[b]) ** 2, len(hist))
-    coef = ops.function_coefficients(man.dt_value, t_mid)
-    hm1_sq = blockwise(lambda b: ops.error_hm1_star(
-        coef[b], np.diff(hist[b.start:b.stop + 1], axis=0) / dt) ** 2,
-        len(hist) - 1)
+    def __init__(self, operators, config, manufactured=None):
+        self.ops = operators
+        self.man = (manufactured if manufactured is not None
+                    else config.manufactured)
+        self.dt = config.dt
+        self.times = time_grid(config)
+        self.h1_sq = np.empty(len(self.times))
+        self.l2_sq = np.empty(len(self.times))
+        self.hm1_sq = np.empty(len(self.times) - 1)
+        self.e0 = None
+        self.open = None              # states of the step block still open
+        self.coef, self.coef_first = np.empty((0, 0)), 0
 
-    int_h1 = float(dt * trap @ h1_sq)
-    int_l2 = float(dt * trap @ l2_sq)
-    int_hm1 = float(dt * np.sum(hm1_sq))
-    total = float(np.sqrt(e0 ** 2 + int_hm1 + int_h1))
-    return ErrorRecord(
-        h=ops.system.mesh.h, dt=dt,
-        e_l2_initial=e0, int_h1_sq=int_h1, int_hm1_dt_sq=int_hm1,
-        int_l2_sq=int_l2, e_total=total,
-    )
+    def __call__(self, first, states):
+        ops, man = self.ops, self.man
+        t = self.times[first:first + len(states)]
+        if first == 0:
+            self.e0 = ops.error_l2_star(man.value, states[0], t[0])
+        self.h1_sq[first:first + len(states)] = blockwise(
+            lambda b: ops.error_h1_star(man.value, man.dtheta, states[b],
+                                        t[b]) ** 2, len(states))
+        self.l2_sq[first:first + len(states)] = blockwise(
+            lambda b: ops.error_l2_star(man.value, states[b], t[b]) ** 2,
+            len(states))
+        if self.open is not None:
+            states = np.concatenate([self.open, states])
+            first -= len(self.open)
+        n = len(states) - 1               # steps with both ends held
+        if first + n < len(self.times) - 1:
+            n -= n % BLOCK                # the last block waits for its end
+        self.hm1_sq[first:first + n] = blockwise(
+            lambda b: ops.error_hm1_star(
+                self._coef(first + b.start, first + b.stop),
+                np.diff(states[b.start:b.stop + 1], axis=0) / self.dt) ** 2,
+            n)
+        self.open = states[n:].copy()
+
+    def _coef(self, start, stop):
+        """Fourier coefficients of du/dt at the midpoints of steps start to
+        stop; the blocks come in order, and the first past the formed rows
+        forms those of the next COEF_CHUNK steps."""
+        if start >= self.coef_first + len(self.coef):
+            self.coef_first = start
+            t = self.times[start:start + COEF_CHUNK + 1]
+            self.coef = self.ops.function_coefficients(
+                self.man.dt_value, 0.5 * (t[:-1] + t[1:]))
+        return self.coef[start - self.coef_first:stop - self.coef_first]
+
+    def record(self):
+        dt = self.dt
+        trap = np.ones(len(self.times))
+        trap[0] = trap[-1] = 0.5
+        int_h1 = float(dt * trap @ self.h1_sq)
+        int_l2 = float(dt * trap @ self.l2_sq)
+        int_hm1 = float(dt * np.sum(self.hm1_sq))
+        total = float(np.sqrt(self.e0 ** 2 + int_hm1 + int_h1))
+        return ErrorRecord(
+            h=self.ops.system.mesh.h, dt=dt,
+            e_l2_initial=self.e0, int_h1_sq=int_h1, int_hm1_dt_sq=int_hm1,
+            int_l2_sq=int_l2, e_total=total,
+        )
+
+
+def accumulate_errors(operators, config, manufactured=None):
+    """ErrorRecord of the run of config, its states folded as they are
+    stepped (see ErrorFold)."""
+    fold = ErrorFold(operators, config, manufactured)
+    run(operators, config, fold)
+    return fold.record()
 
 
 @dataclass

@@ -37,18 +37,39 @@ def setup192(ladder):
     return ladder[192]
 
 
+def _trajectory(ops, cfg, fold=None):
+    """The RunResult of cfg on ops and its (nsteps + 1, n_dofs) trajectory,
+    collected from the chunks run() hands out; each chunk also goes to
+    fold, when given."""
+    from tracefem.heatsolver import run
+    chunks = []
+
+    def keep(first, states):
+        chunks.append(states.copy())
+        if fold is not None:
+            fold(first, states)
+
+    result = run(ops, cfg, keep)
+    return result, np.concatenate(chunks)
+
+
+@pytest.fixture(scope="session")
+def trajectory():
+    return _trajectory
+
+
 @pytest.fixture(scope="session")
 def decay_runs(ladder):
-    """Backward-Euler runs of u = e^-t cos(theta) with dt = h^2/4."""
-    from tracefem.heatsolver import (MANUFACTURED, HeatRun, accumulate_errors,
-                                     run)
+    """Backward-Euler runs of u = e^-t cos(theta) with dt = h^2/4:
+    (result, trajectory, error record) per mesh."""
+    from tracefem.heatsolver import MANUFACTURED, ErrorFold, HeatRun
     man = MANUFACTURED["decaying_mode"]
     out = {}
     for n, s in ladder.items():
         dt = s.background.h_global ** 2 / 4.0
         cfg = HeatRun(scheme="BDF1", dt=dt, t_final=0.25,
                       u0=lambda th: np.cos(th), f=None, manufactured=man)
-        result = run(s.ops, cfg)
-        record = accumulate_errors(s.ops, result, man)
-        out[n] = (result, record)
+        fold = ErrorFold(s.ops, cfg, man)
+        result, hist = _trajectory(s.ops, cfg, fold)
+        out[n] = (result, hist, fold.record())
     return out

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tracefem import diagnostics as dg
-from tracefem.heatsolver import ConvergenceTable, HeatRun, run
+from tracefem.heatsolver import ConvergenceTable, HeatRun
 
 
 def report(name, ok, detail=""):
@@ -136,7 +136,7 @@ def test_criterion_6_condition_numbers(ladder, constants):
 def test_criterion_7_parabolic_rates(decay_runs):
     table = ConvergenceTable()
     for n in sorted(decay_runs):
-        _, rec = decay_runs[n]
+        _, _, rec = decay_runs[n]
         table.add({"h": rec.h, "e_total": rec.e_total, "e_l2l2": rec.e_l2l2})
     r_tot = table.rate("e_total")
     r_l2 = table.rate("e_l2l2")
@@ -154,8 +154,8 @@ def test_criterion_8_max_regularity(ladder, decay_runs):
     u0 = lambda th: np.cos(th)
     vals = []
     for n, s in ladder.items():
-        result, _ = decay_runs[n]
-        vals.append(dg.max_regularity_ratio(s.ops, result.history,
+        result, hist, _ = decay_runs[n]
+        vals.append(dg.max_regularity_ratio(s.ops, hist,
                                             result.config.dt, u0=u0))
     var = max(vals) / min(vals)
     ok = var <= 2.0
@@ -164,19 +164,21 @@ def test_criterion_8_max_regularity(ladder, decay_runs):
            % (", ".join("%.4f" % v for v in vals), var))
 
 
-def test_criterion_9_dissipation_conservation(setup48):
+def test_criterion_9_dissipation_conservation(setup48, trajectory):
     s = setup48
     h = s.mesh.h
+    m_one = s.system.M @ np.ones(s.system.n_dofs)
     ok = True
     for dt in (h * h, h, 1.0):
         cfg = HeatRun(dt=dt, t_final=max(4 * dt, 0.1),
                       u0=lambda th: np.cos(th))
-        result = run(s.ops, cfg)
-        if np.diff(result.l2_star_history).max() > \
-                1e-12 * result.l2_star_history[0]:
+        _, hist = trajectory(s.ops, cfg)
+        l2_star = s.ops.l2_star(hist)
+        mean = hist @ m_one
+        if np.diff(l2_star).max() > 1e-12 * l2_star[0]:
             ok = False
-        drift = np.abs(result.mean_history - result.mean_history[0]).max()
-        if drift > 1e-11 * max(np.abs(result.mean_history).max(), 2 * np.pi):
+        drift = np.abs(mean - mean[0]).max()
+        if drift > 1e-11 * max(np.abs(mean).max(), 2 * np.pi):
             ok = False
     report("criterion 9: dissipation and mass conservation", ok,
            "dt in {h^2, h, 1}")

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, fmt,
-                          load_config, main)
+from tracefem import heatsolver
+from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, Pipeline,
+                          _heat_run, fmt, load_config, main)
+from tracefem.heatsolver import MANUFACTURED
+from tracefem.mesh import write_vtk
 
 
 def write_cfg(path, **overrides):
@@ -60,9 +63,25 @@ class TestConfig:
         ("quadcheck", {"q_surf": True}),
         ("quadcheck", {"radius": "1"}),
         ("diagnose", {"n_random": -1}),
+        ("heat", {"n_cells": ["a"]}),
+        ("quadcheck", {"n_cells": ["a"]}),
+        ("heat", {"n_cells": [8.5]}),
+        ("heat", {"n_cells": [True]}),
+        ("heat", {"n_cells": [0]}),
+        ("heat", {"t_final": "a"}),
+        ("heat", {"t_final": 0}),
+        ("diagnose", {"T_infsup": -1.0}),
+        ("diagnose", {"T_infsup": True}),
+        ("heat", {"vtk_every": "x"}),
+        ("heat", {"vtk_every": -2}),
+        ("heat", {"vtk_every": 2.5}),
+        ("heat", {"scheme": ["x"]}),
+        ("heat", {"data": ["x"]}),
+        ("heat", {"dt_rule": ["h2/4"]}),
+        ("heat", {"dt_rule": True}),
     ])
     def test_out_of_range_values_exit(self, tmp_path, capsys, sub, overrides):
-        cfg = write_cfg(tmp_path / "c.json", n_cells=[16], **overrides)
+        cfg = write_cfg(tmp_path / "c.json", **{"n_cells": [16], **overrides})
         assert main([sub, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
@@ -111,7 +130,7 @@ class TestSubcommands:
         assert lines[0] == "t,l2_star,mean,e_l2_star"
         assert len(lines) > 2
 
-    def test_heat_vtk_series(self, tmp_path):
+    def test_heat_vtk_series(self, tmp_path, monkeypatch, trajectory):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16], vtk_every=3)
         out = tmp_path / "out"
         assert main(["heat", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -128,6 +147,28 @@ class TestSubcommands:
                          float(rows[3].split(",")[0])]
         assert times[1] > 0.0
         assert fields[0] != fields[1]
+
+        # every 7th state of a run handed out 16 states at a time, byte for
+        # byte as written from the whole trajectory
+        monkeypatch.setattr(heatsolver, "CHUNK", 16)
+        cfg = write_cfg(tmp_path / "c7.json", n_cells=[16], vtk_every=7,
+                        t_final=0.3, scheme="CrankNicolson",
+                        data="forced_mode_2")
+        out, ref = tmp_path / "out7", tmp_path / "ref7"
+        assert main(["heat", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        conf = load_config(cfg)
+        pipe = Pipeline(conf, 16)
+        result, hist = trajectory(pipe.ops, _heat_run(
+            conf, pipe, MANUFACTURED["forced_mode_2"]))
+        ref.mkdir()
+        for i in range(0, len(hist), 7):
+            write_vtk(pipe.mesh, str(ref / ("heat_%06d.vtk" % i)),
+                      values=hist[i], time=result.times[i])
+        names = sorted(f.name for f in out.glob("heat_*.vtk"))
+        assert names == sorted(f.name for f in ref.iterdir())
+        assert len(names) == 6 and len(hist) > 2 * 16
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
     def test_dtsweep(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16],

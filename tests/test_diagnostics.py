@@ -128,11 +128,10 @@ class TestMaxRegularity:
 
     def test_scale_invariance(self, decay_runs, ladder):
         s = ladder[48]
-        result, _ = decay_runs[48]
+        result, hist, _ = decay_runs[48]
         u0 = lambda th: np.cos(th)
-        r1 = dg.max_regularity_ratio(s.ops, result.history, result.config.dt,
-                                     u0=u0)
-        scaled = [5.0 * x for x in result.history]
+        r1 = dg.max_regularity_ratio(s.ops, hist, result.config.dt, u0=u0)
+        scaled = [5.0 * x for x in hist]
         u0s = lambda th: 5.0 * np.cos(th)
         r2 = dg.max_regularity_ratio(s.ops, scaled, result.config.dt, u0=u0s)
         assert r2 == pytest.approx(r1, rel=1e-12)
@@ -141,9 +140,9 @@ class TestMaxRegularity:
         u0 = lambda th: np.cos(th)
         vals = []
         for n, s in ladder.items():
-            result, _ = decay_runs[n]
+            result, hist, _ = decay_runs[n]
             vals.append(dg.max_regularity_ratio(
-                s.ops, result.history, result.config.dt, u0=u0))
+                s.ops, hist, result.config.dt, u0=u0))
         assert max(vals) / min(vals) <= 2.0
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tracefem.errors import InvalidConfig
-from tracefem.heatsolver import (MANUFACTURED, ConvergenceTable, HeatRun,
-                                 accumulate_errors, run)
+from tracefem import heatsolver
+from tracefem.heatsolver import (MANUFACTURED, ConvergenceTable, ErrorFold,
+                                 HeatRun, accumulate_errors, run)
 from tracefem.operators import DiscreteOperators
 
 
@@ -15,57 +16,58 @@ def _cos(th):
 
 class TestStepping:
     @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
-    def test_constant_steady_state(self, setup48, scheme):
+    def test_constant_steady_state(self, setup48, trajectory, scheme):
         cfg = HeatRun(scheme=scheme, dt=0.05, t_final=0.3,
                       u0=lambda th: np.ones_like(th))
-        result = run(setup48.ops, cfg)
-        for x in result.history:
+        _, hist = trajectory(setup48.ops, cfg)
+        for x in hist:
             assert np.abs(x - 1.0).max() <= 1e-10
 
-    def test_zero_data(self, setup48):
+    def test_zero_data(self, setup48, trajectory):
         cfg = HeatRun(dt=0.1, t_final=0.3, u0=None)
-        result = run(setup48.ops, cfg)
-        for x in result.history:
+        _, hist = trajectory(setup48.ops, cfg)
+        for x in hist:
             assert np.abs(x).max() == 0.0
 
-    def test_decay_rate(self, setup192):
+    def test_decay_rate(self, setup192, trajectory):
         # e^-t cos(theta) at t = 0.5 with dt = 1/512 on the finest mesh
         s = setup192
         cfg = HeatRun(scheme="BDF1", dt=1.0 / 512.0, t_final=0.5, u0=_cos)
-        result = run(s.ops, cfg)
-        coef = (s.probe.G.T @ result.history[-1])[1] / np.sqrt(np.pi)
+        _, hist = trajectory(s.ops, cfg)
+        coef = (s.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
         assert abs(coef - np.exp(-0.5)) / np.exp(-0.5) <= 0.02
 
-    def test_mass_conservation(self, setup48):
+    def test_mass_conservation(self, setup48, trajectory):
         cfg = HeatRun(dt=0.01, t_final=0.2, u0=_cos)
-        result = run(setup48.ops, cfg)
-        drift = np.abs(result.mean_history - result.mean_history[0])
-        scale = max(np.abs(result.mean_history).max(), 2 * np.pi)
+        _, hist = trajectory(setup48.ops, cfg)
+        mean = hist @ (setup48.system.M @ np.ones(setup48.system.n_dofs))
+        drift = np.abs(mean - mean[0])
+        scale = max(np.abs(mean).max(), 2 * np.pi)
         assert drift.max() <= 1e-11 * scale
 
-    def test_dissipation_all_dt(self, setup48):
+    def test_dissipation_all_dt(self, setup48, trajectory):
         h = setup48.mesh.h
         for dt in (h * h, h, 1.0):
             cfg = HeatRun(dt=dt, t_final=max(4 * dt, 0.1), u0=_cos)
-            result = run(setup48.ops, cfg)
-            diffs = np.diff(result.l2_star_history)
-            assert diffs.max() <= 1e-12 * result.l2_star_history[0]
+            _, hist = trajectory(setup48.ops, cfg)
+            l2_star = setup48.ops.l2_star(hist)
+            assert np.diff(l2_star).max() <= 1e-12 * l2_star[0]
 
     def test_invalid_scheme(self, setup48):
         with pytest.raises(InvalidConfig):
             run(setup48.ops, HeatRun(scheme="RK4", dt=0.1, t_final=0.2,
                                      u0=_cos))
 
-    def test_history_length(self, setup48):
+    def test_history_length(self, setup48, trajectory):
         cfg = HeatRun(dt=0.05, t_final=0.25, u0=_cos)
-        result = run(setup48.ops, cfg)
-        assert len(result.history) == 6     # ceil(.25/.05) + 1
+        result, hist = trajectory(setup48.ops, cfg)
+        assert len(hist) == len(result.times) == 6     # ceil(.25/.05) + 1
 
-    def test_bdf2_and_cn_track_decay(self, setup96):
+    def test_bdf2_and_cn_track_decay(self, setup96, trajectory):
         for scheme in ("BDF2", "CrankNicolson"):
             cfg = HeatRun(scheme=scheme, dt=0.01, t_final=0.3, u0=_cos)
-            result = run(setup96.ops, cfg)
-            coef = (setup96.probe.G.T @ result.history[-1])[1] / np.sqrt(np.pi)
+            _, hist = trajectory(setup96.ops, cfg)
+            coef = (setup96.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
             assert abs(coef - np.exp(-0.3)) <= 0.02
 
     def test_cn_evaluates_each_forcing_once(self, setup48, monkeypatch):
@@ -86,7 +88,8 @@ class TestStepping:
         assert len(result.times) == 11
         assert times == list(result.times)
 
-    def test_stabilized_vs_unstabilized_close(self, setup48, setup96):
+    def test_stabilized_vs_unstabilized_close(self, setup48, setup96,
+                                              trajectory):
         # both variants are consistent; their gap shrinks under refinement
         diffs = []
         for s in (setup48, setup96):
@@ -95,8 +98,8 @@ class TestStepping:
             for stab in (True, False):
                 cfg = HeatRun(dt=dt, t_final=0.5, u0=_cos,
                               stabilized_time_derivative=stab)
-                runs.append(run(s.ops, cfg))
-            d = runs[0].history - runs[1].history
+                runs.append(trajectory(s.ops, cfg)[1])
+            d = runs[0] - runs[1]
             gap = [e @ (s.system.M @ e) for e in d]    # ||e||^2_L2(Gamma)
             diffs.append(np.sqrt(dt * np.sum(gap)))
         assert diffs[1] <= 0.6 * diffs[0]
@@ -111,8 +114,7 @@ class TestErrorAccumulation:
             cfg = HeatRun(dt=dt, t_final=0.5,
                           u0=lambda th: man.value(th, 0.0),
                           f=man.forcing, manufactured=man)
-            result = run(s.ops, cfg)
-            rec = accumulate_errors(s.ops, result, man)
+            rec = accumulate_errors(s.ops, cfg, man)
             errs.append(rec.e_l2l2)
         assert errs[1] < errs[0]
 
@@ -120,19 +122,19 @@ class TestErrorAccumulation:
         # errors of the projected exact solution are strictly positive
         # and the solver stays within a modest factor of them
         s = setup48
-        result, record = decay_runs[48]
+        result, _, record = decay_runs[48]
         man = MANUFACTURED["decaying_mode"]
         proj = [s.ops.project(man.value, t) for t in result.times]
-        synth = type(result)(config=result.config, history=proj,
-                             times=result.times)
-        rec_proj = accumulate_errors(s.ops, synth, man)
+        fold = ErrorFold(s.ops, result.config, man)
+        fold(0, np.array(proj))
+        rec_proj = fold.record()
         assert rec_proj.e_total > 0.0
         assert record.e_total <= 25.0 * rec_proj.e_total
 
     def test_rates_on_ladder(self, decay_runs):
         table = ConvergenceTable()
         for n in sorted(decay_runs):
-            _, rec = decay_runs[n]
+            _, _, rec = decay_runs[n]
             table.add({"h": rec.h, "e_total": rec.e_total,
                        "e_l2l2": rec.e_l2l2})
         assert table.rate("e_total") >= 0.9
@@ -157,12 +159,32 @@ class TestErrorAccumulation:
         cfg = HeatRun(dt=0.01, t_final=0.37,
                       u0=lambda th: man.value(th, 0.0),
                       f=man.forcing, manufactured=man)
-        result = run(ops, cfg)
         tracemalloc.start()
         try:
-            accumulate_errors(ops, result)
+            accumulate_errors(ops, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         table = len(ops.topology.w) * ops.probe.n_modes * 8
         assert peak < table / 2, (peak, table)
+
+    def test_memory_flat_in_steps(self, setup48, monkeypatch):
+        # Stepping and the error pass keep no trajectory and no per-step
+        # coefficient table: a run twice as long, both spanning several
+        # coefficient and state chunks, peaks less than 10 % higher.
+        monkeypatch.setattr(heatsolver, "COEF_CHUNK", 128)
+        monkeypatch.setattr(heatsolver, "CHUNK", 64)
+        s = setup48
+        man = MANUFACTURED["forced_mode_2"]
+        peaks = []
+        for t_final in (0.3, 0.6):        # 301 and 601 steps
+            cfg = HeatRun(dt=0.3 / 301, t_final=t_final,
+                          u0=lambda th: man.value(th, 0.0),
+                          f=man.forcing, manufactured=man)
+            tracemalloc.start()
+            try:
+                accumulate_errors(s.ops, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks

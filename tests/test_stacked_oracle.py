@@ -1,4 +1,5 @@
-"""Oracle: the stacked time functionals against the per-step path.
+"""Oracles: the stacked time functionals against the per-step path, and
+the streamed run against the whole-trajectory one.
 
 The functions prefixed ``old_`` are the per-step error functionals, the
 ``bincount`` Riesz data taken one step end at a time, the einsum
@@ -10,15 +11,26 @@ only as a reference.  Error records, time series, node values, Fourier
 coefficients and the ratio must agree to 1e-13 relative; the Riesz data
 (single or stacked times), the forced trajectories and the Fourier
 basis bit for bit; and a stack of one must equal the single-vector call.
+
+The functions prefixed ``whole_`` are the run that kept the whole
+(nsteps + 1, n_dofs) trajectory, the error pass over it in blocks and the
+heat series taken from it, which the chunked run, the error fold and the
+heat consumer replaced: every error record field and every heat column
+must be equal to them, with the chunk constants as shipped and small.
 """
 
 import numpy as np
 import pytest
 
+from tracefem import heatsolver
 from tracefem.assembly import RUN_NODES
+from tracefem.cli import _heat_run, cmd_heat
 from tracefem.diagnostics import max_regularity_ratio
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorRecord, HeatRun,
-                                 HeatStepper, accumulate_errors, run)
+                                 HeatStepper, accumulate_errors, blockwise,
+                                 run)
+
+from conftest import CONFIG
 
 RTOL = 1e-13
 NSTEPS = 37                  # not a multiple of the block size
@@ -131,10 +143,10 @@ def old_error_hm1_star(ops, basis, v, x, t):
     return float(np.sqrt(hm1 + max(x @ (ops.system.S[-1] @ x), 0.0)))
 
 
-def old_accumulate_errors(ops, result, man):
-    dt = result.config.dt
-    hist = list(result.history)
-    times = result.times
+def old_accumulate_errors(ops, cfg, history, man):
+    dt = cfg.dt
+    hist = list(history)
+    times = dt * np.arange(len(hist))
     basis = old_eval_basis(ops.probe, ops.topology.theta)
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
@@ -158,13 +170,79 @@ def old_accumulate_errors(ops, result, man):
         e_total=float(np.sqrt(e0 ** 2 + int_hm1 + int_h1)))
 
 
+# -- the whole-trajectory reference -------------------------------------------
+
+def whole_run(ops, cfg):
+    """(history, times) of cfg: every state kept in one array."""
+    dt = cfg.dt
+    nsteps = int(np.ceil(cfg.t_final / dt - 1e-12))
+    history = np.empty((nsteps + 1, ops.system.n_dofs))
+    history[0] = ops.project(cfg.u0) if cfg.u0 is not None else 0.0
+    stepper = HeatStepper(ops, cfg.scheme, dt, cfg.stabilized_time_derivative)
+    bdf1 = HeatStepper(ops, "BDF1", dt, cfg.stabilized_time_derivative)
+    f = cfg.f
+
+    def data(t):
+        t = np.asarray(t, dtype=float)
+        return np.zeros(t.shape + (1,)) if f is None else ops.riesz_data(f, t)
+
+    b = data(0.0) if cfg.scheme == "CrankNicolson" else 0.0
+    for n in range(nsteps):
+        if n % BLOCK == 0:
+            ends = data(dt * np.arange(n + 1, min(n + BLOCK, nsteps) + 1))
+        b_prev, b = b, ends[n % BLOCK]
+        if cfg.scheme == "CrankNicolson":
+            u = stepper.step_cn(history[n], 0.5 * (b_prev + b))
+        elif cfg.scheme == "BDF2":
+            if n == 0:
+                u = bdf1.step_bdf1(history[n], b)
+            else:
+                u = stepper.step_bdf2(history[n], history[n - 1], b)
+        else:
+            u = stepper.step_bdf1(history[n], b)
+        history[n + 1] = u
+    return history, dt * np.arange(nsteps + 1)
+
+
+def whole_accumulate_errors(ops, cfg, hist, times, man):
+    dt = cfg.dt
+    t_mid = 0.5 * (times[:-1] + times[1:])
+    trap = np.ones(len(hist))
+    trap[0] = trap[-1] = 0.5
+    e0 = ops.error_l2_star(man.value, hist[0], times[0])
+    h1_sq = blockwise(lambda b: ops.error_h1_star(
+        man.value, man.dtheta, hist[b], times[b]) ** 2, len(hist))
+    l2_sq = blockwise(lambda b: ops.error_l2_star(
+        man.value, hist[b], times[b]) ** 2, len(hist))
+    coef = ops.function_coefficients(man.dt_value, t_mid)
+    hm1_sq = blockwise(lambda b: ops.error_hm1_star(
+        coef[b], np.diff(hist[b.start:b.stop + 1], axis=0) / dt) ** 2,
+        len(hist) - 1)
+    int_h1 = float(dt * trap @ h1_sq)
+    int_l2 = float(dt * trap @ l2_sq)
+    int_hm1 = float(dt * np.sum(hm1_sq))
+    return ErrorRecord(
+        h=ops.system.mesh.h, dt=dt, e_l2_initial=e0, int_h1_sq=int_h1,
+        int_hm1_dt_sq=int_hm1, int_l2_sq=int_l2,
+        e_total=float(np.sqrt(e0 ** 2 + int_hm1 + int_h1)))
+
+
+def whole_heat_rows(ops, hist, times, man):
+    """t, l2_star, mean, e_l2_star of every state."""
+    m_one = ops.system.M @ np.ones(ops.system.n_dofs)
+    l2 = blockwise(lambda b: ops.l2_star(hist[b]), len(hist))
+    err = blockwise(lambda b: ops.error_l2_star(man.value, hist[b], times[b]),
+                    len(hist))
+    return np.column_stack([times, l2, hist @ m_one, err])
+
+
 # -- tests -------------------------------------------------------------------
 
-def _run(ops, scheme, man):
-    cfg = HeatRun(scheme=scheme, dt=T_FINAL / NSTEPS, t_final=T_FINAL,
-                  u0=lambda th: man.value(th, 0.0), f=man.forcing,
-                  manufactured=man)
-    return run(ops, cfg)
+def _config(scheme, man, nsteps=NSTEPS):
+    t_final = T_FINAL * nsteps / NSTEPS
+    return HeatRun(scheme=scheme, dt=t_final / nsteps, t_final=t_final,
+                   u0=lambda th: man.value(th, 0.0), f=man.forcing,
+                   manufactured=man)
 
 
 def test_step_count_is_not_a_block_multiple():
@@ -176,35 +254,27 @@ def test_step_count_is_not_a_block_multiple():
 @pytest.mark.parametrize("scheme, data", [
     ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
     ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
-def test_error_records_match(ladder, n, scheme, data):
+def test_error_records_match(ladder, trajectory, n, scheme, data):
     ops = ladder[n].ops
     man = MANUFACTURED[data]
-    result = _run(ops, scheme, man)
-    assert result.history.shape == (NSTEPS + 1, ops.system.n_dofs)
-    new = accumulate_errors(ops, result, man)
-    old = old_accumulate_errors(ops, result, man)
+    cfg = _config(scheme, man)
+    _, hist = trajectory(ops, cfg)
+    assert hist.shape == (NSTEPS + 1, ops.system.n_dofs)
+    new = accumulate_errors(ops, cfg, man)
+    old = old_accumulate_errors(ops, cfg, hist, man)
     for name in ("e_l2_initial", "int_h1_sq", "int_hm1_dt_sq", "int_l2_sq",
                  "e_total"):
         a, b = getattr(new, name), getattr(old, name)
         assert abs(a - b) <= RTOL * abs(b), (name, a, b)
 
-    m_star = ops.system.M_star
-    old_l2 = np.array([np.sqrt(max(x @ (m_star @ x), 0.0))
-                       for x in result.history])
-    assert np.abs(result.l2_star_history - old_l2).max() \
-        <= RTOL * old_l2.max()
-    m_one = ops.system.M @ np.ones(ops.system.n_dofs)
-    old_mean = np.array([float(m_one @ x) for x in result.history])
-    assert np.abs(result.mean_history - old_mean).max() <= RTOL * 2 * np.pi
-
 
 @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
-def test_blocked_forcing_history_bit_identical(setup48, scheme):
+def test_blocked_forcing_history_bit_identical(setup48, trajectory, scheme):
     # run() takes the forcing's Riesz data BLOCK step ends at a time
     man = MANUFACTURED["forced_mode_2"]
-    result = _run(setup48.ops, scheme, man)
-    assert np.array_equal(result.history,
-                          old_run_history(setup48.ops, result.config))
+    cfg = _config(scheme, man)
+    assert np.array_equal(trajectory(setup48.ops, cfg)[1],
+                          old_run_history(setup48.ops, cfg))
 
 
 @pytest.mark.parametrize("n", [48, 96])
@@ -243,20 +313,20 @@ def test_function_coefficients_match_table(ladder, n, v, t):
 @pytest.mark.parametrize("n", [48, 96])
 def test_max_regularity_ratio_matches(ladder, decay_runs, n):
     ops = ladder[n].ops
-    result, _ = decay_runs[n]
+    result, states, _ = decay_runs[n]
     u0 = np.cos
-    for hist in (result.history, result.history[:1]):   # no step at all
+    for hist in (states, states[:1]):                   # no step at all
         new = max_regularity_ratio(ops, hist, result.config.dt, u0=u0)
         old = old_max_regularity_ratio(ops, hist, result.config.dt, u0=u0)
         assert abs(new - old) <= RTOL * old
 
 
-def test_max_regularity_ratio_with_forcing_matches(setup48):
+def test_max_regularity_ratio_with_forcing_matches(setup48, trajectory):
     ops = setup48.ops
     man = MANUFACTURED["forced_mode_2"]
-    result = _run(ops, "BDF1", man)
+    cfg = _config("BDF1", man)
     u0 = lambda th: man.value(th, 0.0)
-    args = (ops, result.history, result.config.dt)
+    args = (ops, trajectory(ops, cfg)[1], cfg.dt)
     new = max_regularity_ratio(*args, u0=u0, f=man.forcing)
     old = old_max_regularity_ratio(*args, u0=u0, f=man.forcing)
     assert abs(new - old) <= RTOL * old
@@ -294,3 +364,74 @@ def test_stack_of_one_equals_single_call(setup48):
         assert isinstance(single, float)
         assert stacked.shape == (1,)
         assert stacked[0] == single
+
+
+# -- the streamed run against the whole trajectory -----------------------------
+
+# (CHUNK, COEF_CHUNK): as shipped, and small enough that a run crosses many
+# state chunks and several coefficient chunks
+CHUNKS = [None, (24, RUN_NODES)]
+STREAM_STEPS = 301           # not a multiple of BLOCK, 24, 128, 256 or 4096
+SCHEMES = ["BDF1", "BDF2", "CrankNicolson"]
+
+
+def _chunks(monkeypatch, chunks):
+    if chunks is not None:
+        monkeypatch.setattr(heatsolver, "CHUNK", chunks[0])
+        monkeypatch.setattr(heatsolver, "COEF_CHUNK", chunks[1])
+
+
+def test_stream_sizes():
+    assert heatsolver.CHUNK % BLOCK == 0
+    assert heatsolver.COEF_CHUNK % RUN_NODES == 0
+    assert heatsolver.COEF_CHUNK % BLOCK == 0
+    for chunk, coef_chunk in [c for c in CHUNKS if c is not None]:
+        assert chunk % BLOCK == 0 and coef_chunk % RUN_NODES == 0
+        assert STREAM_STEPS % chunk and (STREAM_STEPS + 1) % chunk
+        assert STREAM_STEPS > 2 * coef_chunk and STREAM_STEPS % coef_chunk
+    assert STREAM_STEPS % BLOCK and (STREAM_STEPS + 1) % BLOCK
+
+
+@pytest.mark.parametrize("chunks", CHUNKS, ids=["shipped", "small"])
+@pytest.mark.parametrize("scheme, data", [
+    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
+    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
+@pytest.mark.parametrize("nsteps", [STREAM_STEPS, 264])
+def test_streamed_errors_bit_identical(setup48, monkeypatch, chunks, scheme,
+                                       data, nsteps):
+    # 264 steps: with 24-state chunks the last chunk holds one state, which
+    # closes the last step block of the chunk before it
+    _chunks(monkeypatch, chunks)
+    ops = setup48.ops
+    man = MANUFACTURED[data]
+    cfg = _config(scheme, man, nsteps)
+    hist, times = whole_run(ops, cfg)
+    assert len(hist) == nsteps + 1
+    new = accumulate_errors(ops, cfg, man)
+    old = whole_accumulate_errors(ops, cfg, hist, times, man)
+    assert new == old
+
+
+@pytest.mark.parametrize("chunks", CHUNKS, ids=["shipped", "small"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_streamed_heat_series_bit_identical(setup48, tmp_path, monkeypatch,
+                                            chunks, scheme):
+    _chunks(monkeypatch, chunks)
+    man = MANUFACTURED["forced_mode_2"]
+    cfg = dict(CONFIG, n_cells=[48], scheme=scheme, data="forced_mode_2",
+               t_final=T_FINAL * STREAM_STEPS / NSTEPS,
+               dt_rule=T_FINAL / NSTEPS)
+    assert cmd_heat(cfg, str(tmp_path)) == 0
+    new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
+    ops = setup48.ops
+    hist, times = whole_run(ops, _heat_run(cfg, setup48, man))
+    assert len(hist) == STREAM_STEPS + 1
+    old = whole_heat_rows(ops, hist, times, man)
+    assert np.array_equal(new, old)
+    # and the per-step series within the stacked-functional tolerance
+    m_star = ops.system.M_star
+    l2 = np.array([np.sqrt(max(x @ (m_star @ x), 0.0)) for x in hist])
+    assert np.abs(new[:, 1] - l2).max() <= RTOL * l2.max()
+    m_one = ops.system.M @ np.ones(ops.system.n_dofs)
+    mean = np.array([float(m_one @ x) for x in hist])
+    assert np.abs(new[:, 2] - mean).max() <= RTOL * 2 * np.pi
