@@ -17,7 +17,7 @@ import scipy.linalg as sla
 
 from .assembly import element_csr
 from .errors import EigFailure, SingularMatrix
-from .heatsolver import COEF_CHUNK, blockwise
+from .heatsolver import blockwise
 
 _DENSE_LIMIT = 4000
 
@@ -170,10 +170,8 @@ def max_regularity_ratio(operators, history, dt, u0=None, f=None):
     if u0 is not None:
         den += operators.l2_gamma_of_function(u0)
     if f is not None:
-        times = dt * np.arange(len(history))
-        f_sq = np.concatenate([operators.hm1_gamma_of_function(
-            f, times[a:a + COEF_CHUNK]) ** 2
-            for a in range(0, len(times), COEF_CHUNK)])
+        f_sq = operators.hm1_gamma_of_function(
+            f, dt * np.arange(len(history))) ** 2
         den += float(np.sqrt(dt * trap @ f_sq))
     if den == 0.0:
         return 0.0

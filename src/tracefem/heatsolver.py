@@ -133,7 +133,7 @@ def time_grid(config):
     return dt * np.arange(int(np.ceil(config.t_final / dt - 1e-12)) + 1)
 
 
-def run(operators, config, consume=None):
+def run(operators, config, consume):
     """March the scheme from P_h u0 to t_final.
 
     The states are stepped into a buffer of CHUNK states.  Whenever it is
@@ -181,13 +181,11 @@ def run(operators, config, consume=None):
             u_next = stepper.step_bdf1(u, b)
         u_prev, u = u, u_next
         if filled == len(buf):
-            if consume is not None:
-                consume(first, buf)
+            consume(first, buf)
             first, filled = first + filled, 0
         buf[filled] = u
         filled += 1
-    if consume is not None:
-        consume(first, buf[:filled])
+    consume(first, buf[:filled])
     return RunResult(config=config, times=times)
 
 

@@ -56,7 +56,7 @@ class TestStepping:
     def test_invalid_scheme(self, setup48):
         with pytest.raises(InvalidConfig):
             run(setup48.ops, HeatRun(scheme="RK4", dt=0.1, t_final=0.2,
-                                     u0=_cos))
+                                     u0=_cos), lambda first, states: None)
 
     def test_history_length(self, setup48, trajectory):
         cfg = HeatRun(dt=0.05, t_final=0.25, u0=_cos)
@@ -84,7 +84,7 @@ class TestStepping:
         monkeypatch.setattr(ops, "riesz_data", counted)
         cfg = HeatRun(scheme="CrankNicolson", dt=0.01, t_final=0.1,
                       u0=lambda th: man.value(th, 0.0), f=man.forcing)
-        result = run(ops, cfg)
+        result = run(ops, cfg, lambda first, states: None)
         assert len(result.times) == 11
         assert times == list(result.times)
 

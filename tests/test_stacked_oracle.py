@@ -372,7 +372,6 @@ def test_stack_of_one_equals_single_call(setup48):
 # state chunks and several coefficient chunks
 CHUNKS = [None, (24, RUN_NODES)]
 STREAM_STEPS = 301           # not a multiple of BLOCK, 24, 128, 256 or 4096
-SCHEMES = ["BDF1", "BDF2", "CrankNicolson"]
 
 
 def _chunks(monkeypatch, chunks):
@@ -413,18 +412,21 @@ def test_streamed_errors_bit_identical(setup48, monkeypatch, chunks, scheme,
 
 
 @pytest.mark.parametrize("chunks", CHUNKS, ids=["shipped", "small"])
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_streamed_heat_series_bit_identical(setup48, tmp_path, monkeypatch,
-                                            chunks, scheme):
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("scheme, data", [
+    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
+    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
+def test_streamed_heat_series_bit_identical(ladder, tmp_path, monkeypatch,
+                                            chunks, n, scheme, data):
     _chunks(monkeypatch, chunks)
-    man = MANUFACTURED["forced_mode_2"]
-    cfg = dict(CONFIG, n_cells=[48], scheme=scheme, data="forced_mode_2",
+    man = MANUFACTURED[data]
+    cfg = dict(CONFIG, n_cells=[n], scheme=scheme, data=data,
                t_final=T_FINAL * STREAM_STEPS / NSTEPS,
                dt_rule=T_FINAL / NSTEPS)
     assert cmd_heat(cfg, str(tmp_path)) == 0
     new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
-    ops = setup48.ops
-    hist, times = whole_run(ops, _heat_run(cfg, setup48, man))
+    ops = ladder[n].ops
+    hist, times = whole_run(ops, _heat_run(cfg, ladder[n], man))
     assert len(hist) == STREAM_STEPS + 1
     old = whole_heat_rows(ops, hist, times, man)
     assert np.array_equal(new, old)
