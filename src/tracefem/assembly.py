@@ -164,7 +164,7 @@ def assemble_fourier(topology, k_max=128):
     mesh = topology.mesh
     radius = topology.surface.radius
     h = mesh.h
-    needed = oscillation_order(k_max, h)
+    needed = oscillation_order(k_max, h, q_surf=0)   # no default floor
     if topology.q_surf < needed:
         raise AliasRisk(
             "q_surf=%d too low for k_max=%d at h=%.3g (need %d)"

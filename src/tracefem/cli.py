@@ -1,8 +1,11 @@
 """Experiment runner: config parsing, orchestration, bit-stable CSV.
 
 Subcommands: quadcheck, project, heat, diagnose, dtsweep, converge.
-Exit codes: 0 success, 1 numerical failure, 2 assumption violation,
-64 configuration error.
+Each config key has one row (default, check, requirement) in ``_KEYS``;
+a flag sets the key it names and is checked by the same row.  Only
+``main`` turns a failure into an exit code, with one line on stderr:
+1 numerical failure or failed audit, 2 assumption violation, 64 config
+or usage error.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import numpy as np
 from . import diagnostics as dg
 from .assembly import assemble, assemble_fourier, export_matrices
 from .cutquad import arc_cover_defect, build_topology, oscillation_order
-from .errors import AssumptionViolation, InvalidConfig, TraceFemError
+from .errors import (AssumptionViolation, AuditFailure, InvalidConfig,
+                     TraceFemError)
 from .geometry import LevelSetSurface, check_resolution
 from .heatsolver import (MANUFACTURED, SCHEMES, HeatRun, accumulate_errors,
-                         blockwise, ConvergenceTable, run, time_grid)
+                         blockwise, run, time_grid)
 from .mesh import build_background, select_active, write_vtk
 from .operators import DiscreteOperators
 
@@ -30,28 +34,50 @@ EXIT_NUMERICAL = 1
 EXIT_ASSUMPTION = 2
 EXIT_CONFIG = 64
 
-_DEFAULTS = {
-    "center": [0.0, 0.0],
-    "radius": 1.0,
-    "bbox": [-1.5, 1.5],
-    "n_cells": [48, 96, 192],
-    "k_max": 128,
-    "q_surf": 10,
-    "scheme": "BDF1",
-    "dt_rule": "h2/4",
-    "dt_list": None,
-    "t_final": 0.25,
-    "T_infsup": 1.0,
-    "data": "decaying_mode",
-    "stabilized_time_derivative": True,
-    "literal_eq_matrices": False,
-    "c_res": 0.5,
-    "n_random": 50,
-    "vtk_every": 0,
-    "export_matrices": False,
-    "out": ".",
-    "seed": 0,
+
+def _is(*kinds, test=lambda v: True):
+    # type() and not isinstance(): JSON true/false must not pass as 1/0
+    return lambda v: type(v) in kinds and test(v)
+
+
+def _list_of(check, size=None):
+    return _is(list, test=lambda v: v != [] and size in (None, len(v))
+               and all(map(check, v)))
+
+
+_number = _is(int, float, test=lambda v: abs(v) < np.inf)
+_positive = _is(int, float, test=lambda v: 0 < v < np.inf)
+_count = _is(int, test=lambda v: v >= 0)
+_positive_int = _is(int, test=lambda v: v >= 1)
+_KEYS = {   # key: (default, check, requirement)
+    "center": ([0.0, 0.0], _list_of(_number, 2), "two numbers"),
+    "radius": (1.0, _positive, "a positive number"),
+    "bbox": ([-1.5, 1.5], lambda v: _list_of(_number, 2)(v) and v[0] < v[1],
+             "two numbers lo < hi"),
+    "n_cells": ([48, 96, 192], _list_of(_positive_int),
+                "a non-empty list of integers >= 1"),
+    "k_max": (128, _positive_int, "an integer >= 1"),
+    "q_surf": (10, _positive_int, "an integer >= 1"),
+    "scheme": ("BDF1", _is(str, test=lambda v: v in SCHEMES),
+               "one of " + ", ".join(SCHEMES)),
+    "dt_rule": ("h2/4", lambda v: v == "h2/4" or _positive(v),
+                "'h2/4' or a positive number"),
+    "dt_list": (None, lambda v: v is None or _list_of(_positive)(v),
+                "null or a non-empty list of positive numbers"),
+    "t_final": (0.25, _positive, "a positive number"),
+    "T_infsup": (1.0, _positive, "a positive number"),
+    "data": ("decaying_mode", _is(str, test=lambda v: v in MANUFACTURED),
+             "one of " + ", ".join(sorted(MANUFACTURED))),
+    "stabilized_time_derivative": (True, _is(bool), "true or false"),
+    "literal_eq_matrices": (False, _is(bool), "true or false"),
+    "c_res": (0.5, _positive, "a positive number"),
+    "n_random": (50, _count, "an integer >= 0"),
+    "vtk_every": (0, _count, "an integer >= 0"),
+    "export_matrices": (False, _is(bool), "true or false"),
+    "out": (".", _is(str), "a string"),
+    "seed": (0, _count, "an integer >= 0"),
 }
+_DEFAULTS = {key: row[0] for key, row in _KEYS.items()}
 
 
 def fmt(x):
@@ -80,44 +106,31 @@ def write_dat(path, header, rows):
             fh.write(" ".join(fmt(v) for v in row) + "\n")
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """The JSON config at path, with the flag values in overrides put
+    over it and the defaults under it, each key checked by its row."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InvalidConfig("cannot read config %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise InvalidConfig("config root must be a JSON object")
-    unknown = sorted(set(raw) - set(_DEFAULTS))
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise InvalidConfig("unknown config keys: %s" % ", ".join(unknown))
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
-    # type() and not isinstance(): JSON true/false must not pass as 1/0
-    if type(cfg["scheme"]) is not str or cfg["scheme"] not in SCHEMES:
-        raise InvalidConfig("scheme must be BDF1, BDF2 or CrankNicolson")
-    if type(cfg["n_cells"]) is not list or not cfg["n_cells"] or not all(
-            type(n) is int and n >= 1 for n in cfg["n_cells"]):
-        raise InvalidConfig("n_cells must be a non-empty list of integers >= 1")
-    if type(cfg["data"]) is not str or cfg["data"] not in MANUFACTURED:
-        raise InvalidConfig("unknown manufactured data %r (have: %s)"
-                            % (cfg["data"], ", ".join(sorted(MANUFACTURED))))
-    if type(cfg["dt_rule"]) not in (str, float, int):
-        raise InvalidConfig("dt_rule must be 'h2/4' or a number")
-    for key, kind in (("radius", float), ("c_res", float),
-                      ("t_final", float), ("T_infsup", float),
-                      ("k_max", int), ("q_surf", int)):
-        if not (type(cfg[key]) in (kind, int) and cfg[key] > 0):
-            raise InvalidConfig("%s must be a positive %s"
-                                % (key, kind.__name__))
-    dts = cfg["dt_list"]
-    if dts is not None and (type(dts) is not list or not all(
-            type(dt) in (float, int) and dt > 0 for dt in dts)):
-        raise InvalidConfig("dt_list must be a list of positive numbers")
-    for key in ("n_random", "vtk_every"):
-        if not (type(cfg[key]) is int and cfg[key] >= 0):
-            raise InvalidConfig("%s must be an integer >= 0" % key)
+    cfg = {**_DEFAULTS, **raw, **(overrides or {})}
+    for key, (_, check, requirement) in _KEYS.items():
+        if not check(cfg[key]):
+            raise InvalidConfig("%s must be %s" % (key, requirement))
     return cfg
+
+
+def fit_rate(h, e):
+    """Least-squares slope of log(e) against log(h)."""
+    if len(h) < 3:
+        raise InvalidConfig("rate fit needs at least 3 meshes")
+    return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
 class Pipeline:
@@ -142,13 +155,8 @@ class Pipeline:
 
 def _heat_run(cfg, pipe, man):
     """The configured run of the manufactured solution man on pipe's mesh."""
-    if cfg["dt_rule"] == "h2/4":
-        dt = pipe.background.h_global ** 2 / 4.0
-    else:
-        try:
-            dt = float(cfg["dt_rule"])
-        except (TypeError, ValueError):
-            raise InvalidConfig("dt_rule must be 'h2/4' or a number")
+    rule = cfg["dt_rule"]
+    dt = pipe.background.h_global ** 2 / 4.0 if rule == "h2/4" else float(rule)
     return HeatRun(scheme=cfg["scheme"], dt=dt, t_final=cfg["t_final"],
                    stabilized_time_derivative=cfg["stabilized_time_derivative"],
                    u0=lambda th: man.value(th, 0.0), f=man.forcing,
@@ -159,7 +167,6 @@ def cmd_quadcheck(cfg, out):
     hdr = ["n_cells", "h", "n_active", "n_dofs", "arc_length", "rel_err",
            "cover_defect", "max_arcs_per_element", "spectral_selftest"]
     rows = []
-    code = EXIT_OK
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n, need_probe=False)
         topo = pipe.topology
@@ -176,32 +183,37 @@ def cmd_quadcheck(cfg, out):
                         for k in (1, 8, 32, 64))
         rows.append([n, pipe.mesh.h, len(pipe.mesh.active), pipe.mesh.n_dofs,
                      length, rel, defect, max_arcs, float(spec_diff)])
-        if rel > 1e-10 or defect > 1e-10 or spec_diff > 1e-11:
-            code = EXIT_NUMERICAL
+        failed = ["%s %.2g > %g" % (name, v, tol) for name, v, tol in (
+            ("rel_err", rel, 1e-10), ("cover_defect", defect, 1e-10),
+            ("spectral_selftest", spec_diff, 1e-11)) if v > tol]
+        if failed:
             break
     write_csv(os.path.join(out, "quadcheck.csv"), hdr, rows)
-    return code
+    if failed:
+        raise AuditFailure("quadcheck at n_cells=%d: %s"
+                           % (n, ", ".join(failed)))
+    return EXIT_OK
 
 
 def cmd_project(cfg, out):
     man = MANUFACTURED[cfg["data"]]
     hdr = ["n_cells", "h", "n_dofs", "e_l2_star", "e_h1_star"]
-    table = ConvergenceTable()
+    rows = []
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
         x = pipe.ops.project(man.value, 0.0)
         el2 = pipe.ops.error_l2_star(man.value, x, 0.0)
         eh1 = pipe.ops.error_h1_star(man.value, man.dtheta, x, 0.0)
-        table.add(dict(zip(hdr, [n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])))
+        rows.append([n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])
         if cfg["export_matrices"]:
             export_matrices(pipe.system, out, prefix="n%d_" % n)
-    rows = [[r[c] for c in hdr] for r in table.rows]
     write_csv(os.path.join(out, "project.csv"), hdr, rows)
     write_dat(os.path.join(out, "project.dat"), hdr, rows)
     if len(rows) >= 3:
+        _, h, _, el2, eh1 = zip(*rows)
         write_csv(os.path.join(out, "project_rates.csv"),
                   ["rate_l2_star", "rate_h1_star"],
-                  [[table.rate("e_l2_star"), table.rate("e_h1_star")]])
+                  [[fit_rate(h, el2), fit_rate(h, eh1)]])
     return EXIT_OK
 
 
@@ -239,8 +251,8 @@ def cmd_diagnose(cfg, out):
     rows = []
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
-        rep = dg.constants_report(pipe.ops, pipe.probe,
-                                  t_final=cfg["T_infsup"], mesh_id="n%d" % n)
+        rep = dg.constants_report(pipe.ops, t_final=cfg["T_infsup"],
+                                  mesh_id="n%d" % n)
         # random-vector dual-norm sandwich audit
         bound = rep.norm_Ph_H1star + rep.C_inv_h
         x = rng.standard_normal((cfg["n_random"], pipe.mesh.n_dofs))
@@ -253,10 +265,12 @@ def cmd_diagnose(cfg, out):
                   and rep.Lambda_h <= 1.0 + 1e-9)
         rows.append(rep.row() + [sandwich_ok, lam_ok])
     hdr = [f.name for f in fields(dg.ConstantsReport)]
-    write_csv(os.path.join(out, "diagnose.csv"),
-              hdr + ["sandwich_pass", "lambda_pass"], rows)
-    if not all(r[-1] and r[-2] for r in rows):
-        return EXIT_NUMERICAL
+    audits = ["sandwich_pass", "lambda_pass"]
+    write_csv(os.path.join(out, "diagnose.csv"), hdr + audits, rows)
+    failed = ["%s on %s" % (name, r[0]) for r in rows
+              for name, ok in zip(audits, r[-2:]) if not ok]
+    if failed:
+        raise AuditFailure("diagnose audit failed: %s" % ", ".join(failed))
     return EXIT_OK
 
 
@@ -284,22 +298,22 @@ def cmd_converge(cfg, out):
     man = MANUFACTURED[cfg["data"]]
     hdr = ["n_cells", "h", "dt", "e_total", "e_l2l2", "e_l2_initial",
            "proj_l2_star"]
-    table = ConvergenceTable()
+    rows = []
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
         hr = _heat_run(cfg, pipe, man)
         rec = accumulate_errors(pipe.ops, hr, man)
         xp = pipe.ops.project(man.value, 0.0)
         proj_err = pipe.ops.error_l2_star(man.value, xp, 0.0)
-        table.add(dict(zip(hdr, [n, pipe.mesh.h, hr.dt, rec.e_total,
-                                 rec.e_l2l2, rec.e_l2_initial, proj_err])))
-    rows = [[r[c] for c in hdr] for r in table.rows]
+        rows.append([n, pipe.mesh.h, hr.dt, rec.e_total, rec.e_l2l2,
+                     rec.e_l2_initial, proj_err])
     write_csv(os.path.join(out, "converge.csv"), hdr, rows)
     write_dat(os.path.join(out, "converge.dat"), hdr, rows)
+    _, h, _, e_total, e_l2l2, _, proj = zip(*rows)
     write_csv(os.path.join(out, "converge_rates.csv"),
               ["rate_e_total", "rate_e_l2l2", "rate_proj_l2_star", "dt_rule"],
-              [[table.rate("e_total"), table.rate("e_l2l2"),
-                table.rate("proj_l2_star"), cfg["dt_rule"]]])
+              [[fit_rate(h, e_total), fit_rate(h, e_l2l2), fit_rate(h, proj),
+                cfg["dt_rule"]]])
     return EXIT_OK
 
 
@@ -313,36 +327,35 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors, raised for main to report."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="tracefem",
+    # a flag not given stays out of the namespace and overrides no key
+    parser = _Parser(
+        prog="tracefem", argument_default=argparse.SUPPRESS,
         description="Stabilized trace-FEM laboratory for the heat equation "
                     "on an embedded curve.")
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out")
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--literal-eq-matrices", action="store_true")
-    parser.add_argument("--no-time-stab", action="store_true")
-    args = parser.parse_args(argv)
-
+    parser.add_argument("--no-time-stab", action="store_false",
+                        dest="stabilized_time_derivative")
     try:
-        cfg = load_config(args.config)
-    except InvalidConfig as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    if args.out is not None:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.literal_eq_matrices:
-        cfg["literal_eq_matrices"] = True
-    if args.no_time_stab:
-        cfg["stabilized_time_derivative"] = False
-    os.makedirs(cfg["out"], exist_ok=True)
-
-    try:
-        return _COMMANDS[args.subcommand](cfg, cfg["out"])
+        flags = vars(parser.parse_args(argv))
+        command = _COMMANDS[flags.pop("subcommand")]
+        cfg = load_config(flags.pop("config"), flags)
+        try:
+            os.makedirs(cfg["out"], exist_ok=True)
+        except OSError as exc:
+            raise InvalidConfig("cannot create out directory: %s" % exc)
+        return command(cfg, cfg["out"])
     except InvalidConfig as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

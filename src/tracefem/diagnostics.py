@@ -57,14 +57,14 @@ def _kappa(mat, what):
     return float(w[-1] / w[0])
 
 
-def op_norms_ph(operators, probe):
+def op_norms_ph(operators):
     """Operator norms of the projection over the truncated H1 sphere.
 
     Columns of B = M_*^-1 G are the projections of the harmonics; the
     norms are sqrt of the largest eigenvalue of (B' Q B, H1_gram) with
     Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.
     """
-    system = operators.system
+    system, probe = operators.system, operators.probe
     bmat = operators.mstar.solve(probe.G)
     out = []
     for q in (system.M + system.A, system.K_star):
@@ -88,15 +88,15 @@ def c_inv_h(operators, n):
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def lambda_h(operators, probe, n):
+def lambda_h(operators, n):
     """Dual-norm gap Lambda_h = inf ||v||_{V^-1} / ||v||_{H^-1_*}.
 
     Computed from the largest eigenvalue of (H + S_-1, N) where H is
     the truncated H^-1-Gamma Gram G Hm1 G' of the trace functionals and
     N the dual-norm Gram (``_dual_gram``); returns (Lambda_h, 1/Lambda_h).
     """
-    g = probe.G
-    h = g @ (probe.Hm1_gram[:, None] * g.T)
+    g = operators.probe.G
+    h = g @ (operators.probe.Hm1_gram[:, None] * g.T)
     h = h + operators.system.S[-1].toarray()
     lam = _top_eig(0.5 * (h + h.T), n)
     inv = float(np.sqrt(max(lam, 0.0)))
@@ -200,19 +200,19 @@ class ConstantsReport:
         return [getattr(self, f.name) for f in fields(self)]
 
 
-def constants_report(operators, probe, t_final=1.0, mesh_id=""):
+def constants_report(operators, t_final=1.0, mesh_id=""):
     """Measure every eigenvalue-based constant on one mesh."""
     system = operators.system
-    g_norm, s_norm = op_norms_ph(operators, probe)
+    g_norm, s_norm = op_norms_ph(operators)
     n = _dual_gram(operators)
     c_inv = c_inv_h(operators, n)
-    lam, inv_lam = lambda_h(operators, probe, n)
+    lam, inv_lam = lambda_h(operators, n)
     lower, upper = infsup_bounds(s_norm, g_norm, c_inv, t_final)
     return ConstantsReport(
         mesh_id=mesh_id,
         h=system.mesh.h,
         n_dofs=system.n_dofs,
-        k_max=probe.k_max,
+        k_max=operators.probe.k_max,
         norm_Ph_H1gamma=g_norm,
         norm_Ph_H1star=s_norm,
         C_inv_h=c_inv,

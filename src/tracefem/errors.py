@@ -37,6 +37,10 @@ class EigFailure(TraceFemError):
     """A (generalized) eigenvalue computation did not converge."""
 
 
+class AuditFailure(TraceFemError):
+    """A self-test or audit of computed values is out of tolerance."""
+
+
 class AliasRisk(TraceFemError):
     """Surface quadrature order is too low for the requested Fourier order."""
 

@@ -13,7 +13,7 @@ on blocks of steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,7 +139,8 @@ def run(operators, config, consume):
     The states are stepped into a buffer of CHUNK states.  Whenever it is
     full, and once at the end, consume(first, states) gets its filled part,
     ``first`` being the index of its first state in the run; the buffer is
-    then reused, so a consumer copies what it keeps.  Returns the times.
+    then reused, so a consumer copies what it keeps.  Returns the RunResult
+    of config and its time grid.
     """
     times = time_grid(config)
     nsteps = len(times) - 1
@@ -288,24 +289,3 @@ def accumulate_errors(operators, config, manufactured=None):
     fold = ErrorFold(operators, config, manufactured)
     run(operators, config, fold)
     return fold.record()
-
-
-@dataclass
-class ConvergenceTable:
-    """Rows of (h, dt, errors) with least-squares fitted rates."""
-
-    rows: list = field(default_factory=list)
-
-    def add(self, row):
-        self.rows.append(row)
-
-    def rate(self, column):
-        """Fitted slope of log(column) vs log(h) over all rows."""
-        if len(self.rows) < 3:
-            raise InvalidConfig("rate fit needs at least 3 rows")
-        h = np.array([r["h"] for r in self.rows])
-        e = np.array([r[column] for r in self.rows])
-        return float(np.polyfit(np.log(h), np.log(e), 1)[0])
-
-    def column(self, name):
-        return [r[name] for r in self.rows]

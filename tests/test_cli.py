@@ -3,10 +3,60 @@ import json
 import pytest
 
 from tracefem import heatsolver
-from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, Pipeline,
-                          _heat_run, fmt, load_config, main)
+from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
+                          EXIT_OK, _KEYS, Pipeline, _heat_run, fmt,
+                          load_config, main)
 from tracefem.heatsolver import MANUFACTURED
 from tracefem.mesh import write_vtk
+from tracefem.operators import DiscreteOperators
+
+
+# (subcommand, one bad value): every row of the config table is hit
+BAD_VALUES = [
+    ("dtsweep", {"dt_list": [-0.1]}),
+    ("dtsweep", {"dt_list": [1e-3, "1e-4"]}),
+    ("dtsweep", {"dt_list": 0.01}),
+    ("quadcheck", {"c_res": 0}),
+    ("quadcheck", {"c_res": "0.5"}),
+    ("diagnose", {"k_max": "12"}),
+    ("diagnose", {"k_max": 12.5}),
+    ("quadcheck", {"q_surf": 0}),
+    ("quadcheck", {"q_surf": True}),
+    ("quadcheck", {"radius": "1"}),
+    ("diagnose", {"n_random": -1}),
+    ("heat", {"n_cells": ["a"]}),
+    ("quadcheck", {"n_cells": ["a"]}),
+    ("heat", {"n_cells": [8.5]}),
+    ("heat", {"n_cells": [True]}),
+    ("heat", {"n_cells": [0]}),
+    ("heat", {"t_final": "a"}),
+    ("heat", {"t_final": 0}),
+    ("diagnose", {"T_infsup": -1.0}),
+    ("diagnose", {"T_infsup": True}),
+    ("heat", {"vtk_every": "x"}),
+    ("heat", {"vtk_every": -2}),
+    ("heat", {"vtk_every": 2.5}),
+    ("heat", {"scheme": ["x"]}),
+    ("heat", {"data": ["x"]}),
+    ("heat", {"dt_rule": ["h2/4"]}),
+    ("heat", {"dt_rule": True}),
+    ("heat", {"dt_rule": "0.01"}),
+    ("diagnose", {"dt_rule": "abc"}),
+    ("dtsweep", {"dt_list": []}),
+    ("quadcheck", {"radius": float("inf")}),
+    ("heat", {"center": "a"}),
+    ("diagnose", {"center": [0, 0, 0]}),
+    ("quadcheck", {"center": [float("nan"), 0.0]}),
+    ("heat", {"bbox": [1]}),
+    ("quadcheck", {"bbox": [1.5, -1.5]}),
+    ("heat", {"stabilized_time_derivative": "no"}),
+    ("dtsweep", {"literal_eq_matrices": 1}),
+    ("project", {"export_matrices": "yes"}),
+    ("diagnose", {"out": 3}),
+    ("diagnose", {"seed": -1}),
+    ("diagnose", {"seed": "a"}),
+    ("diagnose", {"seed": 1.0}),
+]
 
 
 def write_cfg(path, **overrides):
@@ -51,42 +101,51 @@ class TestConfig:
         p.write_text('{"scheme": "RK4"}')
         assert main(["heat", "--config", str(p)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("sub, overrides", [
-        ("dtsweep", {"dt_list": [-0.1]}),
-        ("dtsweep", {"dt_list": [1e-3, "1e-4"]}),
-        ("dtsweep", {"dt_list": 0.01}),
-        ("quadcheck", {"c_res": 0}),
-        ("quadcheck", {"c_res": "0.5"}),
-        ("diagnose", {"k_max": "12"}),
-        ("diagnose", {"k_max": 12.5}),
-        ("quadcheck", {"q_surf": 0}),
-        ("quadcheck", {"q_surf": True}),
-        ("quadcheck", {"radius": "1"}),
-        ("diagnose", {"n_random": -1}),
-        ("heat", {"n_cells": ["a"]}),
-        ("quadcheck", {"n_cells": ["a"]}),
-        ("heat", {"n_cells": [8.5]}),
-        ("heat", {"n_cells": [True]}),
-        ("heat", {"n_cells": [0]}),
-        ("heat", {"t_final": "a"}),
-        ("heat", {"t_final": 0}),
-        ("diagnose", {"T_infsup": -1.0}),
-        ("diagnose", {"T_infsup": True}),
-        ("heat", {"vtk_every": "x"}),
-        ("heat", {"vtk_every": -2}),
-        ("heat", {"vtk_every": 2.5}),
-        ("heat", {"scheme": ["x"]}),
-        ("heat", {"data": ["x"]}),
-        ("heat", {"dt_rule": ["h2/4"]}),
-        ("heat", {"dt_rule": True}),
-    ])
+    @pytest.mark.parametrize("sub, overrides", BAD_VALUES)
     def test_out_of_range_values_exit(self, tmp_path, capsys, sub, overrides):
         cfg = write_cfg(tmp_path / "c.json", **{"n_cells": [16], **overrides})
-        assert main([sub, "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        # the --out flag would stand in for a bad "out" key
+        out = [] if "out" in overrides else ["--out", str(tmp_path / "o")]
+        assert main([sub, "--config", cfg] + out) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: %s must be " % next(
+            iter(overrides)))
+
+    def test_every_key_has_a_bad_value(self):
+        assert {key for _, bad in BAD_VALUES for key in bad} == set(_KEYS)
+
+    @pytest.mark.parametrize("args, cause", [
+        (["--config", "CFG", "--seed", "-1"], "seed must be an integer >= 0"),
+        (["--config", "CFG", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["--config", "CFG", "--out", "FILE"],
+         "cannot create out directory: "),
+        (["--out", "OUT"], "the following arguments are required: --config"),
+        (["--config", "CFG", "--no-such-flag"],
+         "unrecognized arguments: --no-such-flag"),
+    ])
+    def test_bad_flags_exit(self, tmp_path, capsys, args, cause):
+        # usage errors are config errors: exit 64, not argparse's 2
+        paths = {"CFG": write_cfg(tmp_path / "c.json", n_cells=[16]),
+                 "FILE": str(tmp_path / "file"), "OUT": str(tmp_path / "o")}
+        (tmp_path / "file").write_text("")
+        argv = ["diagnose"] + [paths.get(a, a) for a in args]
+        assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: ")
+        assert cause in err[0]
+
+    def test_flag_goes_through_its_row(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.json", seed=1, out="a")
+        conf = load_config(cfg, {"seed": 7,
+                                 "stabilized_time_derivative": False})
+        assert (conf["seed"], conf["out"]) == (7, "a")
+        assert conf["stabilized_time_derivative"] is False
+        from tracefem.errors import InvalidConfig
+        with pytest.raises(InvalidConfig, match="^literal_eq_matrices must"):
+            load_config(cfg, {"literal_eq_matrices": "yes"})
 
 
 class TestSubcommands:
@@ -196,6 +255,15 @@ class TestSubcommands:
         lines = (out / "diagnose.csv").read_text().splitlines()
         assert lines[1].endswith(",1,1")
 
+    def test_project_low_q_surf(self, tmp_path):
+        # q_surf 4 is raised to ceil(k_max h) + 4 = 7 on the coarsest mesh
+        # (h = 0.177); the probe needs that bound only, not the default 10
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[24, 32, 48], q_surf=4,
+                        k_max=16)
+        out = tmp_path / "out"
+        assert main(["project", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len((out / "project.csv").read_text().splitlines()) == 4
+
     def test_converge(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[12, 16, 24],
                         t_final=0.02)
@@ -225,6 +293,42 @@ class TestSubcommands:
             outs.append((out / name).read_bytes())
         assert outs[1] == outs[2]
         assert outs[1] != outs[0]
+
+
+class TestNumericalFailure:
+    """A failed audit writes its CSV, then exits 1 with one line."""
+
+    def _fails(self, capsys, argv):
+        assert main(argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    def test_quadcheck_selftest(self, tmp_path, capsys):
+        # 7 Gauss points per arc against 11 at h = 0.177 miss the 1e-11
+        # agreement of the spectral self-test
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[24, 32], q_surf=4,
+                        k_max=16)
+        out = tmp_path / "out"
+        err = self._fails(capsys, ["quadcheck", "--config", cfg,
+                                   "--out", str(out)])
+        assert err.startswith("numerical failure: quadcheck at n_cells=24: "
+                              "spectral_selftest ")
+        assert err.endswith(" > 1e-11")
+        lines = (out / "quadcheck.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("24,")
+
+    def test_diagnose_audit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(DiscreteOperators, "dual_norm",
+                            lambda self, x: 0.0 * self.hm1_star(x))
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16])
+        out = tmp_path / "out"
+        err = self._fails(capsys, ["diagnose", "--config", cfg,
+                                   "--out", str(out)])
+        assert err == ("numerical failure: diagnose audit failed: "
+                       "sandwich_pass on n16")
+        lines = (out / "diagnose.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].endswith(",0,1")
 
 
 class TestDeterminism:

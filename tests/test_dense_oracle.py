@@ -79,7 +79,7 @@ def old_report(operators, probe, t_final, mesh_id):
 @pytest.mark.parametrize("n", [48, 96])
 def test_report_matches_full_spectrum_routes(ladder, n):
     s = ladder[n]
-    new = dg.constants_report(s.ops, s.probe, t_final=1.0, mesh_id="n%d" % n)
+    new = dg.constants_report(s.ops, t_final=1.0, mesh_id="n%d" % n)
     old = old_report(s.ops, s.probe, 1.0, "n%d" % n)
     for name in (f.name for f in fields(dg.ConstantsReport)):
         a, b = getattr(new, name), getattr(old, name)
@@ -100,5 +100,5 @@ def test_dual_gram_formed_once_per_report(setup48, monkeypatch):
         return real(operators)
 
     monkeypatch.setattr(dg, "_dual_gram", counted)
-    dg.constants_report(setup48.ops, setup48.probe)
+    dg.constants_report(setup48.ops)
     assert len(calls) == 1

@@ -7,8 +7,7 @@ from tracefem.errors import SingularMatrix
 
 @pytest.fixture(scope="module")
 def reports(ladder):
-    return {n: dg.constants_report(s.ops, s.probe, t_final=1.0,
-                                   mesh_id="n%d" % n)
+    return {n: dg.constants_report(s.ops, t_final=1.0, mesh_id="n%d" % n)
             for n, s in ladder.items()}
 
 
@@ -60,9 +59,8 @@ class TestLambda:
         system = assemble(s.mesh, topo)
         inv = []
         for k_max in (128, 256):
-            probe = assemble_fourier(topo, k_max=k_max)
-            ops = DiscreteOperators(system, probe)
-            inv.append(dg.lambda_h(ops, probe, dg._dual_gram(ops))[1])
+            ops = DiscreteOperators(system, assemble_fourier(topo, k_max))
+            inv.append(dg.lambda_h(ops, dg._dual_gram(ops))[1])
         assert inv[1] >= inv[0] - 1e-9
         assert abs(inv[1] - inv[0]) / inv[0] <= 0.01
 

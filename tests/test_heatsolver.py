@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tracefem.cli import fit_rate
 from tracefem.errors import InvalidConfig
 from tracefem import heatsolver
-from tracefem.heatsolver import (MANUFACTURED, ConvergenceTable, ErrorFold,
-                                 HeatRun, accumulate_errors, run)
+from tracefem.heatsolver import (MANUFACTURED, ErrorFold, HeatRun,
+                                 accumulate_errors, run)
 from tracefem.operators import DiscreteOperators
 
 
@@ -132,22 +133,16 @@ class TestErrorAccumulation:
         assert record.e_total <= 25.0 * rec_proj.e_total
 
     def test_rates_on_ladder(self, decay_runs):
-        table = ConvergenceTable()
-        for n in sorted(decay_runs):
-            _, _, rec = decay_runs[n]
-            table.add({"h": rec.h, "e_total": rec.e_total,
-                       "e_l2l2": rec.e_l2l2})
-        assert table.rate("e_total") >= 0.9
-        assert table.rate("e_l2l2") >= 0.9
-        e = table.column("e_total")
+        recs = [decay_runs[n][2] for n in sorted(decay_runs)]
+        h = [rec.h for rec in recs]
+        e = [rec.e_total for rec in recs]
+        assert fit_rate(h, e) >= 0.9
+        assert fit_rate(h, [rec.e_l2l2 for rec in recs]) >= 0.9
         assert all(a > b for a, b in zip(e, e[1:]))
 
     def test_rate_fit_needs_three(self):
-        t = ConvergenceTable()
-        t.add({"h": 0.1, "e": 1.0})
-        t.add({"h": 0.05, "e": 0.5})
         with pytest.raises(InvalidConfig):
-            t.rate("e")
+            fit_rate([0.1, 0.05], [1.0, 0.5])
 
     def test_memory_below_basis_table(self, setup96):
         # The error pass holds no (n_nodes, n_modes) Fourier basis table:

@@ -1,8 +1,10 @@
 """Every public function, class and method of the package is reached.
 
 A public name (no leading underscore) defined in ``src/tracefem`` must be
-used somewhere in the package outside its own definition: as a name, an
-attribute or a string.  A name that only a test or an outside tool uses
+used somewhere in the package outside its own definition: a function or
+class as a name, an attribute or a string, a method as an attribute or a
+string only (a bare name of the same spelling, such as a parameter, does
+not reach it).  A name that only a test or an outside tool uses
 is listed in ALLOWED with the reason it is kept; an entry that is no
 longer defined, or is now reached from the package, fails the test too.
 """
@@ -26,12 +28,14 @@ ALLOWED = {
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _uses(tree):
-    """Count of each identifier used as a name, attribute or string."""
+def _uses(tree, bare_names=True):
+    """Count of each identifier used as an attribute or a string, and as a
+    bare name when bare_names is set."""
     out = collections.Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            if bare_names:
+                out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -53,13 +57,16 @@ def _public_defs(tree):
 
 def _unreached():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    total = sum((_uses(t) for t in trees.values()), collections.Counter())
+    total = {bare: sum((_uses(t, bare) for t in trees.values()),
+                       collections.Counter()) for bare in (True, False)}
     out = {}
     for fname, tree in trees.items():
         for qual, node in _public_defs(tree):
+            # a method is reached through an attribute or a string only;
             # uses inside the definition itself (recursion, a class naming
             # itself) do not count
-            if total[node.name] - _uses(node)[node.name] <= 0:
+            bare = "." not in qual
+            if total[bare][node.name] - _uses(node, bare)[node.name] <= 0:
                 out[node.name] = "%s:%s" % (fname, qual)
     return out, {node.name for t in trees.values() for _, node in _public_defs(t)}
 
