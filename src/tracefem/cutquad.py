@@ -11,12 +11,11 @@ quadrature is a symmetric 6-point rule exact to total degree 4.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularElement, TangencyWarning
+from .errors import SingularElement
 from .mesh import barycentric, twice_area
 
 TWO_PI = 2.0 * np.pi
@@ -38,7 +37,8 @@ _GRAZE = 1e-14            # discriminant band treated as tangential contact
 
 
 def _edge_circle_angles(p0, p1, center, radius):
-    """Angles (about the center) where segment p0-p1 meets the circle."""
+    """Angles (about the center) where segment p0-p1 meets the circle,
+    and whether a grazing (tangential) contact was dropped."""
     d = p1 - p0
     e = p0 - center
     a = float(d @ d)
@@ -46,10 +46,9 @@ def _edge_circle_angles(p0, p1, center, radius):
     c = float(e @ e) - radius * radius
     disc = b * b - 4.0 * a * c
     if 0.0 <= disc < _GRAZE * max(1.0, b * b):
-        warnings.warn("grazing circle-edge contact dropped", TangencyWarning)
-        return []
+        return [], True
     if disc <= 0.0:
-        return []
+        return [], False
     sq = np.sqrt(disc)
     # Stabilized roots: q = -(b + sign(b) sqrt(disc)) / 2 avoids cancellation.
     q = -0.5 * (b + np.copysign(sq, b)) if b != 0.0 else 0.5 * sq
@@ -61,7 +60,7 @@ def _edge_circle_angles(p0, p1, center, radius):
         if -1e-12 <= t <= 1.0 + 1e-12:
             x = p0 + min(max(t, 0.0), 1.0) * d
             angles.append(float(np.arctan2(x[1] - center[1], x[0] - center[0])))
-    return angles
+    return angles, False
 
 
 def intersect_element(tri, center, radius):
@@ -70,16 +69,25 @@ def intersect_element(tri, center, radius):
     Returns a list of (theta0, theta1) with theta1 > theta0; an arc
     crossing the branch cut is reported with theta1 > pi.
     """
+    return _cut_element(tri, center, radius)[0]
+
+
+def _cut_element(tri, center, radius):
+    """The arcs of ``intersect_element`` and the number of the triangle's
+    edges whose grazing contact with the circle was dropped."""
     tri = np.asarray(tri, dtype=float)
     center = np.asarray(center, dtype=float)
-    angles = []
+    angles, dropped = [], 0
     for k in range(3):
-        angles.extend(_edge_circle_angles(tri[k], tri[(k + 1) % 3], center, radius))
+        hits, grazed = _edge_circle_angles(tri[k], tri[(k + 1) % 3],
+                                           center, radius)
+        angles.extend(hits)
+        dropped += grazed
     if not angles:
         probe = center + np.array([radius, 0.0])
         if barycentric(tri, probe).min() >= 0.0:
-            return [(0.0, TWO_PI)]
-        return []
+            return [(0.0, TWO_PI)], dropped
+        return [], dropped
     angles = np.sort(np.mod(np.asarray(angles), TWO_PI))
     # Merge duplicate angles (shared vertices report from two edges).
     keep = [angles[0]]
@@ -99,7 +107,7 @@ def intersect_element(tri, center, radius):
         p = center + radius * np.array([np.cos(mid), np.sin(mid)])
         if barycentric(tri, p).min() >= -1e-12:
             arcs.append((float(th0), float(th1)))
-    return arcs
+    return arcs, dropped
 
 
 def surface_rule(center, radius, arcs, q):
@@ -154,6 +162,7 @@ class CutTopology:
     v_w: np.ndarray           # (n_active, 6) volume weights
     v_normal: np.ndarray      # (n_active, 6, 2) extended normal at them
     total_length: float
+    dropped_contacts: int     # grazing element-edge contacts left out
 
     @property
     def s_w(self):
@@ -182,11 +191,13 @@ def build_topology(surface, active_mesh, q_surf=10):
 
     # The exact cut is the one per-element step; everything after it is
     # stacked over all arcs.
-    arcs, ends, owner = [], [], []
+    arcs, ends, owner, dropped = [], [], [], 0
     for e, t in enumerate(tri):
-        arcs.append(intersect_element(t, center, radius))
-        ends.extend(arcs[-1])
-        owner.extend([e] * len(arcs[-1]))
+        cut, grazed = _cut_element(t, center, radius)
+        arcs.append(cut)
+        dropped += grazed
+        ends.extend(cut)
+        owner.extend([e] * len(cut))
     ends = np.reshape(np.asarray(ends, dtype=float), (-1, 2))
     pts, w, normals, theta = surface_rule(center, radius, ends, q)
     elem = np.repeat(np.asarray(owner, dtype=np.int64), q)
@@ -201,6 +212,7 @@ def build_topology(surface, active_mesh, q_surf=10):
         v_pts=v_pts, v_w=v_w,
         v_normal=surface.unit_normal(v_pts),
         total_length=float(w.sum()),
+        dropped_contacts=dropped,
     )
 
 

@@ -1,11 +1,19 @@
-"""Mesh-dependent constants as dense generalized eigenproblems.
+"""Mesh-dependent constants as extremal eigenpairs.
 
 Measures the operator norms of the stabilized projection, the inverse
 parameter C_inv,h, the dual-norm gap Lambda_h, the inf-sup bounds built
 from them, and the condition numbers of the one-step system matrices.
-Everything runs densely (the active systems stay far below 4000 dofs)
-with LAPACK's symmetric solvers: each norm and gap is the top pair of an
-SPD pencil, checked by its residual; the dual-norm Gram is formed once.
+Each norm and gap is the top pair of an SPD pencil.  On the n_dofs-sized
+pencils (C_inv,h, Lambda_h) it comes from Lanczos (ARPACK through
+``scipy.sparse.linalg.eigsh``) in generalized mode, with the dual-norm
+Gram N = M_* K_*^-1 M_* and its inverse applied through the LUs of M_*
+and K_*, so no n_dofs x n_dofs matrix is formed.  Each condition number
+takes lambda_max by Lanczos and lambda_min by shift-invert at 0 through
+an LU of the matrix.  The projection pencil lives on the 2 k_max + 1
+Fourier modes, whose count does not grow with h and whose top is
+clustered near 1; LAPACK takes it.  Every norm and gap is checked by
+the residual of its pair, and Lanczos starts from a fixed vector, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,20 +22,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from .assembly import element_csr
-from .errors import EigFailure, SingularMatrix
+from .errors import EigFailure, SingularMatrix, SolveFailure
 from .heatsolver import blockwise
-
-_DENSE_LIMIT = 4000
-
-
-def _dense(mat):
-    m = mat.toarray()
-    if m.shape[0] > _DENSE_LIMIT:
-        raise EigFailure("system too large for dense diagnostics (%d dofs)"
-                         % m.shape[0])
-    return 0.5 * (m + m.T)
+from .operators import _Factor
 
 
 def _check_pair(lam, x, lhs, rhs, tol=1e-8):
@@ -38,23 +38,46 @@ def _check_pair(lam, x, lhs, rhs, tol=1e-8):
         raise EigFailure("extremal eigenpair residual %.3e above tolerance" % res)
 
 
-def _top_eig(lhs, rhs):
-    """Largest eigenvalue of the pencil (lhs, rhs), rhs SPD; residual-checked."""
+def _operator(n, matvec):
+    """The symmetric n x n map x -> matvec(x) as a LinearOperator."""
+    return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+
+
+def _eigsh(mat, **kwargs):
+    """One Lanczos eigenpair of mat, started from a fixed vector."""
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, mat.shape[0])
     try:
-        w, v = sla.eigh(lhs, rhs, subset_by_index=[len(lhs) - 1] * 2)
-    except sla.LinAlgError as exc:
-        raise EigFailure(str(exc))
-    lam = float(w[0])
-    _check_pair(lam, v[:, 0], lhs, rhs)
+        w, v = spla.eigsh(mat, k=1, v0=v0, **kwargs)
+    except spla.ArpackError as exc:
+        raise EigFailure("Lanczos: %s" % exc)
+    return float(w[0]), v[:, 0]
+
+
+def _top_eig(lhs, dual):
+    """Largest eigenvalue of the pencil (lhs, N) with dual = (N, N^-1);
+    residual-checked."""
+    gram, inv = dual
+    lam, x = _eigsh(lhs, M=gram, Minv=inv, which="LA")
+    _check_pair(lam, x, lhs, gram)
     return lam
 
 
 def _kappa(mat, what):
-    """kappa of the sparse SPD matrix mat; ``what`` names it on failure."""
-    w = sla.eigvalsh(_dense(mat))
-    if w[0] <= 0.0:
-        raise SingularMatrix("%s has lambda_min = %.3e" % (what, w[0]))
-    return float(w[-1] / w[0])
+    """kappa of the sparse SPD matrix mat; ``what`` names it on failure.
+
+    Only the converged Ritz values are used: on a symmetric mesh an end
+    of the spectrum can be a doublet, whose Ritz value is exact while
+    the vector may carry the unconverged second copy.
+    """
+    try:
+        lu = _Factor(mat, what)
+        lo = _eigsh(mat, sigma=0.0, which="LM",
+                    OPinv=_operator(mat.shape[0], lu.solve))[0]
+    except SolveFailure as exc:
+        raise SingularMatrix("%s is singular: %s" % (what, exc))
+    if lo <= 0.0:
+        raise SingularMatrix("%s has lambda_min = %.3e" % (what, lo))
+    return _eigsh(mat, which="LA")[0] / lo
 
 
 def op_norms_ph(operators):
@@ -62,43 +85,53 @@ def op_norms_ph(operators):
 
     Columns of B = M_*^-1 G are the projections of the harmonics; the
     norms are sqrt of the largest eigenvalue of (B' Q B, H1_gram) with
-    Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.
+    Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.  The
+    pencil has one row per Fourier mode and is solved by LAPACK.
     """
     system, probe = operators.system, operators.probe
     bmat = operators.mstar.solve(probe.G)
+    gram = np.diag(probe.H1_gram)
     out = []
     for q in (system.M + system.A, system.K_star):
         c = bmat.T @ (q @ bmat)
-        lam = _top_eig(0.5 * (c + c.T), np.diag(probe.H1_gram))
-        out.append(float(np.sqrt(max(lam, 0.0))))
+        c = 0.5 * (c + c.T)
+        try:
+            w, v = sla.eigh(c, gram, subset_by_index=[len(c) - 1] * 2)
+        except sla.LinAlgError as exc:
+            raise EigFailure(str(exc))
+        _check_pair(w[0], v[:, 0], c, gram)
+        out.append(float(np.sqrt(max(w[0], 0.0))))
     return out[0], out[1]
 
 
-def _dual_gram(operators):
-    """N = M_* K_*^-1 M_*, the Gram of the discrete dual norm."""
-    mstar = _dense(operators.system.M_star)
-    n = mstar @ operators.kstar.solve(mstar)
-    return 0.5 * (n + n.T)
+def _dual_operators(operators):
+    """(N, N^-1) as operators: N = M_* K_*^-1 M_*, the Gram of the
+    discrete dual norm, and N^-1 = M_*^-1 K_* M_*^-1, through the LUs."""
+    system, mstar, kstar = operators.system, operators.mstar, operators.kstar
+    m, k = system.M_star, system.K_star
+    return (_operator(system.n_dofs, lambda x: m @ kstar.solve(m @ x)),
+            _operator(system.n_dofs, lambda x: mstar.solve(k @ mstar.solve(x))))
 
 
-def c_inv_h(operators, n):
+def c_inv_h(operators, dual):
     """sqrt of the largest eigenvalue of (D, N) with the h-weighted
-    local Gram D and the dual-norm Gram N (``_dual_gram``)."""
-    lam = _top_eig(_dense(operators.system.D), n)
+    local Gram D and the dual-norm Gram N (``_dual_operators``)."""
+    lam = _top_eig(operators.system.D, dual)
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def lambda_h(operators, n):
+def lambda_h(operators, dual):
     """Dual-norm gap Lambda_h = inf ||v||_{V^-1} / ||v||_{H^-1_*}.
 
     Computed from the largest eigenvalue of (H + S_-1, N) where H is
     the truncated H^-1-Gamma Gram G Hm1 G' of the trace functionals and
-    N the dual-norm Gram (``_dual_gram``); returns (Lambda_h, 1/Lambda_h).
+    N the dual-norm Gram (``_dual_operators``); H is applied as
+    x -> G (Hm1 (G' x)).  Returns (Lambda_h, 1/Lambda_h).
     """
-    g = operators.probe.G
-    h = g @ (operators.probe.Hm1_gram[:, None] * g.T)
-    h = h + operators.system.S[-1].toarray()
-    lam = _top_eig(0.5 * (h + h.T), n)
+    g, hm1 = operators.probe.G, operators.probe.Hm1_gram
+    s = operators.system.S[-1]
+    lhs = _operator(len(g), lambda x: g @ (hm1 * (g.T @ x)) + s @ x)
+    lam = _top_eig(lhs, dual)
     inv = float(np.sqrt(max(lam, 0.0)))
     return 1.0 / inv, inv
 
@@ -204,9 +237,9 @@ def constants_report(operators, t_final=1.0, mesh_id=""):
     """Measure every eigenvalue-based constant on one mesh."""
     system = operators.system
     g_norm, s_norm = op_norms_ph(operators)
-    n = _dual_gram(operators)
-    c_inv = c_inv_h(operators, n)
-    lam, inv_lam = lambda_h(operators, n)
+    dual = _dual_operators(operators)
+    c_inv = c_inv_h(operators, dual)
+    lam, inv_lam = lambda_h(operators, dual)
     lower, upper = infsup_bounds(s_norm, g_norm, c_inv, t_final)
     return ConstantsReport(
         mesh_id=mesh_id,

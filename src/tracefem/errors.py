@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class TraceFemError(Exception):
@@ -43,7 +43,3 @@ class AuditFailure(TraceFemError):
 
 class AliasRisk(TraceFemError):
     """Surface quadrature order is too low for the requested Fourier order."""
-
-
-class TangencyWarning(UserWarning):
-    """The circle grazes a mesh edge; the tangential contact is dropped."""

@@ -1,14 +1,9 @@
 """Shared fixtures: the mesh ladder is expensive, build it once."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from tracefem.cli import _DEFAULTS, Pipeline
-from tracefem.cutquad import TangencyWarning
-
-warnings.simplefilter("ignore", TangencyWarning)
 
 LADDER = (48, 96, 192)      # cell sizes 1/16, 1/32, 1/64
 BBOX = (-1.5, 1.5)

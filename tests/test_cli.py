@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+import scipy.sparse.linalg as spla
 
+import tracefem
 from tracefem import heatsolver
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
                           EXIT_OK, _KEYS, Pipeline, _heat_run, fmt,
@@ -57,6 +63,19 @@ BAD_VALUES = [
     ("diagnose", {"seed": "a"}),
     ("diagnose", {"seed": 1.0}),
 ]
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, so warnings reach its real stderr:
+    (exit code, stderr lines)."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tracefem.__file__)
+                                          .parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "tracefem.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr.splitlines()
 
 
 def write_cfg(path, **overrides):
@@ -156,6 +175,11 @@ class TestSubcommands:
         text = (out / "quadcheck.csv").read_text()
         assert text.splitlines()[0].startswith("n_cells,")
         assert len(text.splitlines()) == 3
+
+    def test_quadcheck_circle_stderr_empty(self, tmp_path):
+        code, err = run_cli("quadcheck", "--config", "configs/circle.json",
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_OK and err == []
 
     @pytest.mark.parametrize("sub", ["quadcheck", "project", "heat",
                                      "diagnose", "dtsweep", "converge"])
@@ -317,6 +341,27 @@ class TestNumericalFailure:
         assert err.endswith(" > 1e-11")
         lines = (out / "quadcheck.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("24,")
+
+    def test_grazing_run_fails_in_one_line(self, tmp_path):
+        # the circle grazes mesh edges at n_cells=48; the dropped
+        # contacts are counted, not printed
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_cells":[48],"q_surf":1,"k_max":1}')
+        code, err = run_cli("quadcheck", "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    def test_lanczos_no_convergence(self, tmp_path, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16])
+        err = self._fails(capsys, ["diagnose", "--config", cfg,
+                                   "--out", str(tmp_path / "out")])
+        assert err == ("numerical failure: Lanczos: "
+                       "ARPACK error -1: No convergence")
 
     def test_diagnose_audit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(DiscreteOperators, "dual_norm",

@@ -133,6 +133,13 @@ class TestTopology:
     def test_positive_weights(self, setup96):
         assert (setup96.topology.w >= 0).all()
 
+    def test_grazing_contacts_counted(self, setup48):
+        # the grid lines x = +-1 and y = +-1 touch the centred unit circle
+        assert setup48.topology.dropped_contacts > 0
+        surf = LevelSetSurface.circle((0.13, -0.07), 1.0)
+        am = select_active(setup48.background, surf)
+        assert build_topology(surf, am).dropped_contacts == 0
+
     def test_spectral_accuracy(self):
         surf = LevelSetSurface.circle((0.0, 0.0), 1.0)
         bg = build_background((-1.5, 1.5), 48)    # h = 1/16

@@ -60,7 +60,7 @@ class TestLambda:
         inv = []
         for k_max in (128, 256):
             ops = DiscreteOperators(system, assemble_fourier(topo, k_max))
-            inv.append(dg.lambda_h(ops, dg._dual_gram(ops))[1])
+            inv.append(dg.lambda_h(ops, dg._dual_operators(ops))[1])
         assert inv[1] >= inv[0] - 1e-9
         assert abs(inv[1] - inv[0]) / inv[0] <= 0.01
 

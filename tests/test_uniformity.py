@@ -1,0 +1,64 @@
+"""The constants of the theory stay bounded in h and over circle placements.
+
+The paper claims ||P_h||_H1*, C_inv,h and the conditioning of the
+stabilized matrices are bounded uniformly in h, independently of how
+the circle cuts the bulk mesh.  ``test_constants_uniform_to_768`` checks
+the criterion-3 and criterion-6 bounds on the ladder 48...768 (marked
+slow); ``test_cut_independence`` checks the variation over 48/96/192 for
+each of six fixed placements, including vertex hits and a radius near
+the resolution limit.
+"""
+
+import pytest
+
+from tracefem import diagnostics as dg
+from tracefem.cli import Pipeline
+
+from conftest import CONFIG, LADDER
+
+LONG_LADDER = LADDER + (384, 768)
+DTS = [2.0 ** (-e) for e in range(4, 25)]     # the shipped dtsweep list
+
+# (center, radius); None centres the circle half a cell of each rung
+# off the origin in x and y
+PLACEMENTS = {
+    "through_vertices": ((0.0, 0.0), 1.0),
+    "near_vertex_hit": ((0.0, 0.0), 1.0 + 1e-9),
+    "off_centre": ((0.13, -0.07), 1.0),
+    "half_cell_shift": (None, 1.0),
+    "radius_0.8": ((0.0, 0.0), 0.8),
+    "radius_0.25": ((0.0, 0.0), 0.25),
+}
+
+
+def variation(values):
+    return max(values) / min(values)
+
+
+@pytest.mark.slow
+def test_constants_uniform_to_768():
+    reports, plateau = [], []
+    for n in LONG_LADDER:
+        s = Pipeline(CONFIG, n)
+        reports.append(dg.constants_report(s.ops))
+        plateau += [dg.condition_number(s.system, dt, stabilized_time=True)
+                    for dt in DTS if dt <= s.mesh.h ** 2]
+    # criterion 3
+    assert variation([r.norm_Ph_H1star for r in reports]) <= 2.0
+    assert variation([r.C_inv_h for r in reports]) <= 2.0
+    # criterion 6, with the kappa(B_*) plateau pooled over the ladder
+    assert variation(plateau) <= 10.0
+    assert variation([r.kappa_Pstar for r in reports]) <= 2.0
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+def test_cut_independence(placement):
+    center, radius = PLACEMENTS[placement]
+    reports = []
+    for n in LADDER:
+        h_cell = (CONFIG["bbox"][1] - CONFIG["bbox"][0]) / n
+        c = (h_cell / 2, h_cell / 2) if center is None else center
+        s = Pipeline(dict(CONFIG, center=c, radius=radius), n)
+        reports.append(dg.constants_report(s.ops))
+    for name in ("norm_Ph_H1star", "C_inv_h", "kappa_Pstar"):
+        assert variation([getattr(r, name) for r in reports]) <= 2.0, name
