@@ -18,18 +18,18 @@ nodes and summed per element.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .cutquad import oscillation_order
 from .errors import AliasRisk
 
-# Surface nodes per batched run of per-node work (assembly, Fourier
-# basis tables): the temporaries of larger runs stay resident through
-# the allocator and raise peak memory.
+# Surface nodes per batched run of per-element work (the Gram blocks and
+# the coupling matrix G): the temporaries of larger runs stay resident
+# through the allocator and raise peak memory.
 RUN_NODES = 128
 
 
@@ -197,13 +197,13 @@ def assemble_fourier(topology, k_max=128):
 
 def export_matrices(system, out_dir, prefix=""):
     """Write the assembled matrices in Matrix Market coordinate form."""
+    import scipy.io     # here: a CLI run that exports nothing skips its import
     mats = {
         "M": system.M, "A": system.A,
         "S_m1": system.S[-1], "S_0": system.S[0], "S_1": system.S[1],
         "M_star": system.M_star, "K_star": system.K_star,
         "K_aux": system.K_aux, "D": system.D,
     }
-    import os
     for name, m in mats.items():
         path = os.path.join(out_dir, "%s%s.mtx" % (prefix, name))
         scipy.io.mmwrite(path, sp.coo_matrix(m), symmetry="symmetric")

@@ -8,7 +8,8 @@ states are stepped into a buffer of CHUNK states that a consumer (the
 error fold, the heat series, the VTK writer) reads before it is reused,
 so memory does not grow with the number of steps.  The forcing's Riesz
 data and the error functionals of a manufactured solution are evaluated
-on blocks of steps.
+on blocks of BLOCK steps; each step block of the error fold forms the
+Fourier coefficients of du/dt at its own step midpoints.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ BLOCK = 8                     # steps per stacked data/functional evaluation
 # (1.8 MB at n=192) in place of the whole trajectory.  A multiple of BLOCK,
 # so the blocks of a chunk are the blocks of the run.
 CHUNK = 256
-# Steps whose du/dt Fourier coefficients are formed in one call, ahead of
-# the states that use them: COEF_CHUNK x n_modes doubles (8.4 MB at k_max
-# 128).  A multiple of RUN_NODES (and of BLOCK), so every row sums the same
-# time run as one call over the whole grid would; each further call
-# evaluates the Fourier basis on every node again.
-COEF_CHUNK = 4096
 
 # scheme -> c0, the coefficient of Mt/dt in the one-step matrix
 SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
@@ -216,8 +211,9 @@ class ErrorFold:
     the companion integral int_I E_L2*^2.  The squared errors are kept one
     float per step and evaluated on blocks of BLOCK states or steps,
     aligned to multiples of BLOCK in the run; a step block waits for the
-    state that ends it, which may come with the next chunk.  Feed it every
-    state of the run in order, then read ``record``.
+    state that ends it, which may come with the next chunk, and then forms
+    the Fourier coefficients of du/dt at its own step midpoints.  Feed it
+    every state of the run in order, then read ``record``.
     """
 
     def __init__(self, operators, config, manufactured=None):
@@ -231,7 +227,6 @@ class ErrorFold:
         self.hm1_sq = np.empty(len(self.times) - 1)
         self.e0 = None
         self.open = None              # states of the step block still open
-        self.coef, self.coef_first = np.empty((0, 0)), 0
 
     def __call__(self, first, states):
         ops, man = self.ops, self.man
@@ -250,23 +245,16 @@ class ErrorFold:
         n = len(states) - 1               # steps with both ends held
         if first + n < len(self.times) - 1:
             n -= n % BLOCK                # the last block waits for its end
-        self.hm1_sq[first:first + n] = blockwise(
-            lambda b: ops.error_hm1_star(
-                self._coef(first + b.start, first + b.stop),
-                np.diff(states[b.start:b.stop + 1], axis=0) / self.dt) ** 2,
-            n)
-        self.open = states[n:].copy()
 
-    def _coef(self, start, stop):
-        """Fourier coefficients of du/dt at the midpoints of steps start to
-        stop; the blocks come in order, and the first past the formed rows
-        forms those of the next COEF_CHUNK steps."""
-        if start >= self.coef_first + len(self.coef):
-            self.coef_first = start
-            t = self.times[start:start + COEF_CHUNK + 1]
-            self.coef = self.ops.function_coefficients(
-                self.man.dt_value, 0.5 * (t[:-1] + t[1:]))
-        return self.coef[start - self.coef_first:stop - self.coef_first]
+        def hm1_sq(b):
+            t = self.times[first + b.start:first + b.stop + 1]
+            coef = ops.function_coefficients(man.dt_value,
+                                             0.5 * (t[:-1] + t[1:]))
+            dudt = np.diff(states[b.start:b.stop + 1], axis=0) / self.dt
+            return ops.error_hm1_star(coef, dudt) ** 2
+
+        self.hm1_sq[first:first + n] = blockwise(hm1_sq, n)
+        self.open = states[n:].copy()
 
     def record(self):
         dt = self.dt

@@ -14,8 +14,11 @@ operators built once: ``trace`` (P1 values) and ``dtrace`` (tangential
 derivatives).  The error functionals and the L2*, dual and H^-1 norms
 take one coefficient vector or a stack (k, n_dofs), with times (k,) for
 data, so a time series is evaluated a block of steps at a time.  The
-H^-1 error takes the Fourier coefficients of the smooth function
-(``function_coefficients``, formed once for a time grid) instead of it.
+H^-1 error takes the Fourier coefficients of the smooth function instead
+of it.  The circle is represented exactly, so ``function_coefficients``
+integrates a smooth function on it with one rfft over equispaced angles;
+whatever couples the discrete space (the Riesz data, the trace errors,
+the probe's G) keeps the cut quadrature.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import RUN_NODES
 from .errors import SolveFailure
 
 
@@ -168,25 +170,31 @@ class DiscreteOperators:
         return (self.trace @ np.transpose(x)).T
 
     def function_coefficients(self, v, t=None):
-        """Fourier coefficients (v, e_m) of a function of theta;
-        (k, n_modes) for times t (k,).
+        """Fourier coefficients (v, e_m)_Gamma of a smooth function of
+        theta; (k, n_modes) for times t (k,).
 
-        The basis is evaluated on one run of RUN_NODES nodes at a time and
-        dropped; each node run adds its share for runs of RUN_NODES times,
-        so no (n_nodes, n_modes) or (k, n_nodes) array is formed.
+        The circle is represented exactly, so these do not depend on the
+        mesh: v is taken at the M = 4 k_max + 4 angles 2 pi j / M, and one
+        rfft gives the periodic trapezoid rule for every mode at once.  It
+        is exact when v is a trigonometric polynomial of degree below
+        M - k_max and converges exponentially for analytic v.  Each mode is
+        scaled to the orthonormal basis of FourierProbe.eval_basis: 2 pi R / M
+        over sqrt(2 pi R) for the constant, over sqrt(pi R) for cos and sin,
+        the sin modes taking -Im.
         """
-        theta, w = self.topology.theta, self.topology.w
-        times = np.atleast_1d(0.0 if t is None else t).astype(float)
-        out = np.zeros((len(times), self.probe.n_modes))
-        for a in range(0, len(theta), RUN_NODES):
-            nodes = slice(a, a + RUN_NODES)
-            basis = self.probe.eval_basis(theta[nodes])
-            for s in range(0, len(times), RUN_NODES):
-                run = slice(s, s + RUN_NODES)
-                vals = (v(theta[nodes]) if t is None
-                        else v(theta[nodes], times[run, None]))
-                out[run] += (w[nodes] * vals) @ basis
-        return out[0] if np.ndim(t) == 0 else out
+        probe, r = self.probe, self.probe.radius
+        m = 4 * probe.k_max + 4
+        theta = 2.0 * np.pi / m * np.arange(m)
+        vals = (v(theta) if t is None
+                else v(theta, np.asarray(t, dtype=float)[..., None]))
+        f = np.fft.rfft(vals, axis=-1)[..., :probe.k_max + 1]
+        step = 2.0 * np.pi * r / m
+        out = np.empty(f.shape[:-1] + (probe.n_modes,))
+        out[..., 0] = step / np.sqrt(2.0 * np.pi * r) * f[..., 0].real
+        scale = step / np.sqrt(np.pi * r)
+        out[..., 1::2] = scale * f[..., 1:].real
+        out[..., 2::2] = -scale * f[..., 1:].imag
+        return out
 
     # -- error functionals ---------------------------------------------
     # Each takes one coefficient vector x and returns a float, or a stack

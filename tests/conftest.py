@@ -10,6 +10,8 @@ BBOX = (-1.5, 1.5)
 K_MAX = 128
 # the unit circle, q_surf 10 and c_res 0.5 come from the defaults
 CONFIG = dict(_DEFAULTS, bbox=BBOX, k_max=K_MAX)
+# an off-centre circle with R != 1, well inside the bbox
+OFF_CENTRE = dict(CONFIG, center=(0.13, -0.07), radius=0.8)
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,11 @@ def setup96(ladder):
 @pytest.fixture(scope="session")
 def setup192(ladder):
     return ladder[192]
+
+
+@pytest.fixture(scope="session")
+def off_centre96():
+    return Pipeline(OFF_CENTRE, 96)
 
 
 def _trajectory(ops, cfg, fold=None):

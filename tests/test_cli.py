@@ -403,3 +403,15 @@ def test_fmt_stability():
     assert fmt(3) == "3"
     assert fmt(True) == "1"
     assert fmt("h2/4") == "h2/4"
+
+
+def test_cli_import_leaves_out_scipy_io():
+    # scipy.io is imported by export_matrices alone, not on every CLI run
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tracefem.__file__)
+                                          .parents[1]))
+    code = ("import sys, tracefem.cli; "
+            "sys.exit(any(m.split('.')[:2] == ['scipy', 'io'] "
+            "for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -166,8 +166,7 @@ class TestErrorAccumulation:
     def test_memory_flat_in_steps(self, setup48, monkeypatch):
         # Stepping and the error pass keep no trajectory and no per-step
         # coefficient table: a run twice as long, both spanning several
-        # coefficient and state chunks, peaks less than 10 % higher.
-        monkeypatch.setattr(heatsolver, "COEF_CHUNK", 128)
+        # state chunks, peaks less than 10 % higher.
         monkeypatch.setattr(heatsolver, "CHUNK", 64)
         s = setup48
         man = MANUFACTURED["forced_mode_2"]

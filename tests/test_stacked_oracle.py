@@ -4,27 +4,34 @@ the streamed run against the whole-trajectory one.
 The functions prefixed ``old_`` are the per-step error functionals, the
 ``bincount`` Riesz data taken one step end at a time, the einsum
 gathers of P1 values and tangential gradients at the surface nodes, the
-Fourier coefficients formed against a whole (n_nodes, n_modes) basis
-table and the per-step maximal-regularity ratio that the sparse trace
-operators, the node runs and the block loop replaced.  They live here
-only as a reference.  Error records, time series, node values, Fourier
-coefficients and the ratio must agree to 1e-13 relative; the Riesz data
-(single or stacked times), the forced trajectories and the Fourier
-basis bit for bit; and a stack of one must equal the single-vector call.
+Fourier coefficients summed over the cut nodes against a whole
+(n_nodes, n_modes) basis table and the per-step maximal-regularity ratio
+that the sparse trace operators, the exact-circle rfft and the block
+loop replaced.  They live here only as a reference.  Error records, time
+series, node values and the ratio must agree to 1e-13 relative; the
+per-step error record forms each step's Fourier coefficients by the
+exact-circle rule one step at a time, so it checks the stacking.  The
+cut-node coefficients must agree with the exact-circle ones within the
+bound argued in ``test_function_coefficients_within_cut_rule_bound``,
+and to 1e-13 relative on the ladder.  The Riesz data (single or stacked
+times), the forced trajectories and the Fourier basis must agree bit for
+bit, and a stack of one must equal the single-vector call.
 
 The functions prefixed ``whole_`` are the run that kept the whole
 (nsteps + 1, n_dofs) trajectory, the error pass over it in blocks and the
 heat series taken from it, which the chunked run, the error fold and the
 heat consumer replaced: every error record field and every heat column
-must be equal to them, with the chunk constants as shipped and small.
+must be equal to them, with the state chunk as shipped and small.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from tracefem import heatsolver
-from tracefem.assembly import RUN_NODES
 from tracefem.cli import _heat_run, cmd_heat
+from tracefem.cutquad import arc_cover_defect
 from tracefem.diagnostics import max_regularity_ratio
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorRecord, HeatRun,
                                  HeatStepper, accumulate_errors, blockwise,
@@ -136,9 +143,8 @@ def old_error_h1_star(ops, v, dv, x, t):
     return float(np.sqrt(acc + max(x @ (ops.system.S[1] @ x), 0.0)))
 
 
-def old_error_hm1_star(ops, basis, v, x, t):
-    coef = basis.T @ (ops.topology.w * _at_nodes(ops, v, t))
-    c = coef - ops.probe.G.T @ x
+def old_error_hm1_star(ops, v, x, t):
+    c = ops.function_coefficients(v, t) - ops.probe.G.T @ x
     hm1 = np.sum(c ** 2 * ops.probe.Hm1_gram)
     return float(np.sqrt(hm1 + max(x @ (ops.system.S[-1] @ x), 0.0)))
 
@@ -147,7 +153,6 @@ def old_accumulate_errors(ops, cfg, history, man):
     dt = cfg.dt
     hist = list(history)
     times = dt * np.arange(len(hist))
-    basis = old_eval_basis(ops.probe, ops.topology.theta)
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
     e0 = old_error_l2_star(ops, man.value, hist[0], times[0])
@@ -159,8 +164,7 @@ def old_accumulate_errors(ops, cfg, history, man):
     for n in range(len(hist) - 1):
         dudt = (hist[n + 1] - hist[n]) / dt
         t_mid = 0.5 * (times[n] + times[n + 1])
-        hm1_sq[n] = old_error_hm1_star(ops, basis, man.dt_value, dudt,
-                                       t_mid) ** 2
+        hm1_sq[n] = old_error_hm1_star(ops, man.dt_value, dudt, t_mid) ** 2
     int_h1 = float(dt * trap @ h1_sq)
     int_l2 = float(dt * trap @ l2_sq)
     int_hm1 = float(dt * np.sum(hm1_sq))
@@ -247,7 +251,6 @@ def _config(scheme, man, nsteps=NSTEPS):
 
 def test_step_count_is_not_a_block_multiple():
     assert NSTEPS % BLOCK and (NSTEPS + 1) % BLOCK
-    assert 300 % RUN_NODES
 
 
 @pytest.mark.parametrize("n", [48, 96])
@@ -300,7 +303,7 @@ def _travelling(theta, t):
     (lambda th: np.exp(np.sin(th)), None),
     (_travelling, 0.3),
     (_travelling, np.linspace(0.0, 2.0, 37)),
-    (_travelling, np.linspace(0.0, 2.0, 300)),     # not a multiple of the run
+    (_travelling, np.linspace(0.0, 2.0, 300)),     # many blocks of times
 ], ids=["no-t", "scalar-t", "37-times", "300-times"])
 def test_function_coefficients_match_table(ladder, n, v, t):
     ops = ladder[n].ops
@@ -308,6 +311,78 @@ def test_function_coefficients_match_table(ladder, n, v, t):
     old = old_function_coefficients(ops, v, t)
     assert new.shape == old.shape
     assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
+
+
+# A trigonometric polynomial of degree K_TRIG in theta with |v| <= V_TRIG
+# (the sum of its coefficients) for t >= 0, evaluated in C_TRIG roundings
+# after its angle products.
+K_TRIG, V_TRIG, C_TRIG = 5, 2.5, 16
+
+
+def _trig(theta, t):
+    return np.exp(-t) * (0.5 + np.cos(theta) - 0.7 * np.sin(3.0 * theta)
+                         + 0.3 * np.cos(5.0 * theta - 1.0))
+
+
+@pytest.mark.parametrize("placement", ["setup48", "setup96", "setup192",
+                                       "off_centre96"])
+def test_function_coefficients_within_cut_rule_bound(request, placement):
+    """The exact-circle coefficients against the cut-node ones, within a
+    bound argued from the two rules, not measured from their difference.
+
+    Let v be the trigonometric polynomial ``_trig`` of degree K, |v| <= V,
+    and e_m a basis function of frequency at most k_max, |e_m| <= s with
+    s = 1 / sqrt(pi R).  Then g = v e_m has degree at most N = K + k_max
+    and |g| <= V s, and Bernstein's inequality gives |g^(r)| <= N^r V s.
+    With W = 2 pi R (or the computed arc length, if larger) and u the unit
+    roundoff, the difference of (v, e_m)_Gamma between the two routes is
+    bounded, for every mode and time, by the sum of:
+
+    * Gauss-Legendre.  The q-point rule on an arc of angular length L has
+      error R L^(2q+1) (q!)^4 / ((2q+1) ((2q)!)^3) |g^(2q)(xi)|
+      (Abramowitz & Stegun 25.4.30, scaled from [-1, 1]); summed over the
+      arcs, R c_q N^(2q) V s sum_a L_a^(2q+1).
+    * The cover.  The arcs cover [0, 2 pi) up to ``arc_cover_defect``
+      delta, which changes the integral by at most R delta V s.
+    * Rounding on the cut nodes (first order; Theta = max |theta|).  The
+      computed angles are off by at most 4 u Theta, which moves g by
+      N V s 4 u Theta; e_m is evaluated at the rounded k theta, off by
+      u k_max Theta, plus 3 roundings; v at the rounded j theta, off by
+      u K Theta, plus C roundings of at most u V each; the weights carry
+      5 roundings and each product 2; the sum of n_nodes terms adds
+      gamma_n = n u / (1 - n u) of the sum of their magnitudes, itself at
+      most W V s.  Together W V s (u (5 N Theta + C + 10) + gamma_n),
+      using k_max + K = N.
+    * Rounding of the exact-circle rule.  The trapezoid rule on
+      M = 4 k_max + 4 angles is exact for g, as N < M.  The angles
+      2 pi j / M are off by at most 3 u 2 pi, which with the evaluation of
+      v costs u V (8 pi K + C).  Each output of a mixed-radix FFT of
+      length M = prod p_i sums every input along one path of a p_i-term
+      sum and a twiddle product per pass, so it is off by at most
+      u sum_i (p_i + 4) <= u (M + 4 log2 M) times sum_j |v_j| <= M V; the
+      scale W s / M adds 5 roundings.  Together
+      W V s u (8 pi K + C + M + 4 log2 M + 5).
+    """
+    ops = request.getfixturevalue(placement).ops
+    topo, probe = ops.topology, ops.probe
+    u = np.finfo(float).eps / 2
+    r, k_max, q = probe.radius, probe.k_max, topo.q_surf
+    n_top, s = K_TRIG + k_max, 1.0 / np.sqrt(np.pi * r)
+    w_total = max(2.0 * np.pi * r, topo.total_length)
+    arc = topo.arc_ends[:, 1] - topo.arc_ends[:, 0]
+    c_q = math.factorial(q) ** 4 / ((2 * q + 1) * math.factorial(2 * q) ** 3)
+    gauss = r * c_q * np.sum(arc * (n_top * arc) ** (2 * q)) * V_TRIG * s
+    cover = r * arc_cover_defect(topo) * V_TRIG * s
+    n_nodes, theta_max = len(topo.w), np.abs(topo.theta).max()
+    m = 4 * k_max + 4
+    rounding = w_total * V_TRIG * s * (
+        u * (5 * n_top * theta_max + C_TRIG + 10)
+        + n_nodes * u / (1 - n_nodes * u)
+        + u * (8 * np.pi * K_TRIG + C_TRIG + m + 4 * np.log2(m) + 5))
+    times = np.linspace(0.0, 2.0, 9)
+    new = ops.function_coefficients(_trig, times)
+    old = old_function_coefficients(ops, _trig, times)
+    assert np.abs(new - old).max() <= gauss + cover + rounding
 
 
 @pytest.mark.parametrize("n", [48, 96])
@@ -368,26 +443,21 @@ def test_stack_of_one_equals_single_call(setup48):
 
 # -- the streamed run against the whole trajectory -----------------------------
 
-# (CHUNK, COEF_CHUNK): as shipped, and small enough that a run crosses many
-# state chunks and several coefficient chunks
-CHUNKS = [None, (24, RUN_NODES)]
-STREAM_STEPS = 301           # not a multiple of BLOCK, 24, 128, 256 or 4096
+# CHUNK as shipped, and small enough that a run crosses many state chunks
+CHUNKS = [None, 24]
+STREAM_STEPS = 301           # not a multiple of BLOCK, 24 or 256
 
 
-def _chunks(monkeypatch, chunks):
-    if chunks is not None:
-        monkeypatch.setattr(heatsolver, "CHUNK", chunks[0])
-        monkeypatch.setattr(heatsolver, "COEF_CHUNK", chunks[1])
+def _chunks(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(heatsolver, "CHUNK", chunk)
 
 
 def test_stream_sizes():
     assert heatsolver.CHUNK % BLOCK == 0
-    assert heatsolver.COEF_CHUNK % RUN_NODES == 0
-    assert heatsolver.COEF_CHUNK % BLOCK == 0
-    for chunk, coef_chunk in [c for c in CHUNKS if c is not None]:
-        assert chunk % BLOCK == 0 and coef_chunk % RUN_NODES == 0
+    for chunk in [c for c in CHUNKS if c is not None]:
+        assert chunk % BLOCK == 0
         assert STREAM_STEPS % chunk and (STREAM_STEPS + 1) % chunk
-        assert STREAM_STEPS > 2 * coef_chunk and STREAM_STEPS % coef_chunk
     assert STREAM_STEPS % BLOCK and (STREAM_STEPS + 1) % BLOCK
 
 
