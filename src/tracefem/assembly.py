@@ -159,16 +159,55 @@ class FourierProbe:
         return out
 
 
+def _moments(basis, w, radius):
+    """Weighted moments sum_n w_n cos(m theta_n) and sum_n w_n sin(m theta_n)
+    for m = 0..2 k_max, times 1 / (pi R): an array (2, 2 k_max + 1).
+
+    Read from the basis values (N, 2 k_max + 1) at the nodes; above k_max
+    through cos((k_max + j) t) = cos(k_max t) cos(j t) - sin(k_max t) sin(j t)
+    and sin((k_max + j) t) = sin(k_max t) cos(j t) + cos(k_max t) sin(j t).
+    """
+    scale = 1.0 / np.sqrt(np.pi * radius)
+    bc, bs = basis[:, 1::2], basis[:, 2::2]
+    wc, ws = w * bc[:, -1], w * bs[:, -1]
+    return np.stack([
+        np.concatenate([[scale * scale * w.sum()], scale * (w @ bc),
+                        wc @ bc - ws @ bs]),
+        np.concatenate([[0.0], scale * (w @ bs), ws @ bc + wc @ bs]),
+    ])
+
+
+def _gram(moments):
+    """The Gram matrix of the Fourier basis under the node weights, from
+    its moments (see _moments) by the product-to-sum identities."""
+    c, s = moments
+    k_max = (len(c) - 1) // 2
+    k = np.arange(1, k_max + 1)
+    diff = np.abs(k[:, None] - k)
+    both = k[:, None] + k
+    gram = np.empty((2 * k_max + 1, 2 * k_max + 1))
+    gram[0, 0] = 0.5 * c[0]
+    gram[0, 1::2] = gram[1::2, 0] = c[1:k_max + 1] / np.sqrt(2.0)
+    gram[0, 2::2] = gram[2::2, 0] = s[1:k_max + 1] / np.sqrt(2.0)
+    gram[1::2, 1::2] = 0.5 * (c[diff] + c[both])
+    gram[2::2, 2::2] = 0.5 * (c[diff] - c[both])
+    # row cos(j t), column sin(k t): (sin((k + j) t) + sin((k - j) t)) / 2
+    cross = 0.5 * (s[both] + np.sign(k - k[:, None]) * s[diff])
+    gram[1::2, 2::2] = cross
+    gram[2::2, 1::2] = cross.T
+    return gram
+
+
 def assemble_fourier(topology, k_max=128):
     """Build the Fourier probe and its FE coupling matrix G."""
     mesh = topology.mesh
     radius = topology.surface.radius
     h = mesh.h
-    needed = oscillation_order(k_max, h, q_surf=0)   # no default floor
+    needed = oscillation_order(k_max, h, radius, q_surf=0)   # no floor
     if topology.q_surf < needed:
         raise AliasRisk(
-            "q_surf=%d too low for k_max=%d at h=%.3g (need %d)"
-            % (topology.q_surf, k_max, h, needed))
+            "q_surf=%d too low for k_max=%d at h=%.3g, R=%.3g (need %d)"
+            % (topology.q_surf, k_max, h, radius, needed))
 
     k = np.zeros(2 * k_max + 1)
     k[1::2] = np.arange(1, k_max + 1)
@@ -183,15 +222,15 @@ def assemble_fourier(topology, k_max=128):
     w = topology.w
     wbary = topology.bary * w[:, None]
     probe.G = np.zeros((mesh.n_dofs, probe.n_modes))
-    gram = np.zeros((probe.n_modes, probe.n_modes))
+    moments = np.zeros((2, 2 * k_max + 1))
     for els, nodes, shape in _element_runs(topology):
         basis = probe.eval_basis(topology.theta[nodes])
         blocks = wbary[nodes].reshape(*shape, 3).transpose(0, 2, 1) \
             @ basis.reshape(*shape, -1)
         np.add.at(probe.G, mesh.elements[els], blocks)
-        gram += (basis * w[nodes, None]).T @ basis
+        moments += _moments(basis, w[nodes], radius)
     probe.orthonormality_defect = float(
-        np.abs(gram - np.eye(probe.n_modes)).max())
+        np.abs(_gram(moments) - np.eye(probe.n_modes)).max())
     return probe
 
 

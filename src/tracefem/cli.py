@@ -145,7 +145,8 @@ class Pipeline:
         self.background = build_background(cfg["bbox"], n_cells)
         self.mesh = select_active(self.background, self.surface)
         check_resolution(self.surface, self.mesh, cfg["c_res"])
-        q = oscillation_order(cfg["k_max"], self.mesh.h, cfg["q_surf"])
+        q = oscillation_order(cfg["k_max"], self.mesh.h, self.surface.radius,
+                              cfg["q_surf"])
         self.topology = build_topology(self.surface, self.mesh, q_surf=q)
         self.system = assemble(self.mesh, self.topology)
         self.probe = assemble_fourier(self.topology, cfg["k_max"]) \

@@ -2,11 +2,13 @@
 
 Each active triangle intersects the circle in a union of arcs.  The arc
 endpoints come from per-edge quadratics (solved with the stabilized
-b-sign discriminant trick); the intersection angles are sorted and the
-angular intervals classified by a midpoint-in-triangle test; this is
-the only per-element loop.  Surface quadrature is Gauss-Legendre in the
-angle, generated for all arcs at once into one flat node table; volume
-quadrature is a symmetric 6-point rule exact to total degree 4.
+b-sign discriminant trick); the intersection angles are sorted, merged
+and the angular intervals classified by a midpoint-in-triangle test.
+The cut works on all active triangles at once: the only loop runs over
+the at most six angle columns of an element.  Surface quadrature is
+Gauss-Legendre in the angle, generated for all arcs at once into one
+flat node table; volume quadrature is a symmetric 6-point rule exact to
+total degree 4.
 """
 
 from __future__ import annotations
@@ -36,78 +38,89 @@ _MIN_ARC = 1e-12          # arcs narrower than this are measure-zero noise
 _GRAZE = 1e-14            # discriminant band treated as tangential contact
 
 
-def _edge_circle_angles(p0, p1, center, radius):
-    """Angles (about the center) where segment p0-p1 meets the circle,
-    and whether a grazing (tangential) contact was dropped."""
-    d = p1 - p0
-    e = p0 - center
-    a = float(d @ d)
-    b = 2.0 * float(d @ e)
-    c = float(e @ e) - radius * radius
+def cut_triangles(tri, center, radius):
+    """Arcs of the circle inside each closed triangle of tri (n, 3, 2).
+
+    Returns the arcs as rows (theta0, theta1), theta1 > theta0, element
+    by element and in increasing angle within an element (an arc
+    crossing the branch cut ends beyond 2 pi), the owning element of
+    each arc, and the number of element edges whose grazing contact
+    with the circle was dropped.
+    """
+    tri = np.asarray(tri, dtype=float)
+    center = np.asarray(center, dtype=float)
+    # edge k runs from vertex k to vertex k + 1: arrays (n, 3)
+    d = tri[:, [1, 2, 0]] - tri
+    e = tri - center
+    a = np.vecdot(d, d)
+    b = 2.0 * np.vecdot(d, e)
+    c = np.vecdot(e, e) - radius * radius
     disc = b * b - 4.0 * a * c
-    if 0.0 <= disc < _GRAZE * max(1.0, b * b):
-        return [], True
-    if disc <= 0.0:
-        return [], False
-    sq = np.sqrt(disc)
+    grazed = (disc >= 0.0) & (disc < _GRAZE * np.maximum(1.0, b * b))
+    crosses = (disc > 0.0) & ~grazed
+    sq = np.sqrt(np.where(crosses, disc, 0.0))
     # Stabilized roots: q = -(b + sign(b) sqrt(disc)) / 2 avoids cancellation.
-    q = -0.5 * (b + np.copysign(sq, b)) if b != 0.0 else 0.5 * sq
-    roots = [q / a]
-    if q != 0.0:
-        roots.append(c / q)
-    angles = []
-    for t in roots:
-        if -1e-12 <= t <= 1.0 + 1e-12:
-            x = p0 + min(max(t, 0.0), 1.0) * d
-            angles.append(float(np.arctan2(x[1] - center[1], x[0] - center[0])))
-    return angles, False
+    q = np.where(b != 0.0, -0.5 * (b + np.copysign(sq, b)), 0.5 * sq)
+    second = crosses & (q != 0.0)
+    t = np.stack([q / a, c / np.where(second, q, 1.0)], axis=-1)
+    hit = np.stack([crosses, second], axis=-1) \
+        & (t >= -1e-12) & (t <= 1.0 + 1e-12)
+    x = tri[:, :, None] + np.clip(t, 0.0, 1.0)[..., None] * d[:, :, None]
+    angles = np.mod(np.arctan2(x[..., 1] - center[1], x[..., 0] - center[0]),
+                    TWO_PI).reshape(-1, 6)
+    hit = hit.reshape(-1, 6)
+    crossed = hit.any(axis=1)
+
+    # Sort each element's angles (misses last, as +inf) and merge
+    # duplicates (shared vertices report from two edges) column by column.
+    some = np.flatnonzero(crossed)
+    ang = np.sort(np.where(hit[some], angles[some], np.inf), axis=1)
+    keep = np.zeros(ang.shape, dtype=bool)
+    keep[:, 0] = True
+    last = ang[:, 0].copy()
+    for j in range(1, ang.shape[1]):
+        take = (ang[:, j] - last > _MIN_ARC) & np.isfinite(ang[:, j])
+        keep[:, j] = take
+        last[take] = ang[take, j]
+    count = keep.sum(axis=1)
+    # the last angle of an element wraps onto its first: drop the last
+    wrap = (count > 1) & ((ang[:, 0] + TWO_PI) - last <= _MIN_ARC)
+    keep[wrap, ang.shape[1] - 1 - np.argmax(keep[wrap, ::-1], axis=1)] = False
+    count -= wrap
+
+    # Candidate arcs run from each kept angle to the next, the last one
+    # to the first plus 2 pi; keep those whose midpoint is inside.
+    th0 = ang[keep]
+    owner = np.repeat(some, count)
+    th1 = np.empty_like(th0)
+    th1[:-1] = th0[1:]
+    closes = np.cumsum(count) - 1
+    th1[closes] = ang[:, 0] + TWO_PI
+    mid = 0.5 * (th0 + th1)
+    p = center + radius * np.stack([np.cos(mid), np.sin(mid)], axis=-1)
+    inside = (th1 - th0 >= _MIN_ARC) \
+        & (barycentric(tri[owner], p).min(axis=-1) >= -1e-12)
+    ends = np.column_stack([th0, th1])[inside]
+    owner = owner[inside]
+
+    # An element no edge crosses holds the whole circle or none of it.
+    none = np.flatnonzero(~crossed)
+    probe = center + np.array([radius, 0.0])
+    full = none[barycentric(tri[none], probe).min(axis=-1) >= 0.0]
+    ends = np.concatenate([ends, np.tile([0.0, TWO_PI], (len(full), 1))])
+    owner = np.concatenate([owner, full])
+    order = np.argsort(owner, kind="stable")
+    return ends[order], owner[order], int(grazed.sum())
 
 
 def intersect_element(tri, center, radius):
     """Arcs of the circle inside the closed triangle.
 
-    Returns a list of (theta0, theta1) with theta1 > theta0; an arc
-    crossing the branch cut is reported with theta1 > pi.
+    Returns a list of (theta0, theta1) with theta1 > theta0, the arcs of
+    ``cut_triangles`` for this one triangle.
     """
-    return _cut_element(tri, center, radius)[0]
-
-
-def _cut_element(tri, center, radius):
-    """The arcs of ``intersect_element`` and the number of the triangle's
-    edges whose grazing contact with the circle was dropped."""
-    tri = np.asarray(tri, dtype=float)
-    center = np.asarray(center, dtype=float)
-    angles, dropped = [], 0
-    for k in range(3):
-        hits, grazed = _edge_circle_angles(tri[k], tri[(k + 1) % 3],
-                                           center, radius)
-        angles.extend(hits)
-        dropped += grazed
-    if not angles:
-        probe = center + np.array([radius, 0.0])
-        if barycentric(tri, probe).min() >= 0.0:
-            return [(0.0, TWO_PI)], dropped
-        return [], dropped
-    angles = np.sort(np.mod(np.asarray(angles), TWO_PI))
-    # Merge duplicate angles (shared vertices report from two edges).
-    keep = [angles[0]]
-    for th in angles[1:]:
-        if th - keep[-1] > _MIN_ARC:
-            keep.append(th)
-    if len(keep) > 1 and (keep[0] + TWO_PI) - keep[-1] <= _MIN_ARC:
-        keep.pop()
-    angles = np.asarray(keep)
-
-    arcs = []
-    for i, th0 in enumerate(angles):
-        th1 = angles[i + 1] if i + 1 < len(angles) else angles[0] + TWO_PI
-        if th1 - th0 < _MIN_ARC:
-            continue
-        mid = 0.5 * (th0 + th1)
-        p = center + radius * np.array([np.cos(mid), np.sin(mid)])
-        if barycentric(tri, p).min() >= -1e-12:
-            arcs.append((float(th0), float(th1)))
-    return arcs, dropped
+    ends = cut_triangles(np.asarray(tri, dtype=float)[None], center, radius)[0]
+    return [(a, b) for a, b in ends.tolist()]
 
 
 def surface_rule(center, radius, arcs, q):
@@ -149,7 +162,6 @@ class CutTopology:
     surface: object
     mesh: object
     q_surf: int
-    arcs: list                # per element: list of (th0, th1)
     arc_ends: np.ndarray      # (n_arcs, 2) all arcs, element by element
     elem_ptr: np.ndarray      # (n_active + 1,) node offsets per element
     elem: np.ndarray          # (N,) node -> element
@@ -173,10 +185,23 @@ class CutTopology:
         """
         return np.split(self.w, self.elem_ptr[1:-1])
 
+    @property
+    def arcs(self):
+        """Per-element (k, 2) arrays of arc ends.
 
-def oscillation_order(k_max, h, q_surf=10):
-    """Gauss order needed to integrate modes up to k_max on O(h) arcs."""
-    return max(int(q_surf), int(np.ceil(k_max * h)) + 4)
+        Read only by the arc-count hook of perfbench/tracer.py; the
+        package itself works on arc_ends.
+        """
+        return np.split(self.arc_ends, self.elem_ptr[1:-1] // self.q_surf)
+
+
+def oscillation_order(k_max, h, radius, q_surf=10):
+    """Gauss order needed to integrate modes up to k_max on O(h) arcs.
+
+    The modes oscillate in the angle, and an arc of length h on a circle
+    of radius R spans h / R radians, so the order grows with k_max h / R.
+    """
+    return max(int(q_surf), int(np.ceil(k_max * h / radius)) + 4)
 
 
 def build_topology(surface, active_mesh, q_surf=10):
@@ -189,23 +214,13 @@ def build_topology(surface, active_mesh, q_surf=10):
     if len(small):
         raise SingularElement("active triangle %d has vanishing area" % small[0])
 
-    # The exact cut is the one per-element step; everything after it is
-    # stacked over all arcs.
-    arcs, ends, owner, dropped = [], [], [], 0
-    for e, t in enumerate(tri):
-        cut, grazed = _cut_element(t, center, radius)
-        arcs.append(cut)
-        dropped += grazed
-        ends.extend(cut)
-        owner.extend([e] * len(cut))
-    ends = np.reshape(np.asarray(ends, dtype=float), (-1, 2))
+    ends, owner, dropped = cut_triangles(tri, center, radius)
     pts, w, normals, theta = surface_rule(center, radius, ends, q)
-    elem = np.repeat(np.asarray(owner, dtype=np.int64), q)
+    elem = np.repeat(owner, q)
     counts = np.bincount(elem, minlength=len(tri))
     v_pts, v_w = volume_rule(tri)
     return CutTopology(
-        surface=surface, mesh=active_mesh, q_surf=q, arcs=arcs,
-        arc_ends=ends,
+        surface=surface, mesh=active_mesh, q_surf=q, arc_ends=ends,
         elem_ptr=np.concatenate([[0], np.cumsum(counts)]),
         elem=elem, pts=pts, w=w, normal=normals, theta=theta,
         bary=barycentric(tri[elem], pts),

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tracefem.cli import _DEFAULTS, Pipeline
+
+# Property tests draw the same examples on every run and keep no
+# example database, so a tier-1 run is reproducible and writes nothing.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 LADDER = (48, 96, 192)      # cell sizes 1/16, 1/32, 1/64
 BBOX = (-1.5, 1.5)

@@ -5,8 +5,31 @@ import pytest
 import scipy.io
 import scipy.linalg as sla
 
-from tracefem.assembly import assemble, assemble_fourier, export_matrices
+from tracefem.assembly import (FourierProbe, _element_runs, _gram, _moments,
+                               assemble, assemble_fourier, export_matrices)
+from tracefem.cutquad import build_topology, oscillation_order
 from tracefem.errors import AliasRisk
+from tracefem.geometry import LevelSetSurface
+from tracefem.mesh import build_background, select_active
+
+from conftest import BBOX, K_MAX, LADDER
+
+
+def _topology(radius, n, k_max=K_MAX, q_surf=None):
+    """The cut of the centred circle of the given radius on the n-cell
+    mesh, with the order oscillation_order gives unless q_surf is set."""
+    surface = LevelSetSurface.circle((0.0, 0.0), radius)
+    mesh = select_active(build_background(BBOX, n), surface)
+    if q_surf is None:
+        q_surf = oscillation_order(k_max, mesh.h, radius)
+    return build_topology(surface, mesh, q_surf=q_surf)
+
+
+def direct_gram(probe, topology):
+    """The Gram matrix of the Fourier basis under the surface nodes, as
+    one product of the full node-by-mode basis table."""
+    basis = probe.eval_basis(topology.theta)
+    return (basis * topology.w[:, None]).T @ basis
 
 
 class TestGramMatrices:
@@ -103,11 +126,59 @@ class TestFourierProbe:
         with pytest.raises(AliasRisk):
             assemble_fourier(setup48.topology, k_max=4096)
 
+    @pytest.mark.parametrize("radius", [0.5, 0.35])
+    def test_orthonormal_below_unit_radius(self, radius):
+        # an arc of length h spans h / R radians; an order that ignored R
+        # left defects of 4.9e-7 (R = 0.5) and 1.3e-4 (R = 0.35) here
+        probe = assemble_fourier(_topology(radius, 96), K_MAX)
+        assert probe.orthonormality_defect <= 1e-12
+
+    def test_order_unchanged_at_unit_radius(self, ladder):
+        expect = {48: 16, 96: 10, 192: 10}      # max(10, ceil(k_max h) + 4)
+        for n in LADDER:
+            h = ladder[n].mesh.h
+            assert oscillation_order(K_MAX, h, 1.0) == expect[n]
+            assert ladder[n].topology.q_surf == expect[n]
+
     def test_gram_shape(self, setup48):
         p = setup48.probe
         assert p.G.shape == (setup48.system.n_dofs, 2 * p.k_max + 1)
         assert p.H1_gram[0] == 1.0
         assert p.H1_gram[1] == pytest.approx(2.0)   # 1 + 1^2
+
+
+class TestGramFromMoments:
+    """The Gram matrix built from the weighted moments by product-to-sum
+    against the direct product of the basis table, within 1e-12 of the
+    largest entry; the probe's defect is read from the former."""
+
+    @staticmethod
+    def _both(probe, topology):
+        moments = sum(_moments(probe.eval_basis(topology.theta[nodes]),
+                               topology.w[nodes], probe.radius)
+                      for _, nodes, _ in _element_runs(topology))
+        return _gram(moments), direct_gram(probe, topology)
+
+    def test_ladder_and_off_centre(self, ladder, off_centre96):
+        for s in list(ladder.values()) + [off_centre96]:
+            moments, direct = self._both(s.probe, s.topology)
+            scale = np.abs(direct).max()
+            assert np.abs(moments - direct).max() <= 1e-12 * scale
+            eye = np.eye(s.probe.n_modes)
+            assert abs(s.probe.orthonormality_defect
+                       - np.abs(direct - eye).max()) <= 1e-12 * scale
+
+    def test_under_resolved_nodes(self):
+        # two Gauss points per arc cannot integrate modes up to 16: the
+        # defect is real, and the moment route must reproduce it
+        probe = FourierProbe(k_max=16, radius=0.7, H1_gram=None, Hm1_gram=None)
+        moments, direct = self._both(probe, _topology(0.7, 48, q_surf=2))
+        eye = np.eye(probe.n_modes)
+        defect = np.abs(direct - eye).max()
+        assert defect >= 1e-8
+        scale = np.abs(direct).max()
+        assert np.abs(moments - direct).max() <= 1e-12 * scale
+        assert abs(np.abs(moments - eye).max() - defect) <= 1e-12 * scale
 
 
 def test_matrix_market_roundtrip(tmp_path, setup48):

@@ -57,7 +57,7 @@ class TestIntersectElement:
         arcs = intersect_element(tri, (0.0, 0.0), 1.0)
         assert arcs == [(0.0, 2 * np.pi)]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.floats(-0.45, 0.45), st.floats(-0.45, 0.45),
            st.floats(0.3, 1.2))
     def test_against_angular_scan(self, cx, cy, radius):
@@ -144,7 +144,7 @@ class TestTopology:
         surf = LevelSetSurface.circle((0.0, 0.0), 1.0)
         bg = build_background((-1.5, 1.5), 48)    # h = 1/16
         am = select_active(bg, surf)
-        q = oscillation_order(64, am.h)
+        q = oscillation_order(64, am.h, 1.0)
         t1 = build_topology(surf, am, q_surf=q)
         t2 = build_topology(surf, am, q_surf=q + 4)
         for k in (1, 5, 17, 33, 64):

@@ -53,7 +53,7 @@ class TestLambda:
         from tracefem.cutquad import build_topology, oscillation_order
         from tracefem.operators import DiscreteOperators
         s = setup96
-        q = oscillation_order(256, s.mesh.h)
+        q = oscillation_order(256, s.mesh.h, s.surface.radius)
         topo = build_topology(s.surface, s.mesh, q_surf=q)
         from tracefem.assembly import assemble
         system = assemble(s.mesh, topo)

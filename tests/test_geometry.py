@@ -37,7 +37,7 @@ class TestClosestPoint:
             p = surf.closest_point(x)
             assert abs(np.hypot(*(p - surf.center)) - surf.radius) <= 1e-12
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.floats(0.15, 3.0), st.floats(-np.pi, np.pi))
     def test_idempotent(self, r, th):
         surf = unit_circle()

@@ -200,7 +200,7 @@ class TestNorms:
         s = setup48
         x = s.ops.project(np.cos)
         # doubling k_max needs a finer quadrature; rebuild the topology
-        q = oscillation_order(256, s.mesh.h)
+        q = oscillation_order(256, s.mesh.h, s.surface.radius)
         topo = build_topology(s.surface, s.mesh, q_surf=q)
         vals = []
         for k_max in (128, 256):

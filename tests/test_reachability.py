@@ -17,6 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tracefem"
 
 ALLOWED = {
     "s_w": "read by the node-count hook of perfbench/tracer.py",
+    "arcs": "read by the arc-count hook of perfbench/tracer.py",
     "max_regularity_ratio": "acceptance criterion 8 (maximal parabolic "
                             "regularity) is measured through it",
     "closest_point": "the exact closest-point projection the geometry "
