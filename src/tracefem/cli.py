@@ -204,7 +204,7 @@ def cmd_project(cfg, out):
         pipe = Pipeline(cfg, n)
         x = pipe.ops.project(man.value, 0.0)
         el2 = pipe.ops.error_l2_star(man.value, x, 0.0)
-        eh1 = pipe.ops.error_h1_star(man.value, man.dtheta, x, 0.0)
+        eh1 = pipe.ops.error_h1_star(man.value, man.dprofile, x, 0.0)
         rows.append([n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])
         if cfg["export_matrices"]:
             export_matrices(pipe.system, out, prefix="n%d_" % n)

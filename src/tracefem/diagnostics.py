@@ -26,7 +26,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import element_csr
 from .errors import EigFailure, SingularMatrix, SolveFailure
-from .heatsolver import blockwise
 from .operators import _Factor
 
 
@@ -178,37 +177,6 @@ def condition_number(system, dt, stabilized_time=True, literal=False):
 def kappa_pstar(system):
     """Condition number of the stabilized mass matrix M + S0."""
     return _kappa(system.M_star, "M + S0")
-
-
-def max_regularity_ratio(operators, history, dt, u0=None, f=None):
-    """Discrete maximal-parabolic-regularity ratio of a heat run.
-
-    (||Lap_h u_h||_{L2t H^-1_*} + ||d_t u_h||_{L2t H^-1_*}) /
-    (||f||_{L2t H^-1_Gamma} + ||u0||_{L2_Gamma}); the time integrals use
-    the trapezoid rule on the step grid and backward differences for
-    d_t u_h, over blocks of states.  Returns 0 for identically zero data.
-    """
-    history = np.asarray(history)
-    nsteps = len(history) - 1
-    lap_sq = blockwise(lambda b: operators.hm1_star(
-        operators.laplacian(history[b])) ** 2, len(history))
-    trap = np.ones(len(history))
-    trap[0] = trap[-1] = 0.5
-    lap_int = float(np.sqrt(dt * trap @ lap_sq))
-    dtu_sq = blockwise(lambda b: operators.hm1_star(
-        np.diff(history[b.start:b.stop + 1], axis=0) / dt) ** 2, nsteps)
-    dtu_int = float(np.sqrt(dt * np.sum(dtu_sq)))
-
-    den = 0.0
-    if u0 is not None:
-        den += operators.l2_gamma_of_function(u0)
-    if f is not None:
-        f_sq = blockwise(lambda b: operators.hm1_gamma_of_function(
-            f, dt * np.arange(b.start, b.stop)) ** 2, len(history))
-        den += float(np.sqrt(dt * trap @ f_sq))
-    if den == 0.0:
-        return 0.0
-    return (lap_int + dtu_int) / den
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """The circle Gamma in the plane and the mesh-resolution check.
 
-The curve Gamma is the circle |x - c| = R, with exact closest-point
-formulas.  The module provides the closest-point projection, the
-extended unit normal n(x) = n(p(x)), and the mesh-resolution check
-max_T h_T <= c_res / curvature_bound, which raises AssumptionViolation.
+The curve Gamma is the circle |x - c| = R.  The module provides the
+extended unit normal n(x) = n(p(x)) of the exact closest point p(x), and
+the mesh-resolution check max_T h_T <= c_res / curvature_bound, which
+raises AssumptionViolation.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ class LevelSetSurface:
         if np.any(r == 0.0):
             raise DegeneratePoint("closest point undefined at circle center")
         return d, r
-
-    def closest_point(self, x):
-        """Project points x (..., 2) onto Gamma with the exact radial formula."""
-        d, r = self._offset(x)
-        return self.center + self.radius * d / r
 
     def unit_normal(self, x):
         """Extended unit normal n(x) = n(p(x)) at points x (..., 2)."""

@@ -6,10 +6,12 @@ BDF1/BDF2/Crank-Nicolson coefficient choices.  Runs start from the
 stabilized projection of the initial datum and keep no trajectory: the
 states are stepped into a buffer of CHUNK states that a consumer (the
 error fold, the heat series, the VTK writer) reads before it is reused,
-so memory does not grow with the number of steps.  The forcing's Riesz
-data and the error functionals of a manufactured solution are evaluated
-on blocks of BLOCK steps; each step block of the error fold forms the
-Fourier coefficients of du/dt at its own step midpoints.
+so memory does not grow with the number of steps.  A manufactured
+solution is separable, u = a(t) g(theta), and so are its data; the
+forcing's Riesz data and the error functionals are evaluated on blocks of
+BLOCK steps, from the profile g tabulated once per mesh (see
+``operators``).  Each step block of the error fold forms the Fourier
+coefficients of du/dt at its own step midpoints.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .operators import _Factor
+from .operators import Separable, _Factor
 
-BLOCK = 8                     # steps per stacked data/functional evaluation
+BLOCK = 16                    # steps per stacked data/functional evaluation
 # States per buffer handed to a run's consumer: CHUNK x n_dofs doubles
 # (1.8 MB at n=192) in place of the whole trajectory.  A multiple of BLOCK,
 # so the blocks of a chunk are the blocks of the run.
@@ -33,40 +35,55 @@ SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
 
 def blockwise(fn, n):
     """Concatenate fn(b) over slices b of range(n) of at most BLOCK steps,
-    which bound the (k, n_nodes) temporaries of a stacked functional;
-    empty for n = 0."""
+    which bound the (k, n_dofs) temporaries of a stacked functional and
+    the (k, 4 k_max + 4) samples of the Fourier coefficients; empty for
+    n = 0."""
     return np.concatenate([np.empty(0)] + [fn(slice(a, min(a + BLOCK, n)))
                                            for a in range(0, n, BLOCK)])
 
 
 @dataclass
 class Manufactured:
-    """Exact solution u(theta, t) on the circle with the data it induces."""
+    """Exact solution u = a(t) g(theta) on the circle with the data it
+    induces: du/dt = a' g, du/dtheta = a g' and, g being an eigenmode of
+    the circle Laplacian, the forcing f = c(t) g.  u, du/dt and f are
+    ``Separable``, time factor times profile; the H1 error takes g'."""
 
-    value: object                 # u(theta, t)
-    dtheta: object                # du/dtheta
-    dt_value: object              # du/dt
-    forcing: object = None        # f(theta, t), None when zero
+    time: object                  # a(t)
+    dtime: object                 # a'(t)
+    profile: object               # g(theta)
+    dprofile: object              # g'(theta)
+    ftime: object = None          # c(t), None when f = 0
 
+    @property
+    def value(self):
+        return Separable(self.time, self.profile)
 
-def _decay(theta, t):
-    return np.exp(-t) * np.cos(theta)
+    @property
+    def dt_value(self):
+        return Separable(self.dtime, self.profile)
+
+    @property
+    def forcing(self):
+        return None if self.ftime is None else Separable(self.ftime,
+                                                         self.profile)
 
 
 MANUFACTURED = {
     # u = e^-t cos(theta): eigenmode of the circle Laplacian, f = 0.
     "decaying_mode": Manufactured(
-        value=_decay,
-        dtheta=lambda th, t: -np.exp(-t) * np.sin(th),
-        dt_value=lambda th, t: -np.exp(-t) * np.cos(th),
-        forcing=None,
+        time=lambda t: np.exp(-t),
+        dtime=lambda t: -np.exp(-t),
+        profile=np.cos,
+        dprofile=lambda th: -np.sin(th),
     ),
     # u = cos(t) cos(2 theta) on the unit circle: f = (4 cos t - sin t) cos(2 theta).
     "forced_mode_2": Manufactured(
-        value=lambda th, t: np.cos(t) * np.cos(2 * th),
-        dtheta=lambda th, t: -2.0 * np.cos(t) * np.sin(2 * th),
-        dt_value=lambda th, t: -np.sin(t) * np.cos(2 * th),
-        forcing=lambda th, t: (4.0 * np.cos(t) - np.sin(t)) * np.cos(2 * th),
+        time=np.cos,
+        dtime=lambda t: -np.sin(t),
+        profile=lambda th: np.cos(2 * th),
+        dprofile=lambda th: -2.0 * np.sin(2 * th),
+        ftime=lambda t: 4.0 * np.cos(t) - np.sin(t),
     ),
 }
 
@@ -78,7 +95,7 @@ class HeatRun:
     t_final: float = 0.5
     stabilized_time_derivative: bool = True
     u0: object = None             # u0(theta)
-    f: object = None              # f(theta, t), None when zero
+    f: Separable | None = None    # f(theta, t), None when zero
     manufactured: Manufactured | None = None
 
 
@@ -234,7 +251,7 @@ class ErrorFold:
         if first == 0:
             self.e0 = ops.error_l2_star(man.value, states[0], t[0])
         self.h1_sq[first:first + len(states)] = blockwise(
-            lambda b: ops.error_h1_star(man.value, man.dtheta, states[b],
+            lambda b: ops.error_h1_star(man.value, man.dprofile, states[b],
                                         t[b]) ** 2, len(states))
         self.l2_sq[first:first + len(states)] = blockwise(
             lambda b: ops.error_l2_star(man.value, states[b], t[b]) ** 2,

@@ -1,16 +1,24 @@
 """Shared fixtures: the mesh ladder is expensive, build it once."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tracefem.cli import _DEFAULTS, Pipeline
 
 # Property tests draw the same examples on every run and keep no
-# example database, so a tier-1 run is reproducible and writes nothing.
+# example database, so a tier-1 run is reproducible.  What hypothesis
+# still stores (its cache of the constants in the tested modules) goes to
+# a temporary directory removed at exit, so a run writes nothing under
+# the checkout.
 settings.register_profile("tier1", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("tier1")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 LADDER = (48, 96, 192)      # cell sizes 1/16, 1/32, 1/64
 BBOX = (-1.5, 1.5)

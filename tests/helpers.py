@@ -1,0 +1,82 @@
+"""Measurements and maps that only the tests use.
+
+The exact closest-point projection and the nodal interpolant of the
+normal extension, which the geometry and best-approximation tests check
+against, and the maximal-parabolic-regularity ratio of acceptance
+criterion 8 with the discrete Laplacian and the data norms it takes.
+"""
+
+import numpy as np
+
+from tracefem.heatsolver import blockwise
+from tracefem.operators import _root
+
+
+def closest_point(surface, x):
+    """Project points x (..., 2) onto the circle with the exact radial
+    formula; DegeneratePoint at the center."""
+    d, r = surface._offset(x)
+    return surface.center + surface.radius * d / r
+
+
+def nodal_interpolant(ops, v):
+    """Vertex values of the normal extension v(p(z)) of a function of theta."""
+    c = ops.topology.surface.center
+    z = ops.mesh.coords
+    theta = np.arctan2(z[:, 1] - c[1], z[:, 0] - c[0])
+    return np.asarray(v(theta), dtype=float)
+
+
+def laplacian(ops, x):
+    """Discrete Laplacian d with (M + S0) d = (A + S1) x; one vector or a
+    stack (k, n_dofs), solved as k right-hand sides at once.
+
+    Sign convention: for smooth v on the unit circle the trace of
+    laplacian(project(v)) approximates -Laplace-Beltrami(v), i.e. +v for
+    v = cos(theta).
+    """
+    return ops.mstar.solve(ops.system.A_star @ np.transpose(x)).T
+
+
+def l2_gamma_of_function(ops, v):
+    """||v||_L2(Gamma) of a function of theta by the cut quadrature."""
+    vals = np.asarray(v(ops.topology.theta))
+    return float(np.sqrt(ops.topology.w @ vals ** 2))
+
+
+def hm1_gamma_of_function(ops, v, t):
+    """Truncated H^-1 norm of a function of theta and t; k values for
+    times t (k,)."""
+    c = ops.function_coefficients(v, t)
+    return _root(np.atleast_2d(c) ** 2 @ ops.probe.Hm1_gram, c)
+
+
+def max_regularity_ratio(ops, history, dt, u0=None, f=None):
+    """Discrete maximal-parabolic-regularity ratio of a heat run.
+
+    (||Lap_h u_h||_{L2t H^-1_*} + ||d_t u_h||_{L2t H^-1_*}) /
+    (||f||_{L2t H^-1_Gamma} + ||u0||_{L2_Gamma}); the time integrals use
+    the trapezoid rule on the step grid and backward differences for
+    d_t u_h, over blocks of states.  Returns 0 for identically zero data.
+    """
+    history = np.asarray(history)
+    nsteps = len(history) - 1
+    lap_sq = blockwise(lambda b: ops.hm1_star(
+        laplacian(ops, history[b])) ** 2, len(history))
+    trap = np.ones(len(history))
+    trap[0] = trap[-1] = 0.5
+    lap_int = float(np.sqrt(dt * trap @ lap_sq))
+    dtu_sq = blockwise(lambda b: ops.hm1_star(
+        np.diff(history[b.start:b.stop + 1], axis=0) / dt) ** 2, nsteps)
+    dtu_int = float(np.sqrt(dt * np.sum(dtu_sq)))
+
+    den = 0.0
+    if u0 is not None:
+        den += l2_gamma_of_function(ops, u0)
+    if f is not None:
+        f_sq = blockwise(lambda b: hm1_gamma_of_function(
+            ops, f, dt * np.arange(b.start, b.stop)) ** 2, len(history))
+        den += float(np.sqrt(dt * trap @ f_sq))
+    if den == 0.0:
+        return 0.0
+    return (lap_int + dtu_int) / den

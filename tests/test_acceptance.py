@@ -12,6 +12,8 @@ from tracefem import diagnostics as dg
 from tracefem.cli import fit_rate
 from tracefem.heatsolver import HeatRun
 
+from helpers import max_regularity_ratio
+
 
 def report(name, ok, detail=""):
     print("[%s] %s %s" % ("PASS" if ok else "FAIL", name, detail))
@@ -153,8 +155,8 @@ def test_criterion_8_max_regularity(ladder, decay_runs):
     vals = []
     for n, s in ladder.items():
         result, hist, _ = decay_runs[n]
-        vals.append(dg.max_regularity_ratio(s.ops, hist,
-                                            result.config.dt, u0=u0))
+        vals.append(max_regularity_ratio(s.ops, hist, result.config.dt,
+                                         u0=u0))
     var = max(vals) / min(vals)
     ok = var <= 2.0
     report("criterion 8: maximal parabolic regularity", ok,

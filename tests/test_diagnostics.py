@@ -4,6 +4,8 @@ import pytest
 from tracefem import diagnostics as dg
 from tracefem.errors import SingularMatrix
 
+from helpers import max_regularity_ratio
+
 
 @pytest.fixture(scope="module")
 def reports(ladder):
@@ -122,16 +124,16 @@ class TestMaxRegularity:
     def test_zero_data(self, setup48):
         s = setup48
         hist = [np.zeros(s.system.n_dofs)] * 4
-        assert dg.max_regularity_ratio(s.ops, hist, 0.1) == 0.0
+        assert max_regularity_ratio(s.ops, hist, 0.1) == 0.0
 
     def test_scale_invariance(self, decay_runs, ladder):
         s = ladder[48]
         result, hist, _ = decay_runs[48]
         u0 = lambda th: np.cos(th)
-        r1 = dg.max_regularity_ratio(s.ops, hist, result.config.dt, u0=u0)
+        r1 = max_regularity_ratio(s.ops, hist, result.config.dt, u0=u0)
         scaled = [5.0 * x for x in hist]
         u0s = lambda th: 5.0 * np.cos(th)
-        r2 = dg.max_regularity_ratio(s.ops, scaled, result.config.dt, u0=u0s)
+        r2 = max_regularity_ratio(s.ops, scaled, result.config.dt, u0=u0s)
         assert r2 == pytest.approx(r1, rel=1e-12)
 
     def test_bounded_across_ladder(self, decay_runs, ladder):
@@ -139,7 +141,7 @@ class TestMaxRegularity:
         vals = []
         for n, s in ladder.items():
             result, hist, _ = decay_runs[n]
-            vals.append(dg.max_regularity_ratio(
+            vals.append(max_regularity_ratio(
                 s.ops, hist, result.config.dt, u0=u0))
         assert max(vals) / min(vals) <= 2.0
 

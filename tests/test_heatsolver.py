@@ -78,7 +78,7 @@ class TestStepping:
         times = []
 
         def counted(v, t=None):
-            if v is man.forcing:
+            if v == man.forcing:
                 times.extend(np.atleast_1d(t).tolist())
             return riesz(v, t)
 

@@ -32,12 +32,13 @@ import pytest
 from tracefem import heatsolver
 from tracefem.cli import _heat_run, cmd_heat
 from tracefem.cutquad import arc_cover_defect
-from tracefem.diagnostics import max_regularity_ratio
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorRecord, HeatRun,
                                  HeatStepper, accumulate_errors, blockwise,
                                  run)
+from tracefem.operators import Separable
 
 from conftest import CONFIG
+from helpers import l2_gamma_of_function, laplacian, max_regularity_ratio
 
 RTOL = 1e-13
 NSTEPS = 37                  # not a multiple of the block size
@@ -92,7 +93,7 @@ def old_function_coefficients(ops, v, t=None):
 
 def old_max_regularity_ratio(ops, history, dt, u0=None, f=None):
     nsteps = len(history) - 1
-    lap_sq = np.array([ops.hm1_star(ops.laplacian(x)) ** 2 for x in history])
+    lap_sq = np.array([ops.hm1_star(laplacian(ops, x)) ** 2 for x in history])
     trap = np.ones(len(history))
     trap[0] = trap[-1] = 0.5
     lap_int = float(np.sqrt(dt * trap @ lap_sq))
@@ -101,7 +102,7 @@ def old_max_regularity_ratio(ops, history, dt, u0=None, f=None):
     dtu_int = float(np.sqrt(dt * np.sum(dtu_sq)))
     den = 0.0
     if u0 is not None:
-        den += ops.l2_gamma_of_function(u0)
+        den += l2_gamma_of_function(ops, u0)
     if f is not None:
         f_sq = np.array([np.sum(old_function_coefficients(ops, f, n * dt) ** 2
                                 * ops.probe.Hm1_gram)
@@ -156,7 +157,8 @@ def old_accumulate_errors(ops, cfg, history, man):
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
     e0 = old_error_l2_star(ops, man.value, hist[0], times[0])
-    h1_sq = np.array([old_error_h1_star(ops, man.value, man.dtheta, x, t) ** 2
+    dtheta = Separable(man.time, man.dprofile)
+    h1_sq = np.array([old_error_h1_star(ops, man.value, dtheta, x, t) ** 2
                       for x, t in zip(hist, times)])
     l2_sq = np.array([old_error_l2_star(ops, man.value, x, t) ** 2
                       for x, t in zip(hist, times)])
@@ -215,7 +217,7 @@ def whole_accumulate_errors(ops, cfg, hist, times, man):
     trap[0] = trap[-1] = 0.5
     e0 = ops.error_l2_star(man.value, hist[0], times[0])
     h1_sq = blockwise(lambda b: ops.error_h1_star(
-        man.value, man.dtheta, hist[b], times[b]) ** 2, len(hist))
+        man.value, man.dprofile, hist[b], times[b]) ** 2, len(hist))
     l2_sq = blockwise(lambda b: ops.error_l2_star(
         man.value, hist[b], times[b]) ** 2, len(hist))
     coef = ops.function_coefficients(man.dt_value, t_mid)
@@ -410,7 +412,7 @@ def test_max_regularity_ratio_with_forcing_matches(setup48, trajectory):
 def test_trace_operators_match_gathers(setup96):
     ops = setup96.ops
     x = np.random.default_rng(3).standard_normal(ops.system.n_dofs)
-    assert np.abs(ops.trace_values(x) - old_trace_values(ops, x)).max() \
+    assert np.abs(ops.trace @ x - old_trace_values(ops, x)).max() \
         <= RTOL * np.abs(x).max()
     topo = ops.topology
     tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
@@ -428,7 +430,7 @@ def test_stack_of_one_equals_single_call(setup48):
     t = 0.4
     calls = [
         lambda y, s: ops.error_l2_star(man.value, y, s),
-        lambda y, s: ops.error_h1_star(man.value, man.dtheta, y, s),
+        lambda y, s: ops.error_h1_star(man.value, man.dprofile, y, s),
         lambda y, s: ops.error_hm1_star(
             ops.function_coefficients(man.dt_value, s), y),
         lambda y, s: ops.l2_star(y),
@@ -444,8 +446,8 @@ def test_stack_of_one_equals_single_call(setup48):
 # -- the streamed run against the whole trajectory -----------------------------
 
 # CHUNK as shipped, and small enough that a run crosses many state chunks
-CHUNKS = [None, 24]
-STREAM_STEPS = 301           # not a multiple of BLOCK, 24 or 256
+CHUNKS = [None, 48]
+STREAM_STEPS = 301           # not a multiple of BLOCK, 48 or 256
 
 
 def _chunks(monkeypatch, chunk):
@@ -465,11 +467,12 @@ def test_stream_sizes():
 @pytest.mark.parametrize("scheme, data", [
     ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
     ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
-@pytest.mark.parametrize("nsteps", [STREAM_STEPS, 264])
+@pytest.mark.parametrize("nsteps", [STREAM_STEPS, 264, 288])
 def test_streamed_errors_bit_identical(setup48, monkeypatch, chunks, scheme,
                                        data, nsteps):
-    # 264 steps: with 24-state chunks the last chunk holds one state, which
-    # closes the last step block of the chunk before it
+    # 264 steps: the last step block is half full; 288 steps: with 48-state
+    # chunks the last chunk holds one state, which closes the last step
+    # block of the chunk before it
     _chunks(monkeypatch, chunks)
     ops = setup48.ops
     man = MANUFACTURED[data]
