@@ -3,8 +3,12 @@
 One implicit step solves [(c0/dt) Mt + A + S1] u_new = rhs where Mt is
 the stabilized mass M + S0 (default) or the plain surface mass M, with
 BDF1/BDF2/Crank-Nicolson coefficient choices.  Runs start from the
-stabilized projection of the initial datum and keep no trajectory: the
-states are stepped into a buffer of CHUNK states that a consumer (the
+stabilized projection of the initial datum and keep no trajectory.  The
+steps go in blocks of BLOCK: a block is stepped with bare LU solves, then
+all its solves are verified by one multi-vector residual product, and
+from its first failing step it is stepped again with checked solves, so
+a step costs one right-hand side product and one LU solve.  The states
+of a verified block go into a buffer of CHUNK states that a consumer (the
 error fold, the heat series, the VTK writer) reads before it is reused,
 so memory does not grow with the number of steps.  A manufactured
 solution is separable, u = a(t) g(theta), and so are its data; the
@@ -23,7 +27,8 @@ import numpy as np
 from .errors import InvalidConfig
 from .operators import Separable, _Factor
 
-BLOCK = 16                    # steps per stacked data/functional evaluation
+# Steps per verified block and per stacked data/functional evaluation.
+BLOCK = 16
 # States per buffer handed to a run's consumer: CHUNK x n_dofs doubles
 # (1.8 MB at n=192) in place of the whole trajectory.  A multiple of BLOCK,
 # so the blocks of a chunk are the blocks of the run.
@@ -125,16 +130,14 @@ class HeatStepper:
             mat = SCHEMES[scheme] * self.mt / dt + self.k1
         self.factor = _Factor(mat.tocsc(), "heat step matrix")
 
-    def step_bdf1(self, u, b_next):
-        return self.factor.solve(self.mt @ u / self.dt + b_next)
-
-    def step_bdf2(self, u, u_prev, b_next):
-        rhs = self.mt @ (2.0 * u - 0.5 * u_prev) / self.dt + b_next
-        return self.factor.solve(rhs)
-
-    def step_cn(self, u, b_mid):
-        rhs = self.cn_rhs @ u + b_mid
-        return self.factor.solve(rhs)
+    def rhs(self, u, u_prev, b_prev, b):
+        """Right-hand side of the step from u (u_prev the state before it)
+        with data b_prev and b at the start and the end of the step."""
+        if self.scheme == "CrankNicolson":
+            return self.cn_rhs @ u + 0.5 * (b_prev + b)
+        if self.scheme == "BDF2":
+            return self.mt @ (2.0 * u - 0.5 * u_prev) / self.dt + b
+        return self.mt @ u / self.dt + b
 
 
 def time_grid(config):
@@ -148,11 +151,17 @@ def time_grid(config):
 def run(operators, config, consume):
     """March the scheme from P_h u0 to t_final.
 
-    The states are stepped into a buffer of CHUNK states.  Whenever it is
-    full, and once at the end, consume(first, states) gets its filled part,
-    ``first`` being the index of its first state in the run; the buffer is
-    then reused, so a consumer copies what it keeps.  Returns the RunResult
-    of config and its time grid.
+    The steps go in blocks of BLOCK, aligned to multiples of BLOCK in the
+    run.  A block is stepped with bare LU solves and then verified at once
+    by the residual rule of ``_Factor.failing``, one multi-vector product
+    for all its steps; from its first failing step it is stepped again
+    through the checked ``_Factor.solve`` (one refinement step, then
+    SolveFailure), so the states are those of checked steps.  The states
+    of a block that passed go into a buffer of CHUNK states.  Whenever it
+    is full, and once at the end, consume(first, states) gets its filled
+    part, ``first`` being the index of its first state in the run; the
+    buffer is then reused, so a consumer copies what it keeps.  Returns
+    the RunResult of config and its time grid.
     """
     times = time_grid(config)
     nsteps = len(times) - 1
@@ -161,43 +170,59 @@ def run(operators, config, consume):
     n_dofs = ops.system.n_dofs
     stepper = HeatStepper(ops, config.scheme, dt,
                           config.stabilized_time_derivative)
+    factor = stepper.factor
+    # BDF2 starts with one backward Euler step, checked on its own
+    startup = (HeatStepper(ops, "BDF1", dt, config.stabilized_time_derivative)
+               if config.scheme == "BDF2" else None)
     f = config.f
-    if config.scheme == "BDF2":
-        # startup: one backward Euler step
-        bdf1 = HeatStepper(ops, "BDF1", dt, config.stabilized_time_derivative)
 
     def data(t):
         t = np.asarray(t, dtype=float)
         return np.zeros(t.shape + (1,)) if f is None else ops.riesz_data(f, t)
 
-    u = ops.project(config.u0) if config.u0 is not None else np.zeros(n_dofs)
-    u_prev = None
+    # x holds the two states before the block, then its states; step j of
+    # the block goes from x[j + 1] to x[j + 2] with right-hand side rhs[j]
+    x = np.zeros((BLOCK + 2, n_dofs))
+    rhs = np.empty((BLOCK, n_dofs))
+    if config.u0 is not None:
+        x[1] = ops.project(config.u0)
     buf = np.empty((min(CHUNK, nsteps + 1), n_dofs))
-    buf[0] = u
+    buf[0] = x[1]
     first, filled = 0, 1
-    # One call gives the data of the next BLOCK step ends, a row each.
+    # One call gives the data of the block's step ends, a row each.
     # Crank-Nicolson averages the data at both ends of a step; the start
-    # of step n is the end of step n - 1, so each time is evaluated once.
-    b = data(0.0) if config.scheme == "CrankNicolson" else 0.0
-    for n in range(nsteps):
-        if n % BLOCK == 0:
-            ends = data(times[n + 1:n + BLOCK + 1])
-        b_prev, b = b, ends[n % BLOCK]
-        if config.scheme == "CrankNicolson":
-            u_next = stepper.step_cn(u, 0.5 * (b_prev + b))
-        elif config.scheme == "BDF2":
-            if n == 0:
-                u_next = bdf1.step_bdf1(u, b)
-            else:
-                u_next = stepper.step_bdf2(u, u_prev, b)
-        else:
-            u_next = stepper.step_bdf1(u, b)
-        u_prev, u = u, u_next
-        if filled == len(buf):
-            consume(first, buf)
-            first, filled = first + filled, 0
-        buf[filled] = u
-        filled += 1
+    # of a block is the end of the block before, so each time is
+    # evaluated once.
+    b0 = data(0.0) if config.scheme == "CrankNicolson" else 0.0
+
+    def march(lo, b0, ends, solve):
+        """Steps lo, lo + 1, ... of the block whose step ends have data
+        ``ends``, b0 being the data at its start."""
+        for j in range(lo, len(ends)):
+            rhs[j] = stepper.rhs(x[j + 1], x[j], ends[j - 1] if j else b0,
+                                 ends[j])
+            x[j + 2] = solve(rhs[j])
+
+    for n in range(0, nsteps, BLOCK):
+        k = min(BLOCK, nsteps - n)
+        ends = data(times[n + 1:n + k + 1])
+        lo = 0
+        if n == 0 and startup is not None:
+            rhs[0] = startup.rhs(x[1], x[0], b0, ends[0])
+            x[2] = startup.factor.solve(rhs[0])
+            lo = 1
+        march(lo, b0, ends, factor.lu.solve)
+        bad = factor.failing(rhs[lo:k].T, x[lo + 2:k + 2].T)
+        if bad.any():
+            march(lo + int(np.argmax(bad)), b0, ends, factor.solve)
+        for state in x[2:k + 2]:
+            if filled == len(buf):
+                consume(first, buf)
+                first, filled = first + filled, 0
+            buf[filled] = state
+            filled += 1
+        b0 = ends[k - 1]
+        x[:2] = x[k:k + 2]
     consume(first, buf[:filled])
     return RunResult(config=config, times=times)
 

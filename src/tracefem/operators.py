@@ -88,23 +88,32 @@ class _Factor:
         except RuntimeError as exc:
             raise SolveFailure("factorization of %s failed: %s" % (name, exc))
 
+    def failing(self, b, x):
+        """Whether x misses the residual rule ||b - mat x|| <= 1e-12 ||b||:
+        one bool for vectors (n,), one per column for (n, k).  A residual
+        that is NaN or inf misses it, and nothing warns."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return ~(_colnorm(b - self.mat @ x) <= 1e-12 * _colnorm(b))
+
     def solve(self, b):
-        """x with mat x = b, b (n,) or (n, k).  Columns whose relative
-        residual exceeds 1e-12 get one refinement step, then must pass."""
+        """x with mat x = b, b (n,) or (n, k).  Columns that miss the
+        residual rule (``failing``) get one refinement step, then must
+        pass."""
         b = np.asarray(b, dtype=float)
         x = self.lu.solve(b)
-        nb = _colnorm(b)
-        bad = _colnorm(b - self.mat @ x) > 1e-12 * nb
+        bad = self.failing(b, x)
         if bad.any():
             # 2-D views of b and x; the refinement writes through into x
             bs, xs = b.reshape(len(b), -1), x.reshape(len(b), -1)
             cols = np.flatnonzero(bad)
-            xs[:, cols] += self.lu.solve(bs[:, cols] - self.mat @ xs[:, cols])
-            rel = (_colnorm(bs[:, cols] - self.mat @ xs[:, cols])
-                   / np.atleast_1d(nb)[cols])
-            if rel.max() > 1e-12:
-                raise SolveFailure("solve with %s: residual %.3e above tolerance"
-                                   % (self.name, rel.max()))
+            with np.errstate(invalid="ignore", over="ignore"):
+                xs[:, cols] += self.lu.solve(bs[:, cols]
+                                             - self.mat @ xs[:, cols])
+            still = self.failing(bs[:, cols], xs[:, cols])
+            if still.any():
+                raise SolveFailure("solve with %s: %d of %d columns miss the "
+                                   "relative residual 1e-12 after refinement"
+                                   % (self.name, still.sum(), xs.shape[1]))
         return x
 
 

@@ -2,8 +2,10 @@
 
 The exact closest-point projection and the nodal interpolant of the
 normal extension, which the geometry and best-approximation tests check
-against, and the maximal-parabolic-regularity ratio of acceptance
-criterion 8 with the discrete Laplacian and the data norms it takes.
+against, the maximal-parabolic-regularity ratio of acceptance
+criterion 8 with the discrete Laplacian and the data norms it takes, and
+the per-step time steps, each solved and residual-checked on its own,
+that the block-verified ``heatsolver.run`` replaced.
 """
 
 import numpy as np
@@ -80,3 +82,19 @@ def max_regularity_ratio(ops, history, dt, u0=None, f=None):
     if den == 0.0:
         return 0.0
     return (lap_int + dtu_int) / den
+
+
+# -- one checked step at a time: the oracle of the block-verified run ---------
+
+def step_bdf1(stepper, u, b_next):
+    return stepper.factor.solve(stepper.mt @ u / stepper.dt + b_next)
+
+
+def step_bdf2(stepper, u, u_prev, b_next):
+    rhs = stepper.mt @ (2.0 * u - 0.5 * u_prev) / stepper.dt + b_next
+    return stepper.factor.solve(rhs)
+
+
+def step_cn(stepper, u, b_mid):
+    rhs = stepper.cn_rhs @ u + b_mid
+    return stepper.factor.solve(rhs)

@@ -4,14 +4,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import tracefem
-from tracefem import heatsolver
+from tracefem import cli, heatsolver
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
                           EXIT_OK, _KEYS, Pipeline, _heat_run, fmt,
-                          load_config, main)
+                          load_config, main, write_csv, write_dat)
 from tracefem.heatsolver import MANUFACTURED
 from tracefem.mesh import write_vtk
 from tracefem.operators import DiscreteOperators
@@ -213,6 +214,17 @@ class TestSubcommands:
         assert lines[0] == "t,l2_star,mean,e_l2_star"
         assert len(lines) > 2
 
+    def test_heat_builds_no_probe(self, tmp_path, monkeypatch):
+        # the heat series reads no Fourier mode, so no probe is assembled
+        def no_probe(*args, **kwargs):
+            raise AssertionError("heat assembled the Fourier probe")
+
+        monkeypatch.setattr(cli, "assemble_fourier", no_probe)
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16],
+                        data="forced_mode_2", scheme="BDF2")
+        assert main(["heat", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_heat_vtk_series(self, tmp_path, monkeypatch, trajectory):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16], vtk_every=3)
         out = tmp_path / "out"
@@ -403,6 +415,21 @@ def test_fmt_stability():
     assert fmt(3) == "3"
     assert fmt(True) == "1"
     assert fmt("h2/4") == "h2/4"
+
+
+@pytest.mark.parametrize("write, sep", [(write_csv, ","), (write_dat, " ")])
+def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
+    # a float ndarray goes through one row template; it must give the
+    # bytes of formatting each value with fmt, as list rows are
+    rows = np.array([[0.1, -0.0, np.nan, 2.0 ** -1074],
+                     [np.inf, -np.inf, 1e300, 3.0],
+                     [1.0 / 3.0, -2.5e-17, 0.0, 123456789.0]])
+    write(str(tmp_path / "array"), ["a", "b", "c", "d"], rows)
+    write(str(tmp_path / "list"), ["a", "b", "c", "d"], list(rows))
+    text = (tmp_path / "array").read_bytes()
+    assert text == (tmp_path / "list").read_bytes()
+    assert text.decode().splitlines()[1:] == [
+        sep.join(fmt(v) for v in row) for row in rows]
 
 
 def test_cli_import_leaves_out_scipy_io():

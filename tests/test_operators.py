@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -52,6 +54,20 @@ class TestFactor:
     def test_one_vector(self):
         b = np.arange(1.0, self.N + 1)
         assert np.array_equal(self._factor(_SkewedLU([1e-9], skewed=1)).solve(b), b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_residual_fails_quietly(self, bad, stacked):
+        # the exact LU returns the non-finite entry, whose residual is
+        # NaN or inf: it must fail the rule, and no warning may print
+        b = np.ones(self.N)
+        b[3] = bad
+        if stacked:
+            b = np.column_stack([np.ones(self.N), b])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolveFailure, match="solve with I:"):
+                self._factor(_SkewedLU([0.0, 0.0], skewed=0)).solve(b)
 
 
 class TestProjection:

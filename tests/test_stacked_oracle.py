@@ -22,6 +22,12 @@ The functions prefixed ``whole_`` are the run that kept the whole
 heat series taken from it, which the chunked run, the error fold and the
 heat consumer replaced: every error record field and every heat column
 must be equal to them, with the state chunk as shipped and small.
+``whole_run`` also checks each step's solve on its own (``helpers.step_*``),
+so it is the oracle of the block-verified run as well: its states must be
+equal to the run's for block-sized and odd runs, across state chunks,
+when one solve in a block comes back inexact and when a step's solve only
+passes after refinement.  A solve that stays inexact must raise before the
+consumer sees any state of its block.
 """
 
 import math
@@ -32,13 +38,15 @@ import pytest
 from tracefem import heatsolver
 from tracefem.cli import _heat_run, cmd_heat
 from tracefem.cutquad import arc_cover_defect
+from tracefem.errors import SolveFailure
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorRecord, HeatRun,
                                  HeatStepper, accumulate_errors, blockwise,
-                                 run)
+                                 run, time_grid)
 from tracefem.operators import Separable
 
 from conftest import CONFIG
-from helpers import l2_gamma_of_function, laplacian, max_regularity_ratio
+from helpers import (l2_gamma_of_function, laplacian, max_regularity_ratio,
+                     step_bdf1, step_bdf2, step_cn)
 
 RTOL = 1e-13
 NSTEPS = 37                  # not a multiple of the block size
@@ -120,11 +128,11 @@ def old_run_history(ops, cfg):
     for n in range(int(np.ceil(cfg.t_final / dt - 1e-12))):
         b_prev, b = b, old_riesz_data(ops, cfg.f, (n + 1) * dt)
         if cfg.scheme == "CrankNicolson":
-            u = stepper.step_cn(hist[n], 0.5 * (b_prev + b))
+            u = step_cn(stepper, hist[n], 0.5 * (b_prev + b))
         elif cfg.scheme == "BDF2" and n > 0:
-            u = stepper.step_bdf2(hist[n], hist[n - 1], b)
+            u = step_bdf2(stepper, hist[n], hist[n - 1], b)
         else:
-            u = bdf1.step_bdf1(hist[n], b)
+            u = step_bdf1(bdf1, hist[n], b)
         hist.append(u)
     return np.array(hist)
 
@@ -198,14 +206,14 @@ def whole_run(ops, cfg):
             ends = data(dt * np.arange(n + 1, min(n + BLOCK, nsteps) + 1))
         b_prev, b = b, ends[n % BLOCK]
         if cfg.scheme == "CrankNicolson":
-            u = stepper.step_cn(history[n], 0.5 * (b_prev + b))
+            u = step_cn(stepper, history[n], 0.5 * (b_prev + b))
         elif cfg.scheme == "BDF2":
             if n == 0:
-                u = bdf1.step_bdf1(history[n], b)
+                u = step_bdf1(bdf1, history[n], b)
             else:
-                u = stepper.step_bdf2(history[n], history[n - 1], b)
+                u = step_bdf2(stepper, history[n], history[n - 1], b)
         else:
-            u = stepper.step_bdf1(history[n], b)
+            u = step_bdf1(stepper, history[n], b)
         history[n + 1] = u
     return history, dt * np.arange(nsteps + 1)
 
@@ -510,3 +518,127 @@ def test_streamed_heat_series_bit_identical(ladder, tmp_path, monkeypatch,
     m_one = ops.system.M @ np.ones(ops.system.n_dofs)
     mean = np.array([float(m_one @ x) for x in hist])
     assert np.abs(new[:, 2] - mean).max() <= RTOL * 2 * np.pi
+
+
+# -- the block-verified run against the per-step checked one -----------------
+
+SCHEME_DATA = [(scheme, data) for scheme in ("BDF1", "BDF2", "CrankNicolson")
+               for data in ("decaying_mode", "forced_mode_2")]
+
+
+class _InexactLU:
+    """An LU whose solves of the right-hand sides that ``pick`` selects
+    come back 1e-6 off in every entry, far outside the residual rule."""
+
+    def __init__(self, lu, pick):
+        self.lu, self.pick, self.picked = lu, pick, 0
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        if self.pick(b):
+            self.picked += 1
+            return x + 1e-6
+        return x
+
+
+def _inexact_steps(monkeypatch, pick):
+    """Every HeatStepper made from now on solves through an _InexactLU
+    with ``pick``; returns the list they are appended to."""
+    lus = []
+    init = heatsolver.HeatStepper.__init__
+
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.factor.lu = _InexactLU(self.factor.lu, pick)
+        lus.append(self.factor.lu)
+
+    monkeypatch.setattr(heatsolver.HeatStepper, "__init__", patched)
+    return lus
+
+
+def _rhs_of_step(monkeypatch, ops, cfg, step):
+    """The right-hand side the run solves at ``step`` (0-based)."""
+    seen = []
+    lus = _inexact_steps(monkeypatch, lambda b: seen.append(b.copy()))
+    run(ops, cfg, lambda first, states: None)
+    monkeypatch.undo()
+    assert len(seen) == len(time_grid(cfg)) - 1 and len(lus) >= 1
+    return seen[step]
+
+
+def _same(target):
+    return lambda b: b.shape == target.shape and np.array_equal(b, target)
+
+
+@pytest.mark.parametrize("scheme, data", SCHEME_DATA)
+@pytest.mark.parametrize("nsteps", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_block_run_equals_checked_steps(setup48, trajectory, scheme, data,
+                                        nsteps):
+    cfg = _config(scheme, MANUFACTURED[data], nsteps)
+    hist, _ = whole_run(setup48.ops, cfg)
+    assert len(hist) == nsteps + 1
+    assert np.array_equal(trajectory(setup48.ops, cfg)[1], hist)
+
+
+@pytest.mark.parametrize("scheme, data", SCHEME_DATA)
+def test_block_run_across_chunks(setup48, monkeypatch, scheme, data):
+    # blocks of 16 steps straddle 48-state chunks: the first chunk holds
+    # state 0, so each chunk ends one state into a block
+    monkeypatch.setattr(heatsolver, "CHUNK", 48)
+    cfg = _config(scheme, MANUFACTURED[data], 150)
+    hist, _ = whole_run(setup48.ops, cfg)
+    got = []
+    run(setup48.ops, cfg, lambda first, states: got.append((first,
+                                                             states.copy())))
+    assert [first for first, _ in got] == [0, 48, 96, 144]
+    assert np.array_equal(np.concatenate([s for _, s in got]), hist)
+
+
+@pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
+@pytest.mark.parametrize("refined", [False, True],
+                         ids=["re-stepped", "refined"])
+@pytest.mark.parametrize("step", [1, BLOCK, BLOCK + 5, 2 * BLOCK - 1])
+def test_inexact_solve_in_block(setup48, monkeypatch, trajectory, scheme,
+                                refined, step):
+    # The bare solve of one step comes back inexact: the second step of
+    # the run (BDF2's first unchecked one), or the first, a middle or the
+    # last step of block 1.  Once only: the checked re-step solves it
+    # exactly, as the per-step run does.  Always: the checked solve
+    # refines it, in both runs alike.
+    ops = setup48.ops
+    cfg = _config(scheme, MANUFACTURED["forced_mode_2"], 2 * BLOCK + 3)
+    target = _rhs_of_step(monkeypatch, ops, cfg, step)
+    if refined:
+        pick = _same(target)
+    else:
+        once = iter([True])
+        pick = lambda b: _same(target)(b) and next(once, False)
+    lus = _inexact_steps(monkeypatch, pick)
+    _, hist = trajectory(ops, cfg)
+    assert sum(lu.picked for lu in lus) == (2 if refined else 1)
+    monkeypatch.undo()
+    if refined:
+        lus = _inexact_steps(monkeypatch, _same(target))
+    ref, _ = whole_run(ops, cfg)
+    assert not refined or sum(lu.picked for lu in lus) == 1
+    assert np.array_equal(hist, ref)
+
+
+@pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
+def test_persistent_failure_hides_its_block(setup48, monkeypatch, scheme):
+    # 16-state chunks: chunk 1 (states 16-31) fills up inside block 1
+    # (states 17-32), whose step 24 fails however often it is solved;
+    # the consumer gets chunk 0 and nothing of block 1
+    monkeypatch.setattr(heatsolver, "CHUNK", BLOCK)
+    ops = setup48.ops
+    cfg = _config(scheme, MANUFACTURED["forced_mode_2"], 3 * BLOCK)
+    ref, _ = whole_run(ops, cfg)
+    target = _rhs_of_step(monkeypatch, ops, cfg, BLOCK + 8)
+    monkeypatch.setattr(heatsolver, "CHUNK", BLOCK)
+    _inexact_steps(monkeypatch, lambda b: b.ndim == 2 or _same(target)(b))
+    got = []
+    with pytest.raises(SolveFailure, match="heat step matrix"):
+        run(ops, cfg, lambda first, states: got.append((first,
+                                                         states.copy())))
+    assert [first for first, _ in got] == [0]
+    assert np.array_equal(got[0][1], ref[:BLOCK])
