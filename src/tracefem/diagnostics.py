@@ -11,9 +11,19 @@ and K_*, so no n_dofs x n_dofs matrix is formed.  Each condition number
 takes lambda_max by Lanczos and lambda_min by shift-invert at 0 through
 an LU of the matrix.  The projection pencil lives on the 2 k_max + 1
 Fourier modes, whose count does not grow with h and whose top is
-clustered near 1; LAPACK takes it.  Every norm and gap is checked by
-the residual of its pair, and Lanczos starts from a fixed vector, so
-reruns are byte-identical.
+clustered near 1; LAPACK takes it.
+
+Accuracy: Lanczos stops once ARPACK bounds the residual of its Ritz
+pair by 1e-12 |theta|, which for a symmetric pencil bounds the value,
+|lambda - theta| <= 1e-12 |theta|.  ARPACK's test has an absolute floor
+(1e-12 eps^(2/3)), so each condition number is taken of its matrix
+scaled by the power of two that brings the largest diagonal entry to
+about 1; both ends of the spectrum then lie far above the floor, and
+the scaling is exact and leaves kappa unchanged.  The eigenvalues
+behind C_inv,h and Lambda_h are of order 10 and need no scaling; their
+pairs are also checked by residual, while kappa uses the Ritz values
+alone.  Lanczos starts
+from a fixed vector, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -42,11 +52,22 @@ def _operator(n, matvec):
     return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
+TOL = 1e-12         # relative accuracy of every Lanczos value
+MAXITER = 100       # restarts allowed per value; 14 is the most measured
+
+
 def _eigsh(mat, **kwargs):
-    """One Lanczos eigenpair of mat, started from a fixed vector."""
+    """One Lanczos eigenpair of mat, started from a fixed vector.
+
+    ARPACK stops once the residual bound of the Ritz value theta is at
+    most TOL max(eps^(2/3), |theta|), so |lambda - theta| <= TOL |theta|
+    wherever |theta| >= eps^(2/3) (``_kappa`` scales its matrix so that
+    it is).  More than MAXITER restarts is an ``EigFailure``.
+    """
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, mat.shape[0])
     try:
-        w, v = spla.eigsh(mat, k=1, v0=v0, **kwargs)
+        w, v = spla.eigsh(mat, k=1, v0=v0, tol=TOL, maxiter=MAXITER,
+                          **kwargs)
     except spla.ArpackError as exc:
         raise EigFailure("Lanczos: %s" % exc)
     return float(w[0]), v[:, 0]
@@ -66,8 +87,16 @@ def _kappa(mat, what):
 
     Only the converged Ritz values are used: on a symmetric mesh an end
     of the spectrum can be a doublet, whose Ritz value is exact while
-    the vector may carry the unconverged second copy.
+    the vector may carry the unconverged second copy.  The matrix is
+    first scaled by 2^-round(log2 max_i a_ii), exactly, so that both
+    1/lambda_min and lambda_max lie above ARPACK's absolute floor: at
+    dt = 1e-50 the unscaled 1/lambda_min of B_* at n_cells=16 is 2.8e-49.
     """
+    dmax = mat.diagonal().max()
+    if not dmax > 0.0:
+        raise SingularMatrix("%s has largest diagonal entry %.3e"
+                             % (what, dmax))
+    mat = mat * np.ldexp(1.0, -int(np.round(np.log2(dmax))))
     try:
         lu = _Factor(mat, what)
         lo = _eigsh(mat, sigma=0.0, which="LM",

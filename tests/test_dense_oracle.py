@@ -9,7 +9,9 @@ dense dual-norm Gram N = M_* K_*^-1 M_*, and each kappa is the ratio of
 the ends of the full ``eigvalsh`` spectrum.  Every constant of the
 report and every condition number of the 21-dt sweep must match within
 1e-8 relative, the bound the benchmark gates eigen-derived constants
-with.  A memory guard keeps the dense route out of the package.
+with.  At dt down to 1e-200, where M/dt swamps A + S1, kappa(B) and
+kappa(B_*) match the dense spectrum within 1e-11.  A memory guard keeps
+the dense route out of the package.
 """
 
 import math
@@ -21,6 +23,9 @@ import pytest
 import scipy.linalg as sla
 
 from tracefem import diagnostics as dg
+from tracefem.cli import Pipeline
+
+from conftest import CONFIG
 
 RTOL = 1e-8
 DTS = [2.0 ** (-e) for e in range(4, 25)]     # the shipped dtsweep list
@@ -119,6 +124,30 @@ def test_condition_numbers_match_dense(setup96, monkeypatch,
     want = [dg.condition_number(sy, dt, stabilized_time, literal=literal)
             for dt in DTS]
     assert got == pytest.approx(want, rel=RTOL)
+
+
+@pytest.fixture(scope="module")
+def setup16():
+    return Pipeline(CONFIG, 16, need_probe=False)
+
+
+@pytest.mark.parametrize("dt", [1e-20, 1e-50, 1e-200])
+@pytest.mark.parametrize("stabilized_time", [False, True])
+def test_tiny_dt_matches_dense(setup16, monkeypatch, dt, stabilized_time):
+    # M/dt swamps A + S1; without the scaling in _kappa, 1/lambda_min
+    # lies below ARPACK's absolute floor eps^(2/3), and kappa(B_*) comes
+    # out 1.7e-7 off
+    sy = setup16.system
+    got = dg.condition_number(sy, dt, stabilized_time)
+    monkeypatch.setattr(dg, "_kappa", lambda mat, what: dense_kappa(mat))
+    want = dg.condition_number(sy, dt, stabilized_time)
+    assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_tiny_dt_stabilized_is_kappa_pstar(setup16):
+    sy = setup16.system
+    assert dg.condition_number(sy, 1e-50, True) == \
+        pytest.approx(dg.kappa_pstar(sy), rel=1e-11)
 
 
 def test_report_memory_stays_below_dense(setup192):

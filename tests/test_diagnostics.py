@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,6 @@ class TestMaxRegularity:
 
 
 def test_singular_matrix_detection(setup48):
-    import dataclasses
     import scipy.sparse as sp
     sy = setup48.system
     # zero out the mass entirely: (1/dt) * 0 + A + S1 is singular
@@ -158,3 +159,10 @@ def test_singular_matrix_detection(setup48):
         return
     # kernel may round to a tiny positive eigenvalue instead
     assert kappa > 1e12
+
+
+def test_negative_diagonal_is_singular(setup48):
+    # not positive definite, and no power of two scales it to 1
+    with pytest.raises(SingularMatrix, match="largest diagonal entry"):
+        dg.kappa_pstar(dataclasses.replace(
+            setup48.system, M_star=-setup48.system.M_star))
