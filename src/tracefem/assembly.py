@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cutquad import oscillation_order
 from .errors import AliasRisk
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Surface nodes per batched run of per-element work (the Gram blocks and
 # the coupling matrix G): the temporaries of larger runs stay resident
@@ -77,6 +80,7 @@ def _element_runs(topology):
 def element_csr(elements, blocks, n):
     """Sum per-element 3x3 blocks (n_active, 3, 3) into an n x n CSR matrix;
     the conversion sums duplicates and sorts the indices."""
+    import scipy.sparse as sp   # here: a cut alone loads no scipy
     rows = np.repeat(elements, 3, axis=1).ravel()
     cols = np.tile(elements, (1, 3)).ravel()
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
@@ -237,6 +241,7 @@ def assemble_fourier(topology, k_max=128):
 def export_matrices(system, out_dir, prefix=""):
     """Write the assembled matrices in Matrix Market coordinate form."""
     import scipy.io     # here: a CLI run that exports nothing skips its import
+    import scipy.sparse as sp   # here: a cut alone loads no scipy
     mats = {
         "M": system.M, "A": system.A,
         "S_m1": system.S[-1], "S_0": system.S[0], "S_1": system.S[1],

@@ -1,6 +1,12 @@
 """Experiment runner: config parsing, orchestration, bit-stable CSV.
 
 Subcommands: quadcheck, project, heat, diagnose, dtsweep, converge.
+Every mesh size starts with the cut stage (``cut``: circle, background,
+active selection, resolution check, cut quadrature), which needs numpy
+alone; ``quadcheck`` audits it and stops there, so it never loads scipy.
+The other subcommands build a ``Pipeline`` (the cut stage, then assembly
+and the LUs of the operators), and ``main`` imports scipy's sparse
+solvers for them once, after parsing and before the first ``Pipeline``.
 Each config key has one row (default, check, requirement) in ``_KEYS``;
 a flag sets the key it names and is checked by the same row.  Only
 ``main`` turns a failure into an exit code, with one line on stderr:
@@ -140,21 +146,28 @@ def fit_rate(h, e):
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
-class Pipeline:
-    """Mesh/cut/assembly/operators bundle for one mesh size.
+def cut(cfg, n_cells):
+    """The cut stage of one mesh size: (surface, background, mesh,
+    topology), from numpy alone.
 
-    Raises AssumptionViolation, before anything is cut or assembled,
-    when an active element does not resolve the curvature.
+    Raises AssumptionViolation, before anything is cut, when an active
+    element does not resolve the curvature.
     """
+    surface = LevelSetSurface.circle(cfg["center"], cfg["radius"])
+    background = build_background(cfg["bbox"], n_cells)
+    mesh = select_active(background, surface)
+    check_resolution(surface, mesh, cfg["c_res"])
+    q = oscillation_order(cfg["k_max"], mesh.h, surface.radius, cfg["q_surf"])
+    return surface, background, mesh, build_topology(surface, mesh, q_surf=q)
+
+
+class Pipeline:
+    """The cut stage (``cut``), then the assembled system, the Fourier
+    probe and the operators with their LUs, for one mesh size."""
 
     def __init__(self, cfg, n_cells, need_probe=True):
-        self.surface = LevelSetSurface.circle(cfg["center"], cfg["radius"])
-        self.background = build_background(cfg["bbox"], n_cells)
-        self.mesh = select_active(self.background, self.surface)
-        check_resolution(self.surface, self.mesh, cfg["c_res"])
-        q = oscillation_order(cfg["k_max"], self.mesh.h, self.surface.radius,
-                              cfg["q_surf"])
-        self.topology = build_topology(self.surface, self.mesh, q_surf=q)
+        self.surface, self.background, self.mesh, self.topology = \
+            cut(cfg, n_cells)
         self.system = assemble(self.mesh, self.topology)
         self.probe = assemble_fourier(self.topology, cfg["k_max"]) \
             if need_probe else None
@@ -176,8 +189,7 @@ def cmd_quadcheck(cfg, out):
            "cover_defect", "max_arcs_per_element", "spectral_selftest"]
     rows = []
     for n in cfg["n_cells"]:
-        pipe = Pipeline(cfg, n, need_probe=False)
-        topo = pipe.topology
+        surface, _, mesh, topo = cut(cfg, n)
         length = topo.total_length
         exact = 2.0 * np.pi * cfg["radius"]
         rel = abs(length - exact) / exact
@@ -185,11 +197,11 @@ def cmd_quadcheck(cfg, out):
         max_arcs = int(np.diff(topo.elem_ptr).max()) // topo.q_surf
         # self-test: q and q+4 Gauss points on each arc must agree on
         # oscillatory integrals int cos(k theta), k <= 64
-        topo2 = build_topology(pipe.surface, pipe.mesh, q_surf=topo.q_surf + 4)
+        topo2 = build_topology(surface, mesh, q_surf=topo.q_surf + 4)
         spec_diff = max(abs(topo.w @ np.cos(k * topo.theta)
                             - topo2.w @ np.cos(k * topo2.theta))
                         for k in (1, 8, 32, 64))
-        rows.append([n, pipe.mesh.h, len(pipe.mesh.active), pipe.mesh.n_dofs,
+        rows.append([n, mesh.h, len(mesh.active), mesh.n_dofs,
                      length, rel, defect, max_arcs, float(spec_diff)])
         failed = ["%s %.2g > %g" % (name, v, tol) for name, v, tol in (
             ("rel_err", rel, 1e-10), ("cover_defect", defect, 1e-10),
@@ -358,13 +370,16 @@ def main(argv=None):
                         dest="stabilized_time_derivative")
     try:
         flags = vars(parser.parse_args(argv))
-        command = _COMMANDS[flags.pop("subcommand")]
+        subcommand = flags.pop("subcommand")
         cfg = load_config(flags.pop("config"), flags)
         try:
             os.makedirs(cfg["out"], exist_ok=True)
         except OSError as exc:
             raise InvalidConfig("cannot create out directory: %s" % exc)
-        return command(cfg, cfg["out"])
+        if subcommand != "quadcheck":
+            # here, not in the first Pipeline: no stage time holds the import
+            import scipy.sparse.linalg  # noqa: F401
+        return _COMMANDS[subcommand](cfg, cfg["out"])
     except InvalidConfig as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .assembly import element_csr
 from .errors import EigFailure, SingularMatrix, SolveFailure
@@ -49,6 +47,7 @@ def _check_pair(lam, x, lhs, rhs, tol=1e-8):
 
 def _operator(n, matvec):
     """The symmetric n x n map x -> matvec(x) as a LinearOperator."""
+    import scipy.sparse.linalg as spla  # here: a cut alone loads no scipy
     return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
@@ -64,6 +63,7 @@ def _eigsh(mat, **kwargs):
     wherever |theta| >= eps^(2/3) (``_kappa`` scales its matrix so that
     it is).  More than MAXITER restarts is an ``EigFailure``.
     """
+    import scipy.sparse.linalg as spla  # here: a cut alone loads no scipy
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, mat.shape[0])
     try:
         w, v = spla.eigsh(mat, k=1, v0=v0, tol=TOL, maxiter=MAXITER,
@@ -116,6 +116,7 @@ def op_norms_ph(operators):
     Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.  The
     pencil has one row per Fourier mode and is solved by LAPACK.
     """
+    import scipy.linalg as sla  # here: a cut alone loads no scipy
     system, probe = operators.system, operators.probe
     bmat = operators.mstar.solve(probe.G)
     gram = np.diag(probe.H1_gram)

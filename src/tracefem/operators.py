@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolveFailure
 
@@ -81,6 +79,7 @@ class _Factor:
     """Direct sparse factorization with a per-column residual check on solves."""
 
     def __init__(self, mat, name):
+        import scipy.sparse.linalg as spla  # here: a cut alone loads no scipy
         self.mat = mat.tocsc()
         self.name = name
         try:
@@ -121,6 +120,7 @@ class DiscreteOperators:
     """Projection, norm and error evaluations for one system."""
 
     def __init__(self, system, probe=None):
+        import scipy.sparse as sp   # here: a cut alone loads no scipy
         self.system = system
         self.topology = topo = system.topology
         self.mesh = mesh = system.mesh

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 
 import tracefem
 from tracefem import cli, heatsolver
+from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
                           EXIT_OK, _KEYS, Pipeline, _heat_run, fmt,
                           load_config, main, write_csv, write_dat)
@@ -69,13 +70,18 @@ BAD_VALUES = [
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+def run_python(*args):
+    """A fresh interpreter run with args: the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tracefem.__file__)
+                                          .parents[1]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+
+
 def run_cli(*argv):
     """The CLI in a fresh interpreter, so warnings reach its real stderr:
     (exit code, stderr lines)."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tracefem.__file__)
-                                          .parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "tracefem.cli", *argv],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = run_python("-m", "tracefem.cli", *argv)
     return proc.returncode, proc.stderr.splitlines()
 
 
@@ -432,13 +438,74 @@ def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
         sep.join(fmt(v) for v in row) for row in rows]
 
 
+# exits with the names of the scipy modules loaded, if any
+EXIT_WITH_SCIPY = ("sys.exit(' '.join(m for m in sys.modules "
+                   "if m.split('.')[0] == 'scipy') or None)")
+
+
 def test_cli_import_leaves_out_scipy_io():
-    # scipy.io is imported by export_matrices alone, not on every CLI run
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tracefem.__file__)
-                                          .parents[1]))
-    code = ("import sys, tracefem.cli; "
-            "sys.exit(any(m.split('.')[:2] == ['scipy', 'io'] "
-            "for m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
-                          capture_output=True, text=True)
+    # the package and the CLI load no scipy module at all (scipy.io then
+    # neither), and every layer module the benchmark tracer wraps
+    code = ("import sys, tracefem, tracefem.cli\n"
+            "for layer in ('geometry', 'mesh', 'cutquad', 'assembly', "
+            "'operators', 'heatsolver', 'diagnostics', 'cli'):\n"
+            "    assert 'tracefem.' + layer in sys.modules, layer\n"
+            + EXIT_WITH_SCIPY)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_quadcheck_runs_without_scipy(tmp_path):
+    # quadcheck audits the cut stage alone: no scipy module is loaded, and
+    # its rows are those of a full Pipeline's mesh and topology
+    out = tmp_path / "out"
+    code = ("import sys\nfrom tracefem import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "if rc:\n    sys.exit(rc)\n" + EXIT_WITH_SCIPY)
+    proc = run_python("-c", code, "quadcheck", "--config",
+                      "configs/circle.json", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+
+    cfg = load_config(str(ROOT / "configs" / "circle.json"))
+    exact = 2.0 * np.pi * cfg["radius"]
+    rows = []
+    for n in cfg["n_cells"]:
+        pipe = Pipeline(cfg, n, need_probe=False)
+        mesh, topo = pipe.mesh, pipe.topology
+        fine = build_topology(pipe.surface, mesh, q_surf=topo.q_surf + 4)
+        spec = max(abs(topo.w @ np.cos(k * topo.theta)
+                       - fine.w @ np.cos(k * fine.theta))
+                   for k in (1, 8, 32, 64))
+        rows.append([n, mesh.h, len(mesh.active), mesh.n_dofs,
+                     topo.total_length,
+                     abs(topo.total_length - exact) / exact,
+                     arc_cover_defect(topo),
+                     int(np.diff(topo.elem_ptr).max()) // topo.q_surf,
+                     float(spec)])
+    write_csv(str(tmp_path / "oracle.csv"),
+              ["n_cells", "h", "n_active", "n_dofs", "arc_length", "rel_err",
+               "cover_defect", "max_arcs_per_element", "spectral_selftest"],
+              rows)
+    assert ((out / "quadcheck.csv").read_bytes()
+            == (tmp_path / "oracle.csv").read_bytes())
+
+
+@pytest.mark.parametrize("sub", ["project", "heat", "diagnose", "dtsweep",
+                                 "converge"])
+def test_scipy_loaded_before_first_pipeline(tmp_path, sub):
+    # no stage time holds module loading: the subcommands that solve have
+    # scipy's sparse solvers loaded when their first Pipeline starts
+    cfg = write_cfg(tmp_path / "c.json", n_cells=[12, 16, 24],
+                    t_final=0.02, dt_list=[1e-3])
+    code = ("import sys\nfrom tracefem import cli\n"
+            "init, loaded = cli.Pipeline.__init__, []\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    loaded.append('scipy.sparse.linalg' in sys.modules)\n"
+            "    init(self, *args, **kwargs)\n"
+            "cli.Pipeline.__init__ = spy\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "sys.exit(rc or (None if loaded and loaded[0] else "
+            "'no Pipeline, or the first started without scipy'))")
+    proc = run_python("-c", code, sub, "--config", cfg,
+                      "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
