@@ -31,7 +31,7 @@ from .errors import (AssumptionViolation, AuditFailure, InvalidConfig,
                      TraceFemError)
 from .geometry import LevelSetSurface, check_resolution
 from .heatsolver import (MANUFACTURED, SCHEMES, HeatRun, accumulate_errors,
-                         blockwise, run, time_grid)
+                         run, time_grid)
 from .mesh import build_background, select_active, write_vtk
 from .operators import DiscreteOperators
 
@@ -251,10 +251,9 @@ def cmd_heat(cfg, out):
 
     def fold(first, states):
         row = rows[first:first + len(states)]
-        row[:, 1] = blockwise(lambda b: ops.l2_star(states[b]), len(states))
+        row[:, 1] = ops.l2_star(states)
         row[:, 2] = states @ m_one
-        row[:, 3] = blockwise(lambda b: ops.error_l2_star(
-            man.value, states[b], row[b, 0]), len(states))
+        row[:, 3] = ops.error_l2_star(man.value, states, row[:, 0])
         if every:
             for i in range(-first % every, len(states), every):
                 write_vtk(pipe.mesh,
@@ -323,7 +322,7 @@ def cmd_converge(cfg, out):
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
         hr = _heat_run(cfg, pipe, man)
-        rec = accumulate_errors(pipe.ops, hr, man)
+        rec = accumulate_errors(pipe.ops, hr)
         xp = pipe.ops.project(man.value, 0.0)
         proj_err = pipe.ops.error_l2_star(man.value, xp, 0.0)
         rows.append([n, pipe.mesh.h, hr.dt, rec.e_total, rec.e_l2l2,

@@ -7,15 +7,15 @@ stabilized projection of the initial datum and keep no trajectory.  The
 steps go in blocks of BLOCK: a block is stepped with bare LU solves, then
 all its solves are verified by one multi-vector residual product, and
 from its first failing step it is stepped again with checked solves, so
-a step costs one right-hand side product and one LU solve.  The states
-of a verified block go into a buffer of CHUNK states that a consumer (the
-error fold, the heat series, the VTK writer) reads before it is reused,
-so memory does not grow with the number of steps.  A manufactured
-solution is separable, u = a(t) g(theta), and so are its data; the
-forcing's Riesz data and the error functionals are evaluated on blocks of
-BLOCK steps, from the profile g tabulated once per mesh (see
-``operators``).  Each step block of the error fold forms the Fourier
-coefficients of du/dt at its own step midpoints.
+a step costs one right-hand side product and one LU solve.  A consumer
+(the error fold, the heat series, the VTK writer) gets the initial state
+alone and then the states of each verified block, read in place from the
+step array before it is reused, so memory does not grow with the number
+of steps.  A manufactured solution is separable, u = a(t) g(theta), and
+so are its data; the forcing's Riesz data and the error functionals are
+evaluated a block at a time, from the profile g tabulated once per mesh
+(see ``operators``).  Each step block of the error fold forms the
+Fourier coefficients of du/dt at its own step midpoints.
 """
 
 from __future__ import annotations
@@ -29,22 +29,9 @@ from .operators import Separable, _Factor
 
 # Steps per verified block and per stacked data/functional evaluation.
 BLOCK = 16
-# States per buffer handed to a run's consumer: CHUNK x n_dofs doubles
-# (1.8 MB at n=192) in place of the whole trajectory.  A multiple of BLOCK,
-# so the blocks of a chunk are the blocks of the run.
-CHUNK = 256
 
 # scheme -> c0, the coefficient of Mt/dt in the one-step matrix
 SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
-
-
-def blockwise(fn, n):
-    """Concatenate fn(b) over slices b of range(n) of at most BLOCK steps,
-    which bound the (k, n_dofs) temporaries of a stacked functional and
-    the (k, 4 k_max + 4) samples of the Fourier coefficients; empty for
-    n = 0."""
-    return np.concatenate([np.empty(0)] + [fn(slice(a, min(a + BLOCK, n)))
-                                           for a in range(0, n, BLOCK)])
 
 
 @dataclass
@@ -156,12 +143,13 @@ def run(operators, config, consume):
     by the residual rule of ``_Factor.failing``, one multi-vector product
     for all its steps; from its first failing step it is stepped again
     through the checked ``_Factor.solve`` (one refinement step, then
-    SolveFailure), so the states are those of checked steps.  The states
-    of a block that passed go into a buffer of CHUNK states.  Whenever it
-    is full, and once at the end, consume(first, states) gets its filled
-    part, ``first`` being the index of its first state in the run; the
-    buffer is then reused, so a consumer copies what it keeps.  Returns
-    the RunResult of config and its time grid.
+    SolveFailure), so the states are those of checked steps.
+    consume(first, states) gets states (k, n_dofs), ``first`` being the
+    index of states[0] in the run: once the initial state alone (first
+    0), then once per block that passed its k <= BLOCK new states (first
+    1, 1 + BLOCK, ...).  ``states`` is a view of the step array, reused
+    after the call, so a consumer copies what it keeps.  Returns the
+    RunResult of config and its time grid.
     """
     times = time_grid(config)
     nsteps = len(times) - 1
@@ -186,9 +174,7 @@ def run(operators, config, consume):
     rhs = np.empty((BLOCK, n_dofs))
     if config.u0 is not None:
         x[1] = ops.project(config.u0)
-    buf = np.empty((min(CHUNK, nsteps + 1), n_dofs))
-    buf[0] = x[1]
-    first, filled = 0, 1
+    consume(0, x[1:2])
     # One call gives the data of the block's step ends, a row each.
     # Crank-Nicolson averages the data at both ends of a step; the start
     # of a block is the end of the block before, so each time is
@@ -215,15 +201,9 @@ def run(operators, config, consume):
         bad = factor.failing(rhs[lo:k].T, x[lo + 2:k + 2].T)
         if bad.any():
             march(lo + int(np.argmax(bad)), b0, ends, factor.solve)
-        for state in x[2:k + 2]:
-            if filled == len(buf):
-                consume(first, buf)
-                first, filled = first + filled, 0
-            buf[filled] = state
-            filled += 1
+        consume(n + 1, x[2:k + 2])
         b0 = ends[k - 1]
         x[:2] = x[k:k + 2]
-    consume(first, buf[:filled])
     return RunResult(config=config, times=times)
 
 
@@ -250,53 +230,50 @@ class ErrorFold:
     E^2 = E_L2*[u(0), u_h(0)]^2 + int_I E_Hm1*[du/dt, d_t u_h]^2
         + int_I E_H1*[u, u_h]^2, with trapezoid time integrals, backward
     differences for d_t u_h (paired with du/dt at step midpoints), plus
-    the companion integral int_I E_L2*^2.  The squared errors are kept one
-    float per step and evaluated on blocks of BLOCK states or steps,
-    aligned to multiples of BLOCK in the run; a step block waits for the
-    state that ends it, which may come with the next chunk, and then forms
-    the Fourier coefficients of du/dt at its own step midpoints.  Feed it
-    every state of the run in order, then read ``record``.
+    the companion integral int_I E_L2*^2, against config.manufactured.
+    The squared errors are kept one float per step.  Each call evaluates
+    the L2* and H1* errors of the states it is given and the H^-1* error
+    of the steps that end in them, the first from the last state folded
+    before (a copy of it is kept), with the Fourier coefficients of du/dt
+    at those step midpoints.  Feed it every state of the run in order, in
+    any split (the run's blocks, single states, all at once), then read
+    ``record``.
     """
 
-    def __init__(self, operators, config, manufactured=None):
+    def __init__(self, operators, config):
+        if config.manufactured is None:
+            raise InvalidConfig("the error functionals need a manufactured "
+                                "solution")
         self.ops = operators
-        self.man = (manufactured if manufactured is not None
-                    else config.manufactured)
+        self.man = config.manufactured
         self.dt = config.dt
         self.times = time_grid(config)
         self.h1_sq = np.empty(len(self.times))
         self.l2_sq = np.empty(len(self.times))
         self.hm1_sq = np.empty(len(self.times) - 1)
         self.e0 = None
-        self.open = None              # states of the step block still open
+        self.last = None              # (1, n_dofs): the last state folded
 
     def __call__(self, first, states):
         ops, man = self.ops, self.man
-        t = self.times[first:first + len(states)]
+        stop = first + len(states)
+        t = self.times[first:stop]
+        self.h1_sq[first:stop] = ops.error_h1_star(
+            man.value, man.dprofile, states, t) ** 2
+        l2 = ops.error_l2_star(man.value, states, t)
+        self.l2_sq[first:stop] = l2 ** 2
         if first == 0:
-            self.e0 = ops.error_l2_star(man.value, states[0], t[0])
-        self.h1_sq[first:first + len(states)] = blockwise(
-            lambda b: ops.error_h1_star(man.value, man.dprofile, states[b],
-                                        t[b]) ** 2, len(states))
-        self.l2_sq[first:first + len(states)] = blockwise(
-            lambda b: ops.error_l2_star(man.value, states[b], t[b]) ** 2,
-            len(states))
-        if self.open is not None:
-            states = np.concatenate([self.open, states])
-            first -= len(self.open)
-        n = len(states) - 1               # steps with both ends held
-        if first + n < len(self.times) - 1:
-            n -= n % BLOCK                # the last block waits for its end
-
-        def hm1_sq(b):
-            t = self.times[first + b.start:first + b.stop + 1]
+            self.e0 = float(l2[0])
+        # steps lo, ..., stop - 2 end in states; held[0] is state lo
+        held = np.concatenate([self.last, states]) if first else states
+        lo = stop - len(held)
+        if lo < stop - 1:
+            t = self.times[lo:stop]
             coef = ops.function_coefficients(man.dt_value,
                                              0.5 * (t[:-1] + t[1:]))
-            dudt = np.diff(states[b.start:b.stop + 1], axis=0) / self.dt
-            return ops.error_hm1_star(coef, dudt) ** 2
-
-        self.hm1_sq[first:first + n] = blockwise(hm1_sq, n)
-        self.open = states[n:].copy()
+            self.hm1_sq[lo:stop - 1] = ops.error_hm1_star(
+                coef, np.diff(held, axis=0) / self.dt) ** 2
+        self.last = states[-1:].copy()
 
     def record(self):
         dt = self.dt
@@ -313,9 +290,9 @@ class ErrorFold:
         )
 
 
-def accumulate_errors(operators, config, manufactured=None):
-    """ErrorRecord of the run of config, its states folded as they are
-    stepped (see ErrorFold)."""
-    fold = ErrorFold(operators, config, manufactured)
+def accumulate_errors(operators, config):
+    """ErrorRecord of the run of config against config.manufactured, its
+    states folded as they are stepped (see ErrorFold)."""
+    fold = ErrorFold(operators, config)
     run(operators, config, fold)
     return fold.record()

@@ -2,9 +2,9 @@
 
 Implements the stabilized L2-projection (M + S0) x = b, the norms the
 inf-sup theory is measured in (L2*, the discrete dual norm
-sup_w (v, w)_* / ||w||_H1*, the Fourier-truncated H^-1 norm on Gamma and
-its stabilized H^-1_* extension) and the error functionals pairing a
-smooth surface function with a discrete one.
+sup_w (v, w)_* / ||w||_H1* and the stabilized H^-1_* norm, the
+Fourier-truncated H^-1 norm on Gamma plus s_-1) and the error
+functionals pairing a smooth surface function with a discrete one.
 
 Surface functions are passed as callables of the circle angle theta, or,
 with times t, as ``Separable`` functions time(t) * profile(theta); their
@@ -218,15 +218,15 @@ class DiscreteOperators:
         y = (self.kaux if aux_gram else self.kstar).solve(b)
         return _root(np.maximum(np.einsum("nk,nk->k", b, y), 0.0), x)
 
-    def hm1_gamma(self, x):
-        """Fourier-truncated H^-1 norm on Gamma of the trace of v_h."""
-        c = np.atleast_2d(x) @ self.probe.G
-        return _root(c ** 2 @ self.probe.Hm1_gram, x)
-
     def hm1_star(self, x):
         """||v_h||_H^-1_*: the truncated H^-1 norm plus s_-1(v_h, v_h)."""
-        return _root(self.hm1_gamma(x) ** 2
-                     + _form(self.system.S[-1], x), x)
+        xs = np.atleast_2d(x)
+        return _root(self._hm1_star_sq(xs @ self.probe.G, xs), x)
+
+    def _hm1_star_sq(self, c, xs):
+        """Truncated H^-1 norm squared of the Fourier coefficients c (k,
+        n_modes) plus s_-1 of each row of the stack xs (k, n_dofs)."""
+        return c ** 2 @ self.probe.Hm1_gram + _form(self.system.S[-1], xs)
 
     # -- Fourier coefficients of smooth data ----------------------------
 
@@ -299,6 +299,4 @@ class DiscreteOperators:
         ``coef`` holds the Fourier coefficients of v
         (``function_coefficients``), one row per row of x."""
         xs = np.atleast_2d(x)
-        c = coef - xs @ self.probe.G
-        return _root(c ** 2 @ self.probe.Hm1_gram
-                     + _form(self.system.S[-1], xs), x)
+        return _root(self._hm1_star_sq(coef - xs @ self.probe.G, xs), x)

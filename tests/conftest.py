@@ -56,18 +56,18 @@ def off_centre96():
 
 def _trajectory(ops, cfg, fold=None):
     """The RunResult of cfg on ops and its (nsteps + 1, n_dofs) trajectory,
-    collected from the chunks run() hands out; each chunk also goes to
+    collected from the blocks run() hands out; each block also goes to
     fold, when given."""
     from tracefem.heatsolver import run
-    chunks = []
+    blocks = []
 
     def keep(first, states):
-        chunks.append(states.copy())
+        blocks.append(states.copy())
         if fold is not None:
             fold(first, states)
 
     result = run(ops, cfg, keep)
-    return result, np.concatenate(chunks)
+    return result, np.concatenate(blocks)
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +86,7 @@ def decay_runs(ladder):
         dt = s.background.h_global ** 2 / 4.0
         cfg = HeatRun(scheme="BDF1", dt=dt, t_final=0.25,
                       u0=lambda th: np.cos(th), f=None, manufactured=man)
-        fold = ErrorFold(s.ops, cfg, man)
+        fold = ErrorFold(s.ops, cfg)
         result, hist = _trajectory(s.ops, cfg, fold)
         out[n] = (result, hist, fold.record())
     return out

@@ -3,15 +3,26 @@
 The exact closest-point projection and the nodal interpolant of the
 normal extension, which the geometry and best-approximation tests check
 against, the maximal-parabolic-regularity ratio of acceptance
-criterion 8 with the discrete Laplacian and the data norms it takes, and
+criterion 8 with the discrete Laplacian and the data norms it takes,
+the Fourier-truncated H^-1 norm on Gamma, the slicing of a series into
+blocks of BLOCK that the oracles evaluate stacked functionals on, and
 the per-step time steps, each solved and residual-checked on its own,
 that the block-verified ``heatsolver.run`` replaced.
 """
 
 import numpy as np
 
-from tracefem.heatsolver import blockwise
+from tracefem.heatsolver import BLOCK
 from tracefem.operators import _root
+
+
+def blockwise(fn, n):
+    """Concatenate fn(b) over slices b of range(n) of at most BLOCK steps,
+    which bound the (k, n_dofs) temporaries of a stacked functional and
+    the (k, 4 k_max + 4) samples of the Fourier coefficients; empty for
+    n = 0."""
+    return np.concatenate([np.empty(0)] + [fn(slice(a, min(a + BLOCK, n)))
+                                           for a in range(0, n, BLOCK)])
 
 
 def closest_point(surface, x):
@@ -44,6 +55,12 @@ def l2_gamma_of_function(ops, v):
     """||v||_L2(Gamma) of a function of theta by the cut quadrature."""
     vals = np.asarray(v(ops.topology.theta))
     return float(np.sqrt(ops.topology.w @ vals ** 2))
+
+
+def hm1_gamma(ops, x):
+    """Fourier-truncated H^-1 norm on Gamma of the trace of v_h."""
+    c = np.atleast_2d(x) @ ops.probe.G
+    return _root(c ** 2 @ ops.probe.Hm1_gram, x)
 
 
 def hm1_gamma_of_function(ops, v, t):

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import tracefem
-from tracefem import cli, heatsolver
+from tracefem import cli
 from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
                           EXIT_OK, _KEYS, Pipeline, _heat_run, fmt,
@@ -231,7 +231,7 @@ class TestSubcommands:
         assert main(["heat", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_OK
 
-    def test_heat_vtk_series(self, tmp_path, monkeypatch, trajectory):
+    def test_heat_vtk_series(self, tmp_path, trajectory):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16], vtk_every=3)
         out = tmp_path / "out"
         assert main(["heat", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -249,9 +249,9 @@ class TestSubcommands:
         assert times[1] > 0.0
         assert fields[0] != fields[1]
 
-        # every 7th state of a run handed out 16 states at a time, byte for
-        # byte as written from the whole trajectory
-        monkeypatch.setattr(heatsolver, "CHUNK", 16)
+        # every 7th state of a run handed out state 0 alone and then 16
+        # states at a time, byte for byte as written from the whole
+        # trajectory
         cfg = write_cfg(tmp_path / "c7.json", n_cells=[16], vtk_every=7,
                         t_final=0.3, scheme="CrankNicolson",
                         data="forced_mode_2")

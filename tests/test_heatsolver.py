@@ -5,7 +5,6 @@ import pytest
 
 from tracefem.cli import fit_rate
 from tracefem.errors import InvalidConfig
-from tracefem import heatsolver
 from tracefem.heatsolver import (MANUFACTURED, ErrorFold, HeatRun,
                                  accumulate_errors, run)
 from tracefem.operators import DiscreteOperators
@@ -115,7 +114,7 @@ class TestErrorAccumulation:
             cfg = HeatRun(dt=dt, t_final=0.5,
                           u0=lambda th: man.value(th, 0.0),
                           f=man.forcing, manufactured=man)
-            rec = accumulate_errors(s.ops, cfg, man)
+            rec = accumulate_errors(s.ops, cfg)
             errs.append(rec.e_l2l2)
         assert errs[1] < errs[0]
 
@@ -126,7 +125,7 @@ class TestErrorAccumulation:
         result, _, record = decay_runs[48]
         man = MANUFACTURED["decaying_mode"]
         proj = [s.ops.project(man.value, t) for t in result.times]
-        fold = ErrorFold(s.ops, result.config, man)
+        fold = ErrorFold(s.ops, result.config)
         fold(0, np.array(proj))
         rec_proj = fold.record()
         assert rec_proj.e_total > 0.0
@@ -139,6 +138,13 @@ class TestErrorAccumulation:
         assert fit_rate(h, e) >= 0.9
         assert fit_rate(h, [rec.e_l2l2 for rec in recs]) >= 0.9
         assert all(a > b for a, b in zip(e, e[1:]))
+
+    def test_errors_need_a_manufactured_solution(self, setup48):
+        cfg = HeatRun(dt=0.05, t_final=0.1, u0=_cos)
+        with pytest.raises(InvalidConfig, match="manufactured"):
+            accumulate_errors(setup48.ops, cfg)
+        with pytest.raises(InvalidConfig, match="manufactured"):
+            ErrorFold(setup48.ops, cfg)
 
     def test_rate_fit_needs_three(self):
         with pytest.raises(InvalidConfig):
@@ -163,11 +169,10 @@ class TestErrorAccumulation:
         table = len(ops.topology.w) * ops.probe.n_modes * 8
         assert peak < table / 2, (peak, table)
 
-    def test_memory_flat_in_steps(self, setup48, monkeypatch):
+    def test_memory_flat_in_steps(self, setup48):
         # Stepping and the error pass keep no trajectory and no per-step
-        # coefficient table: a run twice as long, both spanning several
-        # state chunks, peaks less than 10 % higher.
-        monkeypatch.setattr(heatsolver, "CHUNK", 64)
+        # coefficient table: a run twice as long, both of many step
+        # blocks, peaks less than 10 % higher.
         s = setup48
         man = MANUFACTURED["forced_mode_2"]
         peaks = []

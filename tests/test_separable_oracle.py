@@ -19,9 +19,10 @@ projection itself.
 import numpy as np
 import pytest
 
-from tracefem.heatsolver import BLOCK, MANUFACTURED, blockwise
+from tracefem.heatsolver import BLOCK, MANUFACTURED
 from tracefem.operators import Separable, _form, _root
 
+from helpers import blockwise
 from test_stacked_oracle import NSTEPS, _config
 
 RTOL = 1e-13

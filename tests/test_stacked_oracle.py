@@ -18,16 +18,19 @@ times), the forced trajectories and the Fourier basis must agree bit for
 bit, and a stack of one must equal the single-vector call.
 
 The functions prefixed ``whole_`` are the run that kept the whole
-(nsteps + 1, n_dofs) trajectory, the error pass over it in blocks and the
-heat series taken from it, which the chunked run, the error fold and the
-heat consumer replaced: every error record field and every heat column
-must be equal to them, with the state chunk as shipped and small.
-``whole_run`` also checks each step's solve on its own (``helpers.step_*``),
-so it is the oracle of the block-verified run as well: its states must be
-equal to the run's for block-sized and odd runs, across state chunks,
-when one solve in a block comes back inexact and when a step's solve only
-passes after refinement.  A solve that stays inexact must raise before the
-consumer sees any state of its block.
+(nsteps + 1, n_dofs) trajectory, the error pass over it and the heat
+series taken from it, stacked as the run hands its states out (state 0
+alone, then the step blocks), which the streamed run, the error fold and
+the heat consumer replaced: every error record field and every heat
+column must be equal to them, with the step block as shipped and small.
+The error fold must give the same record, to 1e-13 relative, whatever
+split of the states it is fed.  ``whole_run`` also checks each step's
+solve on its own (``helpers.step_*``), so it is the oracle of the
+block-verified run as well: its states must be equal to the run's for
+block-sized and odd runs, each state handed out once, when one solve in a
+block comes back inexact and when a step's solve only passes after
+refinement.  A solve that stays inexact must raise before the consumer
+sees any state of its block.
 """
 
 import math
@@ -39,14 +42,14 @@ from tracefem import heatsolver
 from tracefem.cli import _heat_run, cmd_heat
 from tracefem.cutquad import arc_cover_defect
 from tracefem.errors import SolveFailure
-from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorRecord, HeatRun,
-                                 HeatStepper, accumulate_errors, blockwise,
-                                 run, time_grid)
+from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, ErrorRecord,
+                                 HeatRun, HeatStepper, accumulate_errors, run,
+                                 time_grid)
 from tracefem.operators import Separable
 
 from conftest import CONFIG
-from helpers import (l2_gamma_of_function, laplacian, max_regularity_ratio,
-                     step_bdf1, step_bdf2, step_cn)
+from helpers import (blockwise, l2_gamma_of_function, laplacian,
+                     max_regularity_ratio, step_bdf1, step_bdf2, step_cn)
 
 RTOL = 1e-13
 NSTEPS = 37                  # not a multiple of the block size
@@ -186,8 +189,17 @@ def old_accumulate_errors(ops, cfg, history, man):
 
 # -- the whole-trajectory reference -------------------------------------------
 
+def run_blocks(nsteps):
+    """The slices of the states a run of nsteps hands its consumer: state 0
+    alone, then the blocks of heatsolver.BLOCK steps."""
+    block = heatsolver.BLOCK
+    return [slice(0, 1)] + [slice(a + 1, min(a + block, nsteps) + 1)
+                            for a in range(0, nsteps, block)]
+
+
 def whole_run(ops, cfg):
     """(history, times) of cfg: every state kept in one array."""
+    block = heatsolver.BLOCK
     dt = cfg.dt
     nsteps = int(np.ceil(cfg.t_final / dt - 1e-12))
     history = np.empty((nsteps + 1, ops.system.n_dofs))
@@ -202,9 +214,9 @@ def whole_run(ops, cfg):
 
     b = data(0.0) if cfg.scheme == "CrankNicolson" else 0.0
     for n in range(nsteps):
-        if n % BLOCK == 0:
-            ends = data(dt * np.arange(n + 1, min(n + BLOCK, nsteps) + 1))
-        b_prev, b = b, ends[n % BLOCK]
+        if n % block == 0:
+            ends = data(dt * np.arange(n + 1, min(n + block, nsteps) + 1))
+        b_prev, b = b, ends[n % block]
         if cfg.scheme == "CrankNicolson":
             u = step_cn(stepper, history[n], 0.5 * (b_prev + b))
         elif cfg.scheme == "BDF2":
@@ -224,14 +236,17 @@ def whole_accumulate_errors(ops, cfg, hist, times, man):
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
     e0 = ops.error_l2_star(man.value, hist[0], times[0])
-    h1_sq = blockwise(lambda b: ops.error_h1_star(
-        man.value, man.dprofile, hist[b], times[b]) ** 2, len(hist))
-    l2_sq = blockwise(lambda b: ops.error_l2_star(
-        man.value, hist[b], times[b]) ** 2, len(hist))
+    blocks = run_blocks(len(hist) - 1)
+    h1_sq = np.concatenate([ops.error_h1_star(
+        man.value, man.dprofile, hist[b], times[b]) ** 2 for b in blocks])
+    l2_sq = np.concatenate([ops.error_l2_star(
+        man.value, hist[b], times[b]) ** 2 for b in blocks])
     coef = ops.function_coefficients(man.dt_value, t_mid)
-    hm1_sq = blockwise(lambda b: ops.error_hm1_star(
-        coef[b], np.diff(hist[b.start:b.stop + 1], axis=0) / dt) ** 2,
-        len(hist) - 1)
+    # a block's steps end in its states and start one state earlier
+    steps = [slice(b.start - 1, b.stop - 1) for b in blocks[1:]]
+    hm1_sq = np.concatenate([np.empty(0)] + [ops.error_hm1_star(
+        coef[s], np.diff(hist[s.start:s.stop + 1], axis=0) / dt) ** 2
+        for s in steps])
     int_h1 = float(dt * trap @ h1_sq)
     int_l2 = float(dt * trap @ l2_sq)
     int_hm1 = float(dt * np.sum(hm1_sq))
@@ -244,10 +259,12 @@ def whole_accumulate_errors(ops, cfg, hist, times, man):
 def whole_heat_rows(ops, hist, times, man):
     """t, l2_star, mean, e_l2_star of every state."""
     m_one = ops.system.M @ np.ones(ops.system.n_dofs)
-    l2 = blockwise(lambda b: ops.l2_star(hist[b]), len(hist))
-    err = blockwise(lambda b: ops.error_l2_star(man.value, hist[b], times[b]),
-                    len(hist))
-    return np.column_stack([times, l2, hist @ m_one, err])
+    blocks = run_blocks(len(hist) - 1)
+    l2 = np.concatenate([ops.l2_star(hist[b]) for b in blocks])
+    mean = np.concatenate([hist[b] @ m_one for b in blocks])
+    err = np.concatenate([ops.error_l2_star(man.value, hist[b], times[b])
+                          for b in blocks])
+    return np.column_stack([times, l2, mean, err])
 
 
 # -- tests -------------------------------------------------------------------
@@ -273,7 +290,7 @@ def test_error_records_match(ladder, trajectory, n, scheme, data):
     cfg = _config(scheme, man)
     _, hist = trajectory(ops, cfg)
     assert hist.shape == (NSTEPS + 1, ops.system.n_dofs)
-    new = accumulate_errors(ops, cfg, man)
+    new = accumulate_errors(ops, cfg)
     old = old_accumulate_errors(ops, cfg, hist, man)
     for name in ("e_l2_initial", "int_h1_sq", "int_hm1_dt_sq", "int_l2_sq",
                  "e_total"):
@@ -453,57 +470,85 @@ def test_stack_of_one_equals_single_call(setup48):
 
 # -- the streamed run against the whole trajectory -----------------------------
 
-# CHUNK as shipped, and small enough that a run crosses many state chunks
-CHUNKS = [None, 48]
-STREAM_STEPS = 301           # not a multiple of BLOCK, 48 or 256
+# The step block as shipped, and small enough that some runs end in a block
+# of a single step.
+SMALL_BLOCK = 5
+BLOCKS = [None, SMALL_BLOCK]
+STREAM_STEPS = 301           # not a multiple of BLOCK
+STREAM_NSTEPS = [STREAM_STEPS, 264, 288, 256]
 
 
-def _chunks(monkeypatch, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(heatsolver, "CHUNK", chunk)
+def _block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(heatsolver, "BLOCK", block)
 
 
 def test_stream_sizes():
-    assert heatsolver.CHUNK % BLOCK == 0
-    for chunk in [c for c in CHUNKS if c is not None]:
-        assert chunk % BLOCK == 0
-        assert STREAM_STEPS % chunk and (STREAM_STEPS + 1) % chunk
-    assert STREAM_STEPS % BLOCK and (STREAM_STEPS + 1) % BLOCK
+    # with the shipped block the streamed runs end in part-full and in
+    # full blocks, with the small one in a block of one step
+    rests = [n % BLOCK for n in STREAM_NSTEPS]
+    assert 0 in rests and any(rests)
+    assert 1 in [n % SMALL_BLOCK for n in STREAM_NSTEPS]
+    assert STREAM_STEPS % BLOCK and STREAM_STEPS % SMALL_BLOCK == 1
 
 
-@pytest.mark.parametrize("chunks", CHUNKS, ids=["shipped", "small"])
+@pytest.mark.parametrize("block", BLOCKS, ids=["shipped", "small"])
 @pytest.mark.parametrize("scheme, data", [
     ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
     ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
-@pytest.mark.parametrize("nsteps", [STREAM_STEPS, 264, 288])
-def test_streamed_errors_bit_identical(setup48, monkeypatch, chunks, scheme,
+@pytest.mark.parametrize("nsteps", STREAM_NSTEPS)
+def test_streamed_errors_bit_identical(setup48, monkeypatch, block, scheme,
                                        data, nsteps):
-    # 264 steps: the last step block is half full; 288 steps: with 48-state
-    # chunks the last chunk holds one state, which closes the last step
-    # block of the chunk before it
-    _chunks(monkeypatch, chunks)
+    # 264 steps: the last block is half full; 288 and 256 steps: it is
+    # full; 301 and 256 steps: the last small block holds one step
+    _block(monkeypatch, block)
     ops = setup48.ops
     man = MANUFACTURED[data]
     cfg = _config(scheme, man, nsteps)
     hist, times = whole_run(ops, cfg)
     assert len(hist) == nsteps + 1
-    new = accumulate_errors(ops, cfg, man)
+    new = accumulate_errors(ops, cfg)
     old = whole_accumulate_errors(ops, cfg, hist, times, man)
     assert new == old
 
 
-@pytest.mark.parametrize("chunks", CHUNKS, ids=["shipped", "small"])
+@pytest.mark.parametrize("scheme, data", [
+    ("BDF1", "decaying_mode"), ("BDF2", "forced_mode_2"),
+    ("CrankNicolson", "forced_mode_2")])
+def test_error_fold_any_split(setup48, scheme, data):
+    # the whole history in one call, one state a call and the run's
+    # blocks fold to the same record
+    ops = setup48.ops
+    cfg = _config(scheme, MANUFACTURED[data], STREAM_STEPS)
+    hist, _ = whole_run(ops, cfg)
+    whole = ErrorFold(ops, cfg)
+    whole(0, hist)
+    single = ErrorFold(ops, cfg)
+    for i in range(len(hist)):
+        single(i, hist[i:i + 1])
+    blocks = accumulate_errors(ops, cfg)
+    for rec in (whole.record(), single.record()):
+        for name in ("e_l2_initial", "int_h1_sq", "int_hm1_dt_sq",
+                     "int_l2_sq", "e_total"):
+            a, b = getattr(rec, name), getattr(blocks, name)
+            assert abs(a - b) <= RTOL * abs(b), (name, a, b)
+
+
+def _heat_cfg(n, scheme, data, nsteps):
+    return dict(CONFIG, n_cells=[n], scheme=scheme, data=data,
+                t_final=T_FINAL * nsteps / NSTEPS, dt_rule=T_FINAL / NSTEPS)
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=["shipped", "small"])
 @pytest.mark.parametrize("n", [48, 96])
 @pytest.mark.parametrize("scheme, data", [
     ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
     ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
 def test_streamed_heat_series_bit_identical(ladder, tmp_path, monkeypatch,
-                                            chunks, n, scheme, data):
-    _chunks(monkeypatch, chunks)
+                                            block, n, scheme, data):
+    _block(monkeypatch, block)
     man = MANUFACTURED[data]
-    cfg = dict(CONFIG, n_cells=[n], scheme=scheme, data=data,
-               t_final=T_FINAL * STREAM_STEPS / NSTEPS,
-               dt_rule=T_FINAL / NSTEPS)
+    cfg = _heat_cfg(n, scheme, data, STREAM_STEPS)
     assert cmd_heat(cfg, str(tmp_path)) == 0
     new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
     ops = ladder[n].ops
@@ -518,6 +563,43 @@ def test_streamed_heat_series_bit_identical(ladder, tmp_path, monkeypatch,
     m_one = ops.system.M @ np.ones(ops.system.n_dofs)
     mean = np.array([float(m_one @ x) for x in hist])
     assert np.abs(new[:, 2] - mean).max() <= RTOL * 2 * np.pi
+
+
+@pytest.mark.parametrize("scheme, data", [
+    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
+    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
+def test_streamed_heat_series_block_multiple(setup48, tmp_path, scheme, data):
+    # 256 steps, a multiple of BLOCK as in every shipped config.  Against
+    # the series stacked in blocks of BLOCK from state 0, as the states
+    # were handed out before state 0 came alone, only rows 0 and N, whose
+    # stacks differ, move: within 1e-14 relative (l2_star, e_l2_star) and
+    # 1e-15 absolute (mean), and so both stay of the series taken one
+    # state at a time.
+    nsteps = 256
+    man = MANUFACTURED[data]
+    cfg = _heat_cfg(48, scheme, data, nsteps)
+    assert cmd_heat(cfg, str(tmp_path)) == 0
+    new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
+    ops = setup48.ops
+    hist, times = whole_run(ops, _heat_run(cfg, setup48, man))
+    assert len(hist) == nsteps + 1 and nsteps % BLOCK == 0
+    assert np.array_equal(new, whole_heat_rows(ops, hist, times, man))
+    m_one = ops.system.M @ np.ones(ops.system.n_dofs)
+    old = np.column_stack([
+        times, blockwise(lambda b: ops.l2_star(hist[b]), len(hist)),
+        hist @ m_one, blockwise(lambda b: ops.error_l2_star(
+            man.value, hist[b], times[b]), len(hist))])
+    assert np.array_equal(new[1:-1], old[1:-1])
+    moved = [0, nsteps]
+    one = np.array([[times[i], ops.l2_star(hist[i]), float(hist[i] @ m_one),
+                     ops.error_l2_star(man.value, hist[i], times[i])]
+                    for i in moved])
+    for a, b in ((new[moved], old[moved]), (new[moved], one),
+                 (old[moved], one)):
+        assert np.array_equal(a[:, 0], b[:, 0])
+        assert np.all(np.abs(a[:, [1, 3]] - b[:, [1, 3]])
+                      <= 1e-14 * np.abs(b[:, [1, 3]])), (a, b)
+        assert np.abs(a[:, 2] - b[:, 2]).max() <= 1e-15, (a, b)
 
 
 # -- the block-verified run against the per-step checked one -----------------
@@ -581,16 +663,16 @@ def test_block_run_equals_checked_steps(setup48, trajectory, scheme, data,
 
 
 @pytest.mark.parametrize("scheme, data", SCHEME_DATA)
-def test_block_run_across_chunks(setup48, monkeypatch, scheme, data):
-    # blocks of 16 steps straddle 48-state chunks: the first chunk holds
-    # state 0, so each chunk ends one state into a block
-    monkeypatch.setattr(heatsolver, "CHUNK", 48)
+def test_block_run_across_chunks(setup48, scheme, data):
+    # the consumer gets state 0 alone, then the states of each block of
+    # 16 steps, the last one part-full: every state once, in order
     cfg = _config(scheme, MANUFACTURED[data], 150)
     hist, _ = whole_run(setup48.ops, cfg)
     got = []
     run(setup48.ops, cfg, lambda first, states: got.append((first,
                                                              states.copy())))
-    assert [first for first, _ in got] == [0, 48, 96, 144]
+    assert [first for first, _ in got] == [0] + list(range(1, 151, BLOCK))
+    assert [len(s) for _, s in got] == [1] + [BLOCK] * 9 + [6]
     assert np.array_equal(np.concatenate([s for _, s in got]), hist)
 
 
@@ -626,19 +708,17 @@ def test_inexact_solve_in_block(setup48, monkeypatch, trajectory, scheme,
 
 @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
 def test_persistent_failure_hides_its_block(setup48, monkeypatch, scheme):
-    # 16-state chunks: chunk 1 (states 16-31) fills up inside block 1
-    # (states 17-32), whose step 24 fails however often it is solved;
-    # the consumer gets chunk 0 and nothing of block 1
-    monkeypatch.setattr(heatsolver, "CHUNK", BLOCK)
+    # step 24 of block 1 (states 17-32) fails however often it is
+    # solved: the consumer gets state 0 and block 0 and nothing of block 1
     ops = setup48.ops
     cfg = _config(scheme, MANUFACTURED["forced_mode_2"], 3 * BLOCK)
     ref, _ = whole_run(ops, cfg)
     target = _rhs_of_step(monkeypatch, ops, cfg, BLOCK + 8)
-    monkeypatch.setattr(heatsolver, "CHUNK", BLOCK)
     _inexact_steps(monkeypatch, lambda b: b.ndim == 2 or _same(target)(b))
     got = []
     with pytest.raises(SolveFailure, match="heat step matrix"):
         run(ops, cfg, lambda first, states: got.append((first,
                                                          states.copy())))
-    assert [first for first, _ in got] == [0]
-    assert np.array_equal(got[0][1], ref[:BLOCK])
+    assert [first for first, _ in got] == [0, 1]
+    assert np.array_equal(np.concatenate([s for _, s in got]),
+                          ref[:BLOCK + 1])
