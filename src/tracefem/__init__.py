@@ -10,16 +10,16 @@ convergence studies for the implicit heat solver.
 
 from .geometry import LevelSetSurface, check_resolution
 from .mesh import build_background, select_active
-from .cutquad import build_topology, intersect_element
+from .cutquad import build_topology
 from .assembly import assemble, assemble_fourier
 from .operators import DiscreteOperators
 from .heatsolver import MANUFACTURED, HeatRun, run, accumulate_errors
 
 __all__ = [
     "LevelSetSurface", "check_resolution", "build_background",
-    "select_active", "build_topology", "intersect_element", "assemble",
-    "assemble_fourier", "DiscreteOperators", "MANUFACTURED", "HeatRun",
-    "run", "accumulate_errors",
+    "select_active", "build_topology", "assemble", "assemble_fourier",
+    "DiscreteOperators", "MANUFACTURED", "HeatRun", "run",
+    "accumulate_errors",
 ]
 
 __version__ = "0.1.0"

@@ -113,16 +113,6 @@ def cut_triangles(tri, center, radius):
     return ends[order], owner[order], int(grazed.sum())
 
 
-def intersect_element(tri, center, radius):
-    """Arcs of the circle inside the closed triangle.
-
-    Returns a list of (theta0, theta1) with theta1 > theta0, the arcs of
-    ``cut_triangles`` for this one triangle.
-    """
-    ends = cut_triangles(np.asarray(tri, dtype=float)[None], center, radius)[0]
-    return [(a, b) for a, b in ends.tolist()]
-
-
 def surface_rule(center, radius, arcs, q):
     """Gauss-Legendre nodes on a stack of arcs (m, 2), q per arc in order.
 
@@ -170,7 +160,6 @@ class CutTopology:
     normal: np.ndarray        # (N, 2) unit normals
     theta: np.ndarray         # (N,) angles about the center
     bary: np.ndarray          # (N, 3) P1 values in the host element
-    v_pts: np.ndarray         # (n_active, 6, 2) volume nodes
     v_w: np.ndarray           # (n_active, 6) volume weights
     v_normal: np.ndarray      # (n_active, 6, 2) extended normal at them
     total_length: float
@@ -224,8 +213,7 @@ def build_topology(surface, active_mesh, q_surf=10):
         elem_ptr=np.concatenate([[0], np.cumsum(counts)]),
         elem=elem, pts=pts, w=w, normal=normals, theta=theta,
         bary=barycentric(tri[elem], pts),
-        v_pts=v_pts, v_w=v_w,
-        v_normal=surface.unit_normal(v_pts),
+        v_w=v_w, v_normal=surface.unit_normal(v_pts),
         total_length=float(w.sum()),
         dropped_contacts=dropped,
     )

@@ -165,16 +165,13 @@ def lambda_h(operators, dual):
     return 1.0 / inv, inv
 
 
-def infsup_bounds(norm_ph_h1star, norm_ph_h1gamma, c_inv, t_final,
-                  mean_zero=False):
+def infsup_bounds(norm_ph_h1star, norm_ph_h1gamma, c_inv, t_final):
     """Lower/upper bounds on the space-time inf-sup constant.
 
-    Lower: c_b^- / (||P_h||_H1* + C_inv,h) with c_b^- = 1/(sqrt8 (1+2T)),
-    or 1/sqrt8 for mean-zero data.  Upper: sqrt2 / ||P_h||_H1Gamma.
+    Lower: c_b^- / (||P_h||_H1* + C_inv,h) with c_b^- = 1/(sqrt8 (1+2T)).
+    Upper: sqrt2 / ||P_h||_H1Gamma.
     """
-    cbm = 1.0 / np.sqrt(8.0)
-    if not mean_zero:
-        cbm /= (1.0 + 2.0 * t_final)
+    cbm = 1.0 / np.sqrt(8.0) / (1.0 + 2.0 * t_final)
     lower = cbm / (norm_ph_h1star + c_inv)
     upper = np.sqrt(2.0) / norm_ph_h1gamma
     return float(lower), float(upper)

@@ -2,8 +2,9 @@
 
 One implicit step solves [(c0/dt) Mt + A + S1] u_new = rhs where Mt is
 the stabilized mass M + S0 (default) or the plain surface mass M, with
-BDF1/BDF2/Crank-Nicolson coefficient choices.  Runs start from the
-stabilized projection of the initial datum and keep no trajectory.  The
+BDF1/BDF2/Crank-Nicolson coefficient choices.  A run is the scheme on a
+manufactured solution u: it starts from the stabilized projection
+P_h u(0), is forced by the f that u induces, and keeps no trajectory.  The
 steps go in blocks of BLOCK: a block is stepped with bare LU solves, then
 all its solves are verified by one multi-vector residual product, and
 from its first failing step it is stepped again with checked solves, so
@@ -82,13 +83,14 @@ MANUFACTURED = {
 
 @dataclass
 class HeatRun:
+    """The scheme on the manufactured solution u: initial state
+    P_h u(0), forcing f, errors against u."""
+
+    manufactured: Manufactured
+    dt: float
+    t_final: float
     scheme: str = "BDF1"
-    dt: float = 1e-2
-    t_final: float = 0.5
     stabilized_time_derivative: bool = True
-    u0: object = None             # u0(theta)
-    f: Separable | None = None    # f(theta, t), None when zero
-    manufactured: Manufactured | None = None
 
 
 @dataclass
@@ -136,7 +138,8 @@ def time_grid(config):
 
 
 def run(operators, config, consume):
-    """March the scheme from P_h u0 to t_final.
+    """March the scheme from P_h u(0) to t_final, forced by f, with u and
+    f those of config.manufactured.
 
     The steps go in blocks of BLOCK, aligned to multiples of BLOCK in the
     run.  A block is stepped with bare LU solves and then verified at once
@@ -162,7 +165,8 @@ def run(operators, config, consume):
     # BDF2 starts with one backward Euler step, checked on its own
     startup = (HeatStepper(ops, "BDF1", dt, config.stabilized_time_derivative)
                if config.scheme == "BDF2" else None)
-    f = config.f
+    man = config.manufactured
+    f = man.forcing
 
     def data(t):
         t = np.asarray(t, dtype=float)
@@ -172,8 +176,7 @@ def run(operators, config, consume):
     # the block goes from x[j + 1] to x[j + 2] with right-hand side rhs[j]
     x = np.zeros((BLOCK + 2, n_dofs))
     rhs = np.empty((BLOCK, n_dofs))
-    if config.u0 is not None:
-        x[1] = ops.project(config.u0)
+    x[1] = ops.project(man.value, 0.0)
     consume(0, x[1:2])
     # One call gives the data of the block's step ends, a row each.
     # Crank-Nicolson averages the data at both ends of a step; the start
@@ -241,9 +244,6 @@ class ErrorFold:
     """
 
     def __init__(self, operators, config):
-        if config.manufactured is None:
-            raise InvalidConfig("the error functionals need a manufactured "
-                                "solution")
         self.ops = operators
         self.man = config.manufactured
         self.dt = config.dt

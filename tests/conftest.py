@@ -84,8 +84,7 @@ def decay_runs(ladder):
     out = {}
     for n, s in ladder.items():
         dt = s.background.h_global ** 2 / 4.0
-        cfg = HeatRun(scheme="BDF1", dt=dt, t_final=0.25,
-                      u0=lambda th: np.cos(th), f=None, manufactured=man)
+        cfg = HeatRun(manufactured=man, dt=dt, t_final=0.25)
         fold = ErrorFold(s.ops, cfg)
         result, hist = _trajectory(s.ops, cfg, fold)
         out[n] = (result, hist, fold.record())

@@ -7,13 +7,21 @@ criterion 8 with the discrete Laplacian and the data norms it takes,
 the Fourier-truncated H^-1 norm on Gamma, the slicing of a series into
 blocks of BLOCK that the oracles evaluate stacked functionals on, and
 the per-step time steps, each solved and residual-checked on its own,
-that the block-verified ``heatsolver.run`` replaced.
+that the block-verified ``heatsolver.run`` replaced, and the constant
+manufactured solutions that steady and zero runs are made of.
 """
 
 import numpy as np
 
-from tracefem.heatsolver import BLOCK
+from tracefem.heatsolver import BLOCK, Manufactured
 from tracefem.operators import _root
+
+
+def constant(c):
+    """The manufactured solution u = c, with f = 0: a run of it starts
+    from P_h c and stays there."""
+    return Manufactured(time=lambda t: c + 0.0 * t, dtime=lambda t: 0.0 * t,
+                        profile=np.ones_like, dprofile=np.zeros_like)
 
 
 def blockwise(fn, n):

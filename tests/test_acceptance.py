@@ -10,7 +10,7 @@ import pytest
 
 from tracefem import diagnostics as dg
 from tracefem.cli import fit_rate
-from tracefem.heatsolver import HeatRun
+from tracefem.heatsolver import MANUFACTURED, HeatRun
 
 from helpers import max_regularity_ratio
 
@@ -170,8 +170,8 @@ def test_criterion_9_dissipation_conservation(setup48, trajectory):
     m_one = s.system.M @ np.ones(s.system.n_dofs)
     ok = True
     for dt in (h * h, h, 1.0):
-        cfg = HeatRun(dt=dt, t_final=max(4 * dt, 0.1),
-                      u0=lambda th: np.cos(th))
+        cfg = HeatRun(manufactured=MANUFACTURED["decaying_mode"], dt=dt,
+                      t_final=max(4 * dt, 0.1))
         _, hist = trajectory(s.ops, cfg)
         l2_star = s.ops.l2_star(hist)
         mean = hist @ m_one

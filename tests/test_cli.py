@@ -307,13 +307,24 @@ class TestSubcommands:
         assert len((out / "project.csv").read_text().splitlines()) == 4
 
     def test_converge(self, tmp_path):
-        cfg = write_cfg(tmp_path / "c.json", n_cells=[12, 16, 24],
-                        t_final=0.02)
+        path = write_cfg(tmp_path / "c.json", n_cells=[12, 16, 24],
+                         t_final=0.02)
         out = tmp_path / "out"
-        assert main(["converge", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert (out / "converge.csv").exists()
+        assert main(["converge", "--config", path, "--out", str(out)]) \
+            == EXIT_OK
         assert (out / "converge_rates.csv").exists()
         assert (out / "converge.dat").exists()
+        # proj_l2_star is the run's initial error: byte for byte the error
+        # of a projection of u(0) made on its own
+        cfg = load_config(path)
+        man = MANUFACTURED[cfg["data"]]
+        lines = (out / "converge.csv").read_text().splitlines()
+        assert lines[0].split(",")[6] == "proj_l2_star"
+        for line in lines[1:]:
+            row = line.split(",")
+            ops = Pipeline(cfg, int(row[0])).ops
+            x = ops.project(man.value, 0.0)
+            assert row[6] == fmt(ops.error_l2_star(man.value, x, 0.0))
 
     @pytest.mark.parametrize("sub, name, flag, key, value", [
         ("dtsweep", "dtsweep.csv", "--literal-eq-matrices",

@@ -78,10 +78,6 @@ class TestInfSup:
         lower, _ = dg.infsup_bounds(2.0, 1.5, 3.0, t_final=0.0)
         assert lower == pytest.approx((1 / np.sqrt(8.0)) / 5.0)
 
-    def test_mean_zero_variant(self):
-        a, _ = dg.infsup_bounds(2.0, 1.5, 3.0, t_final=1.0, mean_zero=True)
-        assert a == pytest.approx((1 / np.sqrt(8.0)) / 5.0)
-
     def test_ordering(self, reports):
         for rep in reports.values():
             assert rep.c_star_lower <= rep.c_star_upper

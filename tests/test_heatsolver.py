@@ -9,22 +9,22 @@ from tracefem.heatsolver import (MANUFACTURED, ErrorFold, HeatRun,
                                  accumulate_errors, run)
 from tracefem.operators import DiscreteOperators
 
+from helpers import constant
 
-def _cos(th):
-    return np.cos(th)
+DECAY = MANUFACTURED["decaying_mode"]
 
 
 class TestStepping:
     @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
     def test_constant_steady_state(self, setup48, trajectory, scheme):
-        cfg = HeatRun(scheme=scheme, dt=0.05, t_final=0.3,
-                      u0=lambda th: np.ones_like(th))
+        cfg = HeatRun(manufactured=constant(1.0), dt=0.05, t_final=0.3,
+                      scheme=scheme)
         _, hist = trajectory(setup48.ops, cfg)
         for x in hist:
             assert np.abs(x - 1.0).max() <= 1e-10
 
     def test_zero_data(self, setup48, trajectory):
-        cfg = HeatRun(dt=0.1, t_final=0.3, u0=None)
+        cfg = HeatRun(manufactured=constant(0.0), dt=0.1, t_final=0.3)
         _, hist = trajectory(setup48.ops, cfg)
         for x in hist:
             assert np.abs(x).max() == 0.0
@@ -32,13 +32,13 @@ class TestStepping:
     def test_decay_rate(self, setup192, trajectory):
         # e^-t cos(theta) at t = 0.5 with dt = 1/512 on the finest mesh
         s = setup192
-        cfg = HeatRun(scheme="BDF1", dt=1.0 / 512.0, t_final=0.5, u0=_cos)
+        cfg = HeatRun(manufactured=DECAY, dt=1.0 / 512.0, t_final=0.5)
         _, hist = trajectory(s.ops, cfg)
         coef = (s.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
         assert abs(coef - np.exp(-0.5)) / np.exp(-0.5) <= 0.02
 
     def test_mass_conservation(self, setup48, trajectory):
-        cfg = HeatRun(dt=0.01, t_final=0.2, u0=_cos)
+        cfg = HeatRun(manufactured=DECAY, dt=0.01, t_final=0.2)
         _, hist = trajectory(setup48.ops, cfg)
         mean = hist @ (setup48.system.M @ np.ones(setup48.system.n_dofs))
         drift = np.abs(mean - mean[0])
@@ -48,24 +48,27 @@ class TestStepping:
     def test_dissipation_all_dt(self, setup48, trajectory):
         h = setup48.mesh.h
         for dt in (h * h, h, 1.0):
-            cfg = HeatRun(dt=dt, t_final=max(4 * dt, 0.1), u0=_cos)
+            cfg = HeatRun(manufactured=DECAY, dt=dt,
+                          t_final=max(4 * dt, 0.1))
             _, hist = trajectory(setup48.ops, cfg)
             l2_star = setup48.ops.l2_star(hist)
             assert np.diff(l2_star).max() <= 1e-12 * l2_star[0]
 
     def test_invalid_scheme(self, setup48):
         with pytest.raises(InvalidConfig):
-            run(setup48.ops, HeatRun(scheme="RK4", dt=0.1, t_final=0.2,
-                                     u0=_cos), lambda first, states: None)
+            run(setup48.ops, HeatRun(manufactured=DECAY, dt=0.1,
+                                     t_final=0.2, scheme="RK4"),
+                lambda first, states: None)
 
     def test_history_length(self, setup48, trajectory):
-        cfg = HeatRun(dt=0.05, t_final=0.25, u0=_cos)
+        cfg = HeatRun(manufactured=DECAY, dt=0.05, t_final=0.25)
         result, hist = trajectory(setup48.ops, cfg)
         assert len(hist) == len(result.times) == 6     # ceil(.25/.05) + 1
 
     def test_bdf2_and_cn_track_decay(self, setup96, trajectory):
         for scheme in ("BDF2", "CrankNicolson"):
-            cfg = HeatRun(scheme=scheme, dt=0.01, t_final=0.3, u0=_cos)
+            cfg = HeatRun(manufactured=DECAY, dt=0.01, t_final=0.3,
+                          scheme=scheme)
             _, hist = trajectory(setup96.ops, cfg)
             coef = (setup96.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
             assert abs(coef - np.exp(-0.3)) <= 0.02
@@ -82,8 +85,8 @@ class TestStepping:
             return riesz(v, t)
 
         monkeypatch.setattr(ops, "riesz_data", counted)
-        cfg = HeatRun(scheme="CrankNicolson", dt=0.01, t_final=0.1,
-                      u0=lambda th: man.value(th, 0.0), f=man.forcing)
+        cfg = HeatRun(manufactured=man, dt=0.01, t_final=0.1,
+                      scheme="CrankNicolson")
         result = run(ops, cfg, lambda first, states: None)
         assert len(result.times) == 11
         assert times == list(result.times)
@@ -96,7 +99,7 @@ class TestStepping:
             dt = s.background.h_global
             runs = []
             for stab in (True, False):
-                cfg = HeatRun(dt=dt, t_final=0.5, u0=_cos,
+                cfg = HeatRun(manufactured=DECAY, dt=dt, t_final=0.5,
                               stabilized_time_derivative=stab)
                 runs.append(trajectory(s.ops, cfg)[1])
             d = runs[0] - runs[1]
@@ -111,9 +114,7 @@ class TestErrorAccumulation:
         errs = []
         for s in (setup48, setup96):
             dt = s.background.h_global / 2
-            cfg = HeatRun(dt=dt, t_final=0.5,
-                          u0=lambda th: man.value(th, 0.0),
-                          f=man.forcing, manufactured=man)
+            cfg = HeatRun(manufactured=man, dt=dt, t_final=0.5)
             rec = accumulate_errors(s.ops, cfg)
             errs.append(rec.e_l2l2)
         assert errs[1] < errs[0]
@@ -139,12 +140,26 @@ class TestErrorAccumulation:
         assert fit_rate(h, [rec.e_l2l2 for rec in recs]) >= 0.9
         assert all(a > b for a, b in zip(e, e[1:]))
 
-    def test_errors_need_a_manufactured_solution(self, setup48):
-        cfg = HeatRun(dt=0.05, t_final=0.1, u0=_cos)
-        with pytest.raises(InvalidConfig, match="manufactured"):
-            accumulate_errors(setup48.ops, cfg)
-        with pytest.raises(InvalidConfig, match="manufactured"):
-            ErrorFold(setup48.ops, cfg)
+    @pytest.mark.parametrize("data", sorted(MANUFACTURED))
+    def test_first_state_is_projected_u0(self, setup48, data):
+        # the run projects u(0) as the Separable u at t = 0: the same bits
+        # as projecting the function theta -> u(theta, 0)
+        man = MANUFACTURED[data]
+        ops = setup48.ops
+        first = []
+        run(ops, HeatRun(manufactured=man, dt=0.05, t_final=0.05),
+            lambda i, states: first.append(states.copy()) if i == 0 else None)
+        assert np.array_equal(first[0][0],
+                              ops.project(lambda th: man.value(th, 0.0)))
+
+    def test_initial_error_is_projection_error(self, ladder, decay_runs):
+        # converge writes e_l2_initial as proj_l2_star: on the shipped
+        # ladder it equals the error of a projection made on its own
+        man = MANUFACTURED["decaying_mode"]
+        for n, s in ladder.items():
+            x = s.ops.project(man.value, 0.0)
+            assert decay_runs[n][2].e_l2_initial == \
+                s.ops.error_l2_star(man.value, x, 0.0)
 
     def test_rate_fit_needs_three(self):
         with pytest.raises(InvalidConfig):
@@ -157,9 +172,7 @@ class TestErrorAccumulation:
         s = setup96
         ops = DiscreteOperators(s.system, s.probe)
         man = MANUFACTURED["forced_mode_2"]
-        cfg = HeatRun(dt=0.01, t_final=0.37,
-                      u0=lambda th: man.value(th, 0.0),
-                      f=man.forcing, manufactured=man)
+        cfg = HeatRun(manufactured=man, dt=0.01, t_final=0.37)
         tracemalloc.start()
         try:
             accumulate_errors(ops, cfg)
@@ -177,9 +190,7 @@ class TestErrorAccumulation:
         man = MANUFACTURED["forced_mode_2"]
         peaks = []
         for t_final in (0.3, 0.6):        # 301 and 601 steps
-            cfg = HeatRun(dt=0.3 / 301, t_final=t_final,
-                          u0=lambda th: man.value(th, 0.0),
-                          f=man.forcing, manufactured=man)
+            cfg = HeatRun(manufactured=man, dt=0.3 / 301, t_final=t_final)
             tracemalloc.start()
             try:
                 accumulate_errors(s.ops, cfg)

@@ -1,4 +1,5 @@
-"""Every public function, class and method of the package is reached.
+"""Every public function, class and method of the package is reached,
+and so is every option of one.
 
 A public name (no leading underscore) defined in ``src/tracefem`` must be
 used somewhere in the package outside its own definition: a function or
@@ -7,6 +8,15 @@ string only (a bare name of the same spelling, such as a parameter, does
 not reach it).  A name that only a test or an outside tool uses
 is listed in ALLOWED with the reason it is kept; an entry that is no
 longer defined, or is now reached from the package, fails the test too.
+
+A parameter with a default of a public function or method must be
+passed, by keyword or by position, by some call in the package outside
+the definition, to a callee of its name (a function as a name or an
+attribute, a method as an attribute); a call with ``*args`` or
+``**kwargs`` passes every parameter.  An option only a test or an
+outside tool sets is listed in UNPASSED as ``function.parameter`` with
+the reason it is kept, under the same staleness rule.  Dataclass fields
+are not parameters of a def and are not checked.
 """
 
 import ast
@@ -20,7 +30,18 @@ ALLOWED = {
     "arcs": "read by the arc-count hook of perfbench/tracer.py",
 }
 
+UNPASSED = {
+    "main.argv": "the console entry point calls main() bare; the tests "
+                 "pass the argument list",
+    "dual_norm.aux_gram": "goes with the K_aux LU, which the LU-fill hook "
+                          "of perfbench/tracer.py reads as ops.kaux",
+}
+
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
 
 def _uses(tree, bare_names=True):
@@ -51,7 +72,7 @@ def _public_defs(tree):
 
 
 def _unreached():
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     total = {bare: sum((_uses(t, bare) for t in trees.values()),
                        collections.Counter()) for bare in (True, False)}
     out = {}
@@ -80,3 +101,69 @@ def test_allowlist_is_not_stale():
     assert not gone, "allowlisted but no longer defined: %s" % ", ".join(gone)
     assert not reached, "allowlisted but reached from src/: %s" % ", ".join(reached)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def _defaulted(node):
+    """(position, name) of each parameter of the def node that has a
+    default; the position counts the arguments of a call, past ``self``
+    for a method, and is None for a keyword-only parameter."""
+    args = node.args
+    pos = args.posonlyargs + args.args
+    for i in range(len(pos) - len(args.defaults), len(pos)):
+        yield i, pos[i].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call, position, name):
+    """Whether the call passes the parameter at position (None: keyword
+    only) named name."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def _unpassed():
+    trees = _trees()
+    calls = [node for t in trees.values() for node in ast.walk(t)
+             if isinstance(node, ast.Call)]
+    out, defined = {}, set()
+    for fname, tree in trees.items():
+        for qual, node in _public_defs(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            method = "." in qual
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if method and not static else 0
+            own = {id(c) for c in ast.walk(node)}
+            callers = [c for c in calls if id(c) not in own and (
+                isinstance(c.func, ast.Attribute) and c.func.attr == node.name
+                or not method and isinstance(c.func, ast.Name)
+                and c.func.id == node.name)]
+            for position, name in _defaulted(node):
+                key = "%s.%s" % (node.name, name)
+                defined.add(key)
+                at = None if position is None else position - skip
+                if not any(_passes(c, at, name) for c in callers):
+                    out[key] = "%s:%s(%s)" % (fname, qual, name)
+    return out, defined
+
+
+def test_every_default_is_passed():
+    unpassed, _ = _unpassed()
+    extra = sorted(set(unpassed) - set(UNPASSED))
+    assert not extra, "a default no call in src/ overrides: %s" % (
+        ", ".join(unpassed[k] for k in extra))
+
+
+def test_unpassed_allowlist_is_not_stale():
+    unpassed, defined = _unpassed()
+    gone = sorted(set(UNPASSED) - defined)
+    passed = sorted(set(UNPASSED) & defined - set(unpassed))
+    assert not gone, "allowlisted but no longer defined: %s" % ", ".join(gone)
+    assert not passed, "allowlisted but passed from src/: %s" % ", ".join(passed)
+    assert all(reason.strip() for reason in UNPASSED.values())

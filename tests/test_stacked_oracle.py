@@ -126,10 +126,11 @@ def old_run_history(ops, cfg):
     dt = cfg.dt
     stepper = HeatStepper(ops, cfg.scheme, dt)
     bdf1 = HeatStepper(ops, "BDF1", dt)
-    hist = [ops.project(cfg.u0)]
-    b = old_riesz_data(ops, cfg.f, 0.0)
+    man = cfg.manufactured
+    hist = [ops.project(lambda th: man.value(th, 0.0))]
+    b = old_riesz_data(ops, man.forcing, 0.0)
     for n in range(int(np.ceil(cfg.t_final / dt - 1e-12))):
-        b_prev, b = b, old_riesz_data(ops, cfg.f, (n + 1) * dt)
+        b_prev, b = b, old_riesz_data(ops, man.forcing, (n + 1) * dt)
         if cfg.scheme == "CrankNicolson":
             u = step_cn(stepper, hist[n], 0.5 * (b_prev + b))
         elif cfg.scheme == "BDF2" and n > 0:
@@ -198,15 +199,18 @@ def run_blocks(nsteps):
 
 
 def whole_run(ops, cfg):
-    """(history, times) of cfg: every state kept in one array."""
+    """(history, times) of cfg: every state kept in one array.  u(0) is
+    projected as the function theta -> u(theta, 0), so the run's own
+    projection of the Separable u at t = 0 is checked bit for bit."""
     block = heatsolver.BLOCK
     dt = cfg.dt
     nsteps = int(np.ceil(cfg.t_final / dt - 1e-12))
     history = np.empty((nsteps + 1, ops.system.n_dofs))
-    history[0] = ops.project(cfg.u0) if cfg.u0 is not None else 0.0
+    man = cfg.manufactured
+    history[0] = ops.project(lambda th: man.value(th, 0.0))
     stepper = HeatStepper(ops, cfg.scheme, dt, cfg.stabilized_time_derivative)
     bdf1 = HeatStepper(ops, "BDF1", dt, cfg.stabilized_time_derivative)
-    f = cfg.f
+    f = man.forcing
 
     def data(t):
         t = np.asarray(t, dtype=float)
@@ -271,9 +275,8 @@ def whole_heat_rows(ops, hist, times, man):
 
 def _config(scheme, man, nsteps=NSTEPS):
     t_final = T_FINAL * nsteps / NSTEPS
-    return HeatRun(scheme=scheme, dt=t_final / nsteps, t_final=t_final,
-                   u0=lambda th: man.value(th, 0.0), f=man.forcing,
-                   manufactured=man)
+    return HeatRun(manufactured=man, dt=t_final / nsteps, t_final=t_final,
+                   scheme=scheme)
 
 
 def test_step_count_is_not_a_block_multiple():
