@@ -7,6 +7,8 @@ alone; ``quadcheck`` audits it and stops there, so it never loads scipy.
 The other subcommands build a ``Pipeline`` (the cut stage, then assembly
 and the LUs of the operators), and ``main`` imports scipy's sparse
 solvers for them once, after parsing and before the first ``Pipeline``.
+The operators assemble the Fourier probe when it is first read, so only
+``diagnose`` and ``converge`` (the H^-1 quantities) build one per mesh.
 Each config key has one row (default, check, requirement) in ``_KEYS``;
 a flag sets the key it names and is checked by the same row.  Only
 ``main`` turns a failure into an exit code, with one line on stderr:
@@ -25,7 +27,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import diagnostics as dg
-from .assembly import assemble, assemble_fourier, export_matrices
+from .assembly import assemble, export_matrices
 from .cutquad import arc_cover_defect, build_topology, oscillation_order
 from .errors import (AssumptionViolation, AuditFailure, InvalidConfig,
                      TraceFemError)
@@ -162,16 +164,14 @@ def cut(cfg, n_cells):
 
 
 class Pipeline:
-    """The cut stage (``cut``), then the assembled system, the Fourier
-    probe and the operators with their LUs, for one mesh size."""
+    """The cut stage (``cut``), then the assembled system and the operators
+    with their LUs (``ops.probe`` is built when first read), for one mesh."""
 
-    def __init__(self, cfg, n_cells, need_probe=True):
+    def __init__(self, cfg, n_cells):
         self.surface, self.background, self.mesh, self.topology = \
             cut(cfg, n_cells)
         self.system = assemble(self.mesh, self.topology)
-        self.probe = assemble_fourier(self.topology, cfg["k_max"]) \
-            if need_probe else None
-        self.ops = DiscreteOperators(self.system, self.probe)
+        self.ops = DiscreteOperators(self.system, cfg["k_max"])
 
 
 def _heat_run(cfg, pipe, man):
@@ -238,8 +238,7 @@ def cmd_project(cfg, out):
 
 def cmd_heat(cfg, out):
     man = MANUFACTURED[cfg["data"]]
-    # the series reads no Fourier mode: L2* norms and errors, Riesz data
-    pipe = Pipeline(cfg, cfg["n_cells"][0], need_probe=False)
+    pipe = Pipeline(cfg, cfg["n_cells"][0])
     ops, hr = pipe.ops, _heat_run(cfg, pipe, man)
     m_one = pipe.system.M @ np.ones(pipe.system.n_dofs)
     every = cfg["vtk_every"]
@@ -294,7 +293,7 @@ def cmd_diagnose(cfg, out):
 
 
 def cmd_dtsweep(cfg, out):
-    pipe = Pipeline(cfg, cfg["n_cells"][0], need_probe=False)
+    pipe = Pipeline(cfg, cfg["n_cells"][0])
     dts = cfg["dt_list"] or [2.0 ** (-e) for e in range(4, 25)]
     literal = cfg["literal_eq_matrices"]
     rows = []

@@ -22,8 +22,7 @@ about 1; both ends of the spectrum then lie far above the floor, and
 the scaling is exact and leaves kappa unchanged.  The eigenvalues
 behind C_inv,h and Lambda_h are of order 10 and need no scaling; their
 pairs are also checked by residual, while kappa uses the Ritz values
-alone.  Lanczos starts
-from a fixed vector, so reruns are byte-identical.
+alone.  Lanczos starts from a fixed vector, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -91,6 +90,9 @@ def _kappa(mat, what):
     first scaled by 2^-round(log2 max_i a_ii), exactly, so that both
     1/lambda_min and lambda_max lie above ARPACK's absolute floor: at
     dt = 1e-50 the unscaled 1/lambda_min of B_* at n_cells=16 is 2.8e-49.
+    A failed factorization or lambda_min <= 0 is a SingularMatrix; shift-
+    invert solves that miss the residual rule of ``_Factor.solve``, as an
+    LU solve can once eps kappa > 1e-12, stay a SolveFailure.
     """
     dmax = mat.diagonal().max()
     if not dmax > 0.0:
@@ -99,10 +101,10 @@ def _kappa(mat, what):
     mat = mat * np.ldexp(1.0, -int(np.round(np.log2(dmax))))
     try:
         lu = _Factor(mat, what)
-        lo = _eigsh(mat, sigma=0.0, which="LM",
-                    OPinv=_operator(mat.shape[0], lu.solve))[0]
     except SolveFailure as exc:
         raise SingularMatrix("%s is singular: %s" % (what, exc))
+    lo = _eigsh(mat, sigma=0.0, which="LM",
+                OPinv=_operator(mat.shape[0], lu.solve))[0]
     if lo <= 0.0:
         raise SingularMatrix("%s has lambda_min = %.3e" % (what, lo))
     return _eigsh(mat, which="LA")[0] / lo

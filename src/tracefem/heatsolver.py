@@ -130,11 +130,17 @@ class HeatStepper:
 
 
 def time_grid(config):
-    """Times 0, dt, ..., nsteps dt of a run, nsteps = ceil(t_final / dt)."""
+    """Times 0, dt, ..., nsteps dt of a run, nsteps = ceil(t_final / dt);
+    a step count that is not finite or does not fit in np.intp is an
+    InvalidConfig."""
     dt = config.dt
     if dt <= 0 or config.t_final <= 0:
         raise InvalidConfig("dt and t_final must be positive")
-    return dt * np.arange(int(np.ceil(config.t_final / dt - 1e-12)) + 1)
+    nsteps = np.ceil(config.t_final / dt - 1e-12)
+    if not nsteps < np.iinfo(np.intp).max:
+        raise InvalidConfig("dt %g and t_final %g give %g steps, more than "
+                            "an array can index" % (dt, config.t_final, nsteps))
+    return dt * np.arange(int(nsteps) + 1)
 
 
 def run(operators, config, consume):

@@ -127,7 +127,9 @@ def select_active(background, surface):
     Only the grid cells whose centre lies within R +- sqrt2 h of the
     circle can hold a cut triangle (every point of a cell is within
     h / sqrt2 of its centre); the exact predicate runs on their
-    triangles.  Dofs are numbered in order of first appearance.
+    triangles.  Dofs are numbered in order of first appearance.  A
+    circle that misses the mesh is an EmptyIntersection, one that leaves
+    the closed bbox an InvalidConfig.
     """
     center, radius = surface.center, surface.radius
     verts, n, h = background.vertices, background.n_cells, background.h_global
@@ -138,6 +140,10 @@ def select_active(background, surface):
     active = cand[_cuts_circle(verts[background.triangles[cand]], center, radius)]
     if not len(active):
         raise EmptyIntersection("no background element intersects the surface")
+    lo, hi = background.bbox
+    if not (np.all(lo <= center - radius) and np.all(center + radius <= hi)):
+        raise InvalidConfig("the circle of radius %g about (%g, %g) leaves "
+                            "the bbox [%g, %g]" % (radius, *center, lo, hi))
 
     tris = background.triangles[active]
     uniq, first, inverse = np.unique(tris.ravel(), return_index=True,

@@ -22,15 +22,19 @@ takes the Fourier coefficients of the smooth function instead of it.
 The circle is represented exactly, so ``function_coefficients``
 integrates a smooth function on it with one rfft over equispaced angles;
 the Riesz data, the tables of the split errors and the probe's G keep the
-cut quadrature.
+cut quadrature.  The Fourier probe is assembled the first time something
+reads ``probe``: the projection, the L2*, dual and H1* quantities and the
+Riesz data never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .assembly import assemble_fourier
 from .errors import SolveFailure
 
 
@@ -119,12 +123,12 @@ class _Factor:
 class DiscreteOperators:
     """Projection, norm and error evaluations for one system."""
 
-    def __init__(self, system, probe=None):
+    def __init__(self, system, k_max):
         import scipy.sparse as sp   # here: a cut alone loads no scipy
         self.system = system
         self.topology = topo = system.topology
         self.mesh = mesh = system.mesh
-        self.probe = probe
+        self.k_max = k_max
         self.mstar = _Factor(system.M_star, "M_star")
         self.kstar = _Factor(system.K_star, "K_star")
         self.kaux = _Factor(system.K_aux, "K_aux")
@@ -139,6 +143,11 @@ class DiscreteOperators:
         self.trace_t = self.trace.T.tocsr()       # the Riesz data's trace'
         self._nodes = {}        # profile -> its values at the surface nodes
         self._tables = {}       # (profile, derivative or None) -> _table
+
+    @cached_property
+    def probe(self):
+        """The FourierProbe of modes up to k_max, assembled on first read."""
+        return assemble_fourier(self.topology, self.k_max)
 
     def _profile(self, g):
         """Values of the function g(theta) at the surface nodes, evaluated

@@ -108,11 +108,11 @@ class TestLoadVectors:
 class TestFourierProbe:
     def test_orthonormality(self, ladder):
         for s in ladder.values():
-            assert s.probe.orthonormality_defect <= 1e-9
+            assert s.ops.probe.orthonormality_defect <= 1e-9
 
     def test_constant_mode_column(self, setup48):
         s = setup48
-        col = s.probe.G[:, 0]
+        col = s.ops.probe.G[:, 0]
         expect = (s.system.M @ np.ones(s.system.n_dofs)) / np.sqrt(2 * np.pi)
         assert np.abs(col - expect).max() <= 1e-10
 
@@ -141,7 +141,7 @@ class TestFourierProbe:
             assert ladder[n].topology.q_surf == expect[n]
 
     def test_gram_shape(self, setup48):
-        p = setup48.probe
+        p = setup48.ops.probe
         assert p.G.shape == (setup48.system.n_dofs, 2 * p.k_max + 1)
         assert p.H1_gram[0] == 1.0
         assert p.H1_gram[1] == pytest.approx(2.0)   # 1 + 1^2
@@ -161,11 +161,11 @@ class TestGramFromMoments:
 
     def test_ladder_and_off_centre(self, ladder, off_centre96):
         for s in list(ladder.values()) + [off_centre96]:
-            moments, direct = self._both(s.probe, s.topology)
+            moments, direct = self._both(s.ops.probe, s.topology)
             scale = np.abs(direct).max()
             assert np.abs(moments - direct).max() <= 1e-12 * scale
-            eye = np.eye(s.probe.n_modes)
-            assert abs(s.probe.orthonormality_defect
+            eye = np.eye(s.ops.probe.n_modes)
+            assert abs(s.ops.probe.orthonormality_defect
                        - np.abs(direct - eye).max()) <= 1e-12 * scale
 
     def test_under_resolved_nodes(self):

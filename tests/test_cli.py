@@ -9,7 +9,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import tracefem
-from tracefem import cli
+from tracefem import operators
+from tracefem.assembly import assemble_fourier
 from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
                           EXIT_OK, _KEYS, Pipeline, _heat_run, fmt,
@@ -163,6 +164,28 @@ class TestConfig:
         assert err[0].startswith("config error: ")
         assert cause in err[0]
 
+    @pytest.mark.parametrize("sub", ["project", "quadcheck"])
+    def test_circle_leaving_bbox(self, tmp_path, sub):
+        # the circle cuts the mesh, but its right half lies outside
+        cfg = write_cfg(tmp_path / "c.json", center=[1.0, 0.0], radius=1.0)
+        code, err = run_cli(sub, "--config", cfg,
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert err == ["config error: the circle of radius 1 about (1, 0) "
+                       "leaves the bbox [-1.5, 1.5]"]
+
+    @pytest.mark.parametrize("sub", ["heat", "converge"])
+    @pytest.mark.parametrize("dt, steps", [(1e-300, "2.5e+299"),
+                                           (5e-324, "inf")])
+    def test_step_count_beyond_an_array(self, tmp_path, sub, dt, steps):
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[12, 16, 24],
+                        dt_rule=dt, t_final=0.25)
+        code, err = run_cli(sub, "--config", cfg,
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert err == ["config error: dt %g and t_final 0.25 give %s steps, "
+                       "more than an array can index" % (dt, steps)]
+
     def test_flag_goes_through_its_row(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", seed=1, out="a")
         conf = load_config(cfg, {"seed": 7,
@@ -225,11 +248,35 @@ class TestSubcommands:
         def no_probe(*args, **kwargs):
             raise AssertionError("heat assembled the Fourier probe")
 
-        monkeypatch.setattr(cli, "assemble_fourier", no_probe)
+        monkeypatch.setattr(operators, "assemble_fourier", no_probe)
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16],
                         data="forced_mode_2", scheme="BDF2")
         assert main(["heat", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("sub, extra, probes", [
+        ("quadcheck", {}, 0),
+        ("project", {"n_cells": [16, 24, 32]}, 0),
+        ("heat", {"n_cells": [16]}, 0),
+        ("dtsweep", {"dt_list": [1e-3]}, 0),
+        ("diagnose", {}, 2),
+        ("converge", {"n_cells": [12, 16, 24], "t_final": 0.02}, 3),
+    ])
+    def test_probe_built_on_first_read(self, tmp_path, monkeypatch, sub,
+                                       extra, probes):
+        # only the H^-1 quantities of diagnose and converge read the
+        # Fourier probe: one assembly per mesh there, none elsewhere
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble_fourier(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "assemble_fourier", counted)
+        cfg = write_cfg(tmp_path / "c.json", **extra)
+        assert main([sub, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(calls) == probes
 
     def test_heat_vtk_series(self, tmp_path, trajectory):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16], vtk_every=3)
@@ -299,7 +346,8 @@ class TestSubcommands:
 
     def test_project_low_q_surf(self, tmp_path):
         # q_surf 4 is raised to ceil(k_max h) + 4 = 7 on the coarsest mesh
-        # (h = 0.177); the probe needs that bound only, not the default 10
+        # (h = 0.177), the order modes up to k_max need; project reads no
+        # Fourier mode and builds no probe
         cfg = write_cfg(tmp_path / "c.json", n_cells=[24, 32, 48], q_surf=4,
                         k_max=16)
         out = tmp_path / "out"
@@ -380,6 +428,18 @@ class TestNumericalFailure:
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_NUMERICAL
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    def test_kappa_solves_miss_the_residual_rule(self, tmp_path):
+        # B = M/dt + A + S1 is SPD, but kappa(B) = 1.0e8 at dt = 1e-10:
+        # the shift-invert solves miss the 1e-12 residual rule, which is
+        # no sign of a singular matrix
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[48], dt_list=[1e-10])
+        code, err = run_cli("dtsweep", "--config", cfg,
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL
+        assert err == ["numerical failure: solve with one-step matrix: 1 of "
+                       "1 columns miss the relative residual 1e-12 after "
+                       "refinement"]
 
     def test_lanczos_no_convergence(self, tmp_path, capsys, monkeypatch):
         def stalled(*args, **kwargs):
@@ -481,7 +541,7 @@ def test_quadcheck_runs_without_scipy(tmp_path):
     exact = 2.0 * np.pi * cfg["radius"]
     rows = []
     for n in cfg["n_cells"]:
-        pipe = Pipeline(cfg, n, need_probe=False)
+        pipe = Pipeline(cfg, n)
         mesh, topo = pipe.mesh, pipe.topology
         fine = build_topology(pipe.surface, mesh, q_surf=topo.q_surf + 4)
         spec = max(abs(topo.w @ np.cos(k * topo.theta)

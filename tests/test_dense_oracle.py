@@ -128,7 +128,7 @@ def test_condition_numbers_match_dense(setup96, monkeypatch,
 
 @pytest.fixture(scope="module")
 def setup16():
-    return Pipeline(CONFIG, 16, need_probe=False)
+    return Pipeline(CONFIG, 16)
 
 
 @pytest.mark.parametrize("dt", [1e-20, 1e-50, 1e-200])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tracefem import diagnostics as dg
-from tracefem.errors import SingularMatrix
+from tracefem.errors import SingularMatrix, SolveFailure
 
 from helpers import max_regularity_ratio
 
@@ -53,7 +53,6 @@ class TestLambda:
                 (rep.norm_Ph_H1star + rep.C_inv_h) * 1.02
 
     def test_kmax_monotone(self, setup96):
-        from tracefem.assembly import assemble_fourier
         from tracefem.cutquad import build_topology, oscillation_order
         from tracefem.operators import DiscreteOperators
         s = setup96
@@ -63,7 +62,7 @@ class TestLambda:
         system = assemble(s.mesh, topo)
         inv = []
         for k_max in (128, 256):
-            ops = DiscreteOperators(system, assemble_fourier(topo, k_max))
+            ops = DiscreteOperators(system, k_max)
             inv.append(dg.lambda_h(ops, dg._dual_operators(ops))[1])
         assert inv[1] >= inv[0] - 1e-9
         assert abs(inv[1] - inv[0]) / inv[0] <= 0.01
@@ -118,6 +117,28 @@ class TestConditionNumbers:
             dg.condition_number(setup48.system, 0.0)
 
 
+def test_s0_contrast():
+    # The ghost-penalty S0 is what makes the mass matrix well conditioned
+    # whatever the cut (Grande, Lehrenfeld & Reusken, SINUM 56, 2018): at
+    # n_cells 48, eight centres within one cell of the origin give
+    # kappa(M) from 3.0e5 to 3.3e9 but kappa(M + S0) from 41.5 to 47.5.
+    # Dense eigenvalues: the shift-invert LU solves of kappa(M) miss the
+    # 1e-12 residual rule of diagnostics._kappa.
+    import scipy.linalg as sla
+    from tracefem.assembly import assemble
+    from tracefem.cli import _DEFAULTS, cut
+    h = 3.0 / 48
+    kappa = []
+    for c in np.random.default_rng(0).uniform(-h, h, (8, 2)):
+        _, _, mesh, topo = cut(dict(_DEFAULTS, center=list(c)), 48)
+        system = assemble(mesh, topo)
+        lams = [sla.eigvalsh(m.toarray()) for m in (system.M, system.M_star)]
+        kappa.append([lam[-1] / lam[0] for lam in lams])
+    k_m, k_mstar = np.array(kappa).T
+    assert k_m.min() >= 1e5 and k_m.max() / k_m.min() >= 1e3
+    assert 40.0 <= k_mstar.min() and k_mstar.max() <= 50.0
+
+
 class TestMaxRegularity:
     def test_zero_data(self, setup48):
         s = setup48
@@ -147,11 +168,13 @@ class TestMaxRegularity:
 def test_singular_matrix_detection(setup48):
     import scipy.sparse as sp
     sy = setup48.system
-    # zero out the mass entirely: (1/dt) * 0 + A + S1 is singular
+    # zero out the mass entirely: (1/dt) * 0 + A + S1 is singular.  Its
+    # LU may succeed on a rounded pivot; the shift-invert solves then
+    # miss the residual rule, a SolveFailure
     broken = dataclasses.replace(sy, M=sp.csr_matrix(sy.M.shape))
     try:
         kappa = dg.condition_number(broken, 1e-6, stabilized_time=False)
-    except SingularMatrix:
+    except (SingularMatrix, SolveFailure):
         return
     # kernel may round to a tiny positive eigenvalue instead
     assert kappa > 1e12

@@ -309,9 +309,9 @@ def check_against_oracle(surface, bbox, n_cells, k_max, new=None):
 @pytest.mark.parametrize("n", [48, 96, 192])
 def test_ladder_matches_oracle(ladder, n):
     s = ladder[n]
-    check_against_oracle(s.surface, BBOX, n, s.probe.k_max,
+    check_against_oracle(s.surface, BBOX, n, s.ops.probe.k_max,
                          new=(s.background, s.mesh, s.topology, s.system,
-                              s.probe))
+                              s.ops.probe))
 
 
 # -- hard placements -----------------------------------------------------------

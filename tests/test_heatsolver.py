@@ -34,7 +34,7 @@ class TestStepping:
         s = setup192
         cfg = HeatRun(manufactured=DECAY, dt=1.0 / 512.0, t_final=0.5)
         _, hist = trajectory(s.ops, cfg)
-        coef = (s.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
+        coef = (s.ops.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
         assert abs(coef - np.exp(-0.5)) / np.exp(-0.5) <= 0.02
 
     def test_mass_conservation(self, setup48, trajectory):
@@ -70,7 +70,7 @@ class TestStepping:
             cfg = HeatRun(manufactured=DECAY, dt=0.01, t_final=0.3,
                           scheme=scheme)
             _, hist = trajectory(setup96.ops, cfg)
-            coef = (setup96.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
+            coef = (setup96.ops.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
             assert abs(coef - np.exp(-0.3)) <= 0.02
 
     def test_cn_evaluates_each_forcing_once(self, setup48, monkeypatch):
@@ -168,9 +168,11 @@ class TestErrorAccumulation:
     def test_memory_below_basis_table(self, setup96):
         # The error pass holds no (n_nodes, n_modes) Fourier basis table:
         # its peak traced allocation stays below half of one.  Fresh
-        # operators, so nothing is cached by earlier tests.
+        # operators, so nothing is cached by earlier tests; their probe is
+        # built before the measurement, which covers the pass alone.
         s = setup96
-        ops = DiscreteOperators(s.system, s.probe)
+        ops = DiscreteOperators(s.system, s.ops.k_max)
+        ops.probe
         man = MANUFACTURED["forced_mode_2"]
         cfg = HeatRun(manufactured=man, dt=0.01, t_final=0.37)
         tracemalloc.start()

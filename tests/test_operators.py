@@ -147,9 +147,9 @@ class TestProjection:
 
     def test_fourier_data_route(self, setup48):
         s = setup48
-        c = np.zeros(s.probe.n_modes)
+        c = np.zeros(s.ops.probe.n_modes)
         c[1] = np.sqrt(np.pi)          # cos(theta) in the orthonormal basis
-        x1 = s.ops.project(s.probe.G @ c)
+        x1 = s.ops.project(s.ops.probe.G @ c)
         x2 = s.ops.project(np.cos)
         assert np.abs(x1 - x2).max() <= 1e-9
 
@@ -165,8 +165,8 @@ class TestLaplacian:
         s = setup96
         x = s.ops.project(np.cos)
         d = laplacian(s.ops, x)
-        xc = (s.probe.G.T @ x)[1]
-        dc = (s.probe.G.T @ d)[1]
+        xc = (s.ops.probe.G.T @ x)[1]
+        dc = (s.ops.probe.G.T @ d)[1]
         assert 0.9 <= dc / xc <= 1.1
 
     def test_linearity(self, setup48):
