@@ -2,8 +2,8 @@
 
 The package discretizes surface PDEs on a closed curve embedded in a
 2-D bulk triangulation (trace FEM with normal-derivative volume
-stabilization), provides the stabilized L2-projection and discrete dual
-norms, measures the constants of the associated inf-sup theory as
+stabilization), provides the stabilized L2-projection and the discrete dual
+norm, measures the constants of the associated inf-sup theory as
 generalized eigenvalue problems, and runs manufactured-solution
 convergence studies for the implicit heat solver.
 """

@@ -188,9 +188,11 @@ def oscillation_order(k_max, h, radius, q_surf=10):
     """Gauss order needed to integrate modes up to k_max on O(h) arcs.
 
     The modes oscillate in the angle, and an arc of length h on a circle
-    of radius R spans h / R radians, so the order grows with k_max h / R.
+    of radius R spans h / R radians, but never more than 2 pi, so the
+    order grows with k_max min(h / R, 2 pi).
     """
-    return max(int(q_surf), int(np.ceil(k_max * h / radius)) + 4)
+    phase = min(k_max * h / radius, 2.0 * np.pi * k_max)
+    return max(int(q_surf), int(np.ceil(phase)) + 4)
 
 
 def build_topology(surface, active_mesh, q_surf=10):

@@ -72,10 +72,14 @@ def _eigsh(mat, **kwargs):
     return float(w[0]), v[:, 0]
 
 
-def _top_eig(lhs, dual):
-    """Largest eigenvalue of the pencil (lhs, N) with dual = (N, N^-1);
-    residual-checked."""
-    gram, inv = dual
+def _top_eig(lhs, operators):
+    """Largest eigenvalue of the pencil (lhs, N), residual-checked, with
+    the dual-norm Gram N = M_* K_*^-1 M_* and its inverse
+    N^-1 = M_*^-1 K_* M_*^-1 applied through the LUs of ``operators``."""
+    system, mstar, kstar = operators.system, operators.mstar, operators.kstar
+    m, k = system.M_star, system.K_star
+    gram = _operator(system.n_dofs, lambda x: m @ kstar.solve(m @ x))
+    inv = _operator(system.n_dofs, lambda x: mstar.solve(k @ mstar.solve(x)))
     lam, x = _eigsh(lhs, M=gram, Minv=inv, which="LA")
     _check_pair(lam, x, lhs, gram)
     return lam
@@ -135,34 +139,25 @@ def op_norms_ph(operators):
     return out[0], out[1]
 
 
-def _dual_operators(operators):
-    """(N, N^-1) as operators: N = M_* K_*^-1 M_*, the Gram of the
-    discrete dual norm, and N^-1 = M_*^-1 K_* M_*^-1, through the LUs."""
-    system, mstar, kstar = operators.system, operators.mstar, operators.kstar
-    m, k = system.M_star, system.K_star
-    return (_operator(system.n_dofs, lambda x: m @ kstar.solve(m @ x)),
-            _operator(system.n_dofs, lambda x: mstar.solve(k @ mstar.solve(x))))
-
-
-def c_inv_h(operators, dual):
+def c_inv_h(operators):
     """sqrt of the largest eigenvalue of (D, N) with the h-weighted
-    local Gram D and the dual-norm Gram N (``_dual_operators``)."""
-    lam = _top_eig(operators.system.D, dual)
+    local Gram D and the dual-norm Gram N (``_top_eig``)."""
+    lam = _top_eig(operators.system.D, operators)
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def lambda_h(operators, dual):
+def lambda_h(operators):
     """Dual-norm gap Lambda_h = inf ||v||_{V^-1} / ||v||_{H^-1_*}.
 
     Computed from the largest eigenvalue of (H + S_-1, N) where H is
     the truncated H^-1-Gamma Gram G Hm1 G' of the trace functionals and
-    N the dual-norm Gram (``_dual_operators``); H is applied as
+    N the dual-norm Gram (``_top_eig``); H is applied as
     x -> G (Hm1 (G' x)).  Returns (Lambda_h, 1/Lambda_h).
     """
     g, hm1 = operators.probe.G, operators.probe.Hm1_gram
     s = operators.system.S[-1]
     lhs = _operator(len(g), lambda x: g @ (hm1 * (g.T @ x)) + s @ x)
-    lam = _top_eig(lhs, dual)
+    lam = _top_eig(lhs, operators)
     inv = float(np.sqrt(max(lam, 0.0)))
     return 1.0 / inv, inv
 
@@ -236,9 +231,8 @@ def constants_report(operators, t_final=1.0, mesh_id=""):
     """Measure every eigenvalue-based constant on one mesh."""
     system = operators.system
     g_norm, s_norm = op_norms_ph(operators)
-    dual = _dual_operators(operators)
-    c_inv = c_inv_h(operators, dual)
-    lam, inv_lam = lambda_h(operators, dual)
+    c_inv = c_inv_h(operators)
+    lam, inv_lam = lambda_h(operators)
     lower, upper = infsup_bounds(s_norm, g_norm, c_inv, t_final)
     return ConstantsReport(
         mesh_id=mesh_id,

@@ -105,12 +105,10 @@ class HeatStepper:
     def __init__(self, operators, scheme, dt, stabilized_time_derivative=True):
         if scheme not in SCHEMES:
             raise InvalidConfig("unknown scheme %r" % scheme)
-        self.ops = operators
         self.scheme = scheme
         self.dt = float(dt)
-        self.stabilized = bool(stabilized_time_derivative)
         system = operators.system
-        self.mt = system.M_star if self.stabilized else system.M
+        self.mt = system.M_star if stabilized_time_derivative else system.M
         self.k1 = system.A_star
         if scheme == "CrankNicolson":
             mat = self.mt / dt + 0.5 * self.k1

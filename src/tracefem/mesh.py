@@ -128,22 +128,23 @@ def select_active(background, surface):
     circle can hold a cut triangle (every point of a cell is within
     h / sqrt2 of its centre); the exact predicate runs on their
     triangles.  Dofs are numbered in order of first appearance.  A
-    circle that misses the mesh is an EmptyIntersection, one that leaves
-    the closed bbox an InvalidConfig.
+    circle that leaves the closed bbox is an InvalidConfig, whether or
+    not it cuts the mesh; one inside it cuts some element, and
+    EmptyIntersection guards that.
     """
     center, radius = surface.center, surface.radius
+    lo, hi = background.bbox
+    if not (np.all(lo <= center - radius) and np.all(center + radius <= hi)):
+        raise InvalidConfig("the circle of radius %g about (%g, %g) leaves "
+                            "the bbox [%g, %g]" % (radius, *center, lo, hi))
     verts, n, h = background.vertices, background.n_cells, background.h_global
-    mid = background.bbox[0] + h * (np.arange(n) + 0.5)
+    mid = lo + h * (np.arange(n) + 0.5)
     dist = np.hypot(mid[:, None] - center[0], mid[None, :] - center[1])
     cells = np.flatnonzero(np.abs(dist - radius) <= np.sqrt(2.0) * h)
     cand = (2 * cells[:, None] + np.arange(2)).ravel()
     active = cand[_cuts_circle(verts[background.triangles[cand]], center, radius)]
     if not len(active):
         raise EmptyIntersection("no background element intersects the surface")
-    lo, hi = background.bbox
-    if not (np.all(lo <= center - radius) and np.all(center + radius <= hi)):
-        raise InvalidConfig("the circle of radius %g about (%g, %g) leaves "
-                            "the bbox [%g, %g]" % (radius, *center, lo, hi))
 
     tris = background.triangles[active]
     uniq, first, inverse = np.unique(tris.ravel(), return_index=True,

@@ -131,7 +131,6 @@ class DiscreteOperators:
         self.k_max = k_max
         self.mstar = _Factor(system.M_star, "M_star")
         self.kstar = _Factor(system.K_star, "K_star")
-        self.kaux = _Factor(system.K_aux, "K_aux")
         # (n_nodes, n_dofs): row n holds the P1 functions of n's element
         cols = mesh.elements[topo.elem].ravel()
         ptr = np.arange(0, len(cols) + 1, 3)
@@ -148,6 +147,12 @@ class DiscreteOperators:
     def probe(self):
         """The FourierProbe of modes up to k_max, assembled on first read."""
         return assemble_fourier(self.topology, self.k_max)
+
+    @cached_property
+    def kaux(self):
+        """The LU of K_aux = K_star + S0, factored on first read; only the
+        LU-fill hook of perfbench/tracer.py reads it."""
+        return _Factor(self.system.K_aux, "K_aux")
 
     def _profile(self, g):
         """Values of the function g(theta) at the surface nodes, evaluated
@@ -215,16 +220,12 @@ class DiscreteOperators:
         """||v_h||_L2*; one value per row of a stack (k, n_dofs)."""
         return _root(_form(self.system.M_star, x), x)
 
-    def dual_norm(self, x, aux_gram=False):
-        """Discrete dual norm sup_w (v, w)_* / ||w||_H1*, per row of x.
-
-        Equals sqrt(x' M_* K^-1 M_* x) with K = K_star (the literal
-        normalization) or, with ``aux_gram``, the stabilized-inner-
-        product stiffness K_aux = K_star + S0 realizing the norm through
-        the auxiliary elliptic solve.
-        """
+    def dual_norm(self, x):
+        """Discrete dual norm sup_w (v, w)_* / ||w||_H1*, per row of x:
+        sqrt(x' N x) with the Gram N = M_* K_*^-1 M_*, through the LU of
+        K_*."""
         b = self.system.M_star @ np.atleast_2d(x).T
-        y = (self.kaux if aux_gram else self.kstar).solve(b)
+        y = self.kstar.solve(b)
         return _root(np.maximum(np.einsum("nk,nk->k", b, y), 0.0), x)
 
     def hm1_star(self, x):

@@ -86,6 +86,17 @@ def run_cli(*argv):
     return proc.returncode, proc.stderr.splitlines()
 
 
+# (subcommand, config overrides, Fourier probes built) of small runs
+SMALL_RUNS = [
+    ("quadcheck", {}, 0),
+    ("project", {"n_cells": [16, 24, 32]}, 0),
+    ("heat", {"n_cells": [16]}, 0),
+    ("dtsweep", {"dt_list": [1e-3]}, 0),
+    ("diagnose", {}, 2),
+    ("converge", {"n_cells": [12, 16, 24], "t_final": 0.02}, 3),
+]
+
+
 def write_cfg(path, **overrides):
     cfg = {"n_cells": [16, 24], "t_final": 0.05, "k_max": 32, "n_random": 5}
     cfg.update(overrides)
@@ -164,15 +175,20 @@ class TestConfig:
         assert err[0].startswith("config error: ")
         assert cause in err[0]
 
-    @pytest.mark.parametrize("sub", ["project", "quadcheck"])
-    def test_circle_leaving_bbox(self, tmp_path, sub):
+    @pytest.mark.parametrize("sub, center, radius", [
         # the circle cuts the mesh, but its right half lies outside
-        cfg = write_cfg(tmp_path / "c.json", center=[1.0, 0.0], radius=1.0)
+        ("project", [1, 0], 1), ("quadcheck", [1, 0], 1),
+        # the circle misses the mesh: a config error, not an empty cut
+        ("project", [10, 10], 0.5), ("quadcheck", [10, 10], 0.5),
+    ], ids=["project", "quadcheck", "project-missing", "quadcheck-missing"])
+    def test_circle_leaving_bbox(self, tmp_path, sub, center, radius):
+        cfg = write_cfg(tmp_path / "c.json", center=center, radius=radius)
         code, err = run_cli(sub, "--config", cfg,
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
-        assert err == ["config error: the circle of radius 1 about (1, 0) "
-                       "leaves the bbox [-1.5, 1.5]"]
+        assert err == ["config error: the circle of radius %g about "
+                       "(%g, %g) leaves the bbox [-1.5, 1.5]"
+                       % (radius, *center)]
 
     @pytest.mark.parametrize("sub", ["heat", "converge"])
     @pytest.mark.parametrize("dt, steps", [(1e-300, "2.5e+299"),
@@ -210,6 +226,16 @@ class TestSubcommands:
         code, err = run_cli("quadcheck", "--config", "configs/circle.json",
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_OK and err == []
+
+    def test_tiny_radius_order_is_finite(self, tmp_path):
+        # h / R = 1.8e299: the Gauss order is capped at an arc of 2 pi
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[24], k_max=128,
+                        center=[0.03, 0.01], radius=1e-300, c_res=1e300)
+        out = tmp_path / "out"
+        assert run_cli("quadcheck", "--config", cfg,
+                       "--out", str(out)) == (EXIT_OK, [])
+        row = (out / "quadcheck.csv").read_text().splitlines()[1]
+        assert float(row.split(",")[5]) <= 1e-15
 
     @pytest.mark.parametrize("sub", ["quadcheck", "project", "heat",
                                      "diagnose", "dtsweep", "converge"])
@@ -254,14 +280,7 @@ class TestSubcommands:
         assert main(["heat", "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_OK
 
-    @pytest.mark.parametrize("sub, extra, probes", [
-        ("quadcheck", {}, 0),
-        ("project", {"n_cells": [16, 24, 32]}, 0),
-        ("heat", {"n_cells": [16]}, 0),
-        ("dtsweep", {"dt_list": [1e-3]}, 0),
-        ("diagnose", {}, 2),
-        ("converge", {"n_cells": [12, 16, 24], "t_final": 0.02}, 3),
-    ])
+    @pytest.mark.parametrize("sub, extra, probes", SMALL_RUNS)
     def test_probe_built_on_first_read(self, tmp_path, monkeypatch, sub,
                                        extra, probes):
         # only the H^-1 quantities of diagnose and converge read the
@@ -277,6 +296,23 @@ class TestSubcommands:
         assert main([sub, "--config", cfg,
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(calls) == probes
+
+    @pytest.mark.parametrize("sub, extra", [r[:2] for r in SMALL_RUNS])
+    def test_no_k_aux_factor(self, tmp_path, monkeypatch, sub, extra):
+        # no quantity solves with K_aux, so no subcommand factors it
+        names = []
+        init = operators._Factor.__init__
+
+        def recorded(self, mat, name):
+            names.append(name)
+            init(self, mat, name)
+
+        monkeypatch.setattr(operators._Factor, "__init__", recorded)
+        cfg = write_cfg(tmp_path / "c.json", **extra)
+        assert main([sub, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "K_aux" not in names
+        assert ("M_star" in names) == (sub != "quadcheck")
 
     def test_heat_vtk_series(self, tmp_path, trajectory):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16], vtk_every=3)

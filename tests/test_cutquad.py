@@ -158,3 +158,9 @@ class TestTopology:
             a = float(t1.w @ np.cos(k * t1.theta))
             b = float(t2.w @ np.cos(k * t2.theta))
             assert abs(a - b) <= 1e-11
+
+    def test_order_bounded_by_the_whole_circle(self):
+        # an arc spans h / R radians, but never more than 2 pi
+        h = 0.125 * np.sqrt(2.0)
+        assert oscillation_order(128, h, 1e-300) == 809   # ceil(256 pi) + 4
+        assert oscillation_order(128, h, 1.0) == 27

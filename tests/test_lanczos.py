@@ -132,7 +132,7 @@ H48 = (CONFIG["bbox"][1] - CONFIG["bbox"][0]) / 48
 
 def cut_constants(center, radius, n):
     ops = Pipeline(dict(CONFIG, center=center, radius=radius), n).ops
-    return (dg.op_norms_ph(ops)[1], dg.c_inv_h(ops, dg._dual_operators(ops)),
+    return (dg.op_norms_ph(ops)[1], dg.c_inv_h(ops),
             dg.kappa_pstar(ops.system))
 
 

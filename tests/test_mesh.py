@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tracefem.errors import EmptyIntersection, InvalidConfig
+from tracefem.errors import InvalidConfig
 from tracefem.geometry import LevelSetSurface
 from tracefem.mesh import build_background, select_active, write_vtk
 
@@ -97,8 +97,9 @@ class TestActiveSelection:
             assert min(d) <= 0.01 + 0.3  # circle near the triangle
 
     def test_no_intersection(self):
+        # a circle that misses the mesh also leaves the bbox
         bg = build_background((0.0, 1.0), 4)
-        with pytest.raises(EmptyIntersection):
+        with pytest.raises(InvalidConfig, match="leaves the bbox"):
             select_active(bg, _circle((10.0, 10.0), 0.5))
 
     def test_translation_consistency(self):

@@ -7,7 +7,9 @@ class as a name, an attribute or a string, a method as an attribute or a
 string only (a bare name of the same spelling, such as a parameter, does
 not reach it).  A name that only a test or an outside tool uses
 is listed in ALLOWED with the reason it is kept; an entry that is no
-longer defined, or is now reached from the package, fails the test too.
+longer defined, or is now reached from the package, fails the test too,
+and so does one kept for ``perfbench/tracer.py`` that the tracer does
+not read as an attribute.
 
 A parameter with a default of a public function or method must be
 passed, by keyword or by position, by some call in the package outside
@@ -23,18 +25,19 @@ import ast
 import collections
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tracefem"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tracefem"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 ALLOWED = {
     "s_w": "read by the node-count hook of perfbench/tracer.py",
     "arcs": "read by the arc-count hook of perfbench/tracer.py",
+    "kaux": "read by the LU-fill hook of perfbench/tracer.py",
 }
 
 UNPASSED = {
     "main.argv": "the console entry point calls main() bare; the tests "
                  "pass the argument list",
-    "dual_norm.aux_gram": "goes with the K_aux LU, which the LU-fill hook "
-                          "of perfbench/tracer.py reads as ops.kaux",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -101,6 +104,15 @@ def test_allowlist_is_not_stale():
     assert not gone, "allowlisted but no longer defined: %s" % ", ".join(gone)
     assert not reached, "allowlisted but reached from src/: %s" % ", ".join(reached)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_tracer_entries_are_read_by_the_tracer():
+    read = {node.attr for node in ast.walk(ast.parse(TRACER.read_text()))
+            if isinstance(node, ast.Attribute)}
+    stale = sorted(name for name, reason in ALLOWED.items()
+                   if "perfbench/tracer.py" in reason and name not in read)
+    assert not stale, "kept for perfbench/tracer.py, which does not read " \
+        "them: %s" % ", ".join(stale)
 
 
 def _defaulted(node):
