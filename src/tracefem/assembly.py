@@ -6,8 +6,7 @@ Builds, over the active P1 space:
 * ``A``   surface stiffness with tangential gradients (I - n n^T) grad,
 * ``S_T`` per-element normal-derivative Grams int_T (n.grad u)(n.grad v),
 * ``S_j`` scaled sums over elements h_T^(1-2j) S_T for j in {-1, 0, 1},
-* derived combinations M_* = M + S0, A_* = A + S1, K_* = M + A + S1 and the
-  stabilized-inner-product stiffness K_aux = M + A + S1 + S0,
+* derived combinations M_* = M + S0, A_* = A + S1 and K_* = M + A + S1,
 * ``D``   the weighted local Gram sum h_T^2 (M_T + h_T S_T),
 
 plus the truncated Fourier probe (orthonormal circle harmonics, their
@@ -48,7 +47,6 @@ class FemSystem:
     M_star: sp.csr_matrix         # M + S0
     A_star: sp.csr_matrix         # A + S1
     K_star: sp.csr_matrix         # M + A + S1
-    K_aux: sp.csr_matrix          # K_star + S0
 
     @property
     def n_dofs(self):
@@ -115,7 +113,6 @@ def assemble(active_mesh, topology):
     stiff = element_csr(elems, a_t, n)
     stab = {j: element_csr(elems, h_t ** (1 - 2 * j) * s_t, n)
             for j in (-1, 0, 1)}
-    k_star = mass + stiff + stab[1]
     return FemSystem(
         mesh=active_mesh,
         topology=topology,
@@ -126,8 +123,7 @@ def assemble(active_mesh, topology):
         S_T=s_t,
         M_star=mass + stab[0],
         A_star=stiff + stab[1],
-        K_star=k_star,
-        K_aux=k_star + stab[0],
+        K_star=mass + stiff + stab[1],
     )
 
 
@@ -239,14 +235,15 @@ def assemble_fourier(topology, k_max=128):
 
 
 def export_matrices(system, out_dir, prefix=""):
-    """Write the assembled matrices in Matrix Market coordinate form."""
+    """Write the assembled matrices in Matrix Market coordinate form,
+    with the stabilized-inner-product stiffness K_aux = K_star + S0."""
     import scipy.io     # here: a CLI run that exports nothing skips its import
     import scipy.sparse as sp   # here: a cut alone loads no scipy
     mats = {
         "M": system.M, "A": system.A,
         "S_m1": system.S[-1], "S_0": system.S[0], "S_1": system.S[1],
         "M_star": system.M_star, "K_star": system.K_star,
-        "K_aux": system.K_aux, "D": system.D,
+        "K_aux": system.K_star + system.S[0], "D": system.D,
     }
     for name, m in mats.items():
         path = os.path.join(out_dir, "%s%s.mtx" % (prefix, name))

@@ -12,8 +12,8 @@ The operators assemble the Fourier probe when it is first read, so only
 Each config key has one row (default, check, requirement) in ``_KEYS``;
 a flag sets the key it names and is checked by the same row.  Only
 ``main`` turns a failure into an exit code, with one line on stderr:
-1 numerical failure or failed audit, 2 assumption violation, 64 config
-or usage error.
+1 numerical failure, failed audit or out of memory, 2 assumption
+violation, 64 config or usage error.
 """
 
 from __future__ import annotations
@@ -384,6 +384,9 @@ def main(argv=None):
         return EXIT_ASSUMPTION
     except TraceFemError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print("out of memory: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -171,46 +171,40 @@ def run(operators, config, consume):
                if config.scheme == "BDF2" else None)
     man = config.manufactured
     f = man.forcing
-
-    def data(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros(t.shape + (1,)) if f is None else ops.riesz_data(f, t)
-
-    # x holds the two states before the block, then its states; step j of
-    # the block goes from x[j + 1] to x[j + 2] with right-hand side rhs[j]
+    # x holds the two states before the block, then its states, and b the
+    # data at the block's start, then at its step ends: step j of the
+    # block goes from x[j + 1] to x[j + 2] with data b[j] and b[j + 1] at
+    # its ends and right-hand side rhs[j].  A block's last two states and
+    # last data start the next block, so each time's data is evaluated once.
     x = np.zeros((BLOCK + 2, n_dofs))
+    b = np.zeros((BLOCK + 1, n_dofs))
     rhs = np.empty((BLOCK, n_dofs))
     x[1] = ops.project(man.value, 0.0)
     consume(0, x[1:2])
-    # One call gives the data of the block's step ends, a row each.
-    # Crank-Nicolson averages the data at both ends of a step; the start
-    # of a block is the end of the block before, so each time is
-    # evaluated once.
-    b0 = data(0.0) if config.scheme == "CrankNicolson" else 0.0
+    if f is not None:
+        b[0] = ops.riesz_data(f, 0.0)
 
-    def march(lo, b0, ends, solve):
-        """Steps lo, lo + 1, ... of the block whose step ends have data
-        ``ends``, b0 being the data at its start."""
-        for j in range(lo, len(ends)):
-            rhs[j] = stepper.rhs(x[j + 1], x[j], ends[j - 1] if j else b0,
-                                 ends[j])
+    def march(lo, k, solve):
+        """Steps lo, ..., k - 1 of the block."""
+        for j in range(lo, k):
+            rhs[j] = stepper.rhs(x[j + 1], x[j], b[j], b[j + 1])
             x[j + 2] = solve(rhs[j])
 
     for n in range(0, nsteps, BLOCK):
         k = min(BLOCK, nsteps - n)
-        ends = data(times[n + 1:n + k + 1])
+        if f is not None:
+            b[1:k + 1] = ops.riesz_data(f, times[n + 1:n + k + 1])
         lo = 0
         if n == 0 and startup is not None:
-            rhs[0] = startup.rhs(x[1], x[0], b0, ends[0])
+            rhs[0] = startup.rhs(x[1], x[0], b[0], b[1])
             x[2] = startup.factor.solve(rhs[0])
             lo = 1
-        march(lo, b0, ends, factor.lu.solve)
+        march(lo, k, factor.lu.solve)
         bad = factor.failing(rhs[lo:k].T, x[lo + 2:k + 2].T)
         if bad.any():
-            march(lo + int(np.argmax(bad)), b0, ends, factor.solve)
+            march(lo + int(np.argmax(bad)), k, factor.solve)
         consume(n + 1, x[2:k + 2])
-        b0 = ends[k - 1]
-        x[:2] = x[k:k + 2]
+        x[:2], b[0] = x[k:k + 2], b[k]
     return RunResult(config=config, times=times)
 
 

@@ -152,7 +152,7 @@ class DiscreteOperators:
     def kaux(self):
         """The LU of K_aux = K_star + S0, factored on first read; only the
         LU-fill hook of perfbench/tracer.py reads it."""
-        return _Factor(self.system.K_aux, "K_aux")
+        return _Factor(self.system.K_star + self.system.S[0], "K_aux")
 
     def _profile(self, g):
         """Values of the function g(theta) at the surface nodes, evaluated
@@ -205,14 +205,10 @@ class DiscreteOperators:
     # -- projection ----------------------------------------------------
 
     def project(self, data, t=None):
-        """Stabilized L2-projection: solve (M + S0) x = b.
-
-        ``data`` is a callable of theta, a Separable with times t, or a
-        plain Riesz vector such as ``probe.G @ c`` for Fourier
-        coefficients c.
+        """Stabilized L2-projection: solve (M + S0) x = b with b the Riesz
+        data of ``data``, a function of theta or a Separable with times t.
         """
-        b = self.riesz_data(data, t) if callable(data) else data
-        return self.mstar.solve(b)
+        return self.mstar.solve(self.riesz_data(data, t))
 
     # -- norms of discrete functions -----------------------------------
 

@@ -29,13 +29,14 @@ def constants(ladder):
 def test_criterion_1_projection_identities(setup96):
     s = setup96
     one_data = s.ops.riesz_data(lambda th: np.ones_like(th))
-    x1 = s.ops.project(one_data)
+    x1 = s.ops.mstar.solve(one_data)
     res = np.linalg.norm(one_data - s.system.M_star @ x1)
     ok1 = res <= 1e-12 * np.linalg.norm(one_data) and np.abs(x1 - 1).max() <= 1e-10
 
     b_l = s.ops.riesz_data(np.sin)
     b_v = s.ops.riesz_data(lambda th: np.cos(2 * th))
-    sym = abs(float(b_l @ s.ops.project(b_v)) - float(s.ops.project(b_l) @ b_v))
+    sym = abs(float(b_l @ s.ops.mstar.solve(b_v))
+              - float(s.ops.mstar.solve(b_l) @ b_v))
     ok2 = sym <= 1e-11
 
     v = lambda th: np.cos(3 * th)

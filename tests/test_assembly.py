@@ -63,7 +63,7 @@ class TestGramMatrices:
 
     def test_positive_definite_factorizable(self, setup48):
         sy = setup48.system
-        for mat in (sy.M_star, sy.K_star, sy.K_aux):
+        for mat in (sy.M_star, sy.K_star, sy.K_star + sy.S[0]):
             # Cholesky succeeds iff the matrix is positive definite
             sla.cholesky(mat.toarray())
 

@@ -261,6 +261,21 @@ class TestSubcommands:
         r_l2 = float(rates[1].split(",")[0])
         assert 1.5 <= r_l2 <= 2.5
 
+    def test_project_exports_k_aux(self, tmp_path):
+        # K_aux.mtx is the stabilized-inner-product stiffness (M + A + S1) + S0
+        import scipy.io
+        import scipy.sparse as sp
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16],
+                        export_matrices=True)
+        out = tmp_path / "out"
+        assert main(["project", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sy = Pipeline(load_config(cfg), 16).system
+        scipy.io.mmwrite(tmp_path / "want.mtx",
+                         sp.coo_matrix((sy.M + sy.A + sy.S[1]) + sy.S[0]),
+                         symmetry="symmetric")
+        assert ((out / "n16_K_aux.mtx").read_bytes()
+                == (tmp_path / "want.mtx").read_bytes())
+
     def test_heat(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16])
         out = tmp_path / "out"
@@ -464,6 +479,17 @@ class TestNumericalFailure:
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_NUMERICAL
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    def test_step_grid_beyond_memory(self, tmp_path):
+        # 10^15 + 1 times ask for 7.11 PiB: the request fails at once and
+        # allocates nothing
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_cells": [16], "dt_rule": 1e-15, "t_final": 1.0}')
+        code, err = run_cli("heat", "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_NUMERICAL
+        assert len(err) == 1
+        assert err[0].startswith("out of memory: Unable to allocate 7.11 PiB")
 
     def test_kappa_solves_miss_the_residual_rule(self, tmp_path):
         # B = M/dt + A + S1 is SPD, but kappa(B) = 1.0e8 at dt = 1e-10:

@@ -5,8 +5,8 @@ import pytest
 
 from tracefem.cli import fit_rate
 from tracefem.errors import InvalidConfig
-from tracefem.heatsolver import (MANUFACTURED, ErrorFold, HeatRun,
-                                 accumulate_errors, run)
+from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, HeatRun,
+                                 accumulate_errors, run, time_grid)
 from tracefem.operators import DiscreteOperators
 
 from helpers import constant
@@ -73,23 +73,26 @@ class TestStepping:
             coef = (setup96.ops.probe.G.T @ hist[-1])[1] / np.sqrt(np.pi)
             assert abs(coef - np.exp(-0.3)) <= 0.02
 
-    def test_cn_evaluates_each_forcing_once(self, setup48, monkeypatch):
+    @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
+    def test_each_forcing_time_once(self, setup48, monkeypatch, scheme):
+        # the data at t = 0 and at every step end, over two full blocks
+        # and a part block, each evaluated once and in order
         man = MANUFACTURED["forced_mode_2"]
         ops = setup48.ops
         riesz = ops.riesz_data
         times = []
 
-        def counted(v, t=None):
+        def recorded(v, t=None):
             if v == man.forcing:
                 times.extend(np.atleast_1d(t).tolist())
             return riesz(v, t)
 
-        monkeypatch.setattr(ops, "riesz_data", counted)
-        cfg = HeatRun(manufactured=man, dt=0.01, t_final=0.1,
-                      scheme="CrankNicolson")
-        result = run(ops, cfg, lambda first, states: None)
-        assert len(result.times) == 11
-        assert times == list(result.times)
+        monkeypatch.setattr(ops, "riesz_data", recorded)
+        cfg = HeatRun(manufactured=man, dt=1.0 / 64.0,
+                      t_final=(2 * BLOCK + 3) / 64.0, scheme=scheme)
+        run(ops, cfg, lambda first, states: None)
+        assert times == list(time_grid(cfg))
+        assert len(times) == 2 * BLOCK + 4
 
     def test_stabilized_vs_unstabilized_close(self, setup48, setup96,
                                               trajectory):

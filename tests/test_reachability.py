@@ -17,8 +17,14 @@ the definition, to a callee of its name (a function as a name or an
 attribute, a method as an attribute); a call with ``*args`` or
 ``**kwargs`` passes every parameter.  An option only a test or an
 outside tool sets is listed in UNPASSED as ``function.parameter`` with
-the reason it is kept, under the same staleness rule.  Dataclass fields
-are not parameters of a def and are not checked.
+the reason it is kept, under the same staleness rule.
+
+A field of a dataclass must be read in the package, as an attribute
+(not only assigned) or a string, or its class must be passed to
+``dataclasses.fields`` there (``fields(self)`` in its own body counts).
+A field only a test or the README reads is listed in UNREAD_FIELDS as
+``Class.field`` with the reason it is kept, under the same staleness
+rule.
 """
 
 import ast
@@ -38,6 +44,20 @@ ALLOWED = {
 UNPASSED = {
     "main.argv": "the console entry point calls main() bare; the tests "
                  "pass the argument list",
+}
+
+UNREAD_FIELDS = {
+    "CutTopology.pts": "the surface nodes in the plane; tests/test_cutquad.py "
+                       "checks that they lie on the circle",
+    "CutTopology.dropped_contacts": "grazing contacts left out of the cut; "
+                                    "tests/test_cutquad.py checks the count",
+    "ErrorRecord.int_h1_sq": "a term of e_total; the stacked oracles "
+                             "compare it",
+    "ErrorRecord.int_hm1_dt_sq": "a term of e_total; the stacked oracles "
+                                 "compare it",
+    "FourierProbe.orthonormality_defect": "the probe's self-check, assigned "
+                                          "in assemble_fourier; "
+                                          "tests/test_assembly.py bounds it",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -179,3 +199,75 @@ def test_unpassed_allowlist_is_not_stale():
     assert not gone, "allowlisted but no longer defined: %s" % ", ".join(gone)
     assert not passed, "allowlisted but passed from src/: %s" % ", ".join(passed)
     assert all(reason.strip() for reason in UNPASSED.values())
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _is_fields_call(node):
+    return isinstance(node, ast.Call) and len(node.args) == 1 and (
+        isinstance(node.func, ast.Name) and node.func.id == "fields"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "fields")
+
+
+def _fields_passed(tree):
+    """Names of the classes the module passes to ``fields``: a name or an
+    attribute, or the enclosing class for ``self``."""
+    out = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            out.update(cls.name for c in ast.walk(cls) if _is_fields_call(c)
+                       and isinstance(c.args[0], ast.Name)
+                       and c.args[0].id == "self")
+    for call in ast.walk(tree):
+        if _is_fields_call(call):
+            arg = call.args[0]
+            out.add(arg.id if isinstance(arg, ast.Name) else
+                    getattr(arg, "attr", None))
+    return out
+
+
+def _unread_fields():
+    trees = _trees()
+    read, passed = set(), set()
+    for tree in trees.values():
+        passed |= _fields_passed(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+    out, defined = {}, set()
+    for fname, tree in trees.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                                  ast.Name):
+                    key = "%s.%s" % (cls.name, node.target.id)
+                    defined.add(key)
+                    if node.target.id not in read and cls.name not in passed:
+                        out[key] = fname
+    return out, defined
+
+
+def test_every_dataclass_field_is_read():
+    unread, _ = _unread_fields()
+    extra = sorted(set(unread) - set(UNREAD_FIELDS))
+    assert not extra, "a dataclass field nothing in src/ reads: %s" % (
+        ", ".join("%s:%s" % (unread[k], k) for k in extra))
+
+
+def test_unread_fields_allowlist_is_not_stale():
+    unread, defined = _unread_fields()
+    gone = sorted(set(UNREAD_FIELDS) - defined)
+    read = sorted(set(UNREAD_FIELDS) & defined - set(unread))
+    assert not gone, "allowlisted but no longer defined: %s" % ", ".join(gone)
+    assert not read, "allowlisted but read in src/: %s" % ", ".join(read)
+    assert all(reason.strip() for reason in UNREAD_FIELDS.values())
