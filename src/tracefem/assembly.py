@@ -141,7 +141,6 @@ class FourierProbe:
     H1_gram: np.ndarray           # diagonal entries
     Hm1_gram: np.ndarray
     G: np.ndarray = None          # (n_dofs, 2 k_max + 1)
-    orthonormality_defect: float = 0.0
 
     @property
     def n_modes(self):
@@ -159,47 +158,11 @@ class FourierProbe:
         return out
 
 
-def _moments(basis, w, radius):
-    """Weighted moments sum_n w_n cos(m theta_n) and sum_n w_n sin(m theta_n)
-    for m = 0..2 k_max, times 1 / (pi R): an array (2, 2 k_max + 1).
-
-    Read from the basis values (N, 2 k_max + 1) at the nodes; above k_max
-    through cos((k_max + j) t) = cos(k_max t) cos(j t) - sin(k_max t) sin(j t)
-    and sin((k_max + j) t) = sin(k_max t) cos(j t) + cos(k_max t) sin(j t).
-    """
-    scale = 1.0 / np.sqrt(np.pi * radius)
-    bc, bs = basis[:, 1::2], basis[:, 2::2]
-    wc, ws = w * bc[:, -1], w * bs[:, -1]
-    return np.stack([
-        np.concatenate([[scale * scale * w.sum()], scale * (w @ bc),
-                        wc @ bc - ws @ bs]),
-        np.concatenate([[0.0], scale * (w @ bs), ws @ bc + wc @ bs]),
-    ])
-
-
-def _gram(moments):
-    """The Gram matrix of the Fourier basis under the node weights, from
-    its moments (see _moments) by the product-to-sum identities."""
-    c, s = moments
-    k_max = (len(c) - 1) // 2
-    k = np.arange(1, k_max + 1)
-    diff = np.abs(k[:, None] - k)
-    both = k[:, None] + k
-    gram = np.empty((2 * k_max + 1, 2 * k_max + 1))
-    gram[0, 0] = 0.5 * c[0]
-    gram[0, 1::2] = gram[1::2, 0] = c[1:k_max + 1] / np.sqrt(2.0)
-    gram[0, 2::2] = gram[2::2, 0] = s[1:k_max + 1] / np.sqrt(2.0)
-    gram[1::2, 1::2] = 0.5 * (c[diff] + c[both])
-    gram[2::2, 2::2] = 0.5 * (c[diff] - c[both])
-    # row cos(j t), column sin(k t): (sin((k + j) t) + sin((k - j) t)) / 2
-    cross = 0.5 * (s[both] + np.sign(k - k[:, None]) * s[diff])
-    gram[1::2, 2::2] = cross
-    gram[2::2, 1::2] = cross.T
-    return gram
-
-
 def assemble_fourier(topology, k_max=128):
-    """Build the Fourier probe and its FE coupling matrix G."""
+    """Build the Fourier probe and its FE coupling matrix G, or raise
+    AliasRisk when q_surf is below the order ``oscillation_order`` gives
+    for k_max (without its floor).  The tests bound the probe's
+    orthonormality through the dense Gram of the basis table."""
     mesh = topology.mesh
     radius = topology.surface.radius
     h = mesh.h
@@ -219,18 +182,13 @@ def assemble_fourier(topology, k_max=128):
         Hm1_gram=1.0 / (1.0 + k ** 2 / radius ** 2),
     )
 
-    w = topology.w
-    wbary = topology.bary * w[:, None]
+    wbary = topology.bary * topology.w[:, None]
     probe.G = np.zeros((mesh.n_dofs, probe.n_modes))
-    moments = np.zeros((2, 2 * k_max + 1))
     for els, nodes, shape in _element_runs(topology):
         basis = probe.eval_basis(topology.theta[nodes])
         blocks = wbary[nodes].reshape(*shape, 3).transpose(0, 2, 1) \
             @ basis.reshape(*shape, -1)
         np.add.at(probe.G, mesh.elements[els], blocks)
-        moments += _moments(basis, w[nodes], radius)
-    probe.orthonormality_defect = float(
-        np.abs(_gram(moments) - np.eye(probe.n_modes)).max())
     return probe
 
 

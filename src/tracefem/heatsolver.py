@@ -95,8 +95,7 @@ class HeatRun:
 
 @dataclass
 class RunResult:
-    config: HeatRun
-    times: np.ndarray | None = None
+    times: np.ndarray
 
 
 class HeatStepper:
@@ -129,15 +128,17 @@ class HeatStepper:
 
 def time_grid(config):
     """Times 0, dt, ..., nsteps dt of a run, nsteps = ceil(t_final / dt);
-    a step count that is not finite or does not fit in np.intp is an
-    InvalidConfig."""
+    a step count below 1 (t_final within 1e-12 dt of 0), not finite or
+    beyond np.intp is an InvalidConfig."""
     dt = config.dt
     if dt <= 0 or config.t_final <= 0:
         raise InvalidConfig("dt and t_final must be positive")
     nsteps = np.ceil(config.t_final / dt - 1e-12)
-    if not nsteps < np.iinfo(np.intp).max:
-        raise InvalidConfig("dt %g and t_final %g give %g steps, more than "
-                            "an array can index" % (dt, config.t_final, nsteps))
+    if not 1 <= nsteps < np.iinfo(np.intp).max:
+        # + 0.0: a count of -0.0 prints as 0
+        raise InvalidConfig("dt %g and t_final %g give %g steps, not between "
+                            "1 and what an array can index"
+                            % (dt, config.t_final, nsteps + 0.0))
     return dt * np.arange(int(nsteps) + 1)
 
 
@@ -156,7 +157,7 @@ def run(operators, config, consume):
     0), then once per block that passed its k <= BLOCK new states (first
     1, 1 + BLOCK, ...).  ``states`` is a view of the step array, reused
     after the call, so a consumer copies what it keeps.  Returns the
-    RunResult of config and its time grid.
+    RunResult with the time grid of config.
     """
     times = time_grid(config)
     nsteps = len(times) - 1
@@ -205,7 +206,7 @@ def run(operators, config, consume):
             march(lo + int(np.argmax(bad)), k, factor.solve)
         consume(n + 1, x[2:k + 2])
         x[:2], b[0] = x[k:k + 2], b[k]
-    return RunResult(config=config, times=times)
+    return RunResult(times=times)
 
 
 @dataclass

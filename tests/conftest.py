@@ -78,7 +78,7 @@ def trajectory():
 @pytest.fixture(scope="session")
 def decay_runs(ladder):
     """Backward-Euler runs of u = e^-t cos(theta) with dt = h^2/4:
-    (result, trajectory, error record) per mesh."""
+    (HeatRun, trajectory, error record) per mesh."""
     from tracefem.heatsolver import MANUFACTURED, ErrorFold, HeatRun
     man = MANUFACTURED["decaying_mode"]
     out = {}
@@ -86,6 +86,6 @@ def decay_runs(ladder):
         dt = s.background.h_global ** 2 / 4.0
         cfg = HeatRun(manufactured=man, dt=dt, t_final=0.25)
         fold = ErrorFold(s.ops, cfg)
-        result, hist = _trajectory(s.ops, cfg, fold)
-        out[n] = (result, hist, fold.record())
+        _, hist = _trajectory(s.ops, cfg, fold)
+        out[n] = (cfg, hist, fold.record())
     return out

@@ -155,9 +155,8 @@ def test_criterion_8_max_regularity(ladder, decay_runs):
     u0 = lambda th: np.cos(th)
     vals = []
     for n, s in ladder.items():
-        result, hist, _ = decay_runs[n]
-        vals.append(max_regularity_ratio(s.ops, hist, result.config.dt,
-                                         u0=u0))
+        cfg, hist, _ = decay_runs[n]
+        vals.append(max_regularity_ratio(s.ops, hist, cfg.dt, u0=u0))
     var = max(vals) / min(vals)
     ok = var <= 2.0
     report("criterion 8: maximal parabolic regularity", ok,

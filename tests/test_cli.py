@@ -200,7 +200,20 @@ class TestConfig:
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert err == ["config error: dt %g and t_final 0.25 give %s steps, "
-                       "more than an array can index" % (dt, steps)]
+                       "not between 1 and what an array can index"
+                       % (dt, steps)]
+
+    @pytest.mark.parametrize("sub", ["heat", "converge"])
+    def test_no_step(self, tmp_path, sub):
+        # t_final / dt within 1e-12 of 0: the grid is the time 0 alone
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16, 24, 32],
+                        dt_rule=1.0, t_final=1e-13)
+        code, err = run_cli(sub, "--config", cfg,
+                            "--out", str(tmp_path / "out"))
+        assert code == EXIT_CONFIG
+        assert err == ["config error: dt 1 and t_final 1e-13 give 0 steps, "
+                       "not between 1 and what an array can index"]
+        assert not any((tmp_path / "out").iterdir())     # no CSV
 
     def test_flag_goes_through_its_row(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", seed=1, out="a")

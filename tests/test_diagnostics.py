@@ -147,21 +147,21 @@ class TestMaxRegularity:
 
     def test_scale_invariance(self, decay_runs, ladder):
         s = ladder[48]
-        result, hist, _ = decay_runs[48]
+        cfg, hist, _ = decay_runs[48]
         u0 = lambda th: np.cos(th)
-        r1 = max_regularity_ratio(s.ops, hist, result.config.dt, u0=u0)
+        r1 = max_regularity_ratio(s.ops, hist, cfg.dt, u0=u0)
         scaled = [5.0 * x for x in hist]
         u0s = lambda th: 5.0 * np.cos(th)
-        r2 = max_regularity_ratio(s.ops, scaled, result.config.dt, u0=u0s)
+        r2 = max_regularity_ratio(s.ops, scaled, cfg.dt, u0=u0s)
         assert r2 == pytest.approx(r1, rel=1e-12)
 
     def test_bounded_across_ladder(self, decay_runs, ladder):
         u0 = lambda th: np.cos(th)
         vals = []
         for n, s in ladder.items():
-            result, hist, _ = decay_runs[n]
+            cfg, hist, _ = decay_runs[n]
             vals.append(max_regularity_ratio(
-                s.ops, hist, result.config.dt, u0=u0))
+                s.ops, hist, cfg.dt, u0=u0))
         assert max(vals) / min(vals) <= 2.0
 
 

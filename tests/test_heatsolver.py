@@ -60,6 +60,14 @@ class TestStepping:
                                      t_final=0.2, scheme="RK4"),
                 lambda first, states: None)
 
+    def test_time_grid_needs_a_step(self):
+        # t_final within 1e-12 dt of 0 rounds to no step; just above it, one
+        grid = time_grid(HeatRun(manufactured=DECAY, dt=1.0, t_final=2e-12))
+        assert list(grid) == [0.0, 1.0]
+        for dt, t_final in ((1.0, 1e-13), (float("nan"), 1.0)):
+            with pytest.raises(InvalidConfig, match="steps, not between 1"):
+                time_grid(HeatRun(manufactured=DECAY, dt=dt, t_final=t_final))
+
     def test_history_length(self, setup48, trajectory):
         cfg = HeatRun(manufactured=DECAY, dt=0.05, t_final=0.25)
         result, hist = trajectory(setup48.ops, cfg)
@@ -126,10 +134,10 @@ class TestErrorAccumulation:
         # errors of the projected exact solution are strictly positive
         # and the solver stays within a modest factor of them
         s = setup48
-        result, _, record = decay_runs[48]
+        cfg, _, record = decay_runs[48]
         man = MANUFACTURED["decaying_mode"]
-        proj = [s.ops.project(man.value, t) for t in result.times]
-        fold = ErrorFold(s.ops, result.config)
+        proj = [s.ops.project(man.value, t) for t in time_grid(cfg)]
+        fold = ErrorFold(s.ops, cfg)
         fold(0, np.array(proj))
         rec_proj = fold.record()
         assert rec_proj.e_total > 0.0

@@ -20,11 +20,12 @@ outside tool sets is listed in UNPASSED as ``function.parameter`` with
 the reason it is kept, under the same staleness rule.
 
 A field of a dataclass must be read in the package, as an attribute
-(not only assigned) or a string, or its class must be passed to
-``dataclasses.fields`` there (``fields(self)`` in its own body counts).
-A field only a test or the README reads is listed in UNREAD_FIELDS as
-``Class.field`` with the reason it is kept, under the same staleness
-rule.
+(not only assigned) or as the name argument of ``getattr`` (a string
+elsewhere, such as a dict key, does not read it), or its class must be
+passed to ``dataclasses.fields`` there (``fields(self)`` in its own body
+counts).  A field only a test or the README reads is listed in
+UNREAD_FIELDS as ``Class.field`` with the reason it is kept, under the
+same staleness rule.
 """
 
 import ast
@@ -55,9 +56,6 @@ UNREAD_FIELDS = {
                              "compare it",
     "ErrorRecord.int_hm1_dt_sq": "a term of e_total; the stacked oracles "
                                  "compare it",
-    "FourierProbe.orthonormality_defect": "the probe's self-check, assigned "
-                                          "in assemble_fourier; "
-                                          "tests/test_assembly.py bounds it",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -230,8 +228,20 @@ def _fields_passed(tree):
     return out
 
 
-def _unread_fields():
-    trees = _trees()
+def _getattr_name(node):
+    """The field name a ``getattr(obj, "name"[, default])`` call reads, or
+    None for any other node."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2):
+        name = node.args[1]
+        if isinstance(name, ast.Constant) and isinstance(name.value, str):
+            return name.value
+    return None
+
+
+def _unread_fields(trees):
+    """({Class.field: module} of the dataclass fields the modules of trees
+    (module name: parsed tree) never read, every Class.field defined)."""
     read, passed = set(), set()
     for tree in trees.values():
         passed |= _fields_passed(tree)
@@ -239,9 +249,8 @@ def _unread_fields():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                               ast.Load):
                 read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value,
-                                                               str):
-                read.add(node.value)
+            elif (name := _getattr_name(node)) is not None:
+                read.add(name)
     out, defined = {}, set()
     for fname, tree in trees.items():
         for cls in tree.body:
@@ -258,16 +267,35 @@ def _unread_fields():
 
 
 def test_every_dataclass_field_is_read():
-    unread, _ = _unread_fields()
+    unread, _ = _unread_fields(_trees())
     extra = sorted(set(unread) - set(UNREAD_FIELDS))
     assert not extra, "a dataclass field nothing in src/ reads: %s" % (
         ", ".join("%s:%s" % (unread[k], k) for k in extra))
 
 
 def test_unread_fields_allowlist_is_not_stale():
-    unread, defined = _unread_fields()
+    unread, defined = _unread_fields(_trees())
     gone = sorted(set(UNREAD_FIELDS) - defined)
     read = sorted(set(UNREAD_FIELDS) & defined - set(unread))
     assert not gone, "allowlisted but no longer defined: %s" % ", ".join(gone)
     assert not read, "allowlisted but read in src/: %s" % ", ".join(read)
     assert all(reason.strip() for reason in UNREAD_FIELDS.values())
+
+
+def test_a_field_named_only_by_a_string_is_unread():
+    record = """
+from dataclasses import dataclass
+
+@dataclass
+class Record:
+    value: float
+"""
+    by_key = "row = {'value': 1.0}\nrow['value']\n"
+    by_getattr = "getattr(record, 'value')\n"
+    unread, defined = _unread_fields({"a.py": ast.parse(record),
+                                      "b.py": ast.parse(by_key)})
+    assert unread == {"Record.value": "a.py"}
+    assert defined == {"Record.value"}
+    unread, _ = _unread_fields({"a.py": ast.parse(record),
+                                "b.py": ast.parse(by_getattr)})
+    assert unread == {}

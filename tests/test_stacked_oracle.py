@@ -418,11 +418,11 @@ def test_function_coefficients_within_cut_rule_bound(request, placement):
 @pytest.mark.parametrize("n", [48, 96])
 def test_max_regularity_ratio_matches(ladder, decay_runs, n):
     ops = ladder[n].ops
-    result, states, _ = decay_runs[n]
+    cfg, states, _ = decay_runs[n]
     u0 = np.cos
     for hist in (states, states[:1]):                   # no step at all
-        new = max_regularity_ratio(ops, hist, result.config.dt, u0=u0)
-        old = old_max_regularity_ratio(ops, hist, result.config.dt, u0=u0)
+        new = max_regularity_ratio(ops, hist, cfg.dt, u0=u0)
+        old = old_max_regularity_ratio(ops, hist, cfg.dt, u0=u0)
         assert abs(new - old) <= RTOL * old
 
 
