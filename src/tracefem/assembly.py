@@ -140,7 +140,7 @@ class FourierProbe:
     radius: float
     H1_gram: np.ndarray           # diagonal entries
     Hm1_gram: np.ndarray
-    G: np.ndarray = None          # (n_dofs, 2 k_max + 1)
+    G: np.ndarray                 # (n_dofs, 2 k_max + 1)
 
     @property
     def n_modes(self):
@@ -180,10 +180,10 @@ def assemble_fourier(topology, k_max=128):
         radius=radius,
         H1_gram=1.0 + k ** 2 / radius ** 2,
         Hm1_gram=1.0 / (1.0 + k ** 2 / radius ** 2),
+        G=np.zeros((mesh.n_dofs, len(k))),
     )
 
     wbary = topology.bary * topology.w[:, None]
-    probe.G = np.zeros((mesh.n_dofs, probe.n_modes))
     for els, nodes, shape in _element_runs(topology):
         basis = probe.eval_basis(topology.theta[nodes])
         blocks = wbary[nodes].reshape(*shape, 3).transpose(0, 2, 1) \

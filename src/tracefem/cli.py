@@ -215,14 +215,15 @@ def cmd_quadcheck(cfg, out):
 
 
 def cmd_project(cfg, out):
-    man = MANUFACTURED[cfg["data"]]
+    man = MANUFACTURED[cfg["data"]](cfg["radius"])
+    g, a = man.profile, man.time(0.0)
     hdr = ["n_cells", "h", "n_dofs", "e_l2_star", "e_h1_star"]
     rows = []
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
-        x = pipe.ops.project(man.value, 0.0)
-        el2 = pipe.ops.error_l2_star(man.value, x, 0.0)
-        eh1 = pipe.ops.error_h1_star(man.value, man.dprofile, x, 0.0)
+        x = pipe.ops.project(g, a)
+        el2 = pipe.ops.error_l2_star(g, x, a)
+        eh1 = pipe.ops.error_h1_star(g, man.dprofile, x, a)
         rows.append([n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])
         if cfg["export_matrices"]:
             export_matrices(pipe.system, out, prefix="n%d_" % n)
@@ -237,7 +238,7 @@ def cmd_project(cfg, out):
 
 
 def cmd_heat(cfg, out):
-    man = MANUFACTURED[cfg["data"]]
+    man = MANUFACTURED[cfg["data"]](cfg["radius"])
     pipe = Pipeline(cfg, cfg["n_cells"][0])
     ops, hr = pipe.ops, _heat_run(cfg, pipe, man)
     m_one = pipe.system.M @ np.ones(pipe.system.n_dofs)
@@ -251,7 +252,8 @@ def cmd_heat(cfg, out):
         row = rows[first:first + len(states)]
         row[:, 1] = ops.l2_star(states)
         row[:, 2] = states @ m_one
-        row[:, 3] = ops.error_l2_star(man.value, states, row[:, 0])
+        row[:, 3] = ops.error_l2_star(man.profile, states,
+                                      man.time(row[:, 0]))
         if every:
             for i in range(-first % every, len(states), every):
                 write_vtk(pipe.mesh,
@@ -313,7 +315,7 @@ def cmd_dtsweep(cfg, out):
 def cmd_converge(cfg, out):
     if len(cfg["n_cells"]) < 3:
         raise InvalidConfig("converge needs a ladder of >= 3 meshes")
-    man = MANUFACTURED[cfg["data"]]
+    man = MANUFACTURED[cfg["data"]](cfg["radius"])
     hdr = ["n_cells", "h", "dt", "e_total", "e_l2l2", "e_l2_initial",
            "proj_l2_star"]
     rows = []

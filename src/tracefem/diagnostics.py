@@ -36,11 +36,14 @@ from .errors import EigFailure, SingularMatrix, SolveFailure
 from .operators import _Factor
 
 
-def _check_pair(lam, x, lhs, rhs, tol=1e-8):
+PAIR_TOL = 1e-8     # relative residual an extremal eigenpair must meet
+
+
+def _check_pair(lam, x, lhs, rhs):
     rl = lhs @ x
     rr = rhs @ x
     res = np.linalg.norm(rl - lam * rr)
-    if res > tol * (np.linalg.norm(rl) + abs(lam) * np.linalg.norm(rr)):
+    if res > PAIR_TOL * (np.linalg.norm(rl) + abs(lam) * np.linalg.norm(rr)):
         raise EigFailure("extremal eigenpair residual %.3e above tolerance" % res)
 
 

@@ -13,10 +13,10 @@ a step costs one right-hand side product and one LU solve.  A consumer
 alone and then the states of each verified block, read in place from the
 step array before it is reused, so memory does not grow with the number
 of steps.  A manufactured solution is separable, u = a(t) g(theta), and
-so are its data; the forcing's Riesz data and the error functionals are
-evaluated a block at a time, from the profile g tabulated once per mesh
-(see ``operators``).  Each step block of the error fold forms the
-Fourier coefficients of du/dt at its own step midpoints.
+so are its data: the run and the error fold evaluate the time factors a
+block of steps at a time and pass them with the profile g, which the
+operators tabulate once per mesh.  Each step block of the error fold
+forms the Fourier coefficients of du/dt at its own step midpoints.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .operators import Separable, _Factor
+from .operators import _Factor
 
 # Steps per verified block and per stacked data/functional evaluation.
 BLOCK = 16
@@ -37,10 +37,11 @@ SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
 
 @dataclass
 class Manufactured:
-    """Exact solution u = a(t) g(theta) on the circle with the data it
-    induces: du/dt = a' g, du/dtheta = a g' and, g being an eigenmode of
-    the circle Laplacian, the forcing f = c(t) g.  u, du/dt and f are
-    ``Separable``, time factor times profile; the H1 error takes g'."""
+    """Exact solution u = a(t) g(theta) on a circle of radius R with the
+    data it induces: du/dt = a' g, du/dtheta = a g' and, g being an
+    eigenmode of the circle Laplacian, the forcing f = c(t) g.  Each is a
+    profile with a time factor, passed apart to the operators; the H1
+    error takes g'."""
 
     time: object                  # a(t)
     dtime: object                 # a'(t)
@@ -48,35 +49,39 @@ class Manufactured:
     dprofile: object              # g'(theta)
     ftime: object = None          # c(t), None when f = 0
 
-    @property
-    def value(self):
-        return Separable(self.time, self.profile)
 
-    @property
-    def dt_value(self):
-        return Separable(self.dtime, self.profile)
-
-    @property
-    def forcing(self):
-        return None if self.ftime is None else Separable(self.ftime,
-                                                         self.profile)
+# The profiles are module functions, so the Manufactured of every radius
+# share them and the operators tabulate each once per mesh.
+def _minus_sin(theta):
+    return -np.sin(theta)
 
 
+def _cos_2(theta):
+    return np.cos(2 * theta)
+
+
+def _minus_2_sin_2(theta):
+    return -2.0 * np.sin(2 * theta)
+
+
+# data -> the Manufactured on a circle of radius R, where cos(k theta) is
+# an eigenmode of -Laplace with eigenvalue k^2 / R^2.  The factors divide
+# by R^2, which is exact for R = 1.
 MANUFACTURED = {
-    # u = e^-t cos(theta): eigenmode of the circle Laplacian, f = 0.
-    "decaying_mode": Manufactured(
-        time=lambda t: np.exp(-t),
-        dtime=lambda t: -np.exp(-t),
+    # u = e^(-t/R^2) cos(theta), f = 0.
+    "decaying_mode": lambda radius: Manufactured(
+        time=lambda t: np.exp(-t / radius ** 2),
+        dtime=lambda t: -np.exp(-t / radius ** 2) / radius ** 2,
         profile=np.cos,
-        dprofile=lambda th: -np.sin(th),
+        dprofile=_minus_sin,
     ),
-    # u = cos(t) cos(2 theta) on the unit circle: f = (4 cos t - sin t) cos(2 theta).
-    "forced_mode_2": Manufactured(
+    # u = cos(t) cos(2 theta): f = (4 cos(t) / R^2 - sin t) cos(2 theta).
+    "forced_mode_2": lambda radius: Manufactured(
         time=np.cos,
         dtime=lambda t: -np.sin(t),
-        profile=lambda th: np.cos(2 * th),
-        dprofile=lambda th: -2.0 * np.sin(2 * th),
-        ftime=lambda t: 4.0 * np.cos(t) - np.sin(t),
+        profile=_cos_2,
+        dprofile=_minus_2_sin_2,
+        ftime=lambda t: 4.0 / radius ** 2 * np.cos(t) - np.sin(t),
     ),
 }
 
@@ -171,7 +176,6 @@ def run(operators, config, consume):
     startup = (HeatStepper(ops, "BDF1", dt, config.stabilized_time_derivative)
                if config.scheme == "BDF2" else None)
     man = config.manufactured
-    f = man.forcing
     # x holds the two states before the block, then its states, and b the
     # data at the block's start, then at its step ends: step j of the
     # block goes from x[j + 1] to x[j + 2] with data b[j] and b[j + 1] at
@@ -180,10 +184,10 @@ def run(operators, config, consume):
     x = np.zeros((BLOCK + 2, n_dofs))
     b = np.zeros((BLOCK + 1, n_dofs))
     rhs = np.empty((BLOCK, n_dofs))
-    x[1] = ops.project(man.value, 0.0)
+    x[1] = ops.project(man.profile, man.time(0.0))
     consume(0, x[1:2])
-    if f is not None:
-        b[0] = ops.riesz_data(f, 0.0)
+    if man.ftime is not None:
+        b[0] = ops.riesz_data(man.profile, man.ftime(0.0))
 
     def march(lo, k, solve):
         """Steps lo, ..., k - 1 of the block."""
@@ -193,8 +197,9 @@ def run(operators, config, consume):
 
     for n in range(0, nsteps, BLOCK):
         k = min(BLOCK, nsteps - n)
-        if f is not None:
-            b[1:k + 1] = ops.riesz_data(f, times[n + 1:n + k + 1])
+        if man.ftime is not None:
+            b[1:k + 1] = ops.riesz_data(man.profile,
+                                        man.ftime(times[n + 1:n + k + 1]))
         lo = 0
         if n == 0 and startup is not None:
             rhs[0] = startup.rhs(x[1], x[0], b[0], b[1])
@@ -213,8 +218,6 @@ def run(operators, config, consume):
 class ErrorRecord:
     """Error functionals of one run against a manufactured solution."""
 
-    h: float
-    dt: float
     e_l2_initial: float
     int_h1_sq: float              # time integral of E_H1*^2
     int_hm1_dt_sq: float          # time integral of E_Hm1*[du/dt, .]^2
@@ -257,9 +260,10 @@ class ErrorFold:
         ops, man = self.ops, self.man
         stop = first + len(states)
         t = self.times[first:stop]
+        a = man.time(t)
         self.h1_sq[first:stop] = ops.error_h1_star(
-            man.value, man.dprofile, states, t) ** 2
-        l2 = ops.error_l2_star(man.value, states, t)
+            man.profile, man.dprofile, states, a) ** 2
+        l2 = ops.error_l2_star(man.profile, states, a)
         self.l2_sq[first:stop] = l2 ** 2
         if first == 0:
             self.e0 = float(l2[0])
@@ -268,8 +272,8 @@ class ErrorFold:
         lo = stop - len(held)
         if lo < stop - 1:
             t = self.times[lo:stop]
-            coef = ops.function_coefficients(man.dt_value,
-                                             0.5 * (t[:-1] + t[1:]))
+            coef = ops.function_coefficients(
+                man.profile, man.dtime(0.5 * (t[:-1] + t[1:])))
             self.hm1_sq[lo:stop - 1] = ops.error_hm1_star(
                 coef, np.diff(held, axis=0) / self.dt) ** 2
         self.last = states[-1:].copy()
@@ -283,7 +287,6 @@ class ErrorFold:
         int_hm1 = float(dt * np.sum(self.hm1_sq))
         total = float(np.sqrt(self.e0 ** 2 + int_hm1 + int_h1))
         return ErrorRecord(
-            h=self.ops.system.mesh.h, dt=dt,
             e_l2_initial=self.e0, int_h1_sq=int_h1, int_hm1_dt_sq=int_hm1,
             int_l2_sq=int_l2, e_total=total,
         )

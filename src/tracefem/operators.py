@@ -6,20 +6,20 @@ sup_w (v, w)_* / ||w||_H1* and the stabilized H^-1_* norm, the
 Fourier-truncated H^-1 norm on Gamma plus s_-1) and the error
 functionals pairing a smooth surface function with a discrete one.
 
-Surface functions are passed as callables of the circle angle theta, or,
-with times t, as ``Separable`` functions time(t) * profile(theta); their
-tangential derivative is d/ds = R^-1 d/dtheta.  Discrete functions reach
-the surface nodes through two sparse trace operators built once:
-``trace`` (P1 values) and ``dtrace`` (tangential derivatives).  A
-profile is evaluated at the nodes once per mesh.  The Riesz data scale
-it by each time factor and apply trace'.  The L2* and H1* errors split
-off the projection p = P_h g of the profile once per mesh (``_table``),
-so a state costs sparse products over the dofs and no node quadrature.
-The error functionals and the L2*, dual and H^-1 norms take one
-coefficient vector or a stack (k, n_dofs), with times (k,) for data, so a
-time series is evaluated a block of steps at a time.  The H^-1 error
-takes the Fourier coefficients of the smooth function instead of it.
-The circle is represented exactly, so ``function_coefficients``
+A surface function is passed as a profile g(theta) and time factors a,
+a scalar (default 1) or a stack (k,), meaning a * g: the callers evaluate
+the time factor, and its tangential derivative is d/ds = R^-1 d/dtheta.
+Discrete functions reach the surface nodes through two sparse trace
+operators built once: ``trace`` (P1 values) and ``dtrace`` (tangential
+derivatives).  A profile is evaluated at the nodes once per mesh.  The
+Riesz data scale it by each time factor and apply trace'.  The L2* and
+H1* errors split off the projection p = P_h g of the profile once per
+mesh (``_table``), so a state costs sparse products over the dofs and no
+node quadrature.  The error functionals and the L2*, dual and H^-1 norms
+take one coefficient vector or a stack (k, n_dofs), with factors (k,)
+for data, so a time series is evaluated a block of steps at a time.  The
+H^-1 error takes the Fourier coefficients of the smooth function instead
+of it.  The circle is represented exactly, so ``function_coefficients``
 integrates a smooth function on it with one rfft over equispaced angles;
 the Riesz data, the tables of the split errors and the probe's G keep the
 cut quadrature.  The Fourier probe is assembled the first time something
@@ -29,29 +29,12 @@ Riesz data never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .assembly import assemble_fourier
 from .errors import SolveFailure
-
-
-@dataclass(frozen=True)
-class Separable:
-    """The function time(t) * profile(theta) of time and the circle angle.
-
-    Every evaluation multiplies the time factor into the profile in that
-    order, so the tabulated route of ``DiscreteOperators`` rounds like a
-    closed form written as time * profile.
-    """
-
-    time: object
-    profile: object
-
-    def __call__(self, theta, t):
-        return self.time(t) * self.profile(theta)
 
 
 def _form(mat, x):
@@ -161,15 +144,6 @@ class DiscreteOperators:
             self._nodes[g] = np.asarray(g(self.topology.theta), dtype=float)
         return self._nodes[g]
 
-    @staticmethod
-    def _separate(v, t):
-        """(profile, time factors (k,)) of data v: v and (1,) without t,
-        else v.profile and v.time at t, (1,) for a scalar t."""
-        if t is None:
-            return v, np.ones(1)
-        t = np.asarray(t, dtype=float)
-        return v.profile, v.time(t[..., None]).reshape(-1)
-
     def _table(self, g, dg=None):
         """(p, n, c) of the profile g: p = P_h g its stabilized projection,
         r = g - trace p at the nodes (with dg, the derivative of g in
@@ -189,26 +163,25 @@ class DiscreteOperators:
 
     # -- data -> Riesz vectors -----------------------------------------
 
-    def riesz_data(self, v, t=None):
-        """b_i = (v, phi_i) on Gamma for a function v of theta, or with
-        times t a Separable v; (k, n_dofs) for times t (k,).
+    def riesz_data(self, g, a=1.0):
+        """b_i = (a g, phi_i) on Gamma for the profile g(theta) and time
+        factors a; (k, n_dofs) for factors a (k,).
 
-        The products w * (time * profile) are formed a row per time and
+        The products w * (a * profile) are formed a row per factor and
         taken node-major by the CSR trace', which sums each entry over its
         nodes in node order, as a per-node accumulation does.
         """
-        g, a = self._separate(v, t)
-        vals = self.topology.w * (a[:, None] * self._profile(g))
+        vals = self.topology.w * (np.reshape(a, -1)[:, None]
+                                  * self._profile(g))
         b = self.trace_t @ vals.T
-        return b.T if np.ndim(t) else b[:, 0]
+        return b.T if np.ndim(a) else b[:, 0]
 
     # -- projection ----------------------------------------------------
 
-    def project(self, data, t=None):
+    def project(self, g, a=1.0):
         """Stabilized L2-projection: solve (M + S0) x = b with b the Riesz
-        data of ``data``, a function of theta or a Separable with times t.
-        """
-        return self.mstar.solve(self.riesz_data(data, t))
+        data of a g; one column per factor of a (k,)."""
+        return self.mstar.solve(self.riesz_data(g, a))
 
     # -- norms of discrete functions -----------------------------------
 
@@ -236,15 +209,15 @@ class DiscreteOperators:
 
     # -- Fourier coefficients of smooth data ----------------------------
 
-    def function_coefficients(self, v, t=None):
-        """Fourier coefficients (v, e_m)_Gamma of a smooth function of
-        theta; (k, n_modes) for times t (k,).
+    def function_coefficients(self, g, a=1.0):
+        """Fourier coefficients (a g, e_m)_Gamma of a smooth profile g(theta)
+        and time factors a; (k, n_modes) for factors a (k,).
 
         The circle is represented exactly, so these do not depend on the
-        mesh: v is taken at the M = 4 k_max + 4 angles 2 pi j / M, and one
+        mesh: g is taken at the M = 4 k_max + 4 angles 2 pi j / M, and one
         rfft gives the periodic trapezoid rule for every mode at once.  It
-        is exact when v is a trigonometric polynomial of degree below
-        M - k_max and converges exponentially for analytic v.  Each mode is
+        is exact when g is a trigonometric polynomial of degree below
+        M - k_max and converges exponentially for analytic g.  Each mode is
         scaled to the orthonormal basis of FourierProbe.eval_basis: 2 pi R / M
         over sqrt(2 pi R) for the constant, over sqrt(pi R) for cos and sin,
         the sin modes taking -Im.
@@ -252,8 +225,7 @@ class DiscreteOperators:
         probe, r = self.probe, self.probe.radius
         m = 4 * probe.k_max + 4
         theta = 2.0 * np.pi / m * np.arange(m)
-        vals = (v(theta) if t is None
-                else v(theta, np.asarray(t, dtype=float)[..., None]))
+        vals = np.asarray(a, dtype=float)[..., None] * g(theta)
         f = np.fft.rfft(vals, axis=-1)[..., :probe.k_max + 1]
         step = 2.0 * np.pi * r / m
         out = np.empty(f.shape[:-1] + (probe.n_modes,))
@@ -265,35 +237,34 @@ class DiscreteOperators:
 
     # -- error functionals ---------------------------------------------
     # Each takes one coefficient vector x and returns a float, or a stack
-    # x (k, n_dofs) with times t (k,) (for the H^-1 error, coefficients
+    # x (k, n_dofs) with factors a (k,) (for the H^-1 error, coefficients
     # (k, n_modes)) and returns k values.  One vector runs as a stack of one.
 
-    def error_l2_star(self, v, x, t=None):
-        """E_L2*[v, v_h]^2 = ||v - v_h||^2_L2 + s0(v_h, v_h), rooted.
+    def error_l2_star(self, g, x, a=1.0):
+        """E_L2*[v, v_h]^2 = ||v - v_h||^2_L2 + s0(v_h, v_h), rooted, for
+        v = a g.
 
-        ``v`` is a function of theta, or with times t a Separable
-        a(t) g(theta).  With p, n, c of ``_table(g)`` and e = x - a p,
+        With p, n, c of ``_table(g)`` and e = x - a p,
         ||a g - trace x||^2_w = a^2 n - 2 a c.e + e' M e, as M = trace' W
         trace; so a state costs products over the dofs, none over the
         nodes.
         """
-        g, a = self._separate(v, t)
         return self._split_error(self._table(g), self.system.M, 0, x, a)
 
-    def error_h1_star(self, v, dg, x, t=None):
-        """E_H1*[v, v_h]^2 = |v - v_h|^2_H1 + s1(v_h, v_h), rooted.
+    def error_h1_star(self, g, dg, x, a=1.0):
+        """E_H1*[v, v_h]^2 = |v - v_h|^2_H1 + s1(v_h, v_h), rooted, for
+        v = a g.
 
-        ``dg`` is the derivative of the profile of v (of v itself without
-        t) with respect to theta.  Split as ``error_l2_star`` with dtrace
-        and A = dtrace' W dtrace.
+        ``dg`` is the derivative of the profile g with respect to theta.
+        Split as ``error_l2_star`` with dtrace and A = dtrace' W dtrace.
         """
-        g, a = self._separate(v, t)
         return self._split_error(self._table(g, dg), self.system.A, 1, x, a)
 
     def _split_error(self, table, gram, j, x, a):
         """sqrt(a^2 n - 2 a c.e + e' gram e + s_j(x, x)) per row of x,
         e = x - a p; only the node part is split, s_j stays ``_form``."""
         p, n, c = table
+        a = np.reshape(a, -1)
         xs = np.atleast_2d(x)
         e = xs - a[:, None] * p
         sq = (a * a * n - 2.0 * a * np.einsum("kn,n->k", e, c)

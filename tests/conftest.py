@@ -80,7 +80,7 @@ def decay_runs(ladder):
     """Backward-Euler runs of u = e^-t cos(theta) with dt = h^2/4:
     (HeatRun, trajectory, error record) per mesh."""
     from tracefem.heatsolver import MANUFACTURED, ErrorFold, HeatRun
-    man = MANUFACTURED["decaying_mode"]
+    man = MANUFACTURED["decaying_mode"](1.0)
     out = {}
     for n, s in ladder.items():
         dt = s.background.h_global ** 2 / 4.0

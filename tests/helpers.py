@@ -71,10 +71,10 @@ def hm1_gamma(ops, x):
     return _root(c ** 2 @ ops.probe.Hm1_gram, x)
 
 
-def hm1_gamma_of_function(ops, v, t):
-    """Truncated H^-1 norm of a function of theta and t; k values for
-    times t (k,)."""
-    c = ops.function_coefficients(v, t)
+def hm1_gamma_of_function(ops, g, a):
+    """Truncated H^-1 norm of the function a g of the profile g(theta)
+    and time factors a; k values for factors a (k,)."""
+    c = ops.function_coefficients(g, a)
     return _root(np.atleast_2d(c) ** 2 @ ops.probe.Hm1_gram, c)
 
 
@@ -84,7 +84,9 @@ def max_regularity_ratio(ops, history, dt, u0=None, f=None):
     (||Lap_h u_h||_{L2t H^-1_*} + ||d_t u_h||_{L2t H^-1_*}) /
     (||f||_{L2t H^-1_Gamma} + ||u0||_{L2_Gamma}); the time integrals use
     the trapezoid rule on the step grid and backward differences for
-    d_t u_h, over blocks of states.  Returns 0 for identically zero data.
+    d_t u_h, over blocks of states.  u0 is a function of theta and f
+    the forcing as (profile g, time factor c), f = c(t) g(theta).  Returns
+    0 for identically zero data.
     """
     history = np.asarray(history)
     nsteps = len(history) - 1
@@ -101,8 +103,9 @@ def max_regularity_ratio(ops, history, dt, u0=None, f=None):
     if u0 is not None:
         den += l2_gamma_of_function(ops, u0)
     if f is not None:
+        g, c = f
         f_sq = blockwise(lambda b: hm1_gamma_of_function(
-            ops, f, dt * np.arange(b.start, b.stop)) ** 2, len(history))
+            ops, g, c(dt * np.arange(b.start, b.stop))) ** 2, len(history))
         den += float(np.sqrt(dt * trap @ f_sq))
     if den == 0.0:
         return 0.0

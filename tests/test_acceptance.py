@@ -136,9 +136,9 @@ def test_criterion_6_condition_numbers(ladder, constants):
            "(<= 10), kappa(P*) variation %.2fx (<= 2)" % (slope, ratio, vp))
 
 
-def test_criterion_7_parabolic_rates(decay_runs):
+def test_criterion_7_parabolic_rates(ladder, decay_runs):
     recs = [decay_runs[n][2] for n in sorted(decay_runs)]
-    h = [rec.h for rec in recs]
+    h = [ladder[n].mesh.h for n in sorted(decay_runs)]
     e_tot = [rec.e_total for rec in recs]
     e_l2 = [rec.e_l2l2 for rec in recs]
     r_tot = fit_rate(h, e_tot)
@@ -170,8 +170,8 @@ def test_criterion_9_dissipation_conservation(setup48, trajectory):
     m_one = s.system.M @ np.ones(s.system.n_dofs)
     ok = True
     for dt in (h * h, h, 1.0):
-        cfg = HeatRun(manufactured=MANUFACTURED["decaying_mode"], dt=dt,
-                      t_final=max(4 * dt, 0.1))
+        cfg = HeatRun(manufactured=MANUFACTURED["decaying_mode"](1.0),
+                      dt=dt, t_final=max(4 * dt, 0.1))
         _, hist = trajectory(s.ops, cfg)
         l2_star = s.ops.l2_star(hist)
         mean = hist @ m_one

@@ -371,7 +371,7 @@ class TestSubcommands:
         conf = load_config(cfg)
         pipe = Pipeline(conf, 16)
         result, hist = trajectory(pipe.ops, _heat_run(
-            conf, pipe, MANUFACTURED["forced_mode_2"]))
+            conf, pipe, MANUFACTURED["forced_mode_2"](1.0)))
         ref.mkdir()
         for i in range(0, len(hist), 7):
             write_vtk(pipe.mesh, str(ref / ("heat_%06d.vtk" % i)),
@@ -429,14 +429,29 @@ class TestSubcommands:
         # proj_l2_star is the run's initial error: byte for byte the error
         # of a projection of u(0) made on its own
         cfg = load_config(path)
-        man = MANUFACTURED[cfg["data"]]
+        man = MANUFACTURED[cfg["data"]](1.0)
+        g, a = man.profile, man.time(0.0)
         lines = (out / "converge.csv").read_text().splitlines()
         assert lines[0].split(",")[6] == "proj_l2_star"
         for line in lines[1:]:
             row = line.split(",")
             ops = Pipeline(cfg, int(row[0])).ops
-            x = ops.project(man.value, 0.0)
-            assert row[6] == fmt(ops.error_l2_star(man.value, x, 0.0))
+            x = ops.project(g, a)
+            assert row[6] == fmt(ops.error_l2_star(g, x, a))
+
+    @pytest.mark.parametrize("data", ["decaying_mode", "forced_mode_2"])
+    def test_converge_off_unit_radius(self, tmp_path, data):
+        # the manufactured data solve the heat equation on R = 0.8 too:
+        # first order in the energy error, second in L2(L2)
+        path = write_cfg(tmp_path / "c.json", radius=0.8, data=data,
+                         n_cells=[48, 96, 192], k_max=128)
+        out = tmp_path / "out"
+        assert main(["converge", "--config", path, "--out", str(out)]) \
+            == EXIT_OK
+        lines = (out / "converge_rates.csv").read_text().splitlines()
+        rates = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(rates["rate_e_total"]) >= 0.9, rates
+        assert float(rates["rate_e_l2l2"]) >= 1.8, rates
 
     @pytest.mark.parametrize("sub, name, flag, key, value", [
         ("dtsweep", "dtsweep.csv", "--literal-eq-matrices",

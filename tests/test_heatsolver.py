@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from tracefem.operators import DiscreteOperators
 
 from helpers import constant
 
-DECAY = MANUFACTURED["decaying_mode"]
+DECAY = MANUFACTURED["decaying_mode"](1.0)
+FORCED = MANUFACTURED["forced_mode_2"](1.0)
 
 
 class TestStepping:
@@ -82,23 +84,19 @@ class TestStepping:
             assert abs(coef - np.exp(-0.3)) <= 0.02
 
     @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
-    def test_each_forcing_time_once(self, setup48, monkeypatch, scheme):
-        # the data at t = 0 and at every step end, over two full blocks
-        # and a part block, each evaluated once and in order
-        man = MANUFACTURED["forced_mode_2"]
-        ops = setup48.ops
-        riesz = ops.riesz_data
+    def test_each_forcing_time_once(self, setup48, scheme):
+        # the forcing's time factor at t = 0 and at every step end, over
+        # two full blocks and a part block, each evaluated once and in order
         times = []
 
-        def recorded(v, t=None):
-            if v == man.forcing:
-                times.extend(np.atleast_1d(t).tolist())
-            return riesz(v, t)
+        def recorded(t):
+            times.extend(np.atleast_1d(t).tolist())
+            return FORCED.ftime(t)
 
-        monkeypatch.setattr(ops, "riesz_data", recorded)
+        man = replace(FORCED, ftime=recorded)
         cfg = HeatRun(manufactured=man, dt=1.0 / 64.0,
                       t_final=(2 * BLOCK + 3) / 64.0, scheme=scheme)
-        run(ops, cfg, lambda first, states: None)
+        run(setup48.ops, cfg, lambda first, states: None)
         assert times == list(time_grid(cfg))
         assert len(times) == 2 * BLOCK + 4
 
@@ -121,11 +119,10 @@ class TestStepping:
 
 class TestErrorAccumulation:
     def test_forced_solution_tracks(self, setup48, setup96):
-        man = MANUFACTURED["forced_mode_2"]
         errs = []
         for s in (setup48, setup96):
             dt = s.background.h_global / 2
-            cfg = HeatRun(manufactured=man, dt=dt, t_final=0.5)
+            cfg = HeatRun(manufactured=FORCED, dt=dt, t_final=0.5)
             rec = accumulate_errors(s.ops, cfg)
             errs.append(rec.e_l2l2)
         assert errs[1] < errs[0]
@@ -135,17 +132,17 @@ class TestErrorAccumulation:
         # and the solver stays within a modest factor of them
         s = setup48
         cfg, _, record = decay_runs[48]
-        man = MANUFACTURED["decaying_mode"]
-        proj = [s.ops.project(man.value, t) for t in time_grid(cfg)]
+        proj = [s.ops.project(DECAY.profile, DECAY.time(t))
+                for t in time_grid(cfg)]
         fold = ErrorFold(s.ops, cfg)
         fold(0, np.array(proj))
         rec_proj = fold.record()
         assert rec_proj.e_total > 0.0
         assert record.e_total <= 25.0 * rec_proj.e_total
 
-    def test_rates_on_ladder(self, decay_runs):
+    def test_rates_on_ladder(self, ladder, decay_runs):
         recs = [decay_runs[n][2] for n in sorted(decay_runs)]
-        h = [rec.h for rec in recs]
+        h = [ladder[n].mesh.h for n in sorted(decay_runs)]
         e = [rec.e_total for rec in recs]
         assert fit_rate(h, e) >= 0.9
         assert fit_rate(h, [rec.e_l2l2 for rec in recs]) >= 0.9
@@ -153,24 +150,25 @@ class TestErrorAccumulation:
 
     @pytest.mark.parametrize("data", sorted(MANUFACTURED))
     def test_first_state_is_projected_u0(self, setup48, data):
-        # the run projects u(0) as the Separable u at t = 0: the same bits
-        # as projecting the function theta -> u(theta, 0)
-        man = MANUFACTURED[data]
+        # the run projects u(0) as the profile with the factor a(0): the
+        # same bits as projecting the function theta -> a(0) g(theta)
+        man = MANUFACTURED[data](1.0)
         ops = setup48.ops
         first = []
         run(ops, HeatRun(manufactured=man, dt=0.05, t_final=0.05),
             lambda i, states: first.append(states.copy()) if i == 0 else None)
         assert np.array_equal(first[0][0],
-                              ops.project(lambda th: man.value(th, 0.0)))
+                              ops.project(lambda th: man.time(0.0)
+                                          * man.profile(th)))
 
     def test_initial_error_is_projection_error(self, ladder, decay_runs):
         # converge writes e_l2_initial as proj_l2_star: on the shipped
         # ladder it equals the error of a projection made on its own
-        man = MANUFACTURED["decaying_mode"]
+        g, a = DECAY.profile, DECAY.time(0.0)
         for n, s in ladder.items():
-            x = s.ops.project(man.value, 0.0)
+            x = s.ops.project(g, a)
             assert decay_runs[n][2].e_l2_initial == \
-                s.ops.error_l2_star(man.value, x, 0.0)
+                s.ops.error_l2_star(g, x, a)
 
     def test_rate_fit_needs_three(self):
         with pytest.raises(InvalidConfig):
@@ -184,8 +182,7 @@ class TestErrorAccumulation:
         s = setup96
         ops = DiscreteOperators(s.system, s.ops.k_max)
         ops.probe
-        man = MANUFACTURED["forced_mode_2"]
-        cfg = HeatRun(manufactured=man, dt=0.01, t_final=0.37)
+        cfg = HeatRun(manufactured=FORCED, dt=0.01, t_final=0.37)
         tracemalloc.start()
         try:
             accumulate_errors(ops, cfg)
@@ -200,10 +197,9 @@ class TestErrorAccumulation:
         # coefficient table: a run twice as long, both of many step
         # blocks, peaks less than 10 % higher.
         s = setup48
-        man = MANUFACTURED["forced_mode_2"]
         peaks = []
         for t_final in (0.3, 0.6):        # 301 and 601 steps
-            cfg = HeatRun(manufactured=man, dt=0.3 / 301, t_final=t_final)
+            cfg = HeatRun(manufactured=FORCED, dt=0.3 / 301, t_final=t_final)
             tracemalloc.start()
             try:
                 accumulate_errors(s.ops, cfg)

@@ -307,8 +307,8 @@ class TestFunctionCoefficients:
     def test_cos_2theta_over_times(self, ops):
         r = ops.probe.radius
         times = np.linspace(0.0, 2.0, 11)
-        coef = ops.function_coefficients(
-            lambda th, t: np.exp(-t) * np.cos(2.0 * th), times)
+        coef = ops.function_coefficients(lambda th: np.cos(2.0 * th),
+                                         np.exp(-times))
         assert coef.shape == (len(times), ops.probe.n_modes)
         for t, row in zip(times, coef):
             expect = self._expect(ops, 3, np.exp(-t) * np.sqrt(np.pi * r))

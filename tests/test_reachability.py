@@ -11,13 +11,14 @@ longer defined, or is now reached from the package, fails the test too,
 and so does one kept for ``perfbench/tracer.py`` that the tracer does
 not read as an attribute.
 
-A parameter with a default of a public function or method must be
-passed, by keyword or by position, by some call in the package outside
-the definition, to a callee of its name (a function as a name or an
-attribute, a method as an attribute); a call with ``*args`` or
-``**kwargs`` passes every parameter.  An option only a test or an
-outside tool sets is listed in UNPASSED as ``function.parameter`` with
-the reason it is kept, under the same staleness rule.
+A parameter with a default of a function or method, public or private
+but not a dunder, must be passed, by keyword or by position, by some
+call in the package outside the definition, to a callee of its name (a
+function as a name or an attribute, a method as an attribute); a call
+with ``*args`` or ``**kwargs`` passes every parameter.  An option only
+a test or an outside tool sets is listed in UNPASSED as
+``function.parameter`` with the reason it is kept, under the same
+staleness rule.
 
 A field of a dataclass must be read in the package, as an attribute
 (not only assigned) or as the name argument of ``getattr`` (a string
@@ -25,7 +26,10 @@ elsewhere, such as a dict key, does not read it), or its class must be
 passed to ``dataclasses.fields`` there (``fields(self)`` in its own body
 counts).  A field only a test or the README reads is listed in
 UNREAD_FIELDS as ``Class.field`` with the reason it is kept, under the
-same staleness rule.
+same staleness rule.  The rule matches attribute names alone, not the
+class they are read on: a field is taken as read whenever any object's
+attribute of its name is, so a field named like an attribute of another
+class (``h`` of a mesh, ``dt`` of a run) escapes it.
 """
 
 import ast
@@ -80,15 +84,20 @@ def _uses(tree, bare_names=True):
     return out
 
 
-def _public_defs(tree):
+def _defs(tree, private=False):
     """(qualified name, node) of module-level functions and classes and
-    of the methods of those classes, all without a leading underscore."""
+    of the methods of those classes, all without a leading underscore, or
+    with private set all but the dunders."""
+    def kept(name):
+        return (not name.startswith("_") or private
+                and not (name.startswith("__") and name.endswith("__")))
+
     for node in tree.body:
-        if isinstance(node, _DEFS) and not node.name.startswith("_"):
+        if isinstance(node, _DEFS) and kept(node.name):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
-                    if isinstance(sub, _DEFS) and not sub.name.startswith("_"):
+                    if isinstance(sub, _DEFS) and kept(sub.name):
                         yield "%s.%s" % (node.name, sub.name), sub
 
 
@@ -98,14 +107,14 @@ def _unreached():
                        collections.Counter()) for bare in (True, False)}
     out = {}
     for fname, tree in trees.items():
-        for qual, node in _public_defs(tree):
+        for qual, node in _defs(tree):
             # a method is reached through an attribute or a string only;
             # uses inside the definition itself (recursion, a class naming
             # itself) do not count
             bare = "." not in qual
             if total[bare][node.name] - _uses(node, bare)[node.name] <= 0:
                 out[node.name] = "%s:%s" % (fname, qual)
-    return out, {node.name for t in trees.values() for _, node in _public_defs(t)}
+    return out, {node.name for t in trees.values() for _, node in _defs(t)}
 
 
 def test_every_public_name_is_reached():
@@ -156,13 +165,14 @@ def _passes(call, position, name):
     return position is not None and position < len(call.args)
 
 
-def _unpassed():
-    trees = _trees()
+def _unpassed(trees):
+    """({function.parameter: where} of the defaults no call in the modules
+    of trees (module name: parsed tree) passes, every one defined)."""
     calls = [node for t in trees.values() for node in ast.walk(t)
              if isinstance(node, ast.Call)]
     out, defined = {}, set()
     for fname, tree in trees.items():
-        for qual, node in _public_defs(tree):
+        for qual, node in _defs(tree, private=True):
             if isinstance(node, ast.ClassDef):
                 continue
             method = "." in qual
@@ -184,14 +194,14 @@ def _unpassed():
 
 
 def test_every_default_is_passed():
-    unpassed, _ = _unpassed()
+    unpassed, _ = _unpassed(_trees())
     extra = sorted(set(unpassed) - set(UNPASSED))
     assert not extra, "a default no call in src/ overrides: %s" % (
         ", ".join(unpassed[k] for k in extra))
 
 
 def test_unpassed_allowlist_is_not_stale():
-    unpassed, defined = _unpassed()
+    unpassed, defined = _unpassed(_trees())
     gone = sorted(set(UNPASSED) - defined)
     passed = sorted(set(UNPASSED) & defined - set(unpassed))
     assert not gone, "allowlisted but no longer defined: %s" % ", ".join(gone)
@@ -299,3 +309,22 @@ class Record:
     unread, _ = _unread_fields({"a.py": ast.parse(record),
                                 "b.py": ast.parse(by_getattr)})
     assert unread == {}
+
+
+def test_private_defaults_are_guarded_and_dunders_are_not():
+    module = """
+def _scale(x, factor=2.0):
+    return factor * x
+
+class _Box:
+    def __init__(self, size=1.0):
+        self.size = size
+
+    def _grow(self, by=1.0):
+        return _scale(self.size + by)
+
+_Box()._grow()
+"""
+    unpassed, defined = _unpassed({"a.py": ast.parse(module)})
+    assert set(unpassed) == {"_scale.factor", "_grow.by"}
+    assert defined == {"_scale.factor", "_grow.by"}

@@ -1,10 +1,10 @@
 """Oracles: the separable data and the split error functionals.
 
 The shipped manufactured solutions are products time(t) * profile(theta).
-Their value, theta- and t-derivatives and forcing, taken through
-``Separable`` and through the profile tabulated at the surface nodes as
-the Riesz data take it, must equal the closed forms bit for bit
-(``test_stacked_oracle`` checks the Riesz data against the per-node sums).
+Their value, theta- and t-derivatives and forcing, each its time factors
+times its profile tabulated at the surface nodes as the Riesz data take
+it, must equal the closed forms bit for bit (``test_stacked_oracle``
+checks the Riesz data against the per-node sums).
 
 The functions prefixed ``node_`` are the L2* and H1* error functionals
 as node quadratures, || v - trace x ||^2_w + s_j(x, x), that the split at
@@ -13,14 +13,15 @@ reference.  The split must agree with them to 1e-13 relative on every
 state of BDF1, BDF2 and Crank-Nicolson runs on the mesh ladder and on an
 off-centre circle with R = 0.8, and exactly for the projection of the
 data at t = 0, where the time factor is 1 and x is the tabulated
-projection itself.
+projection itself.  The operators take a profile g and time factors a;
+the references take the same pair and form a g at the nodes.
 """
 
 import numpy as np
 import pytest
 
 from tracefem.heatsolver import BLOCK, MANUFACTURED
-from tracefem.operators import Separable, _form, _root
+from tracefem.operators import _form, _root
 
 from helpers import blockwise
 from test_stacked_oracle import NSTEPS, _config
@@ -43,58 +44,55 @@ CLOSED = {
 TIMES = np.concatenate([[0.0, 0.3125, 1.7], 0.01 * np.arange(1, BLOCK)])
 
 
-def _separables(man):
-    return dict(value=man.value, dtheta=Separable(man.time, man.dprofile),
-                dt_value=man.dt_value, forcing=man.forcing)
-
-
-def _tabulated(ops, v, t):
-    """time * profile through the profile tabulated at the nodes, as the
-    Riesz data form it; (k, n_nodes) for times t (k,)."""
-    g, a = ops._separate(v, t)
-    vals = a[:, None] * ops._profile(g)
-    return vals if np.ndim(t) else vals[0]
+def _parts(man):
+    """(time factor, profile) of the value, its theta- and t-derivatives
+    and the forcing (None when f = 0)."""
+    return dict(value=(man.time, man.profile),
+                dtheta=(man.time, man.dprofile),
+                dt_value=(man.dtime, man.profile),
+                forcing=None if man.ftime is None else (man.ftime,
+                                                        man.profile))
 
 
 @pytest.mark.parametrize("data", sorted(MANUFACTURED))
 def test_separable_data_equal_closed_forms(setup96, data):
+    # the time factors times the tabulated profile, as the Riesz data
+    # form them, stacked and one time at a time
     ops = setup96.ops
     theta = ops.topology.theta
-    parts = _separables(MANUFACTURED[data])
+    parts = _parts(MANUFACTURED[data](1.0))
     for name, closed in CLOSED[data].items():
-        v = parts[name]
         if closed is None:
-            assert v is None
+            assert parts[name] is None
             continue
+        time, g = parts[name]
+        a = time(TIMES)
         stacked = closed(theta, TIMES[:, None])
         assert stacked.shape == (len(TIMES), len(theta))
-        assert np.array_equal(v(theta, TIMES[:, None]), stacked), name
-        assert np.array_equal(_tabulated(ops, v, TIMES), stacked), name
+        assert np.array_equal(a[:, None] * ops._profile(g), stacked), name
         for t in TIMES:
-            assert np.array_equal(v(theta, t), closed(theta, t)), (name, t)
-            assert np.array_equal(_tabulated(ops, v, t),
-                                  closed(theta, t)), (name, t)
+            assert np.array_equal(np.reshape(time(t), -1)[:, None]
+                                  * ops._profile(g),
+                                  closed(theta, t)[None]), (name, t)
 
 
 # -- the node-quadrature reference ---------------------------------------------
 
-def _at_nodes(ops, v, t):
-    theta = ops.topology.theta
-    if t is None:
-        return np.asarray(v(theta))
-    return np.asarray(v(theta, np.asarray(t, dtype=float)[..., None]))
+def _at_nodes(ops, g, a):
+    """a g at the surface nodes; (k, n_nodes) for factors a (k,)."""
+    return np.asarray(a, dtype=float)[..., None] * g(ops.topology.theta)
 
 
-def node_error_l2_star(ops, v, x, t=None):
+def node_error_l2_star(ops, g, x, a=1.0):
     xs = np.atleast_2d(x)
-    diff = _at_nodes(ops, v, t) - (ops.trace @ xs.T).T
+    diff = _at_nodes(ops, g, a) - (ops.trace @ xs.T).T
     return _root(diff ** 2 @ ops.topology.w
                  + _form(ops.system.S[0], xs), x)
 
 
-def node_error_h1_star(ops, dv, x, t=None):
+def node_error_h1_star(ops, dg, x, a=1.0):
     xs = np.atleast_2d(x)
-    dvds = _at_nodes(ops, dv, t) / ops.topology.surface.radius
+    dvds = _at_nodes(ops, dg, a) / ops.topology.surface.radius
     diff = dvds - (ops.dtrace @ xs.T).T
     return _root(diff ** 2 @ ops.topology.w
                  + _form(ops.system.S[1], xs), x)
@@ -107,16 +105,16 @@ def node_error_h1_star(ops, dv, x, t=None):
 def test_split_matches_node_quadrature(request, trajectory, placement,
                                        scheme, data):
     ops = request.getfixturevalue(placement).ops
-    man = MANUFACTURED[data]
-    dtheta = Separable(man.time, man.dprofile)
+    man = MANUFACTURED[data](1.0)
+    g, dg = man.profile, man.dprofile
     result, hist = trajectory(ops, _config(scheme, man))
-    t = result.times
+    a = man.time(result.times)
     assert len(hist) == NSTEPS + 1
     pairs = [
-        (lambda b: ops.error_l2_star(man.value, hist[b], t[b]),
-         lambda b: node_error_l2_star(ops, man.value, hist[b], t[b])),
-        (lambda b: ops.error_h1_star(man.value, man.dprofile, hist[b], t[b]),
-         lambda b: node_error_h1_star(ops, dtheta, hist[b], t[b])),
+        (lambda b: ops.error_l2_star(g, hist[b], a[b]),
+         lambda b: node_error_l2_star(ops, g, hist[b], a[b])),
+        (lambda b: ops.error_h1_star(g, dg, hist[b], a[b]),
+         lambda b: node_error_h1_star(ops, dg, hist[b], a[b])),
     ]
     for split, node in pairs:
         new, old = blockwise(split, len(hist)), blockwise(node, len(hist))
@@ -129,15 +127,13 @@ def test_split_matches_node_quadrature(request, trajectory, placement,
 def test_split_exact_at_projection(request, placement, data):
     # converge's proj_l2_star and the project subcommand: x = P_h u(0)
     ops = request.getfixturevalue(placement).ops
-    man = MANUFACTURED[data]
-    x = ops.project(man.value, 0.0)
-    assert np.array_equal(x, ops._table(man.profile)[0])
-    assert ops.error_l2_star(man.value, x, 0.0) \
-        == node_error_l2_star(ops, man.value, x, 0.0)
-    assert ops.error_h1_star(man.value, man.dprofile, x, 0.0) \
-        == node_error_h1_star(ops, Separable(man.time, man.dprofile), x, 0.0)
-    # a function of theta alone: the time factor is 1
-    g, dg = man.profile, man.dprofile
-    x = ops.project(g)
+    man = MANUFACTURED[data](1.0)
+    g, dg, a = man.profile, man.dprofile, man.time(0.0)
+    assert a == 1.0
+    x = ops.project(g, a)
+    assert np.array_equal(x, ops._table(g)[0])
+    assert ops.error_l2_star(g, x, a) == node_error_l2_star(ops, g, x, a)
+    assert ops.error_h1_star(g, dg, x, a) == node_error_h1_star(ops, dg, x, a)
+    # the default factor is 1
     assert ops.error_l2_star(g, x) == node_error_l2_star(ops, g, x)
     assert ops.error_h1_star(g, dg, x) == node_error_h1_star(ops, dg, x)

@@ -45,7 +45,6 @@ from tracefem.errors import SolveFailure
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, ErrorRecord,
                                  HeatRun, HeatStepper, accumulate_errors, run,
                                  time_grid)
-from tracefem.operators import Separable
 
 from conftest import CONFIG
 from helpers import (blockwise, l2_gamma_of_function, laplacian,
@@ -62,14 +61,14 @@ def _node_dofs(ops):
     return ops.mesh.elements[ops.topology.elem]
 
 
-def _at_nodes(ops, v, t=None):
-    theta = ops.topology.theta
-    return np.asarray(v(theta) if t is None else v(theta, t))
+def _at_nodes(ops, g, a=1.0):
+    """a g at the surface nodes; (k, n_nodes) for factors a (k,)."""
+    return np.asarray(a, dtype=float)[..., None] * g(ops.topology.theta)
 
 
-def old_riesz_data(ops, v, t=None):
+def old_riesz_data(ops, g, a=1.0):
     topo = ops.topology
-    contrib = topo.bary * (topo.w * _at_nodes(ops, v, t))[:, None]
+    contrib = topo.bary * (topo.w * _at_nodes(ops, g, a))[:, None]
     return np.bincount(_node_dofs(ops).ravel(), weights=contrib.ravel(),
                        minlength=ops.mesh.n_dofs)
 
@@ -96,10 +95,9 @@ def old_eval_basis(probe, theta):
     return out
 
 
-def old_function_coefficients(ops, v, t=None):
-    theta = ops.topology.theta
-    vals = v(theta) if t is None else v(theta, np.asarray(t)[..., None])
-    return (ops.topology.w * vals) @ old_eval_basis(ops.probe, theta)
+def old_function_coefficients(ops, g, a=1.0):
+    return (ops.topology.w * _at_nodes(ops, g, a)) @ old_eval_basis(
+        ops.probe, ops.topology.theta)
 
 
 def old_max_regularity_ratio(ops, history, dt, u0=None, f=None):
@@ -115,7 +113,9 @@ def old_max_regularity_ratio(ops, history, dt, u0=None, f=None):
     if u0 is not None:
         den += l2_gamma_of_function(ops, u0)
     if f is not None:
-        f_sq = np.array([np.sum(old_function_coefficients(ops, f, n * dt) ** 2
+        g, c = f
+        f_sq = np.array([np.sum(old_function_coefficients(ops, g, c(n * dt))
+                                ** 2
                                 * ops.probe.Hm1_gram)
                          for n in range(len(history))])
         den += float(np.sqrt(dt * trap @ f_sq))
@@ -127,10 +127,11 @@ def old_run_history(ops, cfg):
     stepper = HeatStepper(ops, cfg.scheme, dt)
     bdf1 = HeatStepper(ops, "BDF1", dt)
     man = cfg.manufactured
-    hist = [ops.project(lambda th: man.value(th, 0.0))]
-    b = old_riesz_data(ops, man.forcing, 0.0)
+    g, c = man.profile, man.ftime
+    hist = [ops.project(lambda th: man.time(0.0) * g(th))]
+    b = old_riesz_data(ops, g, c(0.0))
     for n in range(int(np.ceil(cfg.t_final / dt - 1e-12))):
-        b_prev, b = b, old_riesz_data(ops, man.forcing, (n + 1) * dt)
+        b_prev, b = b, old_riesz_data(ops, g, c((n + 1) * dt))
         if cfg.scheme == "CrankNicolson":
             u = step_cn(stepper, hist[n], 0.5 * (b_prev + b))
         elif cfg.scheme == "BDF2" and n > 0:
@@ -141,23 +142,23 @@ def old_run_history(ops, cfg):
     return np.array(hist)
 
 
-def old_error_l2_star(ops, v, x, t):
-    vals = _at_nodes(ops, v, t)
+def old_error_l2_star(ops, g, x, a):
+    vals = _at_nodes(ops, g, a)
     err2 = float(ops.topology.w @ (vals - old_trace_values(ops, x)) ** 2)
     return float(np.sqrt(err2 + max(x @ (ops.system.S[0] @ x), 0.0)))
 
 
-def old_error_h1_star(ops, v, dv, x, t):
+def old_error_h1_star(ops, dg, x, a):
     topo = ops.topology
     tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
-    dvds = _at_nodes(ops, dv, t) / topo.surface.radius
+    dvds = _at_nodes(ops, dg, a) / topo.surface.radius
     diff = dvds[:, None] * tangent - old_trace_tangential_gradient(ops, x)
     acc = float(topo.w @ (diff ** 2).sum(axis=1))
     return float(np.sqrt(acc + max(x @ (ops.system.S[1] @ x), 0.0)))
 
 
-def old_error_hm1_star(ops, v, x, t):
-    c = ops.function_coefficients(v, t) - ops.probe.G.T @ x
+def old_error_hm1_star(ops, g, x, a):
+    c = ops.function_coefficients(g, a) - ops.probe.G.T @ x
     hm1 = np.sum(c ** 2 * ops.probe.Hm1_gram)
     return float(np.sqrt(hm1 + max(x @ (ops.system.S[-1] @ x), 0.0)))
 
@@ -168,22 +169,22 @@ def old_accumulate_errors(ops, cfg, history, man):
     times = dt * np.arange(len(hist))
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
-    e0 = old_error_l2_star(ops, man.value, hist[0], times[0])
-    dtheta = Separable(man.time, man.dprofile)
-    h1_sq = np.array([old_error_h1_star(ops, man.value, dtheta, x, t) ** 2
+    g = man.profile
+    e0 = old_error_l2_star(ops, g, hist[0], man.time(times[0]))
+    h1_sq = np.array([old_error_h1_star(ops, man.dprofile, x, man.time(t)) ** 2
                       for x, t in zip(hist, times)])
-    l2_sq = np.array([old_error_l2_star(ops, man.value, x, t) ** 2
+    l2_sq = np.array([old_error_l2_star(ops, g, x, man.time(t)) ** 2
                       for x, t in zip(hist, times)])
     hm1_sq = np.empty(len(hist) - 1)
     for n in range(len(hist) - 1):
         dudt = (hist[n + 1] - hist[n]) / dt
         t_mid = 0.5 * (times[n] + times[n + 1])
-        hm1_sq[n] = old_error_hm1_star(ops, man.dt_value, dudt, t_mid) ** 2
+        hm1_sq[n] = old_error_hm1_star(ops, g, dudt, man.dtime(t_mid)) ** 2
     int_h1 = float(dt * trap @ h1_sq)
     int_l2 = float(dt * trap @ l2_sq)
     int_hm1 = float(dt * np.sum(hm1_sq))
     return ErrorRecord(
-        h=ops.system.mesh.h, dt=dt, e_l2_initial=e0, int_h1_sq=int_h1,
+        e_l2_initial=e0, int_h1_sq=int_h1,
         int_hm1_dt_sq=int_hm1, int_l2_sq=int_l2,
         e_total=float(np.sqrt(e0 ** 2 + int_hm1 + int_h1)))
 
@@ -200,21 +201,23 @@ def run_blocks(nsteps):
 
 def whole_run(ops, cfg):
     """(history, times) of cfg: every state kept in one array.  u(0) is
-    projected as the function theta -> u(theta, 0), so the run's own
-    projection of the Separable u at t = 0 is checked bit for bit."""
+    projected as the function theta -> a(0) g(theta), so the run's own
+    projection of the profile g with the factor a(0) is checked bit for
+    bit."""
     block = heatsolver.BLOCK
     dt = cfg.dt
     nsteps = int(np.ceil(cfg.t_final / dt - 1e-12))
     history = np.empty((nsteps + 1, ops.system.n_dofs))
     man = cfg.manufactured
-    history[0] = ops.project(lambda th: man.value(th, 0.0))
+    history[0] = ops.project(lambda th: man.time(0.0) * man.profile(th))
     stepper = HeatStepper(ops, cfg.scheme, dt, cfg.stabilized_time_derivative)
     bdf1 = HeatStepper(ops, "BDF1", dt, cfg.stabilized_time_derivative)
-    f = man.forcing
 
     def data(t):
         t = np.asarray(t, dtype=float)
-        return np.zeros(t.shape + (1,)) if f is None else ops.riesz_data(f, t)
+        if man.ftime is None:
+            return np.zeros(t.shape + (1,))
+        return ops.riesz_data(man.profile, man.ftime(t))
 
     b = data(0.0) if cfg.scheme == "CrankNicolson" else 0.0
     for n in range(nsteps):
@@ -239,13 +242,14 @@ def whole_accumulate_errors(ops, cfg, hist, times, man):
     t_mid = 0.5 * (times[:-1] + times[1:])
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
-    e0 = ops.error_l2_star(man.value, hist[0], times[0])
+    g, a = man.profile, man.time(times)
+    e0 = ops.error_l2_star(g, hist[0], a[0])
     blocks = run_blocks(len(hist) - 1)
     h1_sq = np.concatenate([ops.error_h1_star(
-        man.value, man.dprofile, hist[b], times[b]) ** 2 for b in blocks])
+        g, man.dprofile, hist[b], a[b]) ** 2 for b in blocks])
     l2_sq = np.concatenate([ops.error_l2_star(
-        man.value, hist[b], times[b]) ** 2 for b in blocks])
-    coef = ops.function_coefficients(man.dt_value, t_mid)
+        g, hist[b], a[b]) ** 2 for b in blocks])
+    coef = ops.function_coefficients(g, man.dtime(t_mid))
     # a block's steps end in its states and start one state earlier
     steps = [slice(b.start - 1, b.stop - 1) for b in blocks[1:]]
     hm1_sq = np.concatenate([np.empty(0)] + [ops.error_hm1_star(
@@ -255,7 +259,7 @@ def whole_accumulate_errors(ops, cfg, hist, times, man):
     int_l2 = float(dt * trap @ l2_sq)
     int_hm1 = float(dt * np.sum(hm1_sq))
     return ErrorRecord(
-        h=ops.system.mesh.h, dt=dt, e_l2_initial=e0, int_h1_sq=int_h1,
+        e_l2_initial=e0, int_h1_sq=int_h1,
         int_hm1_dt_sq=int_hm1, int_l2_sq=int_l2,
         e_total=float(np.sqrt(e0 ** 2 + int_hm1 + int_h1)))
 
@@ -266,7 +270,8 @@ def whole_heat_rows(ops, hist, times, man):
     blocks = run_blocks(len(hist) - 1)
     l2 = np.concatenate([ops.l2_star(hist[b]) for b in blocks])
     mean = np.concatenate([hist[b] @ m_one for b in blocks])
-    err = np.concatenate([ops.error_l2_star(man.value, hist[b], times[b])
+    err = np.concatenate([ops.error_l2_star(man.profile, hist[b],
+                                            man.time(times[b]))
                           for b in blocks])
     return np.column_stack([times, l2, mean, err])
 
@@ -289,7 +294,7 @@ def test_step_count_is_not_a_block_multiple():
     ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
 def test_error_records_match(ladder, trajectory, n, scheme, data):
     ops = ladder[n].ops
-    man = MANUFACTURED[data]
+    man = MANUFACTURED[data](1.0)
     cfg = _config(scheme, man)
     _, hist = trajectory(ops, cfg)
     assert hist.shape == (NSTEPS + 1, ops.system.n_dofs)
@@ -304,7 +309,7 @@ def test_error_records_match(ladder, trajectory, n, scheme, data):
 @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
 def test_blocked_forcing_history_bit_identical(setup48, trajectory, scheme):
     # run() takes the forcing's Riesz data BLOCK step ends at a time
-    man = MANUFACTURED["forced_mode_2"]
+    man = MANUFACTURED["forced_mode_2"](1.0)
     cfg = _config(scheme, man)
     assert np.array_equal(trajectory(setup48.ops, cfg)[1],
                           old_run_history(setup48.ops, cfg))
@@ -313,45 +318,46 @@ def test_blocked_forcing_history_bit_identical(setup48, trajectory, scheme):
 @pytest.mark.parametrize("n", [48, 96])
 def test_riesz_data_bit_identical(ladder, n):
     ops = ladder[n].ops
-    force = MANUFACTURED["forced_mode_2"].forcing
+    force = MANUFACTURED["forced_mode_2"](1.0)
+    g, c = force.profile, force.ftime
     assert np.array_equal(ops.riesz_data(np.sin), old_riesz_data(ops, np.sin))
     times = np.concatenate([[0.0, 0.3125, 1.7], 0.01 * np.arange(1, BLOCK)])
-    stacked = ops.riesz_data(force, times)
+    stacked = ops.riesz_data(g, c(times))
     assert stacked.shape == (len(times), ops.mesh.n_dofs)
     for t, row in zip(times, stacked):
-        single = ops.riesz_data(force, t)
-        assert np.array_equal(single, old_riesz_data(ops, force, t))
+        single = ops.riesz_data(g, c(t))
+        assert np.array_equal(single, old_riesz_data(ops, g, c(t)))
         assert np.array_equal(row, single)
 
 
-def _travelling(theta, t):
-    return np.exp(np.cos(theta - t)) * (1.0 + t)
+def _bump(theta):
+    return np.exp(np.cos(theta - 0.3))
 
 
 @pytest.mark.parametrize("n", [48, 96])
-@pytest.mark.parametrize("v, t", [
-    (lambda th: np.exp(np.sin(th)), None),
-    (_travelling, 0.3),
-    (_travelling, np.linspace(0.0, 2.0, 37)),
-    (_travelling, np.linspace(0.0, 2.0, 300)),     # many blocks of times
+@pytest.mark.parametrize("g, a", [
+    (lambda th: np.exp(np.sin(th)), 1.0),
+    (_bump, 1.3),
+    (_bump, 1.0 + np.linspace(0.0, 2.0, 37)),
+    (_bump, 1.0 + np.linspace(0.0, 2.0, 300)),     # many blocks of times
 ], ids=["no-t", "scalar-t", "37-times", "300-times"])
-def test_function_coefficients_match_table(ladder, n, v, t):
+def test_function_coefficients_match_table(ladder, n, g, a):
     ops = ladder[n].ops
-    new = ops.function_coefficients(v, t)
-    old = old_function_coefficients(ops, v, t)
+    new = ops.function_coefficients(g, a)
+    old = old_function_coefficients(ops, g, a)
     assert new.shape == old.shape
     assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
 
 
-# A trigonometric polynomial of degree K_TRIG in theta with |v| <= V_TRIG
-# (the sum of its coefficients) for t >= 0, evaluated in C_TRIG roundings
-# after its angle products.
+# A trigonometric polynomial of degree K_TRIG in theta, times the factor
+# e^-t, with |v| <= V_TRIG (the sum of its coefficients) for t >= 0,
+# evaluated in C_TRIG roundings after its angle products.
 K_TRIG, V_TRIG, C_TRIG = 5, 2.5, 16
 
 
-def _trig(theta, t):
-    return np.exp(-t) * (0.5 + np.cos(theta) - 0.7 * np.sin(3.0 * theta)
-                         + 0.3 * np.cos(5.0 * theta - 1.0))
+def _trig(theta):
+    return (0.5 + np.cos(theta) - 0.7 * np.sin(3.0 * theta)
+            + 0.3 * np.cos(5.0 * theta - 1.0))
 
 
 @pytest.mark.parametrize("placement", ["setup48", "setup96", "setup192",
@@ -409,9 +415,9 @@ def test_function_coefficients_within_cut_rule_bound(request, placement):
         u * (5 * n_top * theta_max + C_TRIG + 10)
         + n_nodes * u / (1 - n_nodes * u)
         + u * (8 * np.pi * K_TRIG + C_TRIG + m + 4 * np.log2(m) + 5))
-    times = np.linspace(0.0, 2.0, 9)
-    new = ops.function_coefficients(_trig, times)
-    old = old_function_coefficients(ops, _trig, times)
+    a = np.exp(-np.linspace(0.0, 2.0, 9))
+    new = ops.function_coefficients(_trig, a)
+    old = old_function_coefficients(ops, _trig, a)
     assert np.abs(new - old).max() <= gauss + cover + rounding
 
 
@@ -428,12 +434,13 @@ def test_max_regularity_ratio_matches(ladder, decay_runs, n):
 
 def test_max_regularity_ratio_with_forcing_matches(setup48, trajectory):
     ops = setup48.ops
-    man = MANUFACTURED["forced_mode_2"]
+    man = MANUFACTURED["forced_mode_2"](1.0)
     cfg = _config("BDF1", man)
-    u0 = lambda th: man.value(th, 0.0)
+    u0 = lambda th: man.time(0.0) * man.profile(th)
+    f = (man.profile, man.ftime)
     args = (ops, trajectory(ops, cfg)[1], cfg.dt)
-    new = max_regularity_ratio(*args, u0=u0, f=man.forcing)
-    old = old_max_regularity_ratio(*args, u0=u0, f=man.forcing)
+    new = max_regularity_ratio(*args, u0=u0, f=f)
+    old = old_max_regularity_ratio(*args, u0=u0, f=f)
     assert abs(new - old) <= RTOL * old
 
 
@@ -453,14 +460,15 @@ def test_trace_operators_match_gathers(setup96):
 
 def test_stack_of_one_equals_single_call(setup48):
     ops = setup48.ops
-    man = MANUFACTURED["forced_mode_2"]
-    x = ops.project(man.value, 0.4)
+    man = MANUFACTURED["forced_mode_2"](1.0)
+    g = man.profile
+    x = ops.project(g, man.time(0.4))
     t = 0.4
     calls = [
-        lambda y, s: ops.error_l2_star(man.value, y, s),
-        lambda y, s: ops.error_h1_star(man.value, man.dprofile, y, s),
+        lambda y, s: ops.error_l2_star(g, y, man.time(s)),
+        lambda y, s: ops.error_h1_star(g, man.dprofile, y, man.time(s)),
         lambda y, s: ops.error_hm1_star(
-            ops.function_coefficients(man.dt_value, s), y),
+            ops.function_coefficients(g, man.dtime(s)), y),
         lambda y, s: ops.l2_star(y),
     ]
     for call in calls:
@@ -506,7 +514,7 @@ def test_streamed_errors_bit_identical(setup48, monkeypatch, block, scheme,
     # full; 301 and 256 steps: the last small block holds one step
     _block(monkeypatch, block)
     ops = setup48.ops
-    man = MANUFACTURED[data]
+    man = MANUFACTURED[data](1.0)
     cfg = _config(scheme, man, nsteps)
     hist, times = whole_run(ops, cfg)
     assert len(hist) == nsteps + 1
@@ -522,7 +530,7 @@ def test_error_fold_any_split(setup48, scheme, data):
     # the whole history in one call, one state a call and the run's
     # blocks fold to the same record
     ops = setup48.ops
-    cfg = _config(scheme, MANUFACTURED[data], STREAM_STEPS)
+    cfg = _config(scheme, MANUFACTURED[data](1.0), STREAM_STEPS)
     hist, _ = whole_run(ops, cfg)
     whole = ErrorFold(ops, cfg)
     whole(0, hist)
@@ -550,7 +558,7 @@ def _heat_cfg(n, scheme, data, nsteps):
 def test_streamed_heat_series_bit_identical(ladder, tmp_path, monkeypatch,
                                             block, n, scheme, data):
     _block(monkeypatch, block)
-    man = MANUFACTURED[data]
+    man = MANUFACTURED[data](1.0)
     cfg = _heat_cfg(n, scheme, data, STREAM_STEPS)
     assert cmd_heat(cfg, str(tmp_path)) == 0
     new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
@@ -579,7 +587,7 @@ def test_streamed_heat_series_block_multiple(setup48, tmp_path, scheme, data):
     # 1e-15 absolute (mean), and so both stay of the series taken one
     # state at a time.
     nsteps = 256
-    man = MANUFACTURED[data]
+    man = MANUFACTURED[data](1.0)
     cfg = _heat_cfg(48, scheme, data, nsteps)
     assert cmd_heat(cfg, str(tmp_path)) == 0
     new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
@@ -591,11 +599,12 @@ def test_streamed_heat_series_block_multiple(setup48, tmp_path, scheme, data):
     old = np.column_stack([
         times, blockwise(lambda b: ops.l2_star(hist[b]), len(hist)),
         hist @ m_one, blockwise(lambda b: ops.error_l2_star(
-            man.value, hist[b], times[b]), len(hist))])
+            man.profile, hist[b], man.time(times[b])), len(hist))])
     assert np.array_equal(new[1:-1], old[1:-1])
     moved = [0, nsteps]
     one = np.array([[times[i], ops.l2_star(hist[i]), float(hist[i] @ m_one),
-                     ops.error_l2_star(man.value, hist[i], times[i])]
+                     ops.error_l2_star(man.profile, hist[i],
+                                       man.time(times[i]))]
                     for i in moved])
     for a, b in ((new[moved], old[moved]), (new[moved], one),
                  (old[moved], one)):
@@ -659,7 +668,7 @@ def _same(target):
 @pytest.mark.parametrize("nsteps", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 def test_block_run_equals_checked_steps(setup48, trajectory, scheme, data,
                                         nsteps):
-    cfg = _config(scheme, MANUFACTURED[data], nsteps)
+    cfg = _config(scheme, MANUFACTURED[data](1.0), nsteps)
     hist, _ = whole_run(setup48.ops, cfg)
     assert len(hist) == nsteps + 1
     assert np.array_equal(trajectory(setup48.ops, cfg)[1], hist)
@@ -669,7 +678,7 @@ def test_block_run_equals_checked_steps(setup48, trajectory, scheme, data,
 def test_block_run_across_chunks(setup48, scheme, data):
     # the consumer gets state 0 alone, then the states of each block of
     # 16 steps, the last one part-full: every state once, in order
-    cfg = _config(scheme, MANUFACTURED[data], 150)
+    cfg = _config(scheme, MANUFACTURED[data](1.0), 150)
     hist, _ = whole_run(setup48.ops, cfg)
     got = []
     run(setup48.ops, cfg, lambda first, states: got.append((first,
@@ -691,7 +700,7 @@ def test_inexact_solve_in_block(setup48, monkeypatch, trajectory, scheme,
     # exactly, as the per-step run does.  Always: the checked solve
     # refines it, in both runs alike.
     ops = setup48.ops
-    cfg = _config(scheme, MANUFACTURED["forced_mode_2"], 2 * BLOCK + 3)
+    cfg = _config(scheme, MANUFACTURED["forced_mode_2"](1.0), 2 * BLOCK + 3)
     target = _rhs_of_step(monkeypatch, ops, cfg, step)
     if refined:
         pick = _same(target)
@@ -714,7 +723,7 @@ def test_persistent_failure_hides_its_block(setup48, monkeypatch, scheme):
     # step 24 of block 1 (states 17-32) fails however often it is
     # solved: the consumer gets state 0 and block 0 and nothing of block 1
     ops = setup48.ops
-    cfg = _config(scheme, MANUFACTURED["forced_mode_2"], 3 * BLOCK)
+    cfg = _config(scheme, MANUFACTURED["forced_mode_2"](1.0), 3 * BLOCK)
     ref, _ = whole_run(ops, cfg)
     target = _rhs_of_step(monkeypatch, ops, cfg, BLOCK + 8)
     _inexact_steps(monkeypatch, lambda b: b.ndim == 2 or _same(target)(b))
