@@ -12,8 +12,8 @@ The operators assemble the Fourier probe when it is first read, so only
 Each config key has one row (default, check, requirement) in ``_KEYS``;
 a flag sets the key it names and is checked by the same row.  Only
 ``main`` turns a failure into an exit code, with one line on stderr:
-1 numerical failure, failed audit or out of memory, 2 assumption
-violation, 64 config or usage error.
+1 numerical failure, failed audit, out of memory or an output that cannot
+be written, 2 assumption violation, 64 config or usage error.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def load_config(path, overrides=None):
 
 
 def fit_rate(h, e):
-    """Least-squares slope of log(e) against log(h)."""
-    if len(h) < 3:
-        raise InvalidConfig("rate fit needs at least 3 meshes")
+    """Least-squares slope of log(e) against log(h), over >= 3 distinct h."""
+    if len(set(h)) < 3:
+        raise InvalidConfig("rate fit needs at least 3 distinct mesh sizes")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
@@ -216,20 +216,20 @@ def cmd_quadcheck(cfg, out):
 
 def cmd_project(cfg, out):
     man = MANUFACTURED[cfg["data"]](cfg["radius"])
-    g, a = man.profile, man.time(0.0)
+    g, a = man.profile, man.time(np.zeros(1))
     hdr = ["n_cells", "h", "n_dofs", "e_l2_star", "e_h1_star"]
     rows = []
     for n in cfg["n_cells"]:
         pipe = Pipeline(cfg, n)
         x = pipe.ops.project(g, a)
-        el2 = pipe.ops.error_l2_star(g, x, a)
-        eh1 = pipe.ops.error_h1_star(g, man.dprofile, x, a)
+        el2 = pipe.ops.error_l2_star(g, x, a)[0]
+        eh1 = pipe.ops.error_h1_star(g, man.dprofile, x, a)[0]
         rows.append([n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])
         if cfg["export_matrices"]:
             export_matrices(pipe.system, out, prefix="n%d_" % n)
     write_csv(os.path.join(out, "project.csv"), hdr, rows)
     write_dat(os.path.join(out, "project.dat"), hdr, rows)
-    if len(rows) >= 3:
+    if len(set(cfg["n_cells"])) >= 3:
         _, h, _, el2, eh1 = zip(*rows)
         write_csv(os.path.join(out, "project_rates.csv"),
                   ["rate_l2_star", "rate_h1_star"],
@@ -313,8 +313,8 @@ def cmd_dtsweep(cfg, out):
 
 
 def cmd_converge(cfg, out):
-    if len(cfg["n_cells"]) < 3:
-        raise InvalidConfig("converge needs a ladder of >= 3 meshes")
+    if len(set(cfg["n_cells"])) < 3:
+        raise InvalidConfig("converge needs >= 3 distinct n_cells")
     man = MANUFACTURED[cfg["data"]](cfg["radius"])
     hdr = ["n_cells", "h", "dt", "e_total", "e_l2l2", "e_l2_initial",
            "proj_l2_star"]
@@ -389,6 +389,9 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except MemoryError as exc:
         print("out of memory: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print("cannot write output: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -184,10 +184,10 @@ def run(operators, config, consume):
     x = np.zeros((BLOCK + 2, n_dofs))
     b = np.zeros((BLOCK + 1, n_dofs))
     rhs = np.empty((BLOCK, n_dofs))
-    x[1] = ops.project(man.profile, man.time(0.0))
+    x[1:2] = ops.project(man.profile, man.time(times[:1]))
     consume(0, x[1:2])
     if man.ftime is not None:
-        b[0] = ops.riesz_data(man.profile, man.ftime(0.0))
+        b[:1] = ops.riesz_data(man.profile, man.ftime(times[:1]))
 
     def march(lo, k, solve):
         """Steps lo, ..., k - 1 of the block."""

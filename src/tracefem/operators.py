@@ -6,25 +6,24 @@ sup_w (v, w)_* / ||w||_H1* and the stabilized H^-1_* norm, the
 Fourier-truncated H^-1 norm on Gamma plus s_-1) and the error
 functionals pairing a smooth surface function with a discrete one.
 
-A surface function is passed as a profile g(theta) and time factors a,
-a scalar (default 1) or a stack (k,), meaning a * g: the callers evaluate
-the time factor, and its tangential derivative is d/ds = R^-1 d/dtheta.
-Discrete functions reach the surface nodes through two sparse trace
-operators built once: ``trace`` (P1 values) and ``dtrace`` (tangential
+Every method takes stacks and returns one value or one row per row.
+Discrete functions are rows x (k, n_dofs); a surface function is a
+profile g(theta) with time factors a (k,), the rows a_i g, whose
+tangential derivative is d/ds = R^-1 d/dtheta.  A time series goes a
+block of steps at a time, and one item is a stack of one.  Discrete
+functions reach the surface nodes through two sparse trace operators
+built once: ``trace`` (P1 values) and ``dtrace`` (tangential
 derivatives).  A profile is evaluated at the nodes once per mesh.  The
 Riesz data scale it by each time factor and apply trace'.  The L2* and
 H1* errors split off the projection p = P_h g of the profile once per
 mesh (``_table``), so a state costs sparse products over the dofs and no
-node quadrature.  The error functionals and the L2*, dual and H^-1 norms
-take one coefficient vector or a stack (k, n_dofs), with factors (k,)
-for data, so a time series is evaluated a block of steps at a time.  The
-H^-1 error takes the Fourier coefficients of the smooth function instead
-of it.  The circle is represented exactly, so ``function_coefficients``
-integrates a smooth function on it with one rfft over equispaced angles;
-the Riesz data, the tables of the split errors and the probe's G keep the
-cut quadrature.  The Fourier probe is assembled the first time something
-reads ``probe``: the projection, the L2*, dual and H1* quantities and the
-Riesz data never do.
+node quadrature.  The H^-1 error takes the Fourier coefficients of the
+smooth function instead of it.  The circle is represented exactly, so
+``function_coefficients`` integrates a smooth function on it with one
+rfft over equispaced angles; the Riesz data, the tables of the split
+errors and the probe's G keep the cut quadrature.  The Fourier probe is
+assembled the first time something reads ``probe``: the projection, the
+L2*, dual and H1* quantities and the Riesz data never do.
 """
 
 from __future__ import annotations
@@ -36,9 +35,12 @@ import numpy as np
 from .assembly import assemble_fourier
 from .errors import SolveFailure
 
+# The time factor of a single item: a stack of one factor 1.
+ONE = np.ones(1)
+
 
 def _form(mat, x):
-    """x' mat x clipped at 0 for each row of x, one vector or a stack.
+    """x' mat x clipped at 0 for each row of the stack x (k, n).
 
     The summation order is pinned.  For the mid-run state of the n=192
     converge rung, x' S0 x = 3.518e-8 cancels terms of total magnitude
@@ -47,14 +49,7 @@ def _form(mat, x):
     rounding, about ten times the 1e-10 the benchmark gates error columns
     with.  Any other summation order moves them by as much.
     """
-    x = np.atleast_2d(x)
     return np.maximum(np.einsum("kn,kn->k", x, (mat @ x.T).T), 0.0)
-
-
-def _root(sq, x):
-    """Square roots of the per-row squares; a float when x is one vector."""
-    r = np.sqrt(sq)
-    return float(r[0]) if np.ndim(x) == 1 else r
 
 
 def _colnorm(a):
@@ -104,7 +99,10 @@ class _Factor:
 
 
 class DiscreteOperators:
-    """Projection, norm and error evaluations for one system."""
+    """Projection, norm and error evaluations for one system.
+
+    ``_profile`` and ``_table`` cache per function object: a fresh lambda
+    on each call adds an entry that lives as long as the operators."""
 
     def __init__(self, system, k_max):
         import scipy.sparse as sp   # here: a cut alone loads no scipy
@@ -153,7 +151,8 @@ class DiscreteOperators:
         if key not in self._tables:
             w = self.topology.w
             if dg is None:
-                p, op, vals = self.project(g), self.trace, self._profile(g)
+                p, op = self.project(g, ONE)[0], self.trace
+                vals = self._profile(g)
             else:
                 p, op = self._table(g)[0], self.dtrace
                 vals = self._profile(dg) / self.topology.surface.radius
@@ -163,55 +162,52 @@ class DiscreteOperators:
 
     # -- data -> Riesz vectors -----------------------------------------
 
-    def riesz_data(self, g, a=1.0):
-        """b_i = (a g, phi_i) on Gamma for the profile g(theta) and time
-        factors a; (k, n_dofs) for factors a (k,).
+    def riesz_data(self, g, a):
+        """b_i = (a g, phi_i) on Gamma for the profile g(theta), one row
+        (k, n_dofs) per time factor of a (k,).
 
         The products w * (a * profile) are formed a row per factor and
         taken node-major by the CSR trace', which sums each entry over its
         nodes in node order, as a per-node accumulation does.
         """
-        vals = self.topology.w * (np.reshape(a, -1)[:, None]
-                                  * self._profile(g))
-        b = self.trace_t @ vals.T
-        return b.T if np.ndim(a) else b[:, 0]
+        vals = self.topology.w * (a[:, None] * self._profile(g))
+        return (self.trace_t @ vals.T).T
 
     # -- projection ----------------------------------------------------
 
-    def project(self, g, a=1.0):
+    def project(self, g, a):
         """Stabilized L2-projection: solve (M + S0) x = b with b the Riesz
-        data of a g; one column per factor of a (k,)."""
-        return self.mstar.solve(self.riesz_data(g, a))
+        data of a g; one row (k, n_dofs) per factor of a (k,)."""
+        return self.mstar.solve(self.riesz_data(g, a).T).T
 
     # -- norms of discrete functions -----------------------------------
 
     def l2_star(self, x):
-        """||v_h||_L2*; one value per row of a stack (k, n_dofs)."""
-        return _root(_form(self.system.M_star, x), x)
+        """||v_h||_L2*, one value per row of x (k, n_dofs)."""
+        return np.sqrt(_form(self.system.M_star, x))
 
     def dual_norm(self, x):
         """Discrete dual norm sup_w (v, w)_* / ||w||_H1*, per row of x:
         sqrt(x' N x) with the Gram N = M_* K_*^-1 M_*, through the LU of
         K_*."""
-        b = self.system.M_star @ np.atleast_2d(x).T
+        b = self.system.M_star @ x.T
         y = self.kstar.solve(b)
-        return _root(np.maximum(np.einsum("nk,nk->k", b, y), 0.0), x)
+        return np.sqrt(np.maximum(np.einsum("nk,nk->k", b, y), 0.0))
 
     def hm1_star(self, x):
-        """||v_h||_H^-1_*: the truncated H^-1 norm plus s_-1(v_h, v_h)."""
-        xs = np.atleast_2d(x)
-        return _root(self._hm1_star_sq(xs @ self.probe.G, xs), x)
+        """||v_h||_H^-1_*, the truncated H^-1 norm plus s_-1, per row of x."""
+        return np.sqrt(self._hm1_star_sq(x @ self.probe.G, x))
 
-    def _hm1_star_sq(self, c, xs):
+    def _hm1_star_sq(self, c, x):
         """Truncated H^-1 norm squared of the Fourier coefficients c (k,
-        n_modes) plus s_-1 of each row of the stack xs (k, n_dofs)."""
-        return c ** 2 @ self.probe.Hm1_gram + _form(self.system.S[-1], xs)
+        n_modes) plus s_-1 of each row of x (k, n_dofs)."""
+        return c ** 2 @ self.probe.Hm1_gram + _form(self.system.S[-1], x)
 
     # -- Fourier coefficients of smooth data ----------------------------
 
-    def function_coefficients(self, g, a=1.0):
-        """Fourier coefficients (a g, e_m)_Gamma of a smooth profile g(theta)
-        and time factors a; (k, n_modes) for factors a (k,).
+    def function_coefficients(self, g, a):
+        """Fourier coefficients (a g, e_m)_Gamma of a smooth profile g(theta),
+        one row (k, n_modes) per time factor of a (k,).
 
         The circle is represented exactly, so these do not depend on the
         mesh: g is taken at the M = 4 k_max + 4 angles 2 pi j / M, and one
@@ -225,22 +221,21 @@ class DiscreteOperators:
         probe, r = self.probe, self.probe.radius
         m = 4 * probe.k_max + 4
         theta = 2.0 * np.pi / m * np.arange(m)
-        vals = np.asarray(a, dtype=float)[..., None] * g(theta)
-        f = np.fft.rfft(vals, axis=-1)[..., :probe.k_max + 1]
+        f = np.fft.rfft(a[:, None] * g(theta))[:, :probe.k_max + 1]
         step = 2.0 * np.pi * r / m
-        out = np.empty(f.shape[:-1] + (probe.n_modes,))
-        out[..., 0] = step / np.sqrt(2.0 * np.pi * r) * f[..., 0].real
+        out = np.empty((len(a), probe.n_modes))
+        out[:, 0] = step / np.sqrt(2.0 * np.pi * r) * f[:, 0].real
         scale = step / np.sqrt(np.pi * r)
-        out[..., 1::2] = scale * f[..., 1:].real
-        out[..., 2::2] = -scale * f[..., 1:].imag
+        out[:, 1::2] = scale * f[:, 1:].real
+        out[:, 2::2] = -scale * f[:, 1:].imag
         return out
 
     # -- error functionals ---------------------------------------------
-    # Each takes one coefficient vector x and returns a float, or a stack
-    # x (k, n_dofs) with factors a (k,) (for the H^-1 error, coefficients
-    # (k, n_modes)) and returns k values.  One vector runs as a stack of one.
+    # Each takes the states x (k, n_dofs) with one time factor of a (k,)
+    # per row (for the H^-1 error, one row of coefficients (k, n_modes))
+    # and returns one value per row.
 
-    def error_l2_star(self, g, x, a=1.0):
+    def error_l2_star(self, g, x, a):
         """E_L2*[v, v_h]^2 = ||v - v_h||^2_L2 + s0(v_h, v_h), rooted, for
         v = a g.
 
@@ -251,7 +246,7 @@ class DiscreteOperators:
         """
         return self._split_error(self._table(g), self.system.M, 0, x, a)
 
-    def error_h1_star(self, g, dg, x, a=1.0):
+    def error_h1_star(self, g, dg, x, a):
         """E_H1*[v, v_h]^2 = |v - v_h|^2_H1 + s1(v_h, v_h), rooted, for
         v = a g.
 
@@ -264,16 +259,13 @@ class DiscreteOperators:
         """sqrt(a^2 n - 2 a c.e + e' gram e + s_j(x, x)) per row of x,
         e = x - a p; only the node part is split, s_j stays ``_form``."""
         p, n, c = table
-        a = np.reshape(a, -1)
-        xs = np.atleast_2d(x)
-        e = xs - a[:, None] * p
+        e = x - a[:, None] * p
         sq = (a * a * n - 2.0 * a * np.einsum("kn,n->k", e, c)
-              + _form(gram, e) + _form(self.system.S[j], xs))
-        return _root(np.maximum(sq, 0.0), x)
+              + _form(gram, e) + _form(self.system.S[j], x))
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def error_hm1_star(self, coef, x):
         """E_Hm1*[v, v_h]^2 = ||v - v_h||^2_Hm1 + s_-1(v_h, v_h), rooted;
         ``coef`` holds the Fourier coefficients of v
         (``function_coefficients``), one row per row of x."""
-        xs = np.atleast_2d(x)
-        return _root(self._hm1_star_sq(coef - xs @ self.probe.G, xs), x)
+        return np.sqrt(self._hm1_star_sq(coef - x @ self.probe.G, x))

@@ -14,7 +14,6 @@ manufactured solutions that steady and zero runs are made of.
 import numpy as np
 
 from tracefem.heatsolver import BLOCK, Manufactured
-from tracefem.operators import _root
 
 
 def constant(c):
@@ -49,14 +48,14 @@ def nodal_interpolant(ops, v):
 
 
 def laplacian(ops, x):
-    """Discrete Laplacian d with (M + S0) d = (A + S1) x; one vector or a
-    stack (k, n_dofs), solved as k right-hand sides at once.
+    """Discrete Laplacian d with (M + S0) d = (A + S1) x of each row of x
+    (k, n_dofs), solved as k right-hand sides at once.
 
     Sign convention: for smooth v on the unit circle the trace of
     laplacian(project(v)) approximates -Laplace-Beltrami(v), i.e. +v for
     v = cos(theta).
     """
-    return ops.mstar.solve(ops.system.A_star @ np.transpose(x)).T
+    return ops.mstar.solve(ops.system.A_star @ x.T).T
 
 
 def l2_gamma_of_function(ops, v):
@@ -66,16 +65,15 @@ def l2_gamma_of_function(ops, v):
 
 
 def hm1_gamma(ops, x):
-    """Fourier-truncated H^-1 norm on Gamma of the trace of v_h."""
-    c = np.atleast_2d(x) @ ops.probe.G
-    return _root(c ** 2 @ ops.probe.Hm1_gram, x)
+    """Fourier-truncated H^-1 norm on Gamma of the trace of each row of x."""
+    return np.sqrt((x @ ops.probe.G) ** 2 @ ops.probe.Hm1_gram)
 
 
 def hm1_gamma_of_function(ops, g, a):
-    """Truncated H^-1 norm of the function a g of the profile g(theta)
-    and time factors a; k values for factors a (k,)."""
+    """Truncated H^-1 norm of the function a g of the profile g(theta),
+    one value per time factor of a (k,)."""
     c = ops.function_coefficients(g, a)
-    return _root(np.atleast_2d(c) ** 2 @ ops.probe.Hm1_gram, c)
+    return np.sqrt(c ** 2 @ ops.probe.Hm1_gram)
 
 
 def max_regularity_ratio(ops, history, dt, u0=None, f=None):

@@ -11,6 +11,7 @@ import pytest
 from tracefem import diagnostics as dg
 from tracefem.cli import fit_rate
 from tracefem.heatsolver import MANUFACTURED, HeatRun
+from tracefem.operators import ONE
 
 from helpers import max_regularity_ratio
 
@@ -28,25 +29,25 @@ def constants(ladder):
 
 def test_criterion_1_projection_identities(setup96):
     s = setup96
-    one_data = s.ops.riesz_data(lambda th: np.ones_like(th))
+    one_data = s.ops.riesz_data(np.ones_like, ONE)[0]
     x1 = s.ops.mstar.solve(one_data)
     res = np.linalg.norm(one_data - s.system.M_star @ x1)
     ok1 = res <= 1e-12 * np.linalg.norm(one_data) and np.abs(x1 - 1).max() <= 1e-10
 
-    b_l = s.ops.riesz_data(np.sin)
-    b_v = s.ops.riesz_data(lambda th: np.cos(2 * th))
+    b_l = s.ops.riesz_data(np.sin, ONE)[0]
+    b_v = s.ops.riesz_data(lambda th: np.cos(2 * th), ONE)[0]
     sym = abs(float(b_l @ s.ops.mstar.solve(b_v))
               - float(s.ops.mstar.solve(b_l) @ b_v))
     ok2 = sym <= 1e-11
 
     v = lambda th: np.cos(3 * th)
-    x = s.ops.project(v)
-    e_star = s.ops.error_l2_star(v, x)
+    x = s.ops.project(v, ONE)
+    e_star = s.ops.error_l2_star(v, x, ONE)[0]
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(20):
-        comp = x + rng.standard_normal(len(x)) * rng.uniform(0.01, 1.0)
-        worst = max(worst, e_star - s.ops.error_l2_star(v, comp))
+        comp = x + rng.standard_normal(x.shape[1]) * rng.uniform(0.01, 1.0)
+        worst = max(worst, e_star - s.ops.error_l2_star(v, comp, ONE)[0])
     ok3 = worst <= 1e-12
 
     report("criterion 1: projection identities", ok1 and ok2 and ok3,
@@ -60,10 +61,10 @@ def test_criterion_2_projection_rates(ladder):
     h, e_l2, e_h1 = [], [], []
     for n in sorted(ladder):
         s = ladder[n]
-        x = s.ops.project(v)
+        x = s.ops.project(v, ONE)
         h.append(s.mesh.h)
-        e_l2.append(s.ops.error_l2_star(v, x))
-        e_h1.append(s.ops.error_h1_star(v, dv, x))
+        e_l2.append(s.ops.error_l2_star(v, x, ONE)[0])
+        e_h1.append(s.ops.error_h1_star(v, dv, x, ONE)[0])
     r_l2 = fit_rate(h, e_l2)
     r_h1 = fit_rate(h, e_h1)
     ok = abs(r_l2 - 2.0) <= 0.2 and abs(r_h1 - 1.0) <= 0.2
@@ -90,13 +91,11 @@ def test_criterion_4_sandwiches(ladder, constants):
     for n, s in ladder.items():
         c = constants[n]
         bound = c.norm_Ph_H1star + c.C_inv_h
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            x = rng.standard_normal(s.mesh.n_dofs)
-            lo = s.ops.dual_norm(x)
-            hi = s.ops.hm1_star(x)
-            if lo > hi * slack or hi > bound * lo * slack:
-                ok = False
+        x = np.random.default_rng(7).standard_normal((50, s.mesh.n_dofs))
+        lo = s.ops.dual_norm(x)
+        hi = s.ops.hm1_star(x)
+        if np.any((lo > hi * slack) | (hi > bound * lo * slack)):
+            ok = False
         lam_ok = (c.norm_Ph_H1gamma <= c.inv_Lambda_h * slack
                   and c.inv_Lambda_h <= bound * slack
                   and c.Lambda_h <= 1.0 + 1e-9)

@@ -10,6 +10,7 @@ from tracefem.cutquad import build_topology, oscillation_order
 from tracefem.errors import AliasRisk
 from tracefem.geometry import LevelSetSurface
 from tracefem.mesh import build_background, select_active
+from tracefem.operators import ONE
 
 from conftest import BBOX, K_MAX, LADDER
 
@@ -95,16 +96,16 @@ class TestGramMatrices:
 class TestLoadVectors:
     def test_constant_gives_mass_rows(self, setup48):
         s = setup48
-        b = s.ops.riesz_data(lambda th: np.ones_like(th))
+        b = s.ops.riesz_data(np.ones_like, ONE)[0]
         rows = s.system.M @ np.ones(s.system.n_dofs)
         assert np.abs(b - rows).max() <= 1e-12
 
     def test_cos_integral_zero(self, setup48):
-        b = setup48.ops.riesz_data(np.cos)
+        b = setup48.ops.riesz_data(np.cos, ONE)[0]
         assert abs(b.sum()) <= 1e-10
 
     def test_cos2_integral_pi(self, setup48):
-        b = setup48.ops.riesz_data(lambda th: np.cos(th) ** 2)
+        b = setup48.ops.riesz_data(lambda th: np.cos(th) ** 2, ONE)[0]
         assert b.sum() == pytest.approx(np.pi, abs=1e-10)
 
 

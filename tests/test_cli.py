@@ -240,6 +240,14 @@ class TestSubcommands:
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_OK and err == []
 
+    @pytest.mark.parametrize("sub, extra", [r[:2] for r in SMALL_RUNS],
+                             ids=[r[0] for r in SMALL_RUNS])
+    def test_small_run_stderr_empty(self, tmp_path, sub, extra):
+        # a successful run prints nothing on its real stderr: no warning
+        cfg = write_cfg(tmp_path / "c.json", **extra)
+        assert run_cli(sub, "--config", cfg,
+                       "--out", str(tmp_path / "out")) == (EXIT_OK, [])
+
     def test_tiny_radius_order_is_finite(self, tmp_path):
         # h / R = 1.8e299: the Gauss order is capped at an arc of 2 pi
         cfg = write_cfg(tmp_path / "c.json", n_cells=[24], k_max=128,
@@ -430,14 +438,34 @@ class TestSubcommands:
         # of a projection of u(0) made on its own
         cfg = load_config(path)
         man = MANUFACTURED[cfg["data"]](1.0)
-        g, a = man.profile, man.time(0.0)
+        g, a = man.profile, man.time(np.zeros(1))
         lines = (out / "converge.csv").read_text().splitlines()
         assert lines[0].split(",")[6] == "proj_l2_star"
         for line in lines[1:]:
             row = line.split(",")
             ops = Pipeline(cfg, int(row[0])).ops
             x = ops.project(g, a)
-            assert row[6] == fmt(ops.error_l2_star(g, x, a))
+            assert row[6] == fmt(ops.error_l2_star(g, x, a)[0])
+
+    def test_converge_needs_three_distinct_sizes(self, tmp_path):
+        # a repeated size is no rung of the ladder: a config error before
+        # any run, so no file is written
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[24, 24, 24],
+                        t_final=0.01)
+        out = tmp_path / "out"
+        code, err = run_cli("converge", "--config", cfg, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert err == ["config error: converge needs >= 3 distinct n_cells"]
+        assert list(out.iterdir()) == []
+
+    def test_project_rates_need_three_distinct_sizes(self, tmp_path):
+        # the errors are written, the rate fit through one abscissa is not
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[24, 24, 24])
+        out = tmp_path / "out"
+        assert run_cli("project", "--config", cfg,
+                       "--out", str(out)) == (EXIT_OK, [])
+        assert len((out / "project.csv").read_text().splitlines()) == 4
+        assert not (out / "project_rates.csv").exists()
 
     @pytest.mark.parametrize("data", ["decaying_mode", "forced_mode_2"])
     def test_converge_off_unit_radius(self, tmp_path, data):
@@ -507,6 +535,17 @@ class TestNumericalFailure:
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_NUMERICAL
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    def test_output_not_writable(self, tmp_path):
+        # the CSV path is taken by a directory: one line, not a traceback
+        out = tmp_path / "out"
+        (out / "quadcheck.csv").mkdir(parents=True)
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16])
+        code, err = run_cli("quadcheck", "--config", cfg, "--out", str(out))
+        assert code == EXIT_NUMERICAL
+        assert len(err) == 1
+        assert err[0].startswith("cannot write output: [Errno 21] Is a "
+                                 "directory: ")
 
     def test_step_grid_beyond_memory(self, tmp_path):
         # 10^15 + 1 times ask for 7.11 PiB: the request fails at once and

@@ -8,7 +8,7 @@ from tracefem.cli import fit_rate
 from tracefem.errors import InvalidConfig
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, HeatRun,
                                  accumulate_errors, run, time_grid)
-from tracefem.operators import DiscreteOperators
+from tracefem.operators import ONE, DiscreteOperators
 
 from helpers import constant
 
@@ -132,10 +132,9 @@ class TestErrorAccumulation:
         # and the solver stays within a modest factor of them
         s = setup48
         cfg, _, record = decay_runs[48]
-        proj = [s.ops.project(DECAY.profile, DECAY.time(t))
-                for t in time_grid(cfg)]
+        proj = s.ops.project(DECAY.profile, DECAY.time(time_grid(cfg)))
         fold = ErrorFold(s.ops, cfg)
-        fold(0, np.array(proj))
+        fold(0, proj)
         rec_proj = fold.record()
         assert rec_proj.e_total > 0.0
         assert record.e_total <= 25.0 * rec_proj.e_total
@@ -159,20 +158,26 @@ class TestErrorAccumulation:
             lambda i, states: first.append(states.copy()) if i == 0 else None)
         assert np.array_equal(first[0][0],
                               ops.project(lambda th: man.time(0.0)
-                                          * man.profile(th)))
+                                          * man.profile(th), ONE)[0])
 
     def test_initial_error_is_projection_error(self, ladder, decay_runs):
         # converge writes e_l2_initial as proj_l2_star: on the shipped
         # ladder it equals the error of a projection made on its own
-        g, a = DECAY.profile, DECAY.time(0.0)
+        g, a = DECAY.profile, DECAY.time(np.zeros(1))
         for n, s in ladder.items():
             x = s.ops.project(g, a)
             assert decay_runs[n][2].e_l2_initial == \
-                s.ops.error_l2_star(g, x, a)
+                s.ops.error_l2_star(g, x, a)[0]
 
     def test_rate_fit_needs_three(self):
         with pytest.raises(InvalidConfig):
             fit_rate([0.1, 0.05], [1.0, 0.5])
+
+    @pytest.mark.parametrize("h", [[0.1, 0.1, 0.05], [0.1, 0.1, 0.1, 0.1]])
+    def test_rate_fit_needs_three_distinct(self, h):
+        # a repeated size adds no abscissa to the fit
+        with pytest.raises(InvalidConfig, match="3 distinct mesh sizes"):
+            fit_rate(h, np.linspace(1.0, 0.5, len(h)))
 
     def test_memory_below_basis_table(self, setup96):
         # The error pass holds no (n_nodes, n_modes) Fourier basis table:

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from tracefem.assembly import assemble_fourier
 from tracefem.errors import SolveFailure
-from tracefem.operators import DiscreteOperators, _Factor
+from tracefem.operators import ONE, DiscreteOperators, _Factor
 
 from helpers import (hm1_gamma, l2_gamma_of_function, laplacian,
                      nodal_interpolant)
@@ -73,12 +73,22 @@ class TestFactor:
 
 class TestProjection:
     def test_preserves_constants(self, setup48):
-        x = setup48.ops.project(lambda th: np.ones_like(th))
+        x = setup48.ops.project(np.ones_like, ONE)
+        assert x.shape == (1, setup48.system.n_dofs)
         assert np.abs(x - 1.0).max() <= 1e-11
+
+    def test_stacked_factors_give_one_row_each(self, setup48):
+        # a stack of factors a (3,) projects to rows (3, n_dofs), each
+        # bit for bit the projection with its factor alone
+        ops, a = setup48.ops, np.array([1.0, -2.5, 0.3])
+        x = ops.project(np.cos, a)
+        assert x.shape == (3, setup48.system.n_dofs)
+        for i in range(3):
+            assert np.array_equal(x[i], ops.project(np.cos, a[i:i + 1])[0])
 
     def test_galerkin_orthogonality(self, setup96):
         s = setup96
-        b = s.ops.riesz_data(np.cos)
+        b = s.ops.riesz_data(np.cos, ONE)[0]
         x = s.ops.mstar.solve(b)
         res = b - s.system.M_star @ x
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(b)
@@ -86,8 +96,8 @@ class TestProjection:
     def test_symmetry_relation(self, setup96):
         # <l, P_h v> = <P_h l, v> for l = Riesz data of sin, v = cos 2theta
         s = setup96
-        b_l = s.ops.riesz_data(np.sin)
-        b_v = s.ops.riesz_data(lambda th: np.cos(2 * th))
+        b_l = s.ops.riesz_data(np.sin, ONE)[0]
+        b_v = s.ops.riesz_data(lambda th: np.cos(2 * th), ONE)[0]
         x_v = s.ops.mstar.solve(b_v)
         x_l = s.ops.mstar.solve(b_l)
         lhs = float(b_l @ x_v)
@@ -96,33 +106,34 @@ class TestProjection:
 
     def test_homogeneity(self, setup48):
         s = setup48
-        x = s.ops.project(np.cos)
-        y = s.ops.project(lambda th: 7.5 * np.cos(th))
+        x = s.ops.project(np.cos, ONE)
+        y = s.ops.project(lambda th: 7.5 * np.cos(th), ONE)
         assert np.abs(y - 7.5 * x).max() <= 1e-11
 
     def test_l2_rate_pair(self, setup48, setup96):
         # halving h divides E_L2* by about 4
-        e = [s.ops.error_l2_star(np.cos, s.ops.project(np.cos))
+        e = [s.ops.error_l2_star(np.cos, s.ops.project(np.cos, ONE), ONE)[0]
              for s in (setup48, setup96)]
         assert 3.4 <= _fit_ratio(*e) <= 4.6
 
     def test_h1_rate_pair(self, setup48, setup96):
         dcos = lambda th: -np.sin(th)
-        e = [s.ops.error_h1_star(np.cos, dcos, s.ops.project(np.cos))
+        e = [s.ops.error_h1_star(np.cos, dcos, s.ops.project(np.cos, ONE),
+                                 ONE)[0]
              for s in (setup48, setup96)]
         assert 1.7 <= _fit_ratio(*e) <= 2.3
 
     def test_best_approximation(self, setup96):
         s = setup96
         v = lambda th: np.cos(3 * th)
-        x = s.ops.project(v)
-        e_star = s.ops.error_l2_star(v, x)
+        x = s.ops.project(v, ONE)
+        e_star = s.ops.error_l2_star(v, x, ONE)[0]
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            comp = x + rng.standard_normal(len(x)) * 0.1
-            assert e_star <= s.ops.error_l2_star(v, comp) + 1e-12
-        interp = nodal_interpolant(s.ops, v)
-        assert e_star <= s.ops.error_l2_star(v, interp) + 1e-12
+        comp = x + rng.standard_normal((20, x.shape[1])) * 0.1
+        assert np.all(e_star <= s.ops.error_l2_star(v, comp, np.ones(20))
+                      + 1e-12)
+        interp = nodal_interpolant(s.ops, v)[None]
+        assert e_star <= s.ops.error_l2_star(v, interp, ONE)[0] + 1e-12
 
     def test_l2_star_stability(self, setup96):
         # ||P_h v||_L2* <= ||v||_L2 for random trigonometric polynomials
@@ -135,14 +146,14 @@ class TestProjection:
             def v(th, ks=ks, cs=cs):
                 return sum(c * np.cos(k * th) for k, c in zip(ks, cs))
 
-            x = s.ops.project(v)
-            assert s.ops.l2_star(x) <= \
+            x = s.ops.project(v, ONE)
+            assert s.ops.l2_star(x)[0] <= \
                 l2_gamma_of_function(s.ops, v) * (1 + 1e-10)
 
     def test_riesz_vector_route(self, setup48):
         s = setup48
-        x1 = s.ops.mstar.solve(s.ops.riesz_data(np.sin))
-        x2 = s.ops.project(np.sin)
+        x1 = s.ops.mstar.solve(s.ops.riesz_data(np.sin, ONE)[0])
+        x2 = s.ops.project(np.sin, ONE)[0]
         assert np.array_equal(x1, x2)
 
     def test_fourier_data_route(self, setup48):
@@ -150,30 +161,30 @@ class TestProjection:
         c = np.zeros(s.ops.probe.n_modes)
         c[1] = np.sqrt(np.pi)          # cos(theta) in the orthonormal basis
         x1 = s.ops.mstar.solve(s.ops.probe.G @ c)
-        x2 = s.ops.project(np.cos)
+        x2 = s.ops.project(np.cos, ONE)[0]
         assert np.abs(x1 - x2).max() <= 1e-9
 
 
 class TestLaplacian:
     def test_kills_constants(self, setup48):
-        d = laplacian(setup48.ops, np.ones(setup48.system.n_dofs))
+        d = laplacian(setup48.ops, np.ones((1, setup48.system.n_dofs)))
         assert np.abs(d).max() <= 1e-11
 
     def test_sign_and_scale_on_eigenmode(self, setup96):
         # -Laplace(cos) = cos on the unit circle; the discrete operator
         # carries the positive sign
         s = setup96
-        x = s.ops.project(np.cos)
+        x = s.ops.project(np.cos, ONE)
         d = laplacian(s.ops, x)
-        xc = (s.ops.probe.G.T @ x)[1]
-        dc = (s.ops.probe.G.T @ d)[1]
+        xc = (x @ s.ops.probe.G)[0, 1]
+        dc = (d @ s.ops.probe.G)[0, 1]
         assert 0.9 <= dc / xc <= 1.1
 
     def test_linearity(self, setup48):
         s = setup48
         rng = np.random.default_rng(2)
-        x = rng.standard_normal(s.system.n_dofs)
-        y = rng.standard_normal(s.system.n_dofs)
+        x = rng.standard_normal((1, s.system.n_dofs))
+        y = rng.standard_normal((1, s.system.n_dofs))
         lhs = laplacian(s.ops, 2.0 * x - 3.0 * y)
         rhs = 2.0 * laplacian(s.ops, x) - 3.0 * laplacian(s.ops, y)
         assert np.abs(lhs - rhs).max() <= 1e-11 * max(np.abs(rhs).max(), 1.0)
@@ -182,24 +193,22 @@ class TestLaplacian:
 class TestNorms:
     def test_dual_norm_homogeneity(self, setup48):
         s = setup48
-        x = np.random.default_rng(1).standard_normal(s.system.n_dofs)
-        assert s.ops.dual_norm(3.5 * x) == \
-            pytest.approx(3.5 * s.ops.dual_norm(x), rel=1e-12)
+        x = np.random.default_rng(1).standard_normal((1, s.system.n_dofs))
+        assert s.ops.dual_norm(3.5 * x)[0] == \
+            pytest.approx(3.5 * s.ops.dual_norm(x)[0], rel=1e-12)
 
     def test_dual_norm_below_hm1_star(self, setup96):
         s = setup96
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            x = rng.standard_normal(s.system.n_dofs)
-            assert s.ops.dual_norm(x) <= s.ops.hm1_star(x) * (1 + 1e-9) + 1e-9
+        x = np.random.default_rng(4).standard_normal((50, s.system.n_dofs))
+        assert np.all(s.ops.dual_norm(x) <= s.ops.hm1_star(x) * (1 + 1e-9)
+                      + 1e-9)
 
     def test_dual_norm_stack_matches_rows(self, setup48):
         s = setup48
         xs = np.random.default_rng(3).standard_normal((5, s.system.n_dofs))
         stacked = s.ops.dual_norm(xs)
-        rows = [s.ops.dual_norm(x) for x in xs]
+        rows = [s.ops.dual_norm(xs[i:i + 1])[0] for i in range(5)]
         assert stacked.shape == (5,)
-        assert isinstance(rows[0], float)
         np.testing.assert_allclose(stacked, rows, rtol=1e-13)
         assert s.ops.dual_norm(xs[:0]).shape == (0,)
 
@@ -217,13 +226,14 @@ class TestNorms:
 
     def test_hm1_of_constant(self, setup48):
         s = setup48
-        one = np.ones(s.system.n_dofs)
-        assert hm1_gamma(s.ops, one) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-10)
+        one = np.ones((1, s.system.n_dofs))
+        assert hm1_gamma(s.ops, one)[0] == pytest.approx(np.sqrt(2 * np.pi),
+                                                         rel=1e-10)
 
     def test_hm1_kmax_insensitive_for_smooth(self, setup48):
         from tracefem.cutquad import build_topology, oscillation_order
         s = setup48
-        x = s.ops.project(np.cos)
+        x = s.ops.project(np.cos, ONE)[0]
         # doubling k_max needs a finer quadrature; rebuild the topology
         q = oscillation_order(256, s.mesh.h, s.surface.radius)
         topo = build_topology(s.surface, s.mesh, q_surf=q)
@@ -239,36 +249,38 @@ class TestNorms:
         s = setup96
         rng = np.random.default_rng(9)
         k_star, h1_gram = s.system.K_star, s.system.M + s.system.A
-        for _ in range(10):
-            x = rng.standard_normal(s.system.n_dofs)
+        x = rng.standard_normal((10, s.system.n_dofs))
+        for row in x:
             # ||x||_H1* >= ||x||_H1(Gamma): K_* = M + A + S0 + S1
-            assert np.sqrt(x @ (k_star @ x)) >= np.sqrt(x @ (h1_gram @ x)) - 1e-12
-            hm1_star = s.ops.hm1_star(x)
-            assert hm1_star >= hm1_gamma(s.ops, x) - 1e-12
-            assert s.ops.dual_norm(x) <= hm1_star * (1 + 1e-9) + 1e-9
+            assert (np.sqrt(row @ (k_star @ row))
+                    >= np.sqrt(row @ (h1_gram @ row)) - 1e-12)
+        hm1_star = s.ops.hm1_star(x)
+        assert np.all(hm1_star >= hm1_gamma(s.ops, x) - 1e-12)
+        assert np.all(s.ops.dual_norm(x) <= hm1_star * (1 + 1e-9) + 1e-9)
 
 
 class TestErrorFunctionals:
     def test_exact_constant(self, setup48):
         s = setup48
-        one = np.ones(s.system.n_dofs)
-        v = lambda th: np.ones_like(th)
-        dv = lambda th: np.zeros_like(th)
-        assert s.ops.error_l2_star(v, one) <= 1e-11
-        assert s.ops.error_h1_star(v, dv, one) <= 1e-11
-        assert s.ops.error_hm1_star(s.ops.function_coefficients(v),
-                                    one) <= 1e-11
+        one = np.ones((1, s.system.n_dofs))
+        v, dv = np.ones_like, np.zeros_like
+        assert s.ops.error_l2_star(v, one, ONE)[0] <= 1e-11
+        assert s.ops.error_h1_star(v, dv, one, ONE)[0] <= 1e-11
+        assert s.ops.error_hm1_star(s.ops.function_coefficients(v, ONE),
+                                    one)[0] <= 1e-11
 
     def test_interpolant_rate(self, setup48, setup96):
-        e = [s.ops.error_l2_star(np.cos, nodal_interpolant(s.ops, np.cos))
-             for s in (setup48, setup96)]
+        e = []
+        for s in (setup48, setup96):
+            x = nodal_interpolant(s.ops, np.cos)[None]
+            e.append(s.ops.error_l2_star(np.cos, x, ONE)[0])
         assert 3.4 <= e[0] / e[1] <= 4.6
 
     def test_interpolant_s0_below_total(self, setup96):
         s = setup96
         x = nodal_interpolant(s.ops, np.cos)
         s0 = float(x @ (s.system.S[0] @ x))
-        assert s0 <= s.ops.error_l2_star(np.cos, x) ** 2 + 1e-15
+        assert s0 <= s.ops.error_l2_star(np.cos, x[None], ONE)[0] ** 2 + 1e-15
 
     def test_interpolant_constant(self, setup48):
         x = nodal_interpolant(setup48.ops, lambda th: 3.0 * np.ones_like(th))
@@ -293,14 +305,14 @@ class TestFunctionCoefficients:
 
     def test_constant(self, ops):
         r = ops.probe.radius
-        coef = ops.function_coefficients(lambda th: np.ones_like(th))
+        coef = ops.function_coefficients(np.ones_like, ONE)[0]
         assert coef.shape == (ops.probe.n_modes,)
         expect = self._expect(ops, 0, np.sqrt(2.0 * np.pi * r))
         assert np.abs(coef - expect).max() <= self.TOL
 
     def test_cos_theta(self, ops):
         r = ops.probe.radius
-        coef = ops.function_coefficients(np.cos)
+        coef = ops.function_coefficients(np.cos, ONE)[0]
         expect = self._expect(ops, 1, np.sqrt(np.pi * r))
         assert np.abs(coef - expect).max() <= self.TOL
 
@@ -316,7 +328,8 @@ class TestFunctionCoefficients:
 
     def test_sin_kmax_theta(self, ops):
         r, k_max = ops.probe.radius, ops.probe.k_max
-        coef = ops.function_coefficients(lambda th: np.sin(k_max * th))
+        coef = ops.function_coefficients(lambda th: np.sin(k_max * th),
+                                         ONE)[0]
         expect = self._expect(ops, 2 * k_max, np.sqrt(np.pi * r))
         assert np.abs(coef - expect).max() <= self.TOL
 
@@ -329,6 +342,6 @@ class TestFunctionCoefficients:
         r, k_max = ops.probe.radius, ops.probe.k_max
         u = np.finfo(float).eps / 2
         for j in (k_max + 1, 2 * k_max + 2, 3 * k_max + 3):
-            coef = ops.function_coefficients(lambda th: np.cos(j * th))
+            coef = ops.function_coefficients(lambda th: np.cos(j * th), ONE)
             tol = 2.0 * np.pi * np.sqrt(r / np.pi) * u * (4 * np.pi * j + 2)
             assert np.abs(coef).max() <= tol, (j, np.abs(coef).max(), tol)

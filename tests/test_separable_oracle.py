@@ -13,15 +13,16 @@ reference.  The split must agree with them to 1e-13 relative on every
 state of BDF1, BDF2 and Crank-Nicolson runs on the mesh ladder and on an
 off-centre circle with R = 0.8, and exactly for the projection of the
 data at t = 0, where the time factor is 1 and x is the tabulated
-projection itself.  The operators take a profile g and time factors a;
-the references take the same pair and form a g at the nodes.
+projection itself.  The operators take a profile g and time factors a
+(k,); the references take the same pair and form the rows a_i g at the
+nodes.
 """
 
 import numpy as np
 import pytest
 
 from tracefem.heatsolver import BLOCK, MANUFACTURED
-from tracefem.operators import _form, _root
+from tracefem.operators import _form
 
 from helpers import blockwise
 from test_stacked_oracle import NSTEPS, _config
@@ -57,7 +58,7 @@ def _parts(man):
 @pytest.mark.parametrize("data", sorted(MANUFACTURED))
 def test_separable_data_equal_closed_forms(setup96, data):
     # the time factors times the tabulated profile, as the Riesz data
-    # form them, stacked and one time at a time
+    # form them, for all times at once and for a stack of one time
     ops = setup96.ops
     theta = ops.topology.theta
     parts = _parts(MANUFACTURED[data](1.0))
@@ -70,8 +71,8 @@ def test_separable_data_equal_closed_forms(setup96, data):
         stacked = closed(theta, TIMES[:, None])
         assert stacked.shape == (len(TIMES), len(theta))
         assert np.array_equal(a[:, None] * ops._profile(g), stacked), name
-        for t in TIMES:
-            assert np.array_equal(np.reshape(time(t), -1)[:, None]
+        for i, t in enumerate(TIMES):
+            assert np.array_equal(time(TIMES[i:i + 1])[:, None]
                                   * ops._profile(g),
                                   closed(theta, t)[None]), (name, t)
 
@@ -79,23 +80,19 @@ def test_separable_data_equal_closed_forms(setup96, data):
 # -- the node-quadrature reference ---------------------------------------------
 
 def _at_nodes(ops, g, a):
-    """a g at the surface nodes; (k, n_nodes) for factors a (k,)."""
-    return np.asarray(a, dtype=float)[..., None] * g(ops.topology.theta)
+    """The rows a_i g at the surface nodes, (k, n_nodes) for a (k,)."""
+    return a[:, None] * g(ops.topology.theta)
 
 
-def node_error_l2_star(ops, g, x, a=1.0):
-    xs = np.atleast_2d(x)
-    diff = _at_nodes(ops, g, a) - (ops.trace @ xs.T).T
-    return _root(diff ** 2 @ ops.topology.w
-                 + _form(ops.system.S[0], xs), x)
+def node_error_l2_star(ops, g, x, a):
+    diff = _at_nodes(ops, g, a) - (ops.trace @ x.T).T
+    return np.sqrt(diff ** 2 @ ops.topology.w + _form(ops.system.S[0], x))
 
 
-def node_error_h1_star(ops, dg, x, a=1.0):
-    xs = np.atleast_2d(x)
+def node_error_h1_star(ops, dg, x, a):
     dvds = _at_nodes(ops, dg, a) / ops.topology.surface.radius
-    diff = dvds - (ops.dtrace @ xs.T).T
-    return _root(diff ** 2 @ ops.topology.w
-                 + _form(ops.system.S[1], xs), x)
+    diff = dvds - (ops.dtrace @ x.T).T
+    return np.sqrt(diff ** 2 @ ops.topology.w + _form(ops.system.S[1], x))
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
@@ -128,12 +125,11 @@ def test_split_exact_at_projection(request, placement, data):
     # converge's proj_l2_star and the project subcommand: x = P_h u(0)
     ops = request.getfixturevalue(placement).ops
     man = MANUFACTURED[data](1.0)
-    g, dg, a = man.profile, man.dprofile, man.time(0.0)
-    assert a == 1.0
+    g, dg, a = man.profile, man.dprofile, man.time(np.zeros(1))
+    assert np.array_equal(a, [1.0])
     x = ops.project(g, a)
-    assert np.array_equal(x, ops._table(g)[0])
-    assert ops.error_l2_star(g, x, a) == node_error_l2_star(ops, g, x, a)
-    assert ops.error_h1_star(g, dg, x, a) == node_error_h1_star(ops, dg, x, a)
-    # the default factor is 1
-    assert ops.error_l2_star(g, x) == node_error_l2_star(ops, g, x)
-    assert ops.error_h1_star(g, dg, x) == node_error_h1_star(ops, dg, x)
+    assert np.array_equal(x[0], ops._table(g)[0])
+    assert np.array_equal(ops.error_l2_star(g, x, a),
+                          node_error_l2_star(ops, g, x, a))
+    assert np.array_equal(ops.error_h1_star(g, dg, x, a),
+                          node_error_h1_star(ops, dg, x, a))

@@ -13,9 +13,11 @@ per-step error record forms each step's Fourier coefficients by the
 exact-circle rule one step at a time, so it checks the stacking.  The
 cut-node coefficients must agree with the exact-circle ones within the
 bound argued in ``test_function_coefficients_within_cut_rule_bound``,
-and to 1e-13 relative on the ladder.  The Riesz data (single or stacked
-times), the forced trajectories and the Fourier basis must agree bit for
-bit, and a stack of one must equal the single-vector call.
+and to 1e-13 relative on the ladder.  The Riesz data (of one time or of
+stacked times), the forced trajectories and the Fourier basis must agree
+bit for bit.  The references take one state x (n_dofs,) and one time
+factor a at a time; the operators take stacks, so a reference step calls
+them with a stack of one.
 
 The functions prefixed ``whole_`` are the run that kept the whole
 (nsteps + 1, n_dofs) trajectory, the error pass over it and the heat
@@ -42,6 +44,7 @@ from tracefem import heatsolver
 from tracefem.cli import _heat_run, cmd_heat
 from tracefem.cutquad import arc_cover_defect
 from tracefem.errors import SolveFailure
+from tracefem.operators import ONE
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, ErrorRecord,
                                  HeatRun, HeatStepper, accumulate_errors, run,
                                  time_grid)
@@ -61,12 +64,13 @@ def _node_dofs(ops):
     return ops.mesh.elements[ops.topology.elem]
 
 
-def _at_nodes(ops, g, a=1.0):
-    """a g at the surface nodes; (k, n_nodes) for factors a (k,)."""
+def _at_nodes(ops, g, a):
+    """a g at the surface nodes for one factor a; (k, n_nodes) for
+    factors a (k,)."""
     return np.asarray(a, dtype=float)[..., None] * g(ops.topology.theta)
 
 
-def old_riesz_data(ops, g, a=1.0):
+def old_riesz_data(ops, g, a):
     topo = ops.topology
     contrib = topo.bary * (topo.w * _at_nodes(ops, g, a))[:, None]
     return np.bincount(_node_dofs(ops).ravel(), weights=contrib.ravel(),
@@ -95,18 +99,20 @@ def old_eval_basis(probe, theta):
     return out
 
 
-def old_function_coefficients(ops, g, a=1.0):
+def old_function_coefficients(ops, g, a):
     return (ops.topology.w * _at_nodes(ops, g, a)) @ old_eval_basis(
         ops.probe, ops.topology.theta)
 
 
 def old_max_regularity_ratio(ops, history, dt, u0=None, f=None):
     nsteps = len(history) - 1
-    lap_sq = np.array([ops.hm1_star(laplacian(ops, x)) ** 2 for x in history])
+    lap_sq = np.array([ops.hm1_star(laplacian(ops, history[n:n + 1]))[0] ** 2
+                       for n in range(len(history))])
     trap = np.ones(len(history))
     trap[0] = trap[-1] = 0.5
     lap_int = float(np.sqrt(dt * trap @ lap_sq))
-    dtu_sq = [ops.hm1_star((history[n + 1] - history[n]) / dt) ** 2
+    dtu_sq = [ops.hm1_star((history[n + 1:n + 2] - history[n:n + 1])
+                           / dt)[0] ** 2
               for n in range(nsteps)]
     dtu_int = float(np.sqrt(dt * np.sum(dtu_sq)))
     den = 0.0
@@ -128,7 +134,7 @@ def old_run_history(ops, cfg):
     bdf1 = HeatStepper(ops, "BDF1", dt)
     man = cfg.manufactured
     g, c = man.profile, man.ftime
-    hist = [ops.project(lambda th: man.time(0.0) * g(th))]
+    hist = [ops.project(lambda th: man.time(0.0) * g(th), ONE)[0]]
     b = old_riesz_data(ops, g, c(0.0))
     for n in range(int(np.ceil(cfg.t_final / dt - 1e-12))):
         b_prev, b = b, old_riesz_data(ops, g, c((n + 1) * dt))
@@ -158,7 +164,7 @@ def old_error_h1_star(ops, dg, x, a):
 
 
 def old_error_hm1_star(ops, g, x, a):
-    c = ops.function_coefficients(g, a) - ops.probe.G.T @ x
+    c = ops.function_coefficients(g, np.array([a]))[0] - ops.probe.G.T @ x
     hm1 = np.sum(c ** 2 * ops.probe.Hm1_gram)
     return float(np.sqrt(hm1 + max(x @ (ops.system.S[-1] @ x), 0.0)))
 
@@ -209,17 +215,17 @@ def whole_run(ops, cfg):
     nsteps = int(np.ceil(cfg.t_final / dt - 1e-12))
     history = np.empty((nsteps + 1, ops.system.n_dofs))
     man = cfg.manufactured
-    history[0] = ops.project(lambda th: man.time(0.0) * man.profile(th))
+    history[0] = ops.project(lambda th: man.time(0.0) * man.profile(th),
+                             ONE)[0]
     stepper = HeatStepper(ops, cfg.scheme, dt, cfg.stabilized_time_derivative)
     bdf1 = HeatStepper(ops, "BDF1", dt, cfg.stabilized_time_derivative)
 
     def data(t):
-        t = np.asarray(t, dtype=float)
         if man.ftime is None:
-            return np.zeros(t.shape + (1,))
+            return np.zeros((len(t), 1))
         return ops.riesz_data(man.profile, man.ftime(t))
 
-    b = data(0.0) if cfg.scheme == "CrankNicolson" else 0.0
+    b = data(np.zeros(1))[0] if cfg.scheme == "CrankNicolson" else 0.0
     for n in range(nsteps):
         if n % block == 0:
             ends = data(dt * np.arange(n + 1, min(n + block, nsteps) + 1))
@@ -243,7 +249,7 @@ def whole_accumulate_errors(ops, cfg, hist, times, man):
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
     g, a = man.profile, man.time(times)
-    e0 = ops.error_l2_star(g, hist[0], a[0])
+    e0 = ops.error_l2_star(g, hist[:1], a[:1])[0]
     blocks = run_blocks(len(hist) - 1)
     h1_sq = np.concatenate([ops.error_h1_star(
         g, man.dprofile, hist[b], a[b]) ** 2 for b in blocks])
@@ -320,12 +326,13 @@ def test_riesz_data_bit_identical(ladder, n):
     ops = ladder[n].ops
     force = MANUFACTURED["forced_mode_2"](1.0)
     g, c = force.profile, force.ftime
-    assert np.array_equal(ops.riesz_data(np.sin), old_riesz_data(ops, np.sin))
+    assert np.array_equal(ops.riesz_data(np.sin, ONE)[0],
+                          old_riesz_data(ops, np.sin, 1.0))
     times = np.concatenate([[0.0, 0.3125, 1.7], 0.01 * np.arange(1, BLOCK)])
     stacked = ops.riesz_data(g, c(times))
     assert stacked.shape == (len(times), ops.mesh.n_dofs)
-    for t, row in zip(times, stacked):
-        single = ops.riesz_data(g, c(t))
+    for i, (t, row) in enumerate(zip(times, stacked)):
+        single = ops.riesz_data(g, c(times[i:i + 1]))[0]
         assert np.array_equal(single, old_riesz_data(ops, g, c(t)))
         assert np.array_equal(row, single)
 
@@ -336,8 +343,8 @@ def _bump(theta):
 
 @pytest.mark.parametrize("n", [48, 96])
 @pytest.mark.parametrize("g, a", [
-    (lambda th: np.exp(np.sin(th)), 1.0),
-    (_bump, 1.3),
+    (lambda th: np.exp(np.sin(th)), ONE),
+    (_bump, np.array([1.3])),
     (_bump, 1.0 + np.linspace(0.0, 2.0, 37)),
     (_bump, 1.0 + np.linspace(0.0, 2.0, 300)),     # many blocks of times
 ], ids=["no-t", "scalar-t", "37-times", "300-times"])
@@ -456,27 +463,6 @@ def test_trace_operators_match_gathers(setup96):
     assert np.abs(ops.dtrace @ x - dvds).max() <= RTOL * np.abs(grad).max()
     assert np.array_equal(ops.probe.eval_basis(topo.theta),
                           old_eval_basis(ops.probe, topo.theta))
-
-
-def test_stack_of_one_equals_single_call(setup48):
-    ops = setup48.ops
-    man = MANUFACTURED["forced_mode_2"](1.0)
-    g = man.profile
-    x = ops.project(g, man.time(0.4))
-    t = 0.4
-    calls = [
-        lambda y, s: ops.error_l2_star(g, y, man.time(s)),
-        lambda y, s: ops.error_h1_star(g, man.dprofile, y, man.time(s)),
-        lambda y, s: ops.error_hm1_star(
-            ops.function_coefficients(g, man.dtime(s)), y),
-        lambda y, s: ops.l2_star(y),
-    ]
-    for call in calls:
-        single = call(x, t)
-        stacked = call(x[None, :], np.array([t]))
-        assert isinstance(single, float)
-        assert stacked.shape == (1,)
-        assert stacked[0] == single
 
 
 # -- the streamed run against the whole trajectory -----------------------------
@@ -602,9 +588,10 @@ def test_streamed_heat_series_block_multiple(setup48, tmp_path, scheme, data):
             man.profile, hist[b], man.time(times[b])), len(hist))])
     assert np.array_equal(new[1:-1], old[1:-1])
     moved = [0, nsteps]
-    one = np.array([[times[i], ops.l2_star(hist[i]), float(hist[i] @ m_one),
-                     ops.error_l2_star(man.profile, hist[i],
-                                       man.time(times[i]))]
+    one = np.array([[times[i], ops.l2_star(hist[i:i + 1])[0],
+                     float(hist[i] @ m_one),
+                     ops.error_l2_star(man.profile, hist[i:i + 1],
+                                       man.time(times[i:i + 1]))[0]]
                     for i in moved])
     for a, b in ((new[moved], old[moved]), (new[moved], one),
                  (old[moved], one)):
