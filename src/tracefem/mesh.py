@@ -82,8 +82,8 @@ def build_background(bbox, n_cells):
     two triangles of cell (i, j) are 2 (i n_cells + j) and the next one.
     """
     lo, hi = float(bbox[0]), float(bbox[1])
-    if not hi > lo:
-        raise InvalidConfig("bbox must satisfy hi > lo")
+    if not 0 < hi - lo < np.inf:
+        raise InvalidConfig("bbox must satisfy lo < hi, hi - lo finite")
     n = int(n_cells)
     if n < 1:
         raise InvalidConfig("n_cells must be positive")

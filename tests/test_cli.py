@@ -13,8 +13,8 @@ from tracefem import operators
 from tracefem.assembly import assemble_fourier
 from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
-                          EXIT_OK, _KEYS, Pipeline, _heat_run, fmt,
-                          load_config, main, write_csv, write_dat)
+                          EXIT_OK, _KEYS, Pipeline, _heat_run, load_config,
+                          main, write_csv, write_dat)
 from tracefem.heatsolver import MANUFACTURED
 from tracefem.mesh import write_vtk
 from tracefem.operators import DiscreteOperators
@@ -65,6 +65,9 @@ BAD_VALUES = [
     ("diagnose", {"seed": -1}),
     ("diagnose", {"seed": "a"}),
     ("diagnose", {"seed": 1.0}),
+    # JSON integers beyond the largest double
+    ("quadcheck", {"radius": 10 ** 400}),
+    ("quadcheck", {"bbox": [-10 ** 400, 10 ** 400]}),
 ]
 
 
@@ -91,10 +94,20 @@ SMALL_RUNS = [
     ("quadcheck", {}, 0),
     ("project", {"n_cells": [16, 24, 32]}, 0),
     ("heat", {"n_cells": [16]}, 0),
-    ("dtsweep", {"dt_list": [1e-3]}, 0),
+    ("dtsweep", {"n_cells": [16], "dt_list": [1e-3]}, 0),
     ("diagnose", {}, 2),
     ("converge", {"n_cells": [12, 16, 24], "t_final": 0.02}, 3),
 ]
+
+
+# the subcommands that run one mesh, and the files each subcommand writes
+ONE_MESH = ("heat", "dtsweep")
+OUTPUTS = {"quadcheck": ["quadcheck.csv"],
+           "project": ["project.csv", "project.dat", "project_rates.csv"],
+           "heat": ["heat.csv", "heat.dat"],
+           "dtsweep": ["dtsweep.csv", "dtsweep.dat"],
+           "diagnose": ["diagnose.csv"],
+           "converge": ["converge.csv", "converge.dat", "converge_rates.csv"]}
 
 
 def write_cfg(path, **overrides):
@@ -194,8 +207,8 @@ class TestConfig:
     @pytest.mark.parametrize("dt, steps", [(1e-300, "2.5e+299"),
                                            (5e-324, "inf")])
     def test_step_count_beyond_an_array(self, tmp_path, sub, dt, steps):
-        cfg = write_cfg(tmp_path / "c.json", n_cells=[12, 16, 24],
-                        dt_rule=dt, t_final=0.25)
+        cfg = write_cfg(tmp_path / "c.json", dt_rule=dt, t_final=0.25,
+                        n_cells=[16] if sub in ONE_MESH else [12, 16, 24])
         code, err = run_cli(sub, "--config", cfg,
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
@@ -206,14 +219,42 @@ class TestConfig:
     @pytest.mark.parametrize("sub", ["heat", "converge"])
     def test_no_step(self, tmp_path, sub):
         # t_final / dt within 1e-12 of 0: the grid is the time 0 alone
-        cfg = write_cfg(tmp_path / "c.json", n_cells=[16, 24, 32],
-                        dt_rule=1.0, t_final=1e-13)
+        cfg = write_cfg(tmp_path / "c.json", dt_rule=1.0, t_final=1e-13,
+                        n_cells=[16] if sub in ONE_MESH else [16, 24, 32])
         code, err = run_cli(sub, "--config", cfg,
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_CONFIG
         assert err == ["config error: dt 1 and t_final 1e-13 give 0 steps, "
                        "not between 1 and what an array can index"]
         assert not any((tmp_path / "out").iterdir())     # no CSV
+
+    @pytest.mark.parametrize("sub", ONE_MESH)
+    def test_one_mesh_needs_one_size(self, tmp_path, sub):
+        # heat and dtsweep run one mesh: a second size would be ignored,
+        # so it is a config error before any run, and no file is written
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16, 24], t_final=0.01)
+        out = tmp_path / "out"
+        code, err = run_cli(sub, "--config", cfg, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert err == ["config error: %s runs one mesh: n_cells must hold "
+                       "one entry, not 2" % sub]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bbox, code, cause", [
+        # every element is 7.1e199 across: the selection overflows, and
+        # the resolution check rejects the mesh
+        ([-1e200, 1e200], EXIT_ASSUMPTION,
+         "assumption violated: element 0 has h_T=7.07107e+199 above the "
+         "threshold 0.5 = c_res / curvature (c_res=0.5)"),
+        # hi - lo overflows: no mesh can be built
+        ([-1e308, 1e308], EXIT_CONFIG,
+         "config error: bbox must be two numbers lo < hi with a finite "
+         "width hi - lo"),
+    ], ids=["coarse", "infinite-width"])
+    def test_huge_bbox_fails_in_one_line(self, tmp_path, bbox, code, cause):
+        cfg = write_cfg(tmp_path / "c.json", bbox=bbox, n_cells=[4])
+        assert run_cli("quadcheck", "--config", cfg,
+                       "--out", str(tmp_path / "out")) == (code, [cause])
 
     def test_flag_goes_through_its_row(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", seed=1, out="a")
@@ -261,7 +302,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("sub", ["quadcheck", "project", "heat",
                                      "diagnose", "dtsweep", "converge"])
     def test_resolution_violation(self, tmp_path, capsys, sub):
-        cfg = write_cfg(tmp_path / "c.json", radius=0.05, n_cells=[8, 12, 16])
+        cfg = write_cfg(tmp_path / "c.json", radius=0.05,
+                        n_cells=[8] if sub in ONE_MESH else [8, 12, 16])
         assert main([sub, "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_ASSUMPTION
         err = capsys.readouterr().err.strip().splitlines()
@@ -445,7 +487,7 @@ class TestSubcommands:
             row = line.split(",")
             ops = Pipeline(cfg, int(row[0])).ops
             x = ops.project(g, a)
-            assert row[6] == fmt(ops.error_l2_star(g, x, a)[0])
+            assert row[6] == "%.17g" % ops.error_l2_star(g, x, a)[0]
 
     def test_converge_needs_three_distinct_sizes(self, tmp_path):
         # a repeated size is no rung of the ladder: a config error before
@@ -594,48 +636,40 @@ class TestNumericalFailure:
         assert len(lines) == 2 and lines[1].endswith(",0,1")
 
 
-class TestDeterminism:
-    def _run_twice(self, tmp_path, sub, name, **overrides):
-        cfg = write_cfg(tmp_path / "c.json", **overrides)
-        outs = []
-        for tag in ("a", "b"):
-            out = tmp_path / tag
-            assert main([sub, "--config", cfg, "--out", str(out),
-                         "--seed", "42"]) == EXIT_OK
-            outs.append((out / name).read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_diagnose_bytes(self, tmp_path):
-        self._run_twice(tmp_path, "diagnose", "diagnose.csv", n_cells=[16])
-
-    def test_dtsweep_bytes(self, tmp_path):
-        self._run_twice(tmp_path, "dtsweep", "dtsweep.csv", n_cells=[16],
-                        dt_list=[1e-2, 1e-5])
-
-    def test_heat_bytes(self, tmp_path):
-        self._run_twice(tmp_path, "heat", "heat.csv", n_cells=[16])
-
-
-def test_fmt_stability():
-    assert fmt(0.1) == "0.10000000000000001"
-    assert fmt(3) == "3"
-    assert fmt(True) == "1"
-    assert fmt("h2/4") == "h2/4"
+@pytest.mark.parametrize("sub, extra", [r[:2] for r in SMALL_RUNS],
+                         ids=[r[0] for r in SMALL_RUNS])
+def test_rerun_bytes(tmp_path, sub, extra):
+    # a rerun with the same config and seed writes every file again,
+    # byte for byte: each CSV, its DAT mirror and the fitted rates
+    cfg = write_cfg(tmp_path / "c.json", **extra)
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main([sub, "--config", cfg, "--out", str(out),
+                     "--seed", "42"]) == EXIT_OK
+        outs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outs[0]) == sorted(OUTPUTS[sub])
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("write, sep", [(write_csv, ","), (write_dat, " ")])
-def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
-    # a float ndarray goes through one row template; it must give the
-    # bytes of formatting each value with fmt, as list rows are
-    rows = np.array([[0.1, -0.0, np.nan, 2.0 ** -1074],
-                     [np.inf, -np.inf, 1e300, 3.0],
-                     [1.0 / 3.0, -2.5e-17, 0.0, 123456789.0]])
-    write(str(tmp_path / "array"), ["a", "b", "c", "d"], rows)
-    write(str(tmp_path / "list"), ["a", "b", "c", "d"], list(rows))
-    text = (tmp_path / "array").read_bytes()
-    assert text == (tmp_path / "list").read_bytes()
-    assert text.decode().splitlines()[1:] == [
-        sep.join(fmt(v) for v in row) for row in rows]
+def test_one_number_rule(tmp_path, write, sep):
+    # a string as it is, any other value as "%.17g": 17 significant
+    # digits read back to the same double, a count prints as an integer
+    # and a flag as 1/0, numpy scalars as Python ones
+    rows = [[0.1, -0.0, np.nan, 2.0 ** -1074],
+            [np.inf, -np.inf, 1e300, 1.0 / 3.0],
+            [3, 2 ** 53, True, False],
+            ["h2/4", np.float64(0.1), np.int64(7), np.bool_(True)]]
+    write(str(tmp_path / "f"), ["a", "b", "c", "d"], rows)
+    assert (tmp_path / "f").read_text().splitlines()[1:] == [
+        sep.join(row) for row in (
+            ["0.10000000000000001", "-0", "nan", "4.9406564584124654e-324"],
+            ["inf", "-inf", "1.0000000000000001e+300", "0.33333333333333331"],
+            ["3", "9007199254740992", "1", "0"],
+            ["h2/4", "0.10000000000000001", "7", "1"])]
+    finite = [v for row in rows[:2] for v in row if np.isfinite(v)]
+    assert [float("%.17g" % v) for v in finite] == finite
 
 
 # exits with the names of the scipy modules loaded, if any
@@ -695,8 +729,8 @@ def test_quadcheck_runs_without_scipy(tmp_path):
 def test_scipy_loaded_before_first_pipeline(tmp_path, sub):
     # no stage time holds module loading: the subcommands that solve have
     # scipy's sparse solvers loaded when their first Pipeline starts
-    cfg = write_cfg(tmp_path / "c.json", n_cells=[12, 16, 24],
-                    t_final=0.02, dt_list=[1e-3])
+    cfg = write_cfg(tmp_path / "c.json", t_final=0.02, dt_list=[1e-3],
+                    n_cells=[12] if sub in ONE_MESH else [12, 16, 24])
     code = ("import sys\nfrom tracefem import cli\n"
             "init, loaded = cli.Pipeline.__init__, []\n"
             "def spy(self, *args, **kwargs):\n"

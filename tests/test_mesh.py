@@ -52,6 +52,8 @@ class TestBackground:
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             build_background((1.0, 0.0), 4)
+        with pytest.raises(InvalidConfig):      # hi - lo overflows
+            build_background((-1e308, 1e308), 4)
         with pytest.raises(InvalidConfig):
             build_background((0.0, 1.0), 0)
 
