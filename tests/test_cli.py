@@ -652,23 +652,34 @@ def test_rerun_bytes(tmp_path, sub, extra):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("write, sep", [(write_csv, ","), (write_dat, " ")])
-def test_one_number_rule(tmp_path, write, sep):
-    # a string as it is, any other value as "%.17g": 17 significant
-    # digits read back to the same double, a count prints as an integer
-    # and a flag as 1/0, numpy scalars as Python ones
-    rows = [[0.1, -0.0, np.nan, 2.0 ** -1074],
-            [np.inf, -np.inf, 1e300, 1.0 / 3.0],
-            [3, 2 ** 53, True, False],
-            ["h2/4", np.float64(0.1), np.int64(7), np.bool_(True)]]
-    write(str(tmp_path / "f"), ["a", "b", "c", "d"], rows)
+def test_fmt_stability(tmp_path):
+    # a string as it is, any other value as "%.17g": a count prints as an
+    # integer, a flag as 1/0, numpy scalars as Python ones
+    rows = [[0.1, 3, True, "h2/4"],
+            [2 ** 53, False, np.float64(0.1), np.int64(7)],
+            [np.bool_(True), np.bool_(False), -2, "x"]]
+    write_csv(str(tmp_path / "f"), ["a", "b", "c", "d"], rows)
     assert (tmp_path / "f").read_text().splitlines()[1:] == [
+        "0.10000000000000001,3,1,h2/4",
+        "9007199254740992,0,0.10000000000000001,7",
+        "1,0,-2,x"]
+
+
+@pytest.mark.parametrize("write, sep", [(write_csv, ","), (write_dat, " ")])
+def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
+    # float rows print 17 significant digits, which read back to the same
+    # double; an ndarray of them writes the bytes of its list rows
+    rows = np.array([[0.1, -0.0, np.nan, 2.0 ** -1074],
+                     [np.inf, -np.inf, 1e300, 1.0 / 3.0]])
+    write(str(tmp_path / "array"), ["a", "b", "c", "d"], rows)
+    write(str(tmp_path / "list"), ["a", "b", "c", "d"], rows.tolist())
+    text = (tmp_path / "list").read_bytes()
+    assert text == (tmp_path / "array").read_bytes()
+    assert text.decode().splitlines()[1:] == [
         sep.join(row) for row in (
             ["0.10000000000000001", "-0", "nan", "4.9406564584124654e-324"],
-            ["inf", "-inf", "1.0000000000000001e+300", "0.33333333333333331"],
-            ["3", "9007199254740992", "1", "0"],
-            ["h2/4", "0.10000000000000001", "7", "1"])]
-    finite = [v for row in rows[:2] for v in row if np.isfinite(v)]
+            ["inf", "-inf", "1.0000000000000001e+300", "0.33333333333333331"])]
+    finite = [v for v in rows.ravel().tolist() if np.isfinite(v)]
     assert [float("%.17g" % v) for v in finite] == finite
 
 
