@@ -5,10 +5,10 @@ Every mesh size starts with the cut stage (``cut``: circle, background,
 active selection, resolution check, cut quadrature), which needs numpy
 alone; ``quadcheck`` audits it and stops there, so it never loads scipy.
 The other subcommands build a ``Pipeline`` (the cut stage, then assembly
-and the LUs of the operators), and ``main`` imports scipy's sparse
+and the operators with the LU of M_*), and ``main`` imports scipy's sparse
 solvers for them once, after parsing and before the first ``Pipeline``.
-The operators assemble the Fourier probe when it is first read, so only
-``diagnose`` and ``converge`` (the H^-1 quantities) build one per mesh.
+The operators build the Fourier probe and the LU of K_* when first read:
+only ``diagnose`` and ``converge`` read the probe, ``diagnose`` K_*.
 Each config key has one row (default, check, requirement) in ``_KEYS``;
 a flag sets the key it names and is checked by the same row.  Only
 ``main`` turns a failure into an exit code, with one line on stderr:
@@ -153,8 +153,8 @@ def cut(cfg, n_cells):
 
 
 class Pipeline:
-    """The cut stage (``cut``), then the assembled system and the operators
-    with their LUs (``ops.probe`` is built when first read), for one mesh."""
+    """For one mesh: the cut stage (``cut``), then the assembled system and
+    the operators, which factor M_* (K_* and ``probe`` on first read)."""
 
     def __init__(self, cfg, n_cells):
         self.surface, self.background, self.mesh, self.topology = \

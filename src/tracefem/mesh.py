@@ -1,11 +1,12 @@
 """Structured background triangulation and active-element selection.
 
 The background mesh partitions a square bbox into n_cells x n_cells
-squares, each split into two triangles along its NE diagonal.  The
-active mesh keeps the triangles intersecting the circle (exact
-point-triangle distance predicate) and numbers the vertices they touch
-as the degrees of freedom of the continuous P1 space.  The triangle
-helpers below broadcast over stacks of triangles.
+squares, each split into two triangles along its NE diagonal, given by
+formula, so that the active mesh is built from a band of cells alone.
+It keeps the triangles intersecting the circle (exact point-triangle
+distance predicate) and numbers the vertices they touch as the dofs of
+the continuous P1 space.  The triangle helpers below broadcast over
+stacks of triangles.
 """
 
 from __future__ import annotations
@@ -21,9 +22,27 @@ from .errors import EmptyIntersection, InvalidConfig
 class BackgroundMesh:
     bbox: tuple
     n_cells: int
-    vertices: np.ndarray      # (n_vert, 2)
-    triangles: np.ndarray     # (n_tri, 3) vertex indices, CCW
     h_global: float
+
+    def coords(self, v):
+        """Coordinates (..., 2) of the vertices v = i (n+1) + j."""
+        i, j = np.divmod(v, self.n_cells + 1)
+        lo, h = self.bbox[0], self.h_global
+        return np.stack([lo + h * i, lo + h * j], axis=-1)
+
+    def cell_triangles(self, cells):
+        """Vertex indices (2 len(cells), 3) of the CCW triangles of the
+        cells i n + j, in the order of build_background."""
+        n = self.n_cells
+        i, j = np.divmod(cells, n)
+        v00 = i * (n + 1) + j
+        v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+        return np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+
+    @property
+    def triangles(self):
+        """The full (2 n_cells^2, 3) table, built on each read."""
+        return self.cell_triangles(np.arange(self.n_cells ** 2))
 
 
 @dataclass
@@ -75,11 +94,12 @@ def p1_gradients(tri):
 
 
 def build_background(bbox, n_cells):
-    """Build the uniform criss-cross mesh of the square bbox = (lo, hi).
+    """The uniform criss-cross mesh of the square bbox = (lo, hi).
 
     Each of the n_cells^2 grid squares is split into two triangles along
     its NE diagonal, giving 2 n_cells^2 congruent right triangles; the
     two triangles of cell (i, j) are 2 (i n_cells + j) and the next one.
+    Nothing that grows with n_cells is allocated.
     """
     lo, hi = float(bbox[0]), float(bbox[1])
     if not 0 < hi - lo < np.inf:
@@ -87,20 +107,7 @@ def build_background(bbox, n_cells):
     n = int(n_cells)
     if n < 1:
         raise InvalidConfig("n_cells must be positive")
-    h = (hi - lo) / n
-
-    xs = lo + h * np.arange(n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    v00 = (i * (n + 1) + j).ravel()
-    v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
-    triangles = np.stack([np.column_stack([v00, v10, v11]),
-                          np.column_stack([v00, v11, v01])], axis=1)
-    return BackgroundMesh(bbox=(lo, hi), n_cells=n, vertices=vertices,
-                          triangles=triangles.reshape(-1, 3).astype(np.int64),
-                          h_global=h)
+    return BackgroundMesh(bbox=(lo, hi), n_cells=n, h_global=(hi - lo) / n)
 
 
 def _cuts_circle(tri, center, radius):
@@ -126,27 +133,31 @@ def select_active(background, surface):
 
     Only the grid cells whose centre lies within R +- sqrt2 h of the
     circle can hold a cut triangle (every point of a cell is within
-    h / sqrt2 of its centre); the exact predicate runs on their
-    triangles.  Dofs are numbered in order of first appearance.  A
-    circle that leaves the closed bbox is an InvalidConfig, whether or
-    not it cuts the mesh; one inside it cuts some element, and
-    EmptyIntersection guards that.
+    h / sqrt2 of its centre); only their triangles are built, and the
+    exact predicate runs on them.  The cell-centre distances (8 B per
+    cell) are the one array of n_cells^2 entries.  Dofs are numbered in
+    order of first appearance.  A circle that leaves the closed bbox is
+    an InvalidConfig, whether or not it cuts the mesh; one inside it
+    cuts some element, and EmptyIntersection guards that.
     """
     center, radius = surface.center, surface.radius
     lo, hi = background.bbox
     if not (np.all(lo <= center - radius) and np.all(center + radius <= hi)):
         raise InvalidConfig("the circle of radius %g about (%g, %g) leaves "
                             "the bbox [%g, %g]" % (radius, *center, lo, hi))
-    verts, n, h = background.vertices, background.n_cells, background.h_global
+    n, h = background.n_cells, background.h_global
     mid = lo + h * (np.arange(n) + 0.5)
     dist = np.hypot(mid[:, None] - center[0], mid[None, :] - center[1])
-    cells = np.flatnonzero(np.abs(dist - radius) <= np.sqrt(2.0) * h)
-    cand = (2 * cells[:, None] + np.arange(2)).ravel()
-    active = cand[_cuts_circle(verts[background.triangles[cand]], center, radius)]
+    dist -= radius
+    cells = np.flatnonzero(np.abs(dist, out=dist) <= np.sqrt(2.0) * h)
+    tris = background.cell_triangles(cells)
+    pts = background.coords(tris)
+    cut = _cuts_circle(pts, center, radius)
+    active = (2 * cells[:, None] + np.arange(2)).ravel()[cut]
     if not len(active):
         raise EmptyIntersection("no background element intersects the surface")
 
-    tris = background.triangles[active]
+    tris, pts = tris[cut], pts[cut]
     uniq, first, inverse = np.unique(tris.ravel(), return_index=True,
                                      return_inverse=True)
     order = np.argsort(first)
@@ -154,11 +165,10 @@ def select_active(background, surface):
     rank[order] = np.arange(len(order))
     dofs = uniq[order]
 
-    pts = verts[tris]
     edge = pts - np.roll(pts, -1, axis=1)
     return ActiveMesh(background=background, active=active, dofs=dofs,
                       elements=rank[inverse].reshape(-1, 3),
-                      coords=verts[dofs],
+                      coords=background.coords(dofs),
                       h_T=np.hypot(edge[..., 0], edge[..., 1]).max(axis=1),
                       grad=p1_gradients(pts))
 

@@ -21,9 +21,9 @@ node quadrature.  The H^-1 error takes the Fourier coefficients of the
 smooth function instead of it.  The circle is represented exactly, so
 ``function_coefficients`` integrates a smooth function on it with one
 rfft over equispaced angles; the Riesz data, the tables of the split
-errors and the probe's G keep the cut quadrature.  The Fourier probe is
-assembled the first time something reads ``probe``: the projection, the
-L2*, dual and H1* quantities and the Riesz data never do.
+errors and the probe's G keep the cut quadrature.  The Fourier probe and
+the LU of K_* are built when first read (``probe``, ``kstar``): the
+projection, the L2* and H1* quantities and the Riesz data read neither.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ class DiscreteOperators:
         self.mesh = mesh = system.mesh
         self.k_max = k_max
         self.mstar = _Factor(system.M_star, "M_star")
-        self.kstar = _Factor(system.K_star, "K_star")
         # (n_nodes, n_dofs): row n holds the P1 functions of n's element
         cols = mesh.elements[topo.elem].ravel()
         ptr = np.arange(0, len(cols) + 1, 3)
@@ -128,6 +127,11 @@ class DiscreteOperators:
     def probe(self):
         """The FourierProbe of modes up to k_max, assembled on first read."""
         return assemble_fourier(self.topology, self.k_max)
+
+    @cached_property
+    def kstar(self):
+        """The LU of K_star, factored on the dual-norm Gram's first use."""
+        return _Factor(self.system.K_star, "K_star")
 
     @cached_property
     def kaux(self):
@@ -166,12 +170,13 @@ class DiscreteOperators:
         """b_i = (a g, phi_i) on Gamma for the profile g(theta), one row
         (k, n_dofs) per time factor of a (k,).
 
-        The products w * (a * profile) are formed a row per factor and
-        taken node-major by the CSR trace', which sums each entry over its
-        nodes in node order, as a per-node accumulation does.
+        The products w * (a * profile) are formed node-major (n_nodes, k)
+        in one array the CSR trace' takes without a copy; it sums each
+        entry over its nodes in node order, as a per-node accumulation does.
         """
-        vals = self.topology.w * (a[:, None] * self._profile(g))
-        return (self.trace_t @ vals.T).T
+        vals = self._profile(g)[:, None] * a
+        vals *= self.topology.w[:, None]
+        return (self.trace_t @ vals).T
 
     # -- projection ----------------------------------------------------
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from tracefem import operators
 from tracefem.assembly import assemble_fourier
 from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
-                          EXIT_OK, _KEYS, Pipeline, _heat_run, load_config,
-                          main, write_csv, write_dat)
+                          EXIT_OK, _KEYS, Pipeline, _heat_run, cut,
+                          load_config, main, write_csv, write_dat)
 from tracefem.heatsolver import MANUFACTURED
 from tracefem.mesh import write_vtk
 from tracefem.operators import DiscreteOperators
@@ -377,7 +378,8 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("sub, extra", [r[:2] for r in SMALL_RUNS])
     def test_no_k_aux_factor(self, tmp_path, monkeypatch, sub, extra):
-        # no quantity solves with K_aux, so no subcommand factors it
+        # no quantity solves with K_aux, so no subcommand factors it; only
+        # diagnose solves with K_*, so only diagnose factors that
         names = []
         init = operators._Factor.__init__
 
@@ -391,6 +393,7 @@ class TestSubcommands:
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert "K_aux" not in names
         assert ("M_star" in names) == (sub != "quadcheck")
+        assert ("K_star" in names) == (sub == "diagnose")
 
     def test_heat_vtk_series(self, tmp_path, trajectory):
         cfg = write_cfg(tmp_path / "c.json", n_cells=[16], vtk_every=3)
@@ -568,6 +571,16 @@ class TestNumericalFailure:
         lines = (out / "quadcheck.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("24,")
 
+    def test_overflowing_cut_fails_in_one_line(self, tmp_path):
+        # at +-1e160 the selection's squares overflow and no element reads
+        # as cut (the cut is not scale-free): one line, exit 1
+        cfg = write_cfg(tmp_path / "c.json", bbox=[-1e160, 1e160],
+                        radius=1e159, n_cells=[64])
+        assert run_cli("quadcheck", "--config", cfg,
+                       "--out", str(tmp_path / "out")) == (
+            EXIT_NUMERICAL, ["numerical failure: no background element "
+                             "intersects the surface"])
+
     def test_grazing_run_fails_in_one_line(self, tmp_path):
         # the circle grazes mesh edges at n_cells=48; the dropped
         # contacts are counted, not printed
@@ -733,6 +746,21 @@ def test_quadcheck_runs_without_scipy(tmp_path):
               rows)
     assert ((out / "quadcheck.csv").read_bytes()
             == (tmp_path / "oracle.csv").read_bytes())
+
+
+def test_cut_stage_memory_is_the_band():
+    # the cut stage builds only the band of cells near the circle: at
+    # n_cells=768 the full background table alone would take 38 MB
+    cfg = load_config(str(ROOT / "configs" / "circle.json"))
+    tracemalloc.start()
+    try:
+        stage = cut(cfg, 768)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stage[2].active) > 0
+    assert peak <= 20 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
+    assert kept <= 8 * 2 ** 20, "kept %.1f MB" % (kept / 2 ** 20)
 
 
 @pytest.mark.parametrize("sub", ["project", "heat", "diagnose", "dtsweep",

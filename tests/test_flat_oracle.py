@@ -20,8 +20,10 @@ from hypothesis import strategies as st
 from tracefem.assembly import assemble, assemble_fourier
 from tracefem.cutquad import (build_topology, cut_triangles,
                               oscillation_order, surface_rule)
+from tracefem.errors import EmptyIntersection
 from tracefem.geometry import LevelSetSurface
-from tracefem.mesh import barycentric, build_background, select_active
+from tracefem.mesh import (_cuts_circle, barycentric, build_background,
+                           p1_gradients, select_active)
 
 from conftest import LADDER
 from test_uniformity import PLACEMENTS
@@ -279,7 +281,9 @@ def check_against_oracle(surface, bbox, n_cells, k_max, new=None):
     else:
         bg, mesh, topo, system, probe = new
     vertices, triangles = old_background(bbox, n_cells)
-    assert np.array_equal(bg.vertices, vertices)
+    assert np.array_equal(bg.coords(np.arange(len(vertices))), vertices)
+    assert np.array_equal(bg.cell_triangles(np.arange(n_cells ** 2)),
+                          triangles)
     assert np.array_equal(bg.triangles, triangles)
 
     active, dofs, elements, h_t = old_select_active(vertices, triangles,
@@ -364,6 +368,60 @@ def test_inside_one_triangle_is_one_full_arc():
     topo = build_topology(surface, select_active(build_background(BBOX, n),
                                                  surface))
     assert topo.arc_ends.tolist() == [[0.0, TWO_PI]]
+
+
+# -- the band against the full table -------------------------------------------
+
+def full_table_mesh(bbox, n, center, radius):
+    """(active, dofs, elements, coords, h_T, grad) from the whole table of
+    old_background: the exact predicate on every triangle, no band, and
+    the dofs numbered in order of first appearance."""
+    vertices, triangles = old_background(bbox, n)
+    pts = vertices[triangles]
+    active = np.flatnonzero(_cuts_circle(pts, np.asarray(center), radius))
+    if not len(active):
+        raise EmptyIntersection("no background element intersects the surface")
+    dof_of = {}
+    for v in triangles[active].ravel():
+        dof_of.setdefault(int(v), len(dof_of))
+    dofs = np.array(list(dof_of), dtype=np.int64)
+    elements = np.array([[dof_of[int(v)] for v in tri]
+                         for tri in triangles[active]], dtype=np.int64)
+    pts = pts[active]
+    edge = pts - np.roll(pts, -1, axis=1)
+    h_t = np.hypot(edge[..., 0], edge[..., 1]).max(axis=1)
+    return active, dofs, elements, vertices[dofs], h_t, p1_gradients(pts)
+
+
+# the circle touches the bbox where its centre sits at +-(hi - R)
+EDGE_PLACEMENTS = [(n, (0.0, 0.0), 1.0) for n in (1, 7, 193)] + [
+    (7, (0.13, -0.07), 0.8), (193, (0.13, -0.07), 0.8)] + [
+    (n, c, 1.0) for n in (7, 48, 193)
+    for c in ((0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.5, 0.0))]
+
+
+@pytest.mark.parametrize("n, center, radius", EDGE_PLACEMENTS)
+def test_band_matches_full_table(n, center, radius):
+    mesh = select_active(build_background(BBOX, n),
+                         LevelSetSurface.circle(center, radius))
+    want = full_table_mesh(BBOX, n, center, radius)
+    got = (mesh.active, mesh.dofs, mesh.elements, mesh.coords, mesh.h_T,
+           mesh.grad)
+    for name, a, b in zip(("active", "dofs", "elements", "coords", "h_T",
+                           "grad"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_overflowing_coordinates_fail_alike():
+    # at +-1e160 the predicate's products overflow: the full table finds
+    # no cut triangle either, so the band route fails the same way
+    bbox, center, radius = (-1e160, 1e160), (0.0, 0.0), 1e159
+    surface = LevelSetSurface.circle(center, radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmptyIntersection):
+            full_table_mesh(bbox, 64, center, radius)
+        with pytest.raises(EmptyIntersection):
+            select_active(build_background(bbox, 64), surface)
 
 
 # -- drawn placements ----------------------------------------------------------
