@@ -16,7 +16,8 @@ of steps.  A manufactured solution is separable, u = a(t) g(theta), and
 so are its data: the run and the error fold evaluate the time factors a
 block of steps at a time and pass them with the profile g, which the
 operators tabulate once per mesh.  Each step block of the error fold
-forms the Fourier coefficients of du/dt at its own step midpoints.
+forms the Fourier coefficients of du/dt at its own step midpoints and
+adds its squared errors to three running sums.
 """
 
 from __future__ import annotations
@@ -131,10 +132,10 @@ class HeatStepper:
         return self.mt @ u / self.dt + b
 
 
-def time_grid(config):
-    """Times 0, dt, ..., nsteps dt of a run, nsteps = ceil(t_final / dt);
-    a step count below 1 (t_final within 1e-12 dt of 0), not finite or
-    beyond np.intp is an InvalidConfig."""
+def step_count(config):
+    """The number of steps of a run, ceil(t_final / dt); a count below 1
+    (t_final within 1e-12 dt of 0), not finite or beyond np.intp is an
+    InvalidConfig.  Step n ends at time dt * n."""
     dt = config.dt
     if dt <= 0 or config.t_final <= 0:
         raise InvalidConfig("dt and t_final must be positive")
@@ -144,7 +145,7 @@ def time_grid(config):
         raise InvalidConfig("dt %g and t_final %g give %g steps, not between "
                             "1 and what an array can index"
                             % (dt, config.t_final, nsteps + 0.0))
-    return dt * np.arange(int(nsteps) + 1)
+    return int(nsteps)
 
 
 def run(operators, config, consume):
@@ -162,11 +163,11 @@ def run(operators, config, consume):
     0), then once per block that passed its k <= BLOCK new states (first
     1, 1 + BLOCK, ...).  ``states`` is a view of the step array, reused
     after the call, so a consumer copies what it keeps.  Returns the
-    RunResult with the time grid of config.
+    RunResult with the times 0, dt, ..., nsteps dt of the run.
     """
-    times = time_grid(config)
-    nsteps = len(times) - 1
+    nsteps = step_count(config)
     dt = config.dt
+    times = dt * np.arange(nsteps + 1)
     ops = operators
     n_dofs = ops.system.n_dofs
     stepper = HeatStepper(ops, config.scheme, dt,
@@ -236,59 +237,55 @@ class ErrorFold:
         + int_I E_H1*[u, u_h]^2, with trapezoid time integrals, backward
     differences for d_t u_h (paired with du/dt at step midpoints), plus
     the companion integral int_I E_L2*^2, against config.manufactured.
-    The squared errors are kept one float per step.  Each call evaluates
-    the L2* and H1* errors of the states it is given and the H^-1* error
-    of the steps that end in them, the first from the last state folded
-    before (a copy of it is kept), with the Fourier coefficients of du/dt
-    at those step midpoints.  Feed it every state of the run in order, in
-    any split (the run's blocks, single states, all at once), then read
-    ``record``.
+    Each call evaluates the L2* and H1* errors of the states it is given
+    and the H^-1* error of the steps that end in them, the first from the
+    last state folded before (a copy of it is kept), with the Fourier
+    coefficients of du/dt at those step midpoints, and adds their squares
+    to three running sums (trapezoid weights for H1* and L2*), not a value
+    per step.  Feed it every state of the run in order, in any split (the
+    run's blocks, single states, all at once; the sums then differ at the
+    rounding level), then read ``record``.
     """
 
     def __init__(self, operators, config):
         self.ops = operators
         self.man = config.manufactured
         self.dt = config.dt
-        self.times = time_grid(config)
-        self.h1_sq = np.empty(len(self.times))
-        self.l2_sq = np.empty(len(self.times))
-        self.hm1_sq = np.empty(len(self.times) - 1)
+        self.nsteps = step_count(config)
+        self.h1_sum = self.l2_sum = self.hm1_sum = 0.0
         self.e0 = None
         self.last = None              # (1, n_dofs): the last state folded
 
     def __call__(self, first, states):
-        ops, man = self.ops, self.man
+        ops, man, dt = self.ops, self.man, self.dt
         stop = first + len(states)
-        t = self.times[first:stop]
-        a = man.time(t)
-        self.h1_sq[first:stop] = ops.error_h1_star(
-            man.profile, man.dprofile, states, a) ** 2
+        index = np.arange(first, stop)
+        a = man.time(dt * index)
+        # the trapezoid weights: 1/2 at the run's ends, states 0 and nsteps
+        trap = np.where((index == 0) | (index == self.nsteps), 0.5, 1.0)
+        self.h1_sum += float(trap @ ops.error_h1_star(
+            man.profile, man.dprofile, states, a) ** 2)
         l2 = ops.error_l2_star(man.profile, states, a)
-        self.l2_sq[first:stop] = l2 ** 2
+        self.l2_sum += float(trap @ l2 ** 2)
         if first == 0:
             self.e0 = float(l2[0])
         # steps lo, ..., stop - 2 end in states; held[0] is state lo
         held = np.concatenate([self.last, states]) if first else states
         lo = stop - len(held)
         if lo < stop - 1:
-            t = self.times[lo:stop]
+            t = dt * np.arange(lo, stop)
             coef = ops.function_coefficients(
                 man.profile, man.dtime(0.5 * (t[:-1] + t[1:])))
-            self.hm1_sq[lo:stop - 1] = ops.error_hm1_star(
-                coef, np.diff(held, axis=0) / self.dt) ** 2
+            self.hm1_sum += float(np.sum(ops.error_hm1_star(
+                coef, np.diff(held, axis=0) / dt) ** 2))
         self.last = states[-1:].copy()
 
     def record(self):
-        dt = self.dt
-        trap = np.ones(len(self.times))
-        trap[0] = trap[-1] = 0.5
-        int_h1 = float(dt * trap @ self.h1_sq)
-        int_l2 = float(dt * trap @ self.l2_sq)
-        int_hm1 = float(dt * np.sum(self.hm1_sq))
-        total = float(np.sqrt(self.e0 ** 2 + int_hm1 + int_h1))
+        int_h1, int_hm1 = self.dt * self.h1_sum, self.dt * self.hm1_sum
         return ErrorRecord(
             e_l2_initial=self.e0, int_h1_sq=int_h1, int_hm1_dt_sq=int_hm1,
-            int_l2_sq=int_l2, e_total=total,
+            int_l2_sq=self.dt * self.l2_sum,
+            e_total=float(np.sqrt(self.e0 ** 2 + int_hm1 + int_h1)),
         )
 
 

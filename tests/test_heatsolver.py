@@ -1,15 +1,22 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tracefem.cli import fit_rate
+import tracefem
+from tracefem.cli import Pipeline, fit_rate
 from tracefem.errors import InvalidConfig
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, HeatRun,
-                                 accumulate_errors, run, time_grid)
+                                 accumulate_errors, run, step_count)
 from tracefem.operators import ONE, DiscreteOperators
 
+from conftest import CONFIG
 from helpers import constant
 
 DECAY = MANUFACTURED["decaying_mode"](1.0)
@@ -64,11 +71,12 @@ class TestStepping:
 
     def test_time_grid_needs_a_step(self):
         # t_final within 1e-12 dt of 0 rounds to no step; just above it, one
-        grid = time_grid(HeatRun(manufactured=DECAY, dt=1.0, t_final=2e-12))
-        assert list(grid) == [0.0, 1.0]
+        assert step_count(HeatRun(manufactured=DECAY, dt=1.0,
+                                  t_final=2e-12)) == 1
         for dt, t_final in ((1.0, 1e-13), (float("nan"), 1.0)):
             with pytest.raises(InvalidConfig, match="steps, not between 1"):
-                time_grid(HeatRun(manufactured=DECAY, dt=dt, t_final=t_final))
+                step_count(HeatRun(manufactured=DECAY, dt=dt,
+                                   t_final=t_final))
 
     def test_history_length(self, setup48, trajectory):
         cfg = HeatRun(manufactured=DECAY, dt=0.05, t_final=0.25)
@@ -97,7 +105,7 @@ class TestStepping:
         cfg = HeatRun(manufactured=man, dt=1.0 / 64.0,
                       t_final=(2 * BLOCK + 3) / 64.0, scheme=scheme)
         run(setup48.ops, cfg, lambda first, states: None)
-        assert times == list(time_grid(cfg))
+        assert times == list(cfg.dt * np.arange(step_count(cfg) + 1))
         assert len(times) == 2 * BLOCK + 4
 
     def test_stabilized_vs_unstabilized_close(self, setup48, setup96,
@@ -132,7 +140,8 @@ class TestErrorAccumulation:
         # and the solver stays within a modest factor of them
         s = setup48
         cfg, _, record = decay_runs[48]
-        proj = s.ops.project(DECAY.profile, DECAY.time(time_grid(cfg)))
+        proj = s.ops.project(DECAY.profile, DECAY.time(
+            cfg.dt * np.arange(step_count(cfg) + 1)))
         fold = ErrorFold(s.ops, cfg)
         fold(0, proj)
         rec_proj = fold.record()
@@ -212,3 +221,51 @@ class TestErrorAccumulation:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
+
+    def test_memory_per_step(self):
+        # The error fold keeps running sums, not a value per step: from 10^3
+        # to 10^4 steps the peak grows by at most 16 B a step, 8 of them the
+        # run's times.  The probe is built and the operators are warmed by a
+        # short run first, so the measurement covers the two runs alone.
+        ops = Pipeline(CONFIG, 16).ops
+        ops.probe
+        accumulate_errors(ops, HeatRun(manufactured=FORCED, dt=0.01,
+                                       t_final=0.1))
+        peaks = []
+        for nsteps in (10 ** 3, 10 ** 4):
+            cfg = HeatRun(manufactured=FORCED, dt=1.0 / nsteps, t_final=1.0)
+            tracemalloc.start()
+            try:
+                accumulate_errors(ops, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16 * (10 ** 4 - 10 ** 3), peaks
+
+
+# The error record of a forced run of 2^17 steps at n_cells 16, printed
+# as the repr of its five fields.
+THREAD_RUN = """
+import json, sys
+from dataclasses import astuple
+from tracefem.cli import Pipeline
+from tracefem.heatsolver import MANUFACTURED, HeatRun, accumulate_errors
+ops = Pipeline(json.loads(sys.argv[1]), 16).ops
+man = MANUFACTURED["forced_mode_2"](1.0)
+print(repr(astuple(accumulate_errors(ops, HeatRun(
+    manufactured=man, dt=2.0 ** -17, t_final=1.0)))))
+"""
+
+
+@pytest.mark.slow
+def test_error_record_thread_free():
+    # the record is the same to the last bit under 1 and 2 BLAS threads
+    src = str(pathlib.Path(tracefem.__file__).parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_RUN, json.dumps(CONFIG)], env=env,
+            capture_output=True, text=True, check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1], out

@@ -47,7 +47,7 @@ from tracefem.errors import SolveFailure
 from tracefem.operators import ONE
 from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, ErrorRecord,
                                  HeatRun, HeatStepper, accumulate_errors, run,
-                                 time_grid)
+                                 step_count)
 
 from conftest import CONFIG
 from helpers import (blockwise, l2_gamma_of_function, laplacian,
@@ -244,26 +244,26 @@ def whole_run(ops, cfg):
 
 
 def whole_accumulate_errors(ops, cfg, hist, times, man):
+    """The record of the run's blocks, each adding its partial sums of the
+    squared errors in run order."""
     dt = cfg.dt
     t_mid = 0.5 * (times[:-1] + times[1:])
     trap = np.ones(len(hist))
     trap[0] = trap[-1] = 0.5
     g, a = man.profile, man.time(times)
     e0 = ops.error_l2_star(g, hist[:1], a[:1])[0]
-    blocks = run_blocks(len(hist) - 1)
-    h1_sq = np.concatenate([ops.error_h1_star(
-        g, man.dprofile, hist[b], a[b]) ** 2 for b in blocks])
-    l2_sq = np.concatenate([ops.error_l2_star(
-        g, hist[b], a[b]) ** 2 for b in blocks])
     coef = ops.function_coefficients(g, man.dtime(t_mid))
-    # a block's steps end in its states and start one state earlier
-    steps = [slice(b.start - 1, b.stop - 1) for b in blocks[1:]]
-    hm1_sq = np.concatenate([np.empty(0)] + [ops.error_hm1_star(
-        coef[s], np.diff(hist[s.start:s.stop + 1], axis=0) / dt) ** 2
-        for s in steps])
-    int_h1 = float(dt * trap @ h1_sq)
-    int_l2 = float(dt * trap @ l2_sq)
-    int_hm1 = float(dt * np.sum(hm1_sq))
+    h1_sum = l2_sum = hm1_sum = 0.0
+    for b in run_blocks(len(hist) - 1):
+        h1_sum += float(trap[b] @ ops.error_h1_star(
+            g, man.dprofile, hist[b], a[b]) ** 2)
+        l2_sum += float(trap[b] @ ops.error_l2_star(g, hist[b], a[b]) ** 2)
+        if b.start:
+            # a block's steps end in its states and start one state earlier
+            s = slice(b.start - 1, b.stop - 1)
+            hm1_sum += float(np.sum(ops.error_hm1_star(
+                coef[s], np.diff(hist[s.start:s.stop + 1], axis=0) / dt) ** 2))
+    int_h1, int_l2, int_hm1 = dt * h1_sum, dt * l2_sum, dt * hm1_sum
     return ErrorRecord(
         e_l2_initial=e0, int_h1_sq=int_h1,
         int_hm1_dt_sq=int_hm1, int_l2_sq=int_l2,
@@ -643,7 +643,7 @@ def _rhs_of_step(monkeypatch, ops, cfg, step):
     lus = _inexact_steps(monkeypatch, lambda b: seen.append(b.copy()))
     run(ops, cfg, lambda first, states: None)
     monkeypatch.undo()
-    assert len(seen) == len(time_grid(cfg)) - 1 and len(lus) >= 1
+    assert len(seen) == step_count(cfg) and len(lus) >= 1
     return seen[step]
 
 
