@@ -9,6 +9,9 @@ and the operators with the LU of M_*), and ``main`` imports scipy's sparse
 solvers for them once, after parsing and before the first ``Pipeline``.
 The operators build the Fourier probe and the LU of K_* when first read:
 only ``diagnose`` and ``converge`` read the probe, ``diagnose`` K_*.
+The subcommands that run a ladder of meshes (``project``, ``diagnose``,
+``converge``) hold one mesh at a time: each mesh's ``Pipeline`` is dropped
+before the next one is built (``_per_mesh``).
 Each config key has one row (default, check, requirement) in ``_KEYS``;
 a flag sets the key it names and is checked by the same row.  Only
 ``main`` turns a failure into an exit code, with one line on stderr:
@@ -163,6 +166,13 @@ class Pipeline:
         self.ops = DiscreteOperators(self.system, cfg["k_max"])
 
 
+def _per_mesh(cfg, rung):
+    """[rung(n, pipe) for each n of n_cells] with pipe the Pipeline of n.
+    Only the call holds pipe, so it is freed before the next mesh is
+    built; rung must keep no reference to it in what it returns."""
+    return [rung(n, Pipeline(cfg, n)) for n in cfg["n_cells"]]
+
+
 def _one_mesh(cfg, subcommand):
     if len(cfg["n_cells"]) != 1:
         raise InvalidConfig("%s runs one mesh: n_cells must hold one entry, "
@@ -214,15 +224,16 @@ def cmd_project(cfg, out):
     man = MANUFACTURED[cfg["data"]](cfg["radius"])
     g, a = man.profile, man.time(np.zeros(1))
     hdr = ["n_cells", "h", "n_dofs", "e_l2_star", "e_h1_star"]
-    rows = []
-    for n in cfg["n_cells"]:
-        pipe = Pipeline(cfg, n)
+
+    def rung(n, pipe):
         x = pipe.ops.project(g, a)
         el2 = pipe.ops.error_l2_star(g, x, a)[0]
         eh1 = pipe.ops.error_h1_star(g, man.dprofile, x, a)[0]
-        rows.append([n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1])
         if cfg["export_matrices"]:
             export_matrices(pipe.system, out, prefix="n%d_" % n)
+        return [n, pipe.mesh.h, pipe.mesh.n_dofs, el2, eh1]
+
+    rows = _per_mesh(cfg, rung)
     write_csv(os.path.join(out, "project.csv"), hdr, rows)
     write_dat(os.path.join(out, "project.dat"), hdr, rows)
     if len(set(cfg["n_cells"])) >= 3:
@@ -265,9 +276,8 @@ def cmd_heat(cfg, out):
 
 def cmd_diagnose(cfg, out):
     rng = np.random.default_rng(cfg["seed"])
-    rows = []
-    for n in cfg["n_cells"]:
-        pipe = Pipeline(cfg, n)
+
+    def rung(n, pipe):
         rep = dg.constants_report(pipe.ops, t_final=cfg["T_infsup"],
                                   mesh_id="n%d" % n)
         # random-vector dual-norm sandwich audit
@@ -280,7 +290,9 @@ def cmd_diagnose(cfg, out):
         lam_ok = (rep.norm_Ph_H1gamma <= rep.inv_Lambda_h * 1.02
                   and rep.inv_Lambda_h <= bound * 1.02
                   and rep.Lambda_h <= 1.0 + 1e-9)
-        rows.append(rep.row() + [sandwich_ok, lam_ok])
+        return rep.row() + [sandwich_ok, lam_ok]
+
+    rows = _per_mesh(cfg, rung)
     hdr = [f.name for f in fields(dg.ConstantsReport)]
     audits = ["sandwich_pass", "lambda_pass"]
     write_csv(os.path.join(out, "diagnose.csv"), hdr + audits, rows)
@@ -315,14 +327,15 @@ def cmd_converge(cfg, out):
     man = MANUFACTURED[cfg["data"]](cfg["radius"])
     hdr = ["n_cells", "h", "dt", "e_total", "e_l2l2", "e_l2_initial",
            "proj_l2_star"]
-    rows = []
-    for n in cfg["n_cells"]:
-        pipe = Pipeline(cfg, n)
+
+    def rung(n, pipe):
         hr = _heat_run(cfg, pipe, man)
         rec = accumulate_errors(pipe.ops, hr)
         # the run starts from P_h u(0): its initial error is proj_l2_star
-        rows.append([n, pipe.mesh.h, hr.dt, rec.e_total, rec.e_l2l2,
-                     rec.e_l2_initial, rec.e_l2_initial])
+        return [n, pipe.mesh.h, hr.dt, rec.e_total, rec.e_l2l2,
+                rec.e_l2_initial, rec.e_l2_initial]
+
+    rows = _per_mesh(cfg, rung)
     write_csv(os.path.join(out, "converge.csv"), hdr, rows)
     write_dat(os.path.join(out, "converge.dat"), hdr, rows)
     _, h, _, e_total, e_l2l2, _, proj = zip(*rows)

@@ -11,7 +11,9 @@ and K_*, so no n_dofs x n_dofs matrix is formed.  Each condition number
 takes lambda_max by Lanczos and lambda_min by shift-invert at 0 through
 an LU of the matrix.  The projection pencil lives on the 2 k_max + 1
 Fourier modes, whose count does not grow with h and whose top is
-clustered near 1; LAPACK takes it.
+clustered near 1; LAPACK takes it.  Its matrices are filled a block of
+modes at a time, so besides the probe's G and the projections B = M_*^-1 G
+no n_dofs x n_modes temporary is formed.
 
 Accuracy: Lanczos stops once ARPACK bounds the residual of its Ritz
 pair by 1e-12 |theta|, which for a symmetric pencil bounds the value,
@@ -117,21 +119,34 @@ def _kappa(mat, what):
     return _eigsh(mat, which="LA")[0] / lo
 
 
+PENCIL_BLOCK = 32   # Fourier modes per column block of the projection pencil
+
+
 def op_norms_ph(operators):
     """Operator norms of the projection over the truncated H1 sphere.
 
     Columns of B = M_*^-1 G are the projections of the harmonics; the
     norms are sqrt of the largest eigenvalue of (B' Q B, H1_gram) with
     Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.  The
-    pencil has one row per Fourier mode and is solved by LAPACK.
+    pencil has one row per Fourier mode and is solved by LAPACK.  B is
+    solved and each pencil filled PENCIL_BLOCK columns at a time,
+    C[:, J] = B' (Q B_J), so G and B are the only n_dofs x n_modes
+    arrays and every other temporary holds one block of columns.
     """
     import scipy.linalg as sla  # here: a cut alone loads no scipy
     system, probe = operators.system, operators.probe
-    bmat = operators.mstar.solve(probe.G)
+    g = probe.G
+    blocks = [slice(j, j + PENCIL_BLOCK)
+              for j in range(0, g.shape[1], PENCIL_BLOCK)]
+    bmat = np.empty(g.shape)
+    for cols in blocks:
+        bmat[:, cols] = operators.mstar.solve(g[:, cols])
     gram = np.diag(probe.H1_gram)
     out = []
     for q in (system.M + system.A, system.K_star):
-        c = bmat.T @ (q @ bmat)
+        c = np.empty((g.shape[1], g.shape[1]))
+        for cols in blocks:
+            c[:, cols] = bmat.T @ (q @ bmat[:, cols])
         c = 0.5 * (c + c.T)
         try:
             w, v = sla.eigh(c, gram, subset_by_index=[len(c) - 1] * 2)

@@ -4,13 +4,14 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import tracefem
-from tracefem import operators
+from tracefem import cli, operators
 from tracefem.assembly import assemble_fourier
 from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
@@ -101,8 +102,10 @@ SMALL_RUNS = [
 ]
 
 
-# the subcommands that run one mesh, and the files each subcommand writes
+# the subcommands that run one mesh, those that run a ladder of meshes,
+# and the files each subcommand writes
 ONE_MESH = ("heat", "dtsweep")
+LADDER_RUNS = ("project", "diagnose", "converge")
 OUTPUTS = {"quadcheck": ["quadcheck.csv"],
            "project": ["project.csv", "project.dat", "project_rates.csv"],
            "heat": ["heat.csv", "heat.dat"],
@@ -694,6 +697,28 @@ def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
             ["inf", "-inf", "1.0000000000000001e+300", "0.33333333333333331"])]
     finite = [v for v in rows.ravel().tolist() if np.isfinite(v)]
     assert [float("%.17g" % v) for v in finite] == finite
+
+
+@pytest.mark.parametrize("sub, extra", [r[:2] for r in SMALL_RUNS
+                                         if r[0] in LADDER_RUNS],
+                         ids=LADDER_RUNS)
+def test_one_pipeline_at_a_time(tmp_path, monkeypatch, sub, extra):
+    # a subcommand that runs a ladder of meshes holds one mesh at a time:
+    # when a Pipeline is built, every earlier one is already freed
+    built = []
+
+    class Recorded(Pipeline):
+        def __init__(self, *args, **kwargs):
+            alive = [i for i, ref in enumerate(built) if ref() is not None]
+            assert not alive, "Pipelines %s still alive" % alive
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "Pipeline", Recorded)
+    cfg = write_cfg(tmp_path / "c.json", **extra)
+    assert main([sub, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(built) == len(load_config(cfg)["n_cells"]) >= 2
 
 
 # exits with the names of the scipy modules loaded, if any
