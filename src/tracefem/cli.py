@@ -143,14 +143,12 @@ def cut(cfg, n_cells):
     topology), from numpy alone.
 
     Raises AssumptionViolation, before anything is cut, when an active
-    element does not resolve the curvature.  The selection before it may
-    overflow on a huge bbox: it warns of nothing, and the check says why.
+    element does not resolve the curvature.
     """
     surface = LevelSetSurface.circle(cfg["center"], cfg["radius"])
     background = build_background(cfg["bbox"], n_cells)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mesh = select_active(background, surface)
-        check_resolution(surface, mesh, cfg["c_res"])
+    mesh = select_active(background, surface)
+    check_resolution(surface, mesh, cfg["c_res"])
     q = oscillation_order(cfg["k_max"], mesh.h, surface.radius, cfg["q_surf"])
     return surface, background, mesh, build_topology(surface, mesh, q_surf=q)
 
@@ -201,11 +199,11 @@ def cmd_quadcheck(cfg, out):
         defect = arc_cover_defect(topo)
         max_arcs = int(np.diff(topo.elem_ptr).max()) // topo.q_surf
         # self-test: q and q+4 Gauss points on each arc must agree on
-        # oscillatory integrals int cos(k theta), k <= 64
+        # oscillatory integrals int cos(k theta) ds / R, k <= 64
         topo2 = build_topology(surface, mesh, q_surf=topo.q_surf + 4)
         spec_diff = max(abs(topo.w @ np.cos(k * topo.theta)
                             - topo2.w @ np.cos(k * topo2.theta))
-                        for k in (1, 8, 32, 64))
+                        for k in (1, 8, 32, 64)) / surface.radius
         rows.append([n, mesh.h, len(mesh.active), mesh.n_dofs,
                      length, rel, defect, max_arcs, float(spec_diff)])
         failed = ["%s %.2g > %g" % (name, v, tol) for name, v, tol in (

@@ -5,10 +5,11 @@ endpoints come from per-edge quadratics (solved with the stabilized
 b-sign discriminant trick); the intersection angles are sorted, merged
 and the angular intervals classified by a midpoint-in-triangle test.
 The cut works on all active triangles at once: the only loop runs over
-the at most six angle columns of an element.  Surface quadrature is
-Gauss-Legendre in the angle, generated for all arcs at once into one
-flat node table; volume quadrature is a symmetric 6-point rule exact to
-total degree 4.
+the at most six angle columns of an element.  It runs in the frame of
+the cut (``LevelSetSurface.frame``), so its tolerances are dimensionless.
+Surface quadrature is Gauss-Legendre in the angle, generated for all
+arcs at once into one flat node table; volume quadrature is a symmetric
+6-point rule exact to total degree 4.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ _MIN_ARC = 1e-12          # arcs narrower than this are measure-zero noise
 _GRAZE = 1e-14            # discriminant band treated as tangential contact
 
 
-def cut_triangles(tri, center, radius):
-    """Arcs of the circle inside each closed triangle of tri (n, 3, 2).
+def cut_triangles(xi, rho):
+    """Arcs of the circle |x| = rho in each closed triangle of xi (n, 3, 2).
 
     Returns the arcs as rows (theta0, theta1), theta1 > theta0, element
     by element and in increasing angle within an element (an arc
@@ -47,14 +48,11 @@ def cut_triangles(tri, center, radius):
     each arc, and the number of element edges whose grazing contact
     with the circle was dropped.
     """
-    tri = np.asarray(tri, dtype=float)
-    center = np.asarray(center, dtype=float)
     # edge k runs from vertex k to vertex k + 1: arrays (n, 3)
-    d = tri[:, [1, 2, 0]] - tri
-    e = tri - center
+    d = xi[:, [1, 2, 0]] - xi
     a = np.vecdot(d, d)
-    b = 2.0 * np.vecdot(d, e)
-    c = np.vecdot(e, e) - radius * radius
+    b = 2.0 * np.vecdot(d, xi)
+    c = np.vecdot(xi, xi) - rho * rho
     disc = b * b - 4.0 * a * c
     grazed = (disc >= 0.0) & (disc < _GRAZE * np.maximum(1.0, b * b))
     crosses = (disc > 0.0) & ~grazed
@@ -65,9 +63,8 @@ def cut_triangles(tri, center, radius):
     t = np.stack([q / a, c / np.where(second, q, 1.0)], axis=-1)
     hit = np.stack([crosses, second], axis=-1) \
         & (t >= -1e-12) & (t <= 1.0 + 1e-12)
-    x = tri[:, :, None] + np.clip(t, 0.0, 1.0)[..., None] * d[:, :, None]
-    angles = np.mod(np.arctan2(x[..., 1] - center[1], x[..., 0] - center[0]),
-                    TWO_PI).reshape(-1, 6)
+    x = xi[:, :, None] + np.clip(t, 0.0, 1.0)[..., None] * d[:, :, None]
+    angles = np.mod(np.arctan2(x[..., 1], x[..., 0]), TWO_PI).reshape(-1, 6)
     hit = hit.reshape(-1, 6)
     crossed = hit.any(axis=1)
 
@@ -97,16 +94,16 @@ def cut_triangles(tri, center, radius):
     closes = np.cumsum(count) - 1
     th1[closes] = ang[:, 0] + TWO_PI
     mid = 0.5 * (th0 + th1)
-    p = center + radius * np.stack([np.cos(mid), np.sin(mid)], axis=-1)
+    p = rho * np.stack([np.cos(mid), np.sin(mid)], axis=-1)
     inside = (th1 - th0 >= _MIN_ARC) \
-        & (barycentric(tri[owner], p).min(axis=-1) >= -1e-12)
+        & (barycentric(xi[owner], p).min(axis=-1) >= -1e-12)
     ends = np.column_stack([th0, th1])[inside]
     owner = owner[inside]
 
     # An element no edge crosses holds the whole circle or none of it.
     none = np.flatnonzero(~crossed)
-    probe = center + np.array([radius, 0.0])
-    full = none[barycentric(tri[none], probe).min(axis=-1) >= 0.0]
+    full = none[barycentric(xi[none], np.array([rho, 0.0])).min(axis=-1)
+                >= 0.0]
     ends = np.concatenate([ends, np.tile([0.0, TWO_PI], (len(full), 1))])
     owner = np.concatenate([owner, full])
     order = np.argsort(owner, kind="stable")
@@ -197,16 +194,20 @@ def oscillation_order(k_max, h, radius, q_surf=10):
 
 def build_topology(surface, active_mesh, q_surf=10):
     """Cut every active triangle and tabulate its quadrature rules."""
-    center, radius = surface.center, surface.radius
     q = int(q_surf)
     tri = active_mesh.coords[active_mesh.elements]         # (n_active, 3, 2)
-    small = np.flatnonzero(0.5 * np.abs(twice_area(tri))
-                           < 1e-14 * active_mesh.h_T ** 2)
-    if len(small):
-        raise SingularElement("active triangle %d has vanishing area" % small[0])
+    xi, rho, scale = surface.frame(tri, active_mesh.background.h_global)
+    area = 0.5 * np.abs(twice_area(xi))
+    huge = np.flatnonzero(area > float(np.finfo(float).max) / scale / scale)
+    if len(huge):
+        e = np.log10(area[huge[0]]) + 2.0 * np.log10(scale)
+        raise SingularElement("active triangle %d has area %.2ge%+d, beyond "
+                              "the double range"
+                              % (huge[0], 10.0 ** (e % 1.0), e // 1.0))
 
-    ends, owner, dropped = cut_triangles(tri, center, radius)
-    pts, w, normals, theta = surface_rule(center, radius, ends, q)
+    ends, owner, dropped = cut_triangles(xi, rho)
+    pts, w, normals, theta = surface_rule(surface.center, surface.radius,
+                                          ends, q)
     elem = np.repeat(owner, q)
     counts = np.bincount(elem, minlength=len(tri))
     v_pts, v_w = volume_rule(tri)
@@ -214,7 +215,7 @@ def build_topology(surface, active_mesh, q_surf=10):
         surface=surface, mesh=active_mesh, q_surf=q, arc_ends=ends,
         elem_ptr=np.concatenate([[0], np.cumsum(counts)]),
         elem=elem, pts=pts, w=w, normal=normals, theta=theta,
-        bary=barycentric(tri[elem], pts),
+        bary=barycentric(xi[elem], rho * normals),
         v_w=v_w, v_normal=surface.unit_normal(v_pts),
         total_length=float(w.sum()),
         dropped_contacts=dropped,

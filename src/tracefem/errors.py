@@ -22,7 +22,7 @@ class EmptyIntersection(TraceFemError):
 
 
 class SingularElement(TraceFemError):
-    """An active triangle has (numerically) vanishing area."""
+    """An active triangle's area is beyond the double range."""
 
 
 class SolveFailure(TraceFemError):

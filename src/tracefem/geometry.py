@@ -1,9 +1,9 @@
 """The circle Gamma in the plane and the mesh-resolution check.
 
 The curve Gamma is the circle |x - c| = R.  The module provides the
-extended unit normal n(x) = n(p(x)) of the exact closest point p(x), and
-the mesh-resolution check max_T h_T <= c_res / curvature_bound, which
-raises AssumptionViolation.
+frame of the cut, the extended unit normal n(x) = n(p(x)) of the exact
+closest point p(x), and the mesh-resolution check max_T h_T <= c_res /
+curvature_bound, which raises AssumptionViolation.
 """
 
 from __future__ import annotations
@@ -45,6 +45,14 @@ class LevelSetSurface:
             raise DegeneratePoint("closest point undefined at circle center")
         return d, r
 
+    def frame(self, x, h):
+        """(xi, rho, L): points x (..., 2) in the frame of the cut on a
+        mesh of width h, xi = (x - c) / L with L = max(R, h), where Gamma
+        is |xi| = rho = R / L (1 on a resolving mesh).  The band's frame
+        coordinates are of order one, whatever the unit of length."""
+        scale = max(self.radius, h)
+        return (x - self.center) / scale, self.radius / scale, scale
+
     def unit_normal(self, x):
         """Extended unit normal n(x) = n(p(x)) at points x (..., 2)."""
         d, r = self._offset(x)
@@ -60,10 +68,9 @@ def check_resolution(surface, active_mesh, c_res=0.5):
     if c_res <= 0.0:
         raise ValueError("c_res must be positive")
     threshold = c_res / surface.curvature_bound
-    h_t = np.asarray(active_mesh.h_T, dtype=float)
-    bad = np.flatnonzero(h_t > threshold)
+    bad = np.flatnonzero(active_mesh.h_T > threshold)
     if len(bad):
         raise AssumptionViolation(
             "element %d has h_T=%.6g above the threshold %.6g = "
             "c_res / curvature (c_res=%g)"
-            % (bad[0], h_t[bad[0]], threshold, c_res))
+            % (bad[0], active_mesh.h_T[bad[0]], threshold, c_res))

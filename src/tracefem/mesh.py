@@ -4,9 +4,9 @@ The background mesh partitions a square bbox into n_cells x n_cells
 squares, each split into two triangles along its NE diagonal, given by
 formula, so that the active mesh is built from a band of cells alone.
 It keeps the triangles intersecting the circle (exact point-triangle
-distance predicate) and numbers the vertices they touch as the dofs of
-the continuous P1 space.  The triangle helpers below broadcast over
-stacks of triangles.
+distance predicate, in the frame of the cut, where no tolerance has a
+unit) and numbers the vertices they touch as the dofs of the continuous
+P1 space.  The triangle helpers below broadcast over stacks of triangles.
 """
 
 from __future__ import annotations
@@ -84,12 +84,8 @@ def barycentric(tri, p):
 
 def p1_gradients(tri):
     """Constant gradients (..., 3, 2) of the three barycentric functions."""
-    a, b, c = tri[..., 0, :], tri[..., 1, :], tri[..., 2, :]
-    g = np.stack([
-        np.stack([b[..., 1] - c[..., 1], c[..., 0] - b[..., 0]], axis=-1),
-        np.stack([c[..., 1] - a[..., 1], a[..., 0] - c[..., 0]], axis=-1),
-        np.stack([a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]], axis=-1),
-    ], axis=-2)
+    e = np.roll(tri, -1, axis=-2) - np.roll(tri, 1, axis=-2)  # opposite edges
+    g = np.stack([e[..., 1], -e[..., 0]], axis=-1)
     return g / twice_area(tri)[..., None, None]
 
 
@@ -110,22 +106,21 @@ def build_background(bbox, n_cells):
     return BackgroundMesh(bbox=(lo, hi), n_cells=n, h_global=(hi - lo) / n)
 
 
-def _cuts_circle(tri, center, radius):
-    """Exact predicate min_{x in T} |x-c| <= R <= max_{x in T} |x-c|.
+def _cuts_circle(xi, rho):
+    """Exact predicate min_{x in T} |x| <= rho <= max_{x in T} |x|.
 
-    ``tri`` is a stack (m, 3, 2).  The dot products go through np.vecdot,
-    which rounds like np.dot on one pair of vectors, so ties on grazing
-    edges and through vertices fall as in a test of one triangle.
+    ``xi`` is a stack (m, 3, 2) in the frame of the cut.  The dot products
+    go through np.vecdot, which rounds like np.dot on one pair of vectors,
+    so ties on grazing edges and through vertices fall as in a test of
+    one triangle.
     """
-    rel = tri - center
-    dmax = np.hypot(rel[..., 0], rel[..., 1]).max(axis=1)
-    inside = barycentric(tri, center).min(axis=1) >= 0.0
-    a, b = tri, np.roll(tri, -1, axis=1)          # edges k -> k+1
-    d = b - a
-    t = np.clip(np.vecdot(center - a, d) / np.vecdot(d, d), 0.0, 1.0)
-    foot = a + t[..., None] * d - center
+    dmax = np.hypot(xi[..., 0], xi[..., 1]).max(axis=1)
+    inside = barycentric(xi, np.zeros(2)).min(axis=1) >= 0.0
+    d = np.roll(xi, -1, axis=1) - xi              # edges k -> k+1
+    t = np.clip(np.vecdot(-xi, d) / np.vecdot(d, d), 0.0, 1.0)
+    foot = xi + t[..., None] * d
     dmin = np.where(inside, 0.0, np.hypot(foot[..., 0], foot[..., 1]).min(axis=1))
-    return (dmin <= radius) & (radius <= dmax)
+    return (dmin <= rho) & (rho <= dmax)
 
 
 def select_active(background, surface):
@@ -134,11 +129,11 @@ def select_active(background, surface):
     Only the grid cells whose centre lies within R +- sqrt2 h of the
     circle can hold a cut triangle (every point of a cell is within
     h / sqrt2 of its centre); only their triangles are built, and the
-    exact predicate runs on them.  The cell-centre distances (8 B per
-    cell) are the one array of n_cells^2 entries.  Dofs are numbered in
-    order of first appearance.  A circle that leaves the closed bbox is
-    an InvalidConfig, whether or not it cuts the mesh; one inside it
-    cuts some element, and EmptyIntersection guards that.
+    exact predicate runs on them in the frame of the cut.  The cell-centre
+    distances (8 B per cell) are the one array of n_cells^2 entries.  Dofs
+    are numbered in order of first appearance.  A circle that leaves the
+    closed bbox is an InvalidConfig, whether or not it cuts the mesh; one
+    inside it cuts some element, and EmptyIntersection guards that.
     """
     center, radius = surface.center, surface.radius
     lo, hi = background.bbox
@@ -152,25 +147,24 @@ def select_active(background, surface):
     cells = np.flatnonzero(np.abs(dist, out=dist) <= np.sqrt(2.0) * h)
     tris = background.cell_triangles(cells)
     pts = background.coords(tris)
-    cut = _cuts_circle(pts, center, radius)
+    xi, rho, scale = surface.frame(pts, h)
+    cut = _cuts_circle(xi, rho)
     active = (2 * cells[:, None] + np.arange(2)).ravel()[cut]
     if not len(active):
         raise EmptyIntersection("no background element intersects the surface")
 
-    tris, pts = tris[cut], pts[cut]
+    tris, pts, xi = tris[cut], pts[cut], xi[cut]
     uniq, first, inverse = np.unique(tris.ravel(), return_index=True,
                                      return_inverse=True)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    dofs = uniq[order]
+    rank, dofs = np.argsort(order), uniq[order]
 
     edge = pts - np.roll(pts, -1, axis=1)
     return ActiveMesh(background=background, active=active, dofs=dofs,
                       elements=rank[inverse].reshape(-1, 3),
                       coords=background.coords(dofs),
                       h_T=np.hypot(edge[..., 0], edge[..., 1]).max(axis=1),
-                      grad=p1_gradients(pts))
+                      grad=p1_gradients(xi) / scale)
 
 
 def write_vtk(active_mesh, path, values=None, time=None):

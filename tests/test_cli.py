@@ -575,14 +575,14 @@ class TestNumericalFailure:
         assert len(lines) == 2 and lines[1].startswith("24,")
 
     def test_overflowing_cut_fails_in_one_line(self, tmp_path):
-        # at +-1e160 the selection's squares overflow and no element reads
-        # as cut (the cut is not scale-free): one line, exit 1
+        # at +-1e160 the cut runs in its frame, but the element areas,
+        # h^2 / 2 = 4.9e316, leave the double range: one line, exit 1
         cfg = write_cfg(tmp_path / "c.json", bbox=[-1e160, 1e160],
                         radius=1e159, n_cells=[64])
         assert run_cli("quadcheck", "--config", cfg,
                        "--out", str(tmp_path / "out")) == (
-            EXIT_NUMERICAL, ["numerical failure: no background element "
-                             "intersects the surface"])
+            EXIT_NUMERICAL, ["numerical failure: active triangle 0 has area "
+                             "4.9e+316, beyond the double range"])
 
     def test_grazing_run_fails_in_one_line(self, tmp_path):
         # the circle grazes mesh edges at n_cells=48; the dropped
@@ -666,6 +666,54 @@ def test_rerun_bytes(tmp_path, sub, extra):
         outs.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert sorted(outs[0]) == sorted(OUTPUTS[sub])
     assert outs[0] == outs[1]
+
+
+def scaled_circle(path, s):
+    """configs/circle.json with every length multiplied by s, written to
+    path; the path as a string."""
+    cfg = json.loads((ROOT / "configs" / "circle.json").read_text())
+    cfg.update(center=[s * v for v in cfg["center"]],
+               radius=s * cfg["radius"], bbox=[s * v for v in cfg["bbox"]])
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def scaled_rows(tmp_path, sub, s, name):
+    """The rows, split at commas, of the CSV name that sub writes on the
+    scaled circle."""
+    out = tmp_path / ("%s-%r" % (sub, s))
+    cfg = scaled_circle(tmp_path / "c.json", s)
+    assert main([sub, "--config", cfg, "--out", str(out)]) == EXIT_OK, s
+    return [line.split(",") for line in (out / name).read_text().splitlines()]
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadcheck_is_scale_free(tmp_path):
+    # a power of two scales every length exactly: h and arc_length scale
+    # by s, and the cut, its audits and the self-test do not move
+    unit = scaled_rows(tmp_path, "quadcheck", 1.0, "quadcheck.csv")
+    for k in (-30, -10, 10, 30):
+        s = 2.0 ** k
+        rows = scaled_rows(tmp_path, "quadcheck", s, "quadcheck.csv")
+        assert rows[0] == unit[0] and len(rows) == len(unit), k
+        for got, want in zip(rows[1:], unit[1:]):
+            for name, a, b in zip(unit[0], got, want):
+                if name in ("h", "arc_length"):
+                    assert float(a) == s * float(b), (k, name)
+                else:
+                    assert a == b, (k, name)
+
+
+@pytest.mark.filterwarnings("error")
+def test_project_rates_are_scale_free(tmp_path):
+    # 1e-3 and 1e3 are not powers of two: the rates move by rounding only
+    def rates(s):
+        return np.array(scaled_rows(tmp_path, "project", s,
+                                    "project_rates.csv")[1], dtype=float)
+
+    unit = rates(1.0)
+    for s in (1e-3, 1e3):
+        assert np.abs(rates(s) - unit).max() <= 1e-8, s
 
 
 def test_fmt_stability(tmp_path):

@@ -12,9 +12,9 @@ from tracefem.mesh import build_background, select_active
 
 def _arcs(tri, center, radius):
     """Arcs (k, 2) of the circle inside one closed triangle: the batched
-    cut of a stack of one."""
-    return cut_triangles(np.asarray(tri, dtype=float)[None], center,
-                         radius)[0]
+    cut of a stack of one, in the frame of the circle with L = R."""
+    xi, rho, _ = LevelSetSurface.circle(center, radius).frame(tri, 0.0)
+    return cut_triangles(xi[None], rho)[0]
 
 
 def _arc_length(arcs):

@@ -3,12 +3,16 @@
 The functions prefixed ``old_`` are the per-element background mesh,
 active selection, exact cut, cut topology, assembly and Fourier
 coupling that the vectorized code replaced.  They live here only as a
-reference.  The active set, the dof numbering, the element table and
-the cut (arc ends, node offsets, dropped contacts and the surface nodes
-built from them) must match exactly, the per-element surface quadrature
-arrays to 1e-14 and the matrices to 1e-13 relative (largest entry
-difference over largest entry).  A RuntimeWarning fails every test here:
-a successful run leaves stderr empty.
+reference.  The oracle cuts in the same frame of the cut as the package
+(``LevelSetSurface.frame``), so the active set, the dof numbering, the
+element table and the cut (arc ends, node offsets, dropped contacts and
+the surface nodes built from them) must match exactly, the per-element
+surface quadrature arrays to 1e-14 and the matrices to 1e-13 relative
+(largest entry difference over largest entry).  Fed physical
+coordinates, the same oracle is the cut before the frame, and
+``test_frame_against_physical_cut`` bounds the rounding between the two.
+A RuntimeWarning fails every test here: a successful run leaves stderr
+empty.
 """
 
 import numpy as np
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 from tracefem.assembly import assemble, assemble_fourier
 from tracefem.cutquad import (build_topology, cut_triangles,
                               oscillation_order, surface_rule)
-from tracefem.errors import EmptyIntersection
+from tracefem.errors import SingularElement
 from tracefem.geometry import LevelSetSurface
 from tracefem.mesh import (_cuts_circle, barycentric, build_background,
                            p1_gradients, select_active)
@@ -35,6 +39,7 @@ N_SMALL = 24                 # h = 1/8 for the drawn placements
 H_SMALL = (BBOX[1] - BBOX[0]) / N_SMALL
 K_SMALL = 16
 TWO_PI = 2.0 * np.pi
+ORIGIN = np.zeros(2)         # the centre of the circle in the frame of the cut
 
 
 # -- the per-element reference implementation --------------------------------
@@ -79,9 +84,12 @@ def _old_circle_cuts_triangle(tri, center, radius):
     return dmin <= radius <= dmax
 
 
-def old_select_active(vertices, triangles, center, radius):
+def old_select_active(vertices, triangles, surface, h):
+    """The active set, dofs, element table and h_T; the predicate runs in
+    the frame of the cut on a mesh of width h."""
+    xi, rho, _ = surface.frame(vertices, h)
     active = [e for e, tri in enumerate(triangles)
-              if _old_circle_cuts_triangle(vertices[tri], center, radius)]
+              if _old_circle_cuts_triangle(xi[tri], ORIGIN, rho)]
     dof_of_vertex = {}
     for e in active:
         for v in triangles[e]:
@@ -160,24 +168,27 @@ def old_cut_element(tri, center, radius):
 
 
 def check_cut_exactly(surface, mesh, topo):
-    """The batched cut in topo equals old_cut_element on every element,
-    and so do the surface nodes, weights and P1 values built from it."""
-    center, radius, q = surface.center, surface.radius, topo.q_surf
-    tri = mesh.coords[mesh.elements]
-    cuts = [old_cut_element(t, center, radius) for t in tri]
+    """The batched cut in topo equals old_cut_element in the frame of the
+    cut on every element, and so do the surface nodes, weights and P1
+    values built from it."""
+    q = topo.q_surf
+    tri, rho, _ = surface.frame(mesh.coords[mesh.elements],
+                                mesh.background.h_global)
+    cuts = [old_cut_element(t, ORIGIN, rho) for t in tri]
     ends = np.reshape([arc for arcs, _ in cuts for arc in arcs], (-1, 2))
     per_element = np.array([len(arcs) for arcs, _ in cuts], dtype=np.int64)
     assert np.array_equal(topo.arc_ends, ends)
     assert np.array_equal(topo.elem_ptr,
                           np.concatenate([[0], np.cumsum(q * per_element)]))
     assert topo.dropped_contacts == sum(dropped for _, dropped in cuts)
-    pts, w, _, theta = surface_rule(center, radius, ends, q)
+    _, w, normal, theta = surface_rule(surface.center, surface.radius,
+                                       ends, q)
     elem = np.repeat(np.arange(len(tri)), q * per_element)
     assert np.array_equal(topo.w, w)
     assert np.array_equal(topo.theta, theta)
-    assert np.array_equal(topo.bary, barycentric(tri[elem], pts))
+    assert np.array_equal(topo.bary, barycentric(tri[elem], rho * normal))
     for t, (arcs, _) in zip(tri, cuts):
-        one = cut_triangles(t[None], center, radius)[0]
+        one = cut_triangles(t[None], rho)[0]
         assert np.array_equal(one, np.reshape(arcs, (-1, 2)))
 
 
@@ -192,14 +203,18 @@ _VOL_BARY = np.array([
 ])
 
 
-def old_topology(center, radius, coords, elements, q):
-    """Per-element lists: arcs, pts, w, normal, theta, bary, v_w, v_normal."""
+def old_topology(surface, h, coords, elements, q):
+    """Per-element lists: arcs, pts, w, normal, theta, bary, v_w, v_normal;
+    the arcs and P1 values come from the frame of the cut on a mesh of
+    width h."""
+    center, radius = surface.center, surface.radius
+    xi, rho, _ = surface.frame(coords, h)
     gx, gw = np.polynomial.legendre.leggauss(q)
     out = {k: [] for k in ("arcs", "pts", "w", "normal", "theta", "bary",
                            "v_w", "v_normal")}
     for dd in elements:
         tri = coords[dd]
-        arcs = old_cut_element(tri, center, radius)[0]
+        arcs = old_cut_element(xi[dd], ORIGIN, rho)[0]
         theta = np.concatenate(
             [0.5 * (b - a) * gx + 0.5 * (a + b) for a, b in arcs] or [[]])
         w = np.concatenate(
@@ -211,8 +226,8 @@ def old_topology(center, radius, coords, elements, q):
         d = _VOL_BARY @ tri - center
         for key, val in (("arcs", arcs), ("pts", pts), ("w", w),
                          ("normal", normal), ("theta", theta),
-                         ("bary", np.array([_old_barycentric(tri, p) for p in pts])
-                          .reshape(-1, 3)),
+                         ("bary", np.array([_old_barycentric(xi[dd], rho * p)
+                                            for p in normal]).reshape(-1, 3)),
                          ("v_w", _VOL_W * area),
                          ("v_normal", d / np.hypot(d[:, 0], d[:, 1])[:, None])):
             out[key].append(val)
@@ -270,7 +285,7 @@ def _rel(new, old):
 
 def check_against_oracle(surface, bbox, n_cells, k_max, new=None):
     """Build (or take) the flat pipeline and compare it with old_*."""
-    center, radius = surface.center, surface.radius
+    radius = surface.radius
     if new is None:
         bg = build_background(bbox, n_cells)
         mesh = select_active(bg, surface)
@@ -287,14 +302,15 @@ def check_against_oracle(surface, bbox, n_cells, k_max, new=None):
     assert np.array_equal(bg.triangles, triangles)
 
     active, dofs, elements, h_t = old_select_active(vertices, triangles,
-                                                    center, radius)
+                                                    surface, bg.h_global)
     assert np.array_equal(mesh.active, active)
     assert np.array_equal(mesh.dofs, dofs)
     assert np.array_equal(mesh.elements, elements)
     assert np.array_equal(mesh.h_T, h_t)
 
     check_cut_exactly(surface, mesh, topo)
-    old = old_topology(center, radius, mesh.coords, elements, topo.q_surf)
+    old = old_topology(surface, bg.h_global, mesh.coords, elements,
+                       topo.q_surf)
     for key in ("pts", "w", "normal", "theta", "bary"):
         assert _rel(getattr(topo, key), np.concatenate(old[key])) <= 1e-14, key
     assert _rel(topo.v_w, np.array(old["v_w"])) <= 1e-14
@@ -372,15 +388,15 @@ def test_inside_one_triangle_is_one_full_arc():
 
 # -- the band against the full table -------------------------------------------
 
-def full_table_mesh(bbox, n, center, radius):
+def full_table_mesh(bbox, n, surface):
     """(active, dofs, elements, coords, h_T, grad) from the whole table of
-    old_background: the exact predicate on every triangle, no band, and
-    the dofs numbered in order of first appearance."""
+    old_background: the exact predicate in the frame of the cut on every
+    triangle, no band, and the dofs numbered in order of first
+    appearance."""
     vertices, triangles = old_background(bbox, n)
     pts = vertices[triangles]
-    active = np.flatnonzero(_cuts_circle(pts, np.asarray(center), radius))
-    if not len(active):
-        raise EmptyIntersection("no background element intersects the surface")
+    xi, rho, scale = surface.frame(pts, (bbox[1] - bbox[0]) / n)
+    active = np.flatnonzero(_cuts_circle(xi, rho))
     dof_of = {}
     for v in triangles[active].ravel():
         dof_of.setdefault(int(v), len(dof_of))
@@ -390,7 +406,20 @@ def full_table_mesh(bbox, n, center, radius):
     pts = pts[active]
     edge = pts - np.roll(pts, -1, axis=1)
     h_t = np.hypot(edge[..., 0], edge[..., 1]).max(axis=1)
-    return active, dofs, elements, vertices[dofs], h_t, p1_gradients(pts)
+    return (active, dofs, elements, vertices[dofs], h_t,
+            p1_gradients(xi[active]) / scale)
+
+
+def check_band(bbox, n, surface):
+    """select_active equals full_table_mesh, and returns the mesh."""
+    mesh = select_active(build_background(bbox, n), surface)
+    want = full_table_mesh(bbox, n, surface)
+    got = (mesh.active, mesh.dofs, mesh.elements, mesh.coords, mesh.h_T,
+           mesh.grad)
+    for name, a, b in zip(("active", "dofs", "elements", "coords", "h_T",
+                           "grad"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    return mesh
 
 
 # the circle touches the bbox where its centre sits at +-(hi - R)
@@ -402,26 +431,56 @@ EDGE_PLACEMENTS = [(n, (0.0, 0.0), 1.0) for n in (1, 7, 193)] + [
 
 @pytest.mark.parametrize("n, center, radius", EDGE_PLACEMENTS)
 def test_band_matches_full_table(n, center, radius):
-    mesh = select_active(build_background(BBOX, n),
-                         LevelSetSurface.circle(center, radius))
-    want = full_table_mesh(BBOX, n, center, radius)
-    got = (mesh.active, mesh.dofs, mesh.elements, mesh.coords, mesh.h_T,
-           mesh.grad)
-    for name, a, b in zip(("active", "dofs", "elements", "coords", "h_T",
-                           "grad"), got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    check_band(BBOX, n, LevelSetSurface.circle(center, radius))
 
 
 def test_overflowing_coordinates_fail_alike():
-    # at +-1e160 the predicate's products overflow: the full table finds
-    # no cut triangle either, so the band route fails the same way
-    bbox, center, radius = (-1e160, 1e160), (0.0, 0.0), 1e159
-    surface = LevelSetSurface.circle(center, radius)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(EmptyIntersection):
-            full_table_mesh(bbox, 64, center, radius)
-        with pytest.raises(EmptyIntersection):
-            select_active(build_background(bbox, 64), surface)
+    # at +-1e160 the frame keeps the selection finite, so the band and the
+    # full table agree; only the element areas, h^2 / 2 = 4.9e316, leave
+    # the double range, and the topology names the first of them
+    surface = LevelSetSurface.circle((0.0, 0.0), 1e159)
+    mesh = check_band((-1e160, 1e160), 64, surface)
+    with pytest.raises(SingularElement, match=r"^active triangle 0 has area "
+                       r"4\.9e\+316, beyond the double range$"):
+        build_topology(surface, mesh)
+
+
+# -- the frame against the physical cut ------------------------------------------
+
+def test_frame_against_physical_cut():
+    # Fed physical coordinates, the per-element oracle is the cut before
+    # the frame.  On drawn off-centre circles the frame moves rounding
+    # alone: the same active sets and arcs, the arc ends within 5e-14 rad
+    # and the P1 values and weights within 5e-13 (over 480 placements the
+    # worst were 1.2e-14, 8.1e-14 and 1.3e-13).
+    rng = np.random.default_rng(1)
+    bg = build_background(BBOX, N_SMALL)
+    vertices, triangles = old_background(BBOX, N_SMALL)
+    mid = BBOX[0] + H_SMALL * (np.arange(N_SMALL) + 0.5)
+    worst = np.zeros(3)
+    for _ in range(40):
+        center, radius = rng.uniform(-0.3, 0.3, 2), rng.uniform(0.4, 1.0)
+        surface = LevelSetSurface.circle(center, radius)
+        mesh = select_active(bg, surface)
+        topo = build_topology(surface, mesh)
+        # a cut triangle lies in a cell whose centre is within R +- 2h
+        dist = np.hypot(mid[:, None] - center[0], mid[None, :] - center[1])
+        cells = np.flatnonzero(np.abs(dist - radius) <= 2.0 * H_SMALL)
+        near = (2 * cells[:, None] + np.arange(2)).ravel()
+        assert np.array_equal(mesh.active, [
+            e for e in near if _old_circle_cuts_triangle(
+                vertices[triangles[e]], center, radius)])
+        tri = mesh.coords[mesh.elements]
+        cuts = [old_cut_element(t, center, radius)[0] for t in tri]
+        assert np.array_equal(np.diff(topo.elem_ptr),
+                              [topo.q_surf * len(arcs) for arcs in cuts])
+        ends = np.reshape([arc for arcs in cuts for arc in arcs], (-1, 2))
+        pts, w, _, _ = surface_rule(center, radius, ends, topo.q_surf)
+        worst = np.maximum(worst, [
+            np.abs(topo.arc_ends - ends).max(),
+            np.abs(topo.bary - barycentric(tri[topo.elem], pts)).max(),
+            np.abs(topo.w - w).max() / w.max()])
+    assert np.all(worst <= [5e-14, 5e-13, 5e-13]), worst
 
 
 # -- drawn placements ----------------------------------------------------------

@@ -1,6 +1,6 @@
 """The outputs of the shipped runs: python tools/shipped_outputs.py OUT
 
-Run it from the root of a checkout.  Each of the eight runs below goes
+Run it from the root of a checkout.  Each of the nine runs below goes
 through the CLI of that checkout's ``src`` in a fresh interpreter with
 one BLAS thread, and writes its files into ``OUT/<run>/``.  The exit is
 non-zero, naming the run, at the first run that fails.  To check that a
@@ -15,6 +15,9 @@ import sys
 import tempfile
 
 HEAT = {"scheme": "BDF2", "data": "forced_mode_2", "dt_rule": "h2/4"}
+with open("configs/circle.json") as fh:
+    CIRCLE = json.load(fh)
+S = 2.0 ** -10
 # run: (subcommand, config file or config, extra arguments)
 RUNS = {
     "quadcheck": ("quadcheck", "configs/circle.json", []),
@@ -28,6 +31,11 @@ RUNS = {
     # off the unit circle about the origin, where no division by R^2 is exact
     "converge-r08": ("converge", dict(HEAT, radius=0.8, center=[0.05, -0.03],
                                       n_cells=[24, 32, 48], t_final=0.25), []),
+    # the shipped problem with every length multiplied by S
+    "project-scaled": ("project", dict(
+        CIRCLE, center=[S * v for v in CIRCLE["center"]],
+        radius=S * CIRCLE["radius"], bbox=[S * v for v in CIRCLE["bbox"]]),
+        []),
 }
 
 
