@@ -11,14 +11,17 @@ Builds, over the active P1 space:
 
 plus the truncated Fourier probe (orthonormal circle harmonics, their
 H1/H-1 diagonal Grams and the coupling matrix G).  Local blocks are
-computed as batched products over runs of at most RUN_NODES quadrature
-nodes and summed per element.
+computed as batched products over runs of elements with equal node
+counts and summed per element.  ``assemble`` forms M, A, S_j and M_*;
+every other derived matrix (D, A_*, K_*) is built on first read from the
+kept element blocks.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,37 +32,56 @@ from .errors import AliasRisk
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Surface nodes per batched run of per-element work (the Gram blocks and
-# the coupling matrix G): the temporaries of larger runs stay resident
-# through the allocator and raise peak memory.
+# Surface nodes per batched run of the probe's coupling matrix G: its
+# per-run basis table of larger runs stays resident through the allocator
+# and raises peak memory.
 RUN_NODES = 128
 
 
 @dataclass
 class FemSystem:
+    """The assembled matrices of one mesh; D, A_* and K_* are formed on
+    first read."""
+
     mesh: object
     topology: object
     M: sp.csr_matrix
     A: sp.csr_matrix
     S: dict                       # j -> csr matrix, j in {-1, 0, 1}
-    D: sp.csr_matrix
     S_T: np.ndarray               # (n_active, 3, 3) normal Grams
+    m_T: np.ndarray               # (n_active, 3, 3) surface mass blocks
     M_star: sp.csr_matrix         # M + S0
-    A_star: sp.csr_matrix         # A + S1
-    K_star: sp.csr_matrix         # M + A + S1
 
     @property
     def n_dofs(self):
         return self.mesh.n_dofs
 
+    @cached_property
+    def D(self):
+        """The weighted local Gram sum h_T^2 (M_T + h_T S_T)."""
+        h_t = self.mesh.h_T[:, None, None]
+        return element_csr(self.mesh.elements,
+                           h_t ** 2 * (self.m_T + h_t * self.S_T), self.n_dofs)
 
-def _element_runs(topology):
+    @cached_property
+    def A_star(self):
+        """A + S1."""
+        return self.A + self.S[1]
+
+    @cached_property
+    def K_star(self):
+        """M + A + S1."""
+        return self.M + self.A + self.S[1]
+
+
+def _element_runs(topology, max_nodes=None):
     """Yield (elements, nodes, (k, c)) slices over runs of consecutive
-    elements that have c > 0 surface nodes each, at most RUN_NODES nodes.
+    elements that have c > 0 surface nodes each, of at most max_nodes
+    nodes when it is given.
 
     A run stacks into one batched matrix product that rounds like one
     product per element; taking the runs in order keeps the summation
-    order of a loop over elements, and the run size bounds the memory of
+    order of a loop over elements, and max_nodes bounds the memory of
     per-node temporaries.
     """
     ptr = topology.elem_ptr
@@ -69,7 +91,7 @@ def _element_runs(topology):
         c = int(counts[s])
         if c == 0:
             continue
-        step = max(1, RUN_NODES // c)
+        step = e - s if max_nodes is None else max(1, max_nodes // c)
         for a in range(s, e, step):
             b = min(a + step, e)
             yield slice(a, b), slice(ptr[a], ptr[b]), (b - a, c)
@@ -85,7 +107,8 @@ def element_csr(elements, blocks, n):
 
 
 def assemble(active_mesh, topology):
-    """Assemble every Gram matrix of the stabilized method."""
+    """Assemble M, A, S_j and M_* of the stabilized method; the system
+    forms D, A_* and K_* when they are first read."""
     n = active_mesh.n_dofs
     elems = active_mesh.elements
     h_t = active_mesh.h_T[:, None, None]
@@ -110,20 +133,17 @@ def assemble(active_mesh, topology):
     s_t = (dn * topology.v_w[..., None]).transpose(0, 2, 1) @ dn
 
     mass = element_csr(elems, m_t, n)
-    stiff = element_csr(elems, a_t, n)
     stab = {j: element_csr(elems, h_t ** (1 - 2 * j) * s_t, n)
             for j in (-1, 0, 1)}
     return FemSystem(
         mesh=active_mesh,
         topology=topology,
         M=mass,
-        A=stiff,
+        A=element_csr(elems, a_t, n),
         S=stab,
-        D=element_csr(elems, h_t ** 2 * (m_t + h_t * s_t), n),
         S_T=s_t,
+        m_T=m_t,
         M_star=mass + stab[0],
-        A_star=stiff + stab[1],
-        K_star=mass + stiff + stab[1],
     )
 
 
@@ -184,7 +204,7 @@ def assemble_fourier(topology, k_max=128):
     )
 
     wbary = topology.bary * topology.w[:, None]
-    for els, nodes, shape in _element_runs(topology):
+    for els, nodes, shape in _element_runs(topology, RUN_NODES):
         basis = probe.eval_basis(topology.theta[nodes])
         blocks = wbary[nodes].reshape(*shape, 3).transpose(0, 2, 1) \
             @ basis.reshape(*shape, -1)

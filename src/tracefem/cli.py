@@ -4,11 +4,13 @@ Subcommands: quadcheck, project, heat, diagnose, dtsweep, converge.
 Every mesh size starts with the cut stage (``cut``: circle, background,
 active selection, resolution check, cut quadrature), which needs numpy
 alone; ``quadcheck`` audits it and stops there, so it never loads scipy.
-The other subcommands build a ``Pipeline`` (the cut stage, then assembly
-and the operators with the LU of M_*), and ``main`` imports scipy's sparse
+The other subcommands build a ``Pipeline`` (the cut stage, then the
+assembly of M, A, S_j and M_*), and ``main`` imports scipy's sparse
 solvers for them once, after parsing and before the first ``Pipeline``.
-The operators build the Fourier probe and the LU of K_* when first read:
-only ``diagnose`` and ``converge`` read the probe, ``diagnose`` K_*.
+Every derived operator is built on first read (the LUs, the traces, the
+Fourier probe, D, A_* and K_*), so a subcommand builds only what it
+reads: ``dtsweep`` factors no LU of the operators, ``diagnose`` builds
+no trace, and only ``diagnose`` and ``converge`` read the probe.
 The subcommands that run a ladder of meshes (``project``, ``diagnose``,
 ``converge``) hold one mesh at a time: each mesh's ``Pipeline`` is dropped
 before the next one is built (``_per_mesh``).
@@ -155,7 +157,7 @@ def cut(cfg, n_cells):
 
 class Pipeline:
     """For one mesh: the cut stage (``cut``), then the assembled system and
-    the operators, which factor M_* (K_* and ``probe`` on first read)."""
+    the operators, which build each derived operator on first read."""
 
     def __init__(self, cfg, n_cells):
         self.surface, self.background, self.mesh, self.topology = \
@@ -199,10 +201,11 @@ def cmd_quadcheck(cfg, out):
         defect = arc_cover_defect(topo)
         max_arcs = int(np.diff(topo.elem_ptr).max()) // topo.q_surf
         # self-test: q and q+4 Gauss points on each arc must agree on
-        # oscillatory integrals int cos(k theta) ds / R, k <= 64
+        # oscillatory integrals int cos(k theta) ds / R, k <= 64; numpy's
+        # sum, not a BLAS dot, whose rounding moves with the thread count
         topo2 = build_topology(surface, mesh, q_surf=topo.q_surf + 4)
-        spec_diff = max(abs(topo.w @ np.cos(k * topo.theta)
-                            - topo2.w @ np.cos(k * topo2.theta))
+        spec_diff = max(abs(np.sum(topo.w * np.cos(k * topo.theta))
+                            - np.sum(topo2.w * np.cos(k * topo2.theta)))
                         for k in (1, 8, 32, 64)) / surface.radius
         rows.append([n, mesh.h, len(mesh.active), mesh.n_dofs,
                      length, rel, defect, max_arcs, float(spec_diff)])

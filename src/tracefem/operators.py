@@ -11,19 +11,20 @@ Discrete functions are rows x (k, n_dofs); a surface function is a
 profile g(theta) with time factors a (k,), the rows a_i g, whose
 tangential derivative is d/ds = R^-1 d/dtheta.  A time series goes a
 block of steps at a time, and one item is a stack of one.  Discrete
-functions reach the surface nodes through two sparse trace operators
-built once: ``trace`` (P1 values) and ``dtrace`` (tangential
-derivatives).  A profile is evaluated at the nodes once per mesh.  The
-Riesz data scale it by each time factor and apply trace'.  The L2* and
+functions reach the surface nodes through two sparse trace operators,
+``trace`` (P1 values) and ``dtrace`` (tangential derivatives).  A
+profile is evaluated at the nodes once per mesh.  The Riesz data scale
+it by each time factor and apply trace'.  The L2* and
 H1* errors split off the projection p = P_h g of the profile once per
 mesh (``_table``), so a state costs sparse products over the dofs and no
 node quadrature.  The H^-1 error takes the Fourier coefficients of the
 smooth function instead of it.  The circle is represented exactly, so
 ``function_coefficients`` integrates a smooth function on it with one
 rfft over equispaced angles; the Riesz data, the tables of the split
-errors and the probe's G keep the cut quadrature.  The Fourier probe and
-the LU of K_* are built when first read (``probe``, ``kstar``): the
-projection, the L2* and H1* quantities and the Riesz data read neither.
+errors and the probe's G keep the cut quadrature.  Every derived
+operator is built on first read: the LUs of M_* and K_* (``mstar``,
+``kstar``), the traces and the Fourier probe, so a run builds only
+those its quantities read.
 """
 
 from __future__ import annotations
@@ -105,23 +106,45 @@ class DiscreteOperators:
     on each call adds an entry that lives as long as the operators."""
 
     def __init__(self, system, k_max):
-        import scipy.sparse as sp   # here: a cut alone loads no scipy
         self.system = system
-        self.topology = topo = system.topology
-        self.mesh = mesh = system.mesh
+        self.topology = system.topology
+        self.mesh = system.mesh
         self.k_max = k_max
-        self.mstar = _Factor(system.M_star, "M_star")
-        # (n_nodes, n_dofs): row n holds the P1 functions of n's element
-        cols = mesh.elements[topo.elem].ravel()
-        ptr = np.arange(0, len(cols) + 1, 3)
-        tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
-        dphi = np.einsum("nd,nid->ni", tangent, mesh.grad[topo.elem])
-        shape = (len(topo.w), mesh.n_dofs)
-        self.trace = sp.csr_matrix((topo.bary.ravel(), cols, ptr), shape=shape)
-        self.dtrace = sp.csr_matrix((dphi.ravel(), cols, ptr), shape=shape)
-        self.trace_t = self.trace.T.tocsr()       # the Riesz data's trace'
         self._nodes = {}        # profile -> its values at the surface nodes
         self._tables = {}       # (profile, derivative or None) -> _table
+
+    @cached_property
+    def mstar(self):
+        """The LU of M_star, factored on first read."""
+        return _Factor(self.system.M_star, "M_star")
+
+    def _nodal(self, values):
+        """The (n_nodes, n_dofs) CSR matrix whose row n holds values[n],
+        the three entries of n's element."""
+        import scipy.sparse as sp   # here: a cut alone loads no scipy
+        topo, mesh = self.topology, self.mesh
+        cols = mesh.elements[topo.elem].ravel()
+        ptr = np.arange(0, len(cols) + 1, 3)
+        return sp.csr_matrix((values.ravel(), cols, ptr),
+                             shape=(len(topo.w), mesh.n_dofs))
+
+    @cached_property
+    def trace(self):
+        """The P1 values at the surface nodes."""
+        return self._nodal(self.topology.bary)
+
+    @cached_property
+    def dtrace(self):
+        """The P1 tangential derivatives at the surface nodes."""
+        topo = self.topology
+        tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
+        return self._nodal(np.einsum("nd,nid->ni", tangent,
+                                     self.mesh.grad[topo.elem]))
+
+    @cached_property
+    def trace_t(self):
+        """trace' as a CSR copy: the Riesz data's transpose."""
+        return self.trace.T.tocsr()
 
     @cached_property
     def probe(self):

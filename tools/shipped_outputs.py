@@ -1,6 +1,6 @@
 """The outputs of the shipped runs: python tools/shipped_outputs.py OUT
 
-Run it from the root of a checkout.  Each of the nine runs below goes
+Run it from the root of a checkout.  Each of the eleven runs below goes
 through the CLI of that checkout's ``src`` in a fresh interpreter with
 one BLAS thread, and writes its files into ``OUT/<run>/``.  The exit is
 non-zero, naming the run, at the first run that fails.  To check that a
@@ -25,9 +25,13 @@ RUNS = {
     "converge": ("converge", "configs/circle.json", []),
     "diagnose": ("diagnose", "configs/circle.json", ["--seed", "7"]),
     "dtsweep": ("dtsweep", "configs/dtsweep.json", []),
+    "dtsweep-literal": ("dtsweep", "configs/dtsweep.json",
+                        ["--literal-eq-matrices"]),
     "heat-192-bdf2": ("heat", dict(HEAT, n_cells=[192], t_final=0.25), []),
     "heat-48-cn": ("heat", dict(HEAT, n_cells=[48], scheme="CrankNicolson",
                                 t_final=0.1), []),
+    "heat-48-no-time-stab": ("heat", dict(HEAT, n_cells=[48], t_final=0.1),
+                             ["--no-time-stab"]),
     # off the unit circle about the origin, where no division by R^2 is exact
     "converge-r08": ("converge", dict(HEAT, radius=0.8, center=[0.05, -0.03],
                                       n_cells=[24, 32, 48], t_final=0.25), []),
