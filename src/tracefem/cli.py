@@ -4,9 +4,10 @@ Subcommands: quadcheck, project, heat, diagnose, dtsweep, converge.
 Every mesh size starts with the cut stage (``cut``: circle, background,
 active selection, resolution check, cut quadrature), which needs numpy
 alone; ``quadcheck`` audits it and stops there, so it never loads scipy.
-The other subcommands build a ``Pipeline`` (the cut stage, then the
-assembly of M, A, S_j and M_*), and ``main`` imports scipy's sparse
-solvers for them once, after parsing and before the first ``Pipeline``.
+The other subcommands build a ``Pipeline`` (the cut stage with the length
+and cover audits of ``quadcheck``, then the assembly of M, A, S_j and
+M_*), and ``main`` imports scipy's sparse solvers for them once, after
+parsing and before the first ``Pipeline``.
 Every derived operator is built on first read (the LUs, the traces, the
 Fourier probe, D, A_* and K_*), so a subcommand builds only what it
 reads: ``dtsweep`` factors no LU of the operators, ``diagnose`` builds
@@ -155,13 +156,29 @@ def cut(cfg, n_cells):
     return surface, background, mesh, build_topology(surface, mesh, q_surf=q)
 
 
+def _cut_audit(topo, *extra):
+    """The cut's rel_err and cover_defect, and a line "name value > limit"
+    for each of them and of the extra (name, value, limit) that fails."""
+    exact = 2.0 * np.pi * topo.surface.radius
+    rel = abs(topo.total_length - exact) / exact
+    defect = arc_cover_defect(topo)
+    audits = [("rel_err", rel, 1e-10), ("cover_defect", defect, 1e-10), *extra]
+    return rel, defect, ["%s %.2g > %g" % a for a in audits if a[1] > a[2]]
+
+
 class Pipeline:
-    """For one mesh: the cut stage (``cut``), then the assembled system and
-    the operators, which build each derived operator on first read."""
+    """For one mesh: the cut stage (``cut``) and its length and cover
+    audits, then the assembled system and the operators, which build each
+    derived operator on first read.  A cut that misses an audit is an
+    AuditFailure, so no subcommand solves on it."""
 
     def __init__(self, cfg, n_cells):
         self.surface, self.background, self.mesh, self.topology = \
             cut(cfg, n_cells)
+        failed = _cut_audit(self.topology)[2]
+        if failed:
+            raise AuditFailure("cut at n_cells=%d: %s"
+                               % (n_cells, ", ".join(failed)))
         self.system = assemble(self.mesh, self.topology)
         self.ops = DiscreteOperators(self.system, cfg["k_max"])
 
@@ -195,10 +212,6 @@ def cmd_quadcheck(cfg, out):
     rows = []
     for n in cfg["n_cells"]:
         surface, _, mesh, topo = cut(cfg, n)
-        length = topo.total_length
-        exact = 2.0 * np.pi * cfg["radius"]
-        rel = abs(length - exact) / exact
-        defect = arc_cover_defect(topo)
         max_arcs = int(np.diff(topo.elem_ptr).max()) // topo.q_surf
         # self-test: q and q+4 Gauss points on each arc must agree on
         # oscillatory integrals int cos(k theta) ds / R, k <= 64; numpy's
@@ -207,11 +220,11 @@ def cmd_quadcheck(cfg, out):
         spec_diff = max(abs(np.sum(topo.w * np.cos(k * topo.theta))
                             - np.sum(topo2.w * np.cos(k * topo2.theta)))
                         for k in (1, 8, 32, 64)) / surface.radius
+        rel, defect, failed = _cut_audit(
+            topo, ("spectral_selftest", spec_diff, 1e-11))
         rows.append([n, mesh.h, len(mesh.active), mesh.n_dofs,
-                     length, rel, defect, max_arcs, float(spec_diff)])
-        failed = ["%s %.2g > %g" % (name, v, tol) for name, v, tol in (
-            ("rel_err", rel, 1e-10), ("cover_defect", defect, 1e-10),
-            ("spectral_selftest", spec_diff, 1e-11)) if v > tol]
+                     topo.total_length, rel, defect, max_arcs,
+                     float(spec_diff)])
         if failed:
             break
     write_csv(os.path.join(out, "quadcheck.csv"), hdr, rows)

@@ -100,10 +100,11 @@ def cut_triangles(xi, rho):
     ends = np.column_stack([th0, th1])[inside]
     owner = owner[inside]
 
-    # An element no edge crosses holds the whole circle or none of it.
+    # An element no edge crosses holds the whole circle or none of it: all
+    # of it if it holds both the centre and the point (rho, 0) of the circle.
     none = np.flatnonzero(~crossed)
-    full = none[barycentric(xi[none], np.array([rho, 0.0])).min(axis=-1)
-                >= 0.0]
+    probe = np.array([[0.0, 0.0], [rho, 0.0]])
+    full = none[barycentric(xi[none, None], probe).min(axis=(1, 2)) >= 0.0]
     ends = np.concatenate([ends, np.tile([0.0, TWO_PI], (len(full), 1))])
     owner = np.concatenate([owner, full])
     order = np.argsort(owner, kind="stable")

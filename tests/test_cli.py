@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,9 +10,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracefem
-from tracefem import cli, operators
+from tracefem import cli, cutquad, operators
 from tracefem.assembly import assemble, assemble_fourier
 from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
@@ -635,6 +638,27 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERICAL
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("sub, name, files", [
+        ("quadcheck", "quadcheck", ["quadcheck.csv"]), ("project", "cut", [])],
+        ids=["quadcheck", "project"])
+    def test_cut_audit(self, tmp_path, capsys, monkeypatch, sub, name, files):
+        # a cut that loses an arc misses the length and cover audits:
+        # quadcheck writes its row and fails, project fails before it solves
+        cut_triangles = cutquad.cut_triangles
+
+        def lose_an_arc(xi, rho):
+            ends, owner, dropped = cut_triangles(xi, rho)
+            return ends[1:], owner[1:], dropped
+
+        monkeypatch.setattr(cutquad, "cut_triangles", lose_an_arc)
+        cfg = write_cfg(tmp_path / "c.json", n_cells=[16])
+        out = tmp_path / "out"
+        err = self._fails(capsys, [sub, "--config", cfg, "--out", str(out)])
+        assert re.fullmatch(r"numerical failure: %s at n_cells=16: rel_err "
+                            r"\S+ > 1e-10, cover_defect \S+ > 1e-10" % name,
+                            err), err
+        assert os.listdir(out) == files
+
     def test_output_not_writable(self, tmp_path):
         # the CSV path is taken by a directory: one line, not a traceback
         out = tmp_path / "out"
@@ -691,6 +715,36 @@ class TestNumericalFailure:
                        "sandwich_pass on n16")
         lines = (out / "diagnose.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].endswith(",0,1")
+
+
+@st.composite
+def _placements(draw):
+    """(center, radius, n_cells): a drawn circle, or one with c_x and R in
+    steps of 1/8, which the grid lines x = c_x +- R touch between two
+    vertices for almost every c_y."""
+    n = draw(st.sampled_from([24, 48]))
+    c_y = draw(st.floats(-0.3, 0.3))
+    if draw(st.booleans()):
+        radius = draw(st.sampled_from([0.5, 0.625, 0.75, 1.0]))
+        return [draw(st.integers(-2, 2)) * 0.125, c_y], radius, n
+    return [draw(st.floats(-0.3, 0.3)), c_y], draw(st.floats(0.4, 1.0)), n
+
+
+@settings(max_examples=20)
+@given(_placements())
+def test_project_solves_only_cuts_quadcheck_accepts(tmp_path_factory,
+                                                    placement):
+    # a cut that quadcheck rejects on its length or cover audit fails
+    # project with it; one that passes them lets project run
+    center, radius, n = placement
+    out = tmp_path_factory.mktemp("run")
+    cfg = write_cfg(out / "c.json", center=center, radius=radius,
+                    n_cells=[n], k_max=16)
+    main(["quadcheck", "--config", cfg, "--out", str(out)])
+    row = (out / "quadcheck.csv").read_text().splitlines()[1].split(",")
+    rejected = float(row[5]) > 1e-10 or float(row[6]) > 1e-10
+    assert main(["project", "--config", cfg, "--out", str(out)]) == (
+        EXIT_NUMERICAL if rejected else EXIT_OK)
 
 
 @pytest.mark.parametrize("sub, extra", [r[:2] for r in SMALL_RUNS],

@@ -6,10 +6,13 @@ the circle cuts the bulk mesh.  ``test_constants_uniform_to_768`` checks
 the criterion-3 and criterion-6 bounds on the ladder 48...768 (marked
 slow); ``test_cut_independence`` checks the variation over 48/96/192 for
 each of six fixed placements, including vertex hits and a radius near
-the resolution limit.
+the resolution limit; ``test_tangent_row`` checks a row of circles
+tangent to grid lines, at vertices and between them.
 """
 
+import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from tracefem import diagnostics as dg
 from tracefem.cli import Pipeline
@@ -62,3 +65,23 @@ def test_cut_independence(placement):
         reports.append(dg.constants_report(s.ops))
     for name in ("norm_Ph_H1star", "C_inv_h", "kappa_Pstar"):
         assert variation([getattr(r, name) for r in reports]) <= 2.0, name
+
+
+def test_tangent_row():
+    # c_x = 0 puts the tangent points (+-1, c_y) of the unit circle on the
+    # grid lines x = +-1 of the n=48 mesh: between two vertices for the 12
+    # offsets of c_y inside one cell, at a vertex for the two ends.  Over
+    # the row, kappa(M + S0) stays within 41.3 - 49.5 and ||P_h||_H1*
+    # varies by 1.002, while M is singular: a vertex that only elements
+    # touching Gamma at a point share carries no mass (dense eigenvalues,
+    # as in test_diagnostics.test_s0_contrast).
+    h = (CONFIG["bbox"][1] - CONFIG["bbox"][0]) / 48
+    norms = []
+    for c_y in h * np.arange(14) / 13:
+        s = Pipeline(dict(CONFIG, center=(0.0, c_y)), 48)
+        lam_m, lam_star = (sla.eigvalsh(m.toarray())
+                           for m in (s.system.M, s.system.M_star))
+        assert lam_star[-1] / lam_star[0] <= 100.0, c_y
+        assert lam_m[0] <= 1e-5 * lam_m[-1], c_y
+        norms.append(dg.op_norms_ph(s.ops)[1])
+    assert variation(norms) <= 1.1

@@ -1,6 +1,6 @@
 """The outputs of the shipped runs: python tools/shipped_outputs.py OUT
 
-Run it from the root of a checkout.  Each of the eleven runs below goes
+Run it from the root of a checkout.  Each of the twelve runs below goes
 through the CLI of that checkout's ``src`` in a fresh interpreter with
 one BLAS thread, and writes its files into ``OUT/<run>/``.  The exit is
 non-zero, naming the run, at the first run that fails.  To check that a
@@ -40,6 +40,8 @@ RUNS = {
         CIRCLE, center=[S * v for v in CIRCLE["center"]],
         radius=S * CIRCLE["radius"], bbox=[S * v for v in CIRCLE["bbox"]]),
         []),
+    # tangent to the grid lines x = +-1 between two vertices
+    "project-grazing": ("project", dict(CIRCLE, center=[0.0, 0.1]), []),
 }
 
 
