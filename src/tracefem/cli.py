@@ -96,9 +96,14 @@ _DEFAULTS = {key: row[0] for key, row in _KEYS.items()}
 
 
 def _lines(rows, sep):
-    """The rows as text lines: a string as it is, any other value "%.17g"."""
-    return [sep.join(v if isinstance(v, str) else "%.17g" % v for v in row)
-            + "\n" for row in rows]
+    """The rows as text lines: a string as it is, any other value "%.17g".
+    An array goes 4,096 rows at a time through tolist(), as list rows
+    format faster than array rows, so only a chunk is held as text."""
+    for i in range(0, len(rows), 4096):
+        chunk = rows[i:i + 4096]
+        for row in chunk.tolist() if isinstance(chunk, np.ndarray) else chunk:
+            yield sep.join(v if isinstance(v, str) else "%.17g" % v
+                           for v in row) + "\n"
 
 
 def write_csv(path, header, rows):
@@ -265,12 +270,11 @@ def cmd_heat(cfg, out):
     m_one = pipe.system.M @ np.ones(pipe.system.n_dofs)
     every = cfg["vtk_every"]
     hdr = ["t", "l2_star", "mean", "e_l2_star"]
-    times = hr.dt * np.arange(step_count(hr) + 1)
-    rows = np.empty((len(times), len(hdr)))
-    rows[:, 0] = times
+    rows = np.empty((step_count(hr) + 1, len(hdr)))
 
     def fold(first, states):
         row = rows[first:first + len(states)]
+        row[:, 0] = hr.dt * np.arange(first, first + len(states))
         row[:, 1] = ops.l2_star(states)
         row[:, 2] = states @ m_one
         row[:, 3] = ops.error_l2_star(man.profile, states,
@@ -282,7 +286,6 @@ def cmd_heat(cfg, out):
                           values=states[i], time=row[i, 0])
 
     run(ops, hr, fold)
-    rows = rows.tolist()      # list rows format faster than array rows
     write_csv(os.path.join(out, "heat.csv"), hdr, rows)
     write_dat(os.path.join(out, "heat.dat"), hdr, rows)
     return EXIT_OK

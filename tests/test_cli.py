@@ -671,15 +671,15 @@ class TestNumericalFailure:
                                  "directory: ")
 
     def test_step_grid_beyond_memory(self, tmp_path):
-        # 10^15 + 1 times ask for 7.11 PiB: the request fails at once and
-        # allocates nothing
+        # heat's series of 10^15 + 1 rows of 4 values asks for 28.4 PiB:
+        # the request fails at once and allocates nothing
         cfg = tmp_path / "c.json"
         cfg.write_text('{"n_cells": [16], "dt_rule": 1e-15, "t_final": 1.0}')
         code, err = run_cli("heat", "--config", str(cfg),
                             "--out", str(tmp_path / "out"))
         assert code == EXIT_NUMERICAL
         assert len(err) == 1
-        assert err[0].startswith("out of memory: Unable to allocate 7.11 PiB")
+        assert err[0].startswith("out of memory: Unable to allocate 28.4 PiB")
 
     def test_kappa_solves_miss_the_residual_rule(self, tmp_path):
         # B = M/dt + A + S1 is SPD, but kappa(B) = 1.0e8 at dt = 1e-10:
@@ -838,6 +838,13 @@ def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
         sep.join(row) for row in (
             ["0.10000000000000001", "-0", "nan", "4.9406564584124654e-324"],
             ["inf", "-inf", "1.0000000000000001e+300", "0.33333333333333331"])]
+    # an array is formatted 4,096 rows at a time: the same bytes across
+    # chunks, the last one part-full
+    many = np.tile(rows, (4099, 1))
+    write(str(tmp_path / "array"), ["a"], many)
+    write(str(tmp_path / "list"), ["a"], many.tolist())
+    assert ((tmp_path / "list").read_bytes()
+            == (tmp_path / "array").read_bytes())
     finite = [v for v in rows.ravel().tolist() if np.isfinite(v)]
     assert [float("%.17g" % v) for v in finite] == finite
 

@@ -58,10 +58,12 @@ UNREAD_FIELDS = {
                        "checks that they lie on the circle",
     "CutTopology.dropped_contacts": "grazing contacts left out of the cut; "
                                     "tests/test_cutquad.py checks the count",
-    "ErrorRecord.int_h1_sq": "a term of e_total; the stacked oracles "
-                             "compare it",
-    "ErrorRecord.int_hm1_dt_sq": "a term of e_total; the stacked oracles "
-                                 "compare it",
+    "ErrorRecord.int_h1_sq": "a term of e_total; test_stacked_oracle."
+                             "test_fold_identity checks it against its "
+                             "closed-form trapezoid sum",
+    "ErrorRecord.int_hm1_dt_sq": "a term of e_total; test_stacked_oracle."
+                                 "test_fold_identity checks it against its "
+                                 "closed-form midpoint sum",
     "RunResult.times": "read by the _run hook of perfbench/tracer.py and by "
                        "the tests",
 }

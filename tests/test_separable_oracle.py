@@ -4,7 +4,8 @@ The shipped manufactured solutions are products time(t) * profile(theta).
 Their value, theta- and t-derivatives and forcing, each its time factors
 times its profile tabulated at the surface nodes as the Riesz data take
 it, must equal the closed forms bit for bit (``test_stacked_oracle``
-checks the Riesz data against the per-node sums).
+checks that the Riesz data of 1 are M 1 and that a stack of times gives
+each row bit for bit as that time alone).
 
 The functions prefixed ``node_`` are the L2* and H1* error functionals
 as node quadratures, || v - trace x ||^2_w + s_j(x, x), that the split at

@@ -1,38 +1,30 @@
-"""Oracles: the stacked time functionals against the per-step path, and
-the streamed run against the whole-trajectory one.
+"""Oracles: the stacked time functionals by what they must equal, and the
+streamed run against the whole trajectory.
 
-The functions prefixed ``old_`` are the per-step error functionals, the
-``bincount`` Riesz data taken one step end at a time, the einsum
-gathers of P1 values and tangential gradients at the surface nodes, the
-Fourier coefficients summed over the cut nodes against a whole
-(n_nodes, n_modes) basis table and the per-step maximal-regularity ratio
-that the sparse trace operators, the exact-circle rfft and the block
-loop replaced.  They live here only as a reference.  Error records, time
-series, node values and the ratio must agree to 1e-13 relative; the
-per-step error record forms each step's Fourier coefficients by the
-exact-circle rule one step at a time, so it checks the stacking.  The
-cut-node coefficients must agree with the exact-circle ones within the
-bound argued in ``test_function_coefficients_within_cut_rule_bound``,
-and to 1e-13 relative on the ladder.  The Riesz data (of one time or of
-stacked times), the forced trajectories and the Fourier basis must agree
-bit for bit.  The references take one state x (n_dofs,) and one time
-factor a at a time; the operators take stacks, so a reference step calls
-them with a stack of one.
+No copy of the per-step code the stacking replaced lives here: a copy
+agrees with what it was copied from, defects included.  For P1 data the
+answers are closed forms.  With X and Y the vertex coordinates, the
+traces of X and Y at the surface nodes are the nodes' coordinates, their
+tangential derivatives -sin and cos, and the Riesz data of 1 are M 1.
+For g_x = c_x + R cos and g_y = c_y + R sin the node parts of the split
+errors vanish and the stabilization is left: E_L2*[g_x, X]^2 +
+E_L2*[g_y, Y]^2 = sum h_T |T|, and the same sums of E_H1* (with g'/R)
+and E_H^-1* (with the coefficients of g, through G) are sum |T| / h_T
+and sum h_T^3 |T|; E_L2*[a cos, 0]^2 = a^2 pi R.  ``check_identities``
+asks these, and that each stacked functional returns for a row what it
+returns for that row alone, on the ladder, off-centre and tangent to a
+grid line.  Fed x_n = e^-t_n X, the error fold of u = e^-t cos on the
+centred unit circle returns the trapezoid and midpoint sums of the
+closed forms (``test_fold_identity``).
 
-The functions prefixed ``whole_`` are the run that kept the whole
-(nsteps + 1, n_dofs) trajectory, the error pass over it and the heat
-series taken from it, stacked as the run hands its states out (state 0
-alone, then the step blocks), which the streamed run, the error fold and
-the heat consumer replaced: every error record field and every heat
-column must be equal to them, with the step block as shipped and small.
-The error fold must give the same record, to 1e-13 relative, whatever
-split of the states it is fed.  ``whole_run`` also checks each step's
-solve on its own (``helpers.step_*``), so it is the oracle of the
-block-verified run as well: its states must be equal to the run's for
-block-sized and odd runs, each state handed out once, when one solve in a
-block comes back inexact and when a step's solve only passes after
-refinement.  A solve that stays inexact must raise before the consumer
-sees any state of its block.
+``whole_run`` is the definition of the block-verified run: it keeps the
+whole trajectory and solves and checks each step on its own
+(``helpers.step_*``).  Its states must equal the run's for block-sized
+and odd runs, each handed out once, when a solve in a block comes back
+inexact once or always; a solve that stays inexact raises before the
+consumer sees any state of its block.  ``replay`` hands its
+states to a consumer in the run's split: the error record and the heat
+files of a run must be those of its replay bit for bit.
 """
 
 import math
@@ -40,159 +32,43 @@ import math
 import numpy as np
 import pytest
 
-from tracefem import heatsolver
-from tracefem.cli import _heat_run, cmd_heat
+import helpers
+from tracefem import cli, heatsolver
+from tracefem.cli import Pipeline, cmd_heat
 from tracefem.cutquad import arc_cover_defect
 from tracefem.errors import SolveFailure
-from tracefem.operators import ONE
-from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, ErrorRecord,
-                                 HeatRun, HeatStepper, accumulate_errors, run,
+from tracefem.mesh import twice_area
+from tracefem.operators import ONE, DiscreteOperators
+from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, HeatRun,
+                                 HeatStepper, accumulate_errors, run,
                                  step_count)
 
 from conftest import CONFIG
-from helpers import (blockwise, l2_gamma_of_function, laplacian,
-                     max_regularity_ratio, step_bdf1, step_bdf2, step_cn)
+from helpers import max_regularity_ratio, step_bdf1, step_bdf2, step_cn
 
 RTOL = 1e-13
+TOL = 1e-12                  # the closed forms
+# The stack dependence of the split errors, relative per row: x' S_j x
+# cancels terms many times its size (see operators._form), so the order
+# of its sum shows.  Measured on the runs of check_identities: at most
+# 3.6e-13 (error_l2_star, BDF2 decaying_mode, n=192) and 1.2e-13
+# (error_h1_star); every other functional moves by at most 1.7e-15.
+SPLIT_STACK = 1e-12
 NSTEPS = 37                  # not a multiple of the block size
 T_FINAL = 0.37
+PLACEMENTS = ["setup48", "setup96", "setup192", "off_centre96", "tangent48"]
 
 
-# -- the per-step reference implementation -----------------------------------
-
-def _node_dofs(ops):
-    return ops.mesh.elements[ops.topology.elem]
-
-
-def _at_nodes(ops, g, a):
-    """a g at the surface nodes for one factor a; (k, n_nodes) for
-    factors a (k,)."""
-    return np.asarray(a, dtype=float)[..., None] * g(ops.topology.theta)
+@pytest.fixture(scope="module")
+def tangent48():
+    # tangent to the grid lines x = +-1 of the n=48 mesh between vertices
+    return Pipeline(dict(CONFIG, center=(0.0, 0.0365)), 48)
 
 
-def old_riesz_data(ops, g, a):
-    topo = ops.topology
-    contrib = topo.bary * (topo.w * _at_nodes(ops, g, a))[:, None]
-    return np.bincount(_node_dofs(ops).ravel(), weights=contrib.ravel(),
-                       minlength=ops.mesh.n_dofs)
-
-
-def old_trace_values(ops, x):
-    return np.einsum("ni,ni->n", ops.topology.bary, x[_node_dofs(ops)])
-
-
-def old_trace_tangential_gradient(ops, x):
-    nrm = ops.topology.normal
-    gh = np.einsum("ei,eid->ed", x[ops.mesh.elements],
-                   ops.mesh.grad)[ops.topology.elem]
-    gn = np.einsum("nd,nd->n", gh, nrm)
-    return gh - gn[:, None] * nrm
-
-
-def old_eval_basis(probe, theta):
-    out = np.empty((len(theta), probe.n_modes))
-    out[:, 0] = 1.0 / np.sqrt(2.0 * np.pi * probe.radius)
-    scale = 1.0 / np.sqrt(np.pi * probe.radius)
-    for k in range(1, probe.k_max + 1):
-        out[:, 2 * k - 1] = scale * np.cos(k * theta)
-        out[:, 2 * k] = scale * np.sin(k * theta)
-    return out
-
-
-def old_function_coefficients(ops, g, a):
-    return (ops.topology.w * _at_nodes(ops, g, a)) @ old_eval_basis(
-        ops.probe, ops.topology.theta)
-
-
-def old_max_regularity_ratio(ops, history, dt, u0=None, f=None):
-    nsteps = len(history) - 1
-    lap_sq = np.array([ops.hm1_star(laplacian(ops, history[n:n + 1]))[0] ** 2
-                       for n in range(len(history))])
-    trap = np.ones(len(history))
-    trap[0] = trap[-1] = 0.5
-    lap_int = float(np.sqrt(dt * trap @ lap_sq))
-    dtu_sq = [ops.hm1_star((history[n + 1:n + 2] - history[n:n + 1])
-                           / dt)[0] ** 2
-              for n in range(nsteps)]
-    dtu_int = float(np.sqrt(dt * np.sum(dtu_sq)))
-    den = 0.0
-    if u0 is not None:
-        den += l2_gamma_of_function(ops, u0)
-    if f is not None:
-        g, c = f
-        f_sq = np.array([np.sum(old_function_coefficients(ops, g, c(n * dt))
-                                ** 2
-                                * ops.probe.Hm1_gram)
-                         for n in range(len(history))])
-        den += float(np.sqrt(dt * trap @ f_sq))
-    return (lap_int + dtu_int) / den
-
-
-def old_run_history(ops, cfg):
-    dt = cfg.dt
-    stepper = HeatStepper(ops, cfg.scheme, dt)
-    bdf1 = HeatStepper(ops, "BDF1", dt)
-    man = cfg.manufactured
-    g, c = man.profile, man.ftime
-    hist = [ops.project(lambda th: man.time(0.0) * g(th), ONE)[0]]
-    b = old_riesz_data(ops, g, c(0.0))
-    for n in range(int(np.ceil(cfg.t_final / dt - 1e-12))):
-        b_prev, b = b, old_riesz_data(ops, g, c((n + 1) * dt))
-        if cfg.scheme == "CrankNicolson":
-            u = step_cn(stepper, hist[n], 0.5 * (b_prev + b))
-        elif cfg.scheme == "BDF2" and n > 0:
-            u = step_bdf2(stepper, hist[n], hist[n - 1], b)
-        else:
-            u = step_bdf1(bdf1, hist[n], b)
-        hist.append(u)
-    return np.array(hist)
-
-
-def old_error_l2_star(ops, g, x, a):
-    vals = _at_nodes(ops, g, a)
-    err2 = float(ops.topology.w @ (vals - old_trace_values(ops, x)) ** 2)
-    return float(np.sqrt(err2 + max(x @ (ops.system.S[0] @ x), 0.0)))
-
-
-def old_error_h1_star(ops, dg, x, a):
-    topo = ops.topology
-    tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
-    dvds = _at_nodes(ops, dg, a) / topo.surface.radius
-    diff = dvds[:, None] * tangent - old_trace_tangential_gradient(ops, x)
-    acc = float(topo.w @ (diff ** 2).sum(axis=1))
-    return float(np.sqrt(acc + max(x @ (ops.system.S[1] @ x), 0.0)))
-
-
-def old_error_hm1_star(ops, g, x, a):
-    c = ops.function_coefficients(g, np.array([a]))[0] - ops.probe.G.T @ x
-    hm1 = np.sum(c ** 2 * ops.probe.Hm1_gram)
-    return float(np.sqrt(hm1 + max(x @ (ops.system.S[-1] @ x), 0.0)))
-
-
-def old_accumulate_errors(ops, cfg, history, man):
-    dt = cfg.dt
-    hist = list(history)
-    times = dt * np.arange(len(hist))
-    trap = np.ones(len(hist))
-    trap[0] = trap[-1] = 0.5
-    g = man.profile
-    e0 = old_error_l2_star(ops, g, hist[0], man.time(times[0]))
-    h1_sq = np.array([old_error_h1_star(ops, man.dprofile, x, man.time(t)) ** 2
-                      for x, t in zip(hist, times)])
-    l2_sq = np.array([old_error_l2_star(ops, g, x, man.time(t)) ** 2
-                      for x, t in zip(hist, times)])
-    hm1_sq = np.empty(len(hist) - 1)
-    for n in range(len(hist) - 1):
-        dudt = (hist[n + 1] - hist[n]) / dt
-        t_mid = 0.5 * (times[n] + times[n + 1])
-        hm1_sq[n] = old_error_hm1_star(ops, g, dudt, man.dtime(t_mid)) ** 2
-    int_h1 = float(dt * trap @ h1_sq)
-    int_l2 = float(dt * trap @ l2_sq)
-    int_hm1 = float(dt * np.sum(hm1_sq))
-    return ErrorRecord(
-        e_l2_initial=e0, int_h1_sq=int_h1,
-        int_hm1_dt_sq=int_hm1, int_l2_sq=int_l2,
-        e_total=float(np.sqrt(e0 ** 2 + int_hm1 + int_h1)))
+def _config(scheme, man, nsteps=NSTEPS):
+    t_final = T_FINAL * nsteps / NSTEPS
+    return HeatRun(manufactured=man, dt=t_final / nsteps, t_final=t_final,
+                   scheme=scheme)
 
 
 # -- the whole-trajectory reference -------------------------------------------
@@ -231,129 +107,168 @@ def whole_run(ops, cfg):
             ends = data(dt * np.arange(n + 1, min(n + block, nsteps) + 1))
         b_prev, b = b, ends[n % block]
         if cfg.scheme == "CrankNicolson":
-            u = step_cn(stepper, history[n], 0.5 * (b_prev + b))
-        elif cfg.scheme == "BDF2":
-            if n == 0:
-                u = step_bdf1(bdf1, history[n], b)
-            else:
-                u = step_bdf2(stepper, history[n], history[n - 1], b)
-        else:
-            u = step_bdf1(stepper, history[n], b)
-        history[n + 1] = u
+            history[n + 1] = step_cn(stepper, history[n], 0.5 * (b_prev + b))
+        elif cfg.scheme == "BDF2" and n > 0:
+            history[n + 1] = step_bdf2(stepper, history[n], history[n - 1], b)
+        else:               # BDF1, and BDF2's first step
+            history[n + 1] = step_bdf1(bdf1, history[n], b)
     return history, dt * np.arange(nsteps + 1)
 
 
-def whole_accumulate_errors(ops, cfg, hist, times, man):
-    """The record of the run's blocks, each adding its partial sums of the
-    squared errors in run order."""
-    dt = cfg.dt
-    t_mid = 0.5 * (times[:-1] + times[1:])
-    trap = np.ones(len(hist))
-    trap[0] = trap[-1] = 0.5
-    g, a = man.profile, man.time(times)
-    e0 = ops.error_l2_star(g, hist[:1], a[:1])[0]
-    coef = ops.function_coefficients(g, man.dtime(t_mid))
-    h1_sum = l2_sum = hm1_sum = 0.0
+def replay(ops, cfg, consume):
+    """Hand consume whole_run's states in the run's split; returns them."""
+    hist, _ = whole_run(ops, cfg)
     for b in run_blocks(len(hist) - 1):
-        h1_sum += float(trap[b] @ ops.error_h1_star(
-            g, man.dprofile, hist[b], a[b]) ** 2)
-        l2_sum += float(trap[b] @ ops.error_l2_star(g, hist[b], a[b]) ** 2)
-        if b.start:
-            # a block's steps end in its states and start one state earlier
-            s = slice(b.start - 1, b.stop - 1)
-            hm1_sum += float(np.sum(ops.error_hm1_star(
-                coef[s], np.diff(hist[s.start:s.stop + 1], axis=0) / dt) ** 2))
-    int_h1, int_l2, int_hm1 = dt * h1_sum, dt * l2_sum, dt * hm1_sum
-    return ErrorRecord(
-        e_l2_initial=e0, int_h1_sq=int_h1,
-        int_hm1_dt_sq=int_hm1, int_l2_sq=int_l2,
-        e_total=float(np.sqrt(e0 ** 2 + int_hm1 + int_h1)))
+        consume(b.start, hist[b])
+    return hist
 
 
-def whole_heat_rows(ops, hist, times, man):
-    """t, l2_star, mean, e_l2_star of every state."""
-    m_one = ops.system.M @ np.ones(ops.system.n_dofs)
-    blocks = run_blocks(len(hist) - 1)
-    l2 = np.concatenate([ops.l2_star(hist[b]) for b in blocks])
-    mean = np.concatenate([hist[b] @ m_one for b in blocks])
-    err = np.concatenate([ops.error_l2_star(man.profile, hist[b],
-                                            man.time(times[b]))
-                          for b in blocks])
-    return np.column_stack([times, l2, mean, err])
+# -- what the stacked functionals must equal ---------------------------------
+
+def _close(got, want):
+    return abs(got - want) <= TOL * abs(want)
 
 
-# -- tests -------------------------------------------------------------------
+def check_identities(ops):
+    """The closed forms of the module docstring on one placement, and the
+    stack independence of each functional on the first BLOCK + 1 states
+    of two runs."""
+    topo, mesh, system = ops.topology, ops.mesh, ops.system
+    (cx, cy), r = topo.surface.center, topo.surface.radius
+    assert np.abs(ops.trace @ mesh.coords - topo.pts).max() <= TOL
+    assert np.abs(ops.dtrace @ mesh.coords - np.column_stack(
+        [-np.sin(topo.theta), np.cos(topo.theta)])).max() <= TOL
+    m_one = system.M @ np.ones(mesh.n_dofs)
+    assert np.abs(ops.riesz_data(np.ones_like, ONE)[0] - m_one).max() \
+        <= TOL * m_one.max()
 
-def _config(scheme, man, nsteps=NSTEPS):
-    t_final = T_FINAL * nsteps / NSTEPS
-    return HeatRun(manufactured=man, dt=t_final / nsteps, t_final=t_final,
-                   scheme=scheme)
+    area = 0.5 * np.abs(twice_area(mesh.coords[mesh.elements]))
+    # (g, g', its P1 interpolant) of x and of y on Gamma
+    xy = [(lambda th: cx + r * np.cos(th), lambda th: -r * np.sin(th),
+           mesh.coords[None, :, 0]),
+          (lambda th: cy + r * np.sin(th), lambda th: r * np.cos(th),
+           mesh.coords[None, :, 1])]
+    assert _close(sum(ops.error_l2_star(g, v, ONE)[0] ** 2
+                      for g, _, v in xy), np.sum(mesh.h_T * area))
+    assert _close(sum(ops.error_h1_star(g, dg, v, ONE)[0] ** 2
+                      for g, dg, v in xy), np.sum(area / mesh.h_T))
+    assert _close(sum(ops.error_hm1_star(ops.function_coefficients(g, ONE),
+                                         v)[0] ** 2 for g, _, v in xy),
+                  np.sum(mesh.h_T ** 3 * area))
+    a = np.array([0.5, -1.3, 2.0])
+    cos_sq = ops.error_l2_star(np.cos, np.zeros((3, mesh.n_dofs)), a) ** 2
+    want = a * a * np.pi * r
+    assert np.all(np.abs(cos_sq - want) <= TOL * want)
+
+    for scheme, data in (("BDF2", "decaying_mode"),
+                         ("CrankNicolson", "forced_mode_2")):
+        man = MANUFACTURED[data](r)
+        g, dg = man.profile, man.dprofile
+        hist, t = whole_run(ops, _config(scheme, man))
+        x, a, da = hist[:BLOCK + 1], man.time(t), man.dtime(t)
+        coef = ops.function_coefficients(g, da)
+        for f, bound in [
+                (lambda s: ops.riesz_data(g, a[s]), 0.0),
+                (lambda s: ops.project(g, a[s]), 0.0),
+                (lambda s: ops.function_coefficients(g, da[s]), 0.0),
+                (lambda s: ops.l2_star(x[s]), 1e-14),
+                (lambda s: ops.dual_norm(x[s]), 1e-14),
+                (lambda s: ops.hm1_star(x[s]), 1e-14),
+                (lambda s: ops.error_hm1_star(coef[s], x[s]), 1e-14),
+                (lambda s: ops.error_l2_star(g, x[s], a[s]), SPLIT_STACK),
+                (lambda s: ops.error_h1_star(g, dg, x[s], a[s]), SPLIT_STACK)]:
+            stacked = f(slice(0, len(x)))
+            one = np.concatenate([f(slice(i, i + 1)) for i in range(len(x))])
+            assert np.all(np.abs(stacked - one) <= bound * np.abs(one))
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_identities(request, placement):
+    check_identities(request.getfixturevalue(placement).ops)
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_riesz_data_bit_identical(ladder, n):
+    # the Riesz data of a stack of forcing times: each row bit for bit
+    # the data of its time alone, and those of 1 are M 1
+    ops = ladder[n].ops
+    force = MANUFACTURED["forced_mode_2"](1.0)
+    g, c = force.profile, force.ftime
+    m_one = ops.system.M @ np.ones(ops.mesh.n_dofs)
+    assert np.abs(ops.riesz_data(np.ones_like, ONE)[0] - m_one).max() \
+        <= TOL * m_one.max()
+    times = np.concatenate([[0.0, 0.3125, 1.7], 0.01 * np.arange(1, BLOCK)])
+    stacked = ops.riesz_data(g, c(times))
+    assert stacked.shape == (len(times), ops.mesh.n_dofs)
+    for i, row in enumerate(stacked):
+        assert np.array_equal(row, ops.riesz_data(g, c(times[i:i + 1]))[0])
+
+
+def test_trace_operators_match_gathers(setup96):
+    # Row n of trace and of dtrace gathers the three vertices of node n's
+    # element.  On one triangle a P1 function is fixed by 1, X and Y, so
+    # rows that give 1 -> 1, 0 and [X Y] -> the node, the unit tangent
+    # are the P1 value and tangential derivative there.
+    ops = setup96.ops
+    topo, mesh = ops.topology, ops.mesh
+    host = np.sort(mesh.elements[topo.elem], axis=1)
+    for op in (ops.trace, ops.dtrace):
+        op = op.tocsr()
+        assert np.array_equal(np.diff(op.indptr), np.full(len(host), 3))
+        assert np.array_equal(np.sort(op.indices.reshape(-1, 3), axis=1),
+                              host)
+    ones = np.ones(mesh.n_dofs)
+    assert np.abs(ops.trace @ ones - 1.0).max() <= TOL
+    assert np.abs(ops.dtrace @ ones).max() <= TOL
+    assert np.abs(ops.trace @ mesh.coords - topo.pts).max() <= TOL
+    assert np.abs(ops.dtrace @ mesh.coords - np.column_stack(
+        [-topo.normal[:, 1], topo.normal[:, 0]])).max() <= TOL
+
+
+@pytest.mark.parametrize("split", ["blocks", "whole"])
+@pytest.mark.parametrize("n", [48, 96])
+def test_fold_identity(ladder, n, split):
+    # On the centred unit circle, u = e^-t cos is e^-t X on Gamma: the
+    # node parts of E_L2* and E_H1* vanish, and du/dt - d_n X at the step
+    # midpoint has the one mode cos of H^-1 norm^2 pi / 2.
+    ops = ladder[n].ops
+    cfg = _config("BDF1", MANUFACTURED["decaying_mode"](1.0))
+    x, dt = ops.mesh.coords[:, 0], cfg.dt
+    t = dt * np.arange(NSTEPS + 1)
+    fold = ErrorFold(ops, cfg)
+    states = np.exp(-t)[:, None] * x
+    for b in run_blocks(NSTEPS) if split == "blocks" else [slice(0, None)]:
+        fold(b.start, states[b])
+    s0, s1, sm1 = (x @ (ops.system.S[j] @ x) for j in (0, 1, -1))
+    trap = np.ones(NSTEPS + 1)
+    trap[[0, -1]] = 0.5
+    d = np.diff(np.exp(-t)) / dt
+    mid = (-np.exp(-0.5 * (t[:-1] + t[1:])) - d) ** 2 * np.pi / 2
+    want = dict(e_l2_initial=np.sqrt(s0),
+                int_l2_sq=dt * trap @ np.exp(-2 * t) * s0,
+                int_h1_sq=dt * trap @ np.exp(-2 * t) * s1,
+                int_hm1_dt_sq=dt * np.sum(mid + d ** 2 * sm1))
+    want["e_total"] = np.sqrt(s0 + want["int_hm1_dt_sq"] + want["int_h1_sq"])
+    rec = fold.record()
+    for name, value in want.items():
+        assert _close(getattr(rec, name), value), name
 
 
 def test_step_count_is_not_a_block_multiple():
     assert NSTEPS % BLOCK and (NSTEPS + 1) % BLOCK
 
 
-@pytest.mark.parametrize("n", [48, 96])
-@pytest.mark.parametrize("scheme, data", [
-    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
-    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
-def test_error_records_match(ladder, trajectory, n, scheme, data):
-    ops = ladder[n].ops
-    man = MANUFACTURED[data](1.0)
-    cfg = _config(scheme, man)
-    _, hist = trajectory(ops, cfg)
-    assert hist.shape == (NSTEPS + 1, ops.system.n_dofs)
-    new = accumulate_errors(ops, cfg)
-    old = old_accumulate_errors(ops, cfg, hist, man)
-    for name in ("e_l2_initial", "int_h1_sq", "int_hm1_dt_sq", "int_l2_sq",
-                 "e_total"):
-        a, b = getattr(new, name), getattr(old, name)
-        assert abs(a - b) <= RTOL * abs(b), (name, a, b)
-
-
 @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
-def test_blocked_forcing_history_bit_identical(setup48, trajectory, scheme):
-    # run() takes the forcing's Riesz data BLOCK step ends at a time
-    man = MANUFACTURED["forced_mode_2"](1.0)
-    cfg = _config(scheme, man)
-    assert np.array_equal(trajectory(setup48.ops, cfg)[1],
-                          old_run_history(setup48.ops, cfg))
-
-
-@pytest.mark.parametrize("n", [48, 96])
-def test_riesz_data_bit_identical(ladder, n):
-    ops = ladder[n].ops
-    force = MANUFACTURED["forced_mode_2"](1.0)
-    g, c = force.profile, force.ftime
-    assert np.array_equal(ops.riesz_data(np.sin, ONE)[0],
-                          old_riesz_data(ops, np.sin, 1.0))
-    times = np.concatenate([[0.0, 0.3125, 1.7], 0.01 * np.arange(1, BLOCK)])
-    stacked = ops.riesz_data(g, c(times))
-    assert stacked.shape == (len(times), ops.mesh.n_dofs)
-    for i, (t, row) in enumerate(zip(times, stacked)):
-        single = ops.riesz_data(g, c(times[i:i + 1]))[0]
-        assert np.array_equal(single, old_riesz_data(ops, g, c(t)))
-        assert np.array_equal(row, single)
-
-
-def _bump(theta):
-    return np.exp(np.cos(theta - 0.3))
-
-
-@pytest.mark.parametrize("n", [48, 96])
-@pytest.mark.parametrize("g, a", [
-    (lambda th: np.exp(np.sin(th)), ONE),
-    (_bump, np.array([1.3])),
-    (_bump, 1.0 + np.linspace(0.0, 2.0, 37)),
-    (_bump, 1.0 + np.linspace(0.0, 2.0, 300)),     # many blocks of times
-], ids=["no-t", "scalar-t", "37-times", "300-times"])
-def test_function_coefficients_match_table(ladder, n, g, a):
-    ops = ladder[n].ops
-    new = ops.function_coefficients(g, a)
-    old = old_function_coefficients(ops, g, a)
-    assert new.shape == old.shape
-    assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
+def test_blocked_forcing_history_bit_identical(setup48, trajectory,
+                                               monkeypatch, scheme):
+    # run() takes the forcing's Riesz data BLOCK step ends at a time:
+    # taken one step end at a time, they give the same states
+    cfg = _config(scheme, MANUFACTURED["forced_mode_2"](1.0))
+    blocked = trajectory(setup48.ops, cfg)[1]
+    stacked = DiscreteOperators.riesz_data
+    monkeypatch.setattr(DiscreteOperators, "riesz_data", lambda ops, g, a: (
+        np.concatenate([stacked(ops, g, a[i:i + 1]) for i in range(len(a))])))
+    assert np.array_equal(trajectory(setup48.ops, cfg)[1], blocked)
 
 
 # A trigonometric polynomial of degree K_TRIG in theta, times the factor
@@ -423,49 +338,41 @@ def test_function_coefficients_within_cut_rule_bound(request, placement):
         + n_nodes * u / (1 - n_nodes * u)
         + u * (8 * np.pi * K_TRIG + C_TRIG + m + 4 * np.log2(m) + 5))
     a = np.exp(-np.linspace(0.0, 2.0, 9))
+    old = (topo.w * a[:, None] * _trig(topo.theta)) @ probe.eval_basis(
+        topo.theta)
     new = ops.function_coefficients(_trig, a)
-    old = old_function_coefficients(ops, _trig, a)
     assert np.abs(new - old).max() <= gauss + cover + rounding
 
 
+def _blocked_and_per_step(monkeypatch, ratio):
+    """ratio() by blocks of BLOCK and one step at a time agree to RTOL."""
+    blocked = ratio()
+    with monkeypatch.context() as m:
+        m.setattr(helpers, "BLOCK", 1)
+        assert abs(ratio() - blocked) <= RTOL * blocked
+
+
 @pytest.mark.parametrize("n", [48, 96])
-def test_max_regularity_ratio_matches(ladder, decay_runs, n):
+def test_max_regularity_ratio_matches(ladder, decay_runs, monkeypatch, n):
     ops = ladder[n].ops
     cfg, states, _ = decay_runs[n]
-    u0 = np.cos
     for hist in (states, states[:1]):                   # no step at all
-        new = max_regularity_ratio(ops, hist, cfg.dt, u0=u0)
-        old = old_max_regularity_ratio(ops, hist, cfg.dt, u0=u0)
-        assert abs(new - old) <= RTOL * old
+        _blocked_and_per_step(monkeypatch, lambda: max_regularity_ratio(
+            ops, hist, cfg.dt, u0=np.cos))
 
 
-def test_max_regularity_ratio_with_forcing_matches(setup48, trajectory):
+def test_max_regularity_ratio_with_forcing_matches(setup48, trajectory,
+                                                   monkeypatch):
     ops = setup48.ops
     man = MANUFACTURED["forced_mode_2"](1.0)
     cfg = _config("BDF1", man)
-    u0 = lambda th: man.time(0.0) * man.profile(th)
-    f = (man.profile, man.ftime)
-    args = (ops, trajectory(ops, cfg)[1], cfg.dt)
-    new = max_regularity_ratio(*args, u0=u0, f=f)
-    old = old_max_regularity_ratio(*args, u0=u0, f=f)
-    assert abs(new - old) <= RTOL * old
+    hist = trajectory(ops, cfg)[1]
+    _blocked_and_per_step(monkeypatch, lambda: max_regularity_ratio(
+        ops, hist, cfg.dt, u0=lambda th: man.time(0.0) * man.profile(th),
+        f=(man.profile, man.ftime)))
 
 
-def test_trace_operators_match_gathers(setup96):
-    ops = setup96.ops
-    x = np.random.default_rng(3).standard_normal(ops.system.n_dofs)
-    assert np.abs(ops.trace @ x - old_trace_values(ops, x)).max() \
-        <= RTOL * np.abs(x).max()
-    topo = ops.topology
-    tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
-    grad = old_trace_tangential_gradient(ops, x)
-    dvds = np.einsum("nd,nd->n", grad, tangent)
-    assert np.abs(ops.dtrace @ x - dvds).max() <= RTOL * np.abs(grad).max()
-    assert np.array_equal(ops.probe.eval_basis(topo.theta),
-                          old_eval_basis(ops.probe, topo.theta))
-
-
-# -- the streamed run against the whole trajectory -----------------------------
+# -- the streamed run against the whole trajectory ---------------------------
 
 # The step block as shipped, and small enough that some runs end in a block
 # of a single step.
@@ -473,6 +380,8 @@ SMALL_BLOCK = 5
 BLOCKS = [None, SMALL_BLOCK]
 STREAM_STEPS = 301           # not a multiple of BLOCK
 STREAM_NSTEPS = [STREAM_STEPS, 264, 288, 256]
+STREAM_CASES = [("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
+                ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")]
 
 
 def _block(monkeypatch, block):
@@ -490,9 +399,7 @@ def test_stream_sizes():
 
 
 @pytest.mark.parametrize("block", BLOCKS, ids=["shipped", "small"])
-@pytest.mark.parametrize("scheme, data", [
-    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
-    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
+@pytest.mark.parametrize("scheme, data", STREAM_CASES)
 @pytest.mark.parametrize("nsteps", STREAM_NSTEPS)
 def test_streamed_errors_bit_identical(setup48, monkeypatch, block, scheme,
                                        data, nsteps):
@@ -500,13 +407,10 @@ def test_streamed_errors_bit_identical(setup48, monkeypatch, block, scheme,
     # full; 301 and 256 steps: the last small block holds one step
     _block(monkeypatch, block)
     ops = setup48.ops
-    man = MANUFACTURED[data](1.0)
-    cfg = _config(scheme, man, nsteps)
-    hist, times = whole_run(ops, cfg)
-    assert len(hist) == nsteps + 1
-    new = accumulate_errors(ops, cfg)
-    old = whole_accumulate_errors(ops, cfg, hist, times, man)
-    assert new == old
+    cfg = _config(scheme, MANUFACTURED[data](1.0), nsteps)
+    fold = ErrorFold(ops, cfg)
+    assert len(replay(ops, cfg, fold)) == nsteps + 1
+    assert accumulate_errors(ops, cfg) == fold.record()
 
 
 @pytest.mark.parametrize("scheme, data", [
@@ -531,74 +435,56 @@ def test_error_fold_any_split(setup48, scheme, data):
             assert abs(a - b) <= RTOL * abs(b), (name, a, b)
 
 
-def _heat_cfg(n, scheme, data, nsteps):
-    return dict(CONFIG, n_cells=[n], scheme=scheme, data=data,
-                t_final=T_FINAL * nsteps / NSTEPS, dt_rule=T_FINAL / NSTEPS)
+def check_heat_series(tmp_path, monkeypatch, n, scheme, data, nsteps):
+    """heat's files of a run and of its replay are the same bytes, and
+    each row of the series holds its state's values alone: t = dt n
+    exactly, l2_star and mean to RTOL, e_l2_star to SPLIT_STACK."""
+    cfg = dict(CONFIG, n_cells=[n], scheme=scheme, data=data,
+               t_final=T_FINAL * nsteps / NSTEPS, dt_rule=T_FINAL / NSTEPS)
+    streamed, replayed = tmp_path / "streamed", tmp_path / "replayed"
+    for out in (streamed, replayed):
+        out.mkdir()
+    assert cmd_heat(cfg, str(streamed)) == 0
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda ops, hr, consume: runs.append(
+        (ops, hr, replay(ops, hr, consume))))
+    assert cmd_heat(cfg, str(replayed)) == 0
+    for name in ("heat.csv", "heat.dat"):
+        assert (streamed / name).read_bytes() == (replayed / name).read_bytes()
 
-
-@pytest.mark.parametrize("block", BLOCKS, ids=["shipped", "small"])
-@pytest.mark.parametrize("n", [48, 96])
-@pytest.mark.parametrize("scheme, data", [
-    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
-    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
-def test_streamed_heat_series_bit_identical(ladder, tmp_path, monkeypatch,
-                                            block, n, scheme, data):
-    _block(monkeypatch, block)
-    man = MANUFACTURED[data](1.0)
-    cfg = _heat_cfg(n, scheme, data, STREAM_STEPS)
-    assert cmd_heat(cfg, str(tmp_path)) == 0
-    new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
-    ops = ladder[n].ops
-    hist, times = whole_run(ops, _heat_run(cfg, ladder[n], man))
-    assert len(hist) == STREAM_STEPS + 1
-    old = whole_heat_rows(ops, hist, times, man)
-    assert np.array_equal(new, old)
-    # and the per-step series within the stacked-functional tolerance
-    m_star = ops.system.M_star
-    l2 = np.array([np.sqrt(max(x @ (m_star @ x), 0.0)) for x in hist])
+    [(ops, hr, hist)] = runs
+    assert len(hist) == nsteps + 1
+    new = np.loadtxt(streamed / "heat.csv", delimiter=",", skiprows=1)
+    t = hr.dt * np.arange(nsteps + 1)
+    assert np.array_equal(new[:, 0], t)
+    l2 = np.array([np.sqrt(max(x @ (ops.system.M_star @ x), 0.0))
+                   for x in hist])
     assert np.abs(new[:, 1] - l2).max() <= RTOL * l2.max()
     m_one = ops.system.M @ np.ones(ops.system.n_dofs)
     mean = np.array([float(m_one @ x) for x in hist])
     assert np.abs(new[:, 2] - mean).max() <= RTOL * 2 * np.pi
+    man = hr.manufactured
+    err = np.concatenate([ops.error_l2_star(man.profile, hist[i:i + 1],
+                                            man.time(t[i:i + 1]))
+                          for i in range(len(hist))])
+    assert np.all(np.abs(new[:, 3] - err) <= SPLIT_STACK * err)
 
 
-@pytest.mark.parametrize("scheme, data", [
-    ("BDF1", "decaying_mode"), ("BDF1", "forced_mode_2"),
-    ("BDF2", "forced_mode_2"), ("CrankNicolson", "forced_mode_2")])
-def test_streamed_heat_series_block_multiple(setup48, tmp_path, scheme, data):
-    # 256 steps, a multiple of BLOCK as in every shipped config.  Against
-    # the series stacked in blocks of BLOCK from state 0, as the states
-    # were handed out before state 0 came alone, only rows 0 and N, whose
-    # stacks differ, move: within 1e-14 relative (l2_star, e_l2_star) and
-    # 1e-15 absolute (mean), and so both stay of the series taken one
-    # state at a time.
-    nsteps = 256
-    man = MANUFACTURED[data](1.0)
-    cfg = _heat_cfg(48, scheme, data, nsteps)
-    assert cmd_heat(cfg, str(tmp_path)) == 0
-    new = np.loadtxt(tmp_path / "heat.csv", delimiter=",", skiprows=1)
-    ops = setup48.ops
-    hist, times = whole_run(ops, _heat_run(cfg, setup48, man))
-    assert len(hist) == nsteps + 1 and nsteps % BLOCK == 0
-    assert np.array_equal(new, whole_heat_rows(ops, hist, times, man))
-    m_one = ops.system.M @ np.ones(ops.system.n_dofs)
-    old = np.column_stack([
-        times, blockwise(lambda b: ops.l2_star(hist[b]), len(hist)),
-        hist @ m_one, blockwise(lambda b: ops.error_l2_star(
-            man.profile, hist[b], man.time(times[b])), len(hist))])
-    assert np.array_equal(new[1:-1], old[1:-1])
-    moved = [0, nsteps]
-    one = np.array([[times[i], ops.l2_star(hist[i:i + 1])[0],
-                     float(hist[i] @ m_one),
-                     ops.error_l2_star(man.profile, hist[i:i + 1],
-                                       man.time(times[i:i + 1]))[0]]
-                    for i in moved])
-    for a, b in ((new[moved], old[moved]), (new[moved], one),
-                 (old[moved], one)):
-        assert np.array_equal(a[:, 0], b[:, 0])
-        assert np.all(np.abs(a[:, [1, 3]] - b[:, [1, 3]])
-                      <= 1e-14 * np.abs(b[:, [1, 3]])), (a, b)
-        assert np.abs(a[:, 2] - b[:, 2]).max() <= 1e-15, (a, b)
+@pytest.mark.parametrize("block", BLOCKS, ids=["shipped", "small"])
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("scheme, data", STREAM_CASES)
+def test_streamed_heat_series_bit_identical(tmp_path, monkeypatch, block, n,
+                                            scheme, data):
+    _block(monkeypatch, block)
+    check_heat_series(tmp_path, monkeypatch, n, scheme, data, STREAM_STEPS)
+
+
+@pytest.mark.parametrize("scheme, data", STREAM_CASES)
+def test_streamed_heat_series_block_multiple(tmp_path, monkeypatch, scheme,
+                                             data):
+    # 256 steps, a multiple of BLOCK as in every shipped config: the last
+    # block is full
+    check_heat_series(tmp_path, monkeypatch, 48, scheme, data, 256)
 
 
 # -- the block-verified run against the per-step checked one -----------------

@@ -7,7 +7,8 @@ the criterion-3 and criterion-6 bounds on the ladder 48...768 (marked
 slow); ``test_cut_independence`` checks the variation over 48/96/192 for
 each of six fixed placements, including vertex hits and a radius near
 the resolution limit; ``test_tangent_row`` checks a row of circles
-tangent to grid lines, at vertices and between them.
+tangent to grid lines, at vertices and between them, and
+``test_placement_grid`` (marked slow) a grid of centres in one cell.
 """
 
 import numpy as np
@@ -32,6 +33,12 @@ PLACEMENTS = {
     "radius_0.8": ((0.0, 0.0), 0.8),
     "radius_0.25": ((0.0, 0.0), 0.25),
 }
+
+
+# (n_cells, radius, m): the m x m centres h (i, j) / m, 0 <= i, j < m, of
+# one cell of size h, tangent to grid lines at i = 0 for R = 1
+GRIDS = [(48, 1.0, 12), (96, 1.0, 6), (192, 1.0, 4), (48, 0.75, 8),
+         (48, 0.25, 8)]
 
 
 def variation(values):
@@ -85,3 +92,17 @@ def test_tangent_row():
         assert lam_m[0] <= 1e-5 * lam_m[-1], c_y
         norms.append(dg.op_norms_ph(s.ops)[1])
     assert variation(norms) <= 1.1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, radius, m", GRIDS)
+def test_placement_grid(n, radius, m):
+    # Measured: ||P_h||_H1* varies by at most 1.024 and C_inv,h by 1.091
+    # (both at R = 0.25), kappa(M + S0) stays within 25.2 - 57.2.
+    h = (CONFIG["bbox"][1] - CONFIG["bbox"][0]) / n
+    reports = [dg.constants_report(Pipeline(dict(
+        CONFIG, center=(h * i / m, h * j / m), radius=radius), n).ops)
+        for i in range(m) for j in range(m)]
+    assert variation([r.norm_Ph_H1star for r in reports]) <= 1.1
+    assert variation([r.C_inv_h for r in reports]) <= 1.15
+    assert max(r.kappa_Pstar for r in reports) <= 100.0
