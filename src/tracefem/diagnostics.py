@@ -16,15 +16,16 @@ modes at a time, so besides the probe's G and the projections B = M_*^-1 G
 no n_dofs x n_modes temporary is formed.
 
 Accuracy: Lanczos stops once ARPACK bounds the residual of its Ritz
-pair by 1e-12 |theta|, which for a symmetric pencil bounds the value,
-|lambda - theta| <= 1e-12 |theta|.  ARPACK's test has an absolute floor
-(1e-12 eps^(2/3)), so each condition number is taken of its matrix
-scaled by the power of two that brings the largest diagonal entry to
-about 1; both ends of the spectrum then lie far above the floor, and
-the scaling is exact and leaves kappa unchanged.  The eigenvalues
-behind C_inv,h and Lambda_h are of order 10 and need no scaling; their
-pairs are also checked by residual, while kappa uses the Ritz values
-alone.  Lanczos starts from a fixed vector, so reruns are byte-identical.
+pair by tol |theta|, tol = ``LIMITS["lanczos_tol"]`` (1e-12), which for
+a symmetric pencil bounds the value, |lambda - theta| <= tol |theta|.
+ARPACK's test has an absolute floor (tol eps^(2/3)), so each condition
+number is taken of its matrix scaled by the power of two that brings the
+largest diagonal entry to about 1; both ends of the spectrum then lie
+far above the floor, and the scaling is exact and leaves kappa
+unchanged.  The eigenvalues behind C_inv,h and Lambda_h are of order 10
+and need no scaling; their pairs are also checked by residual
+(``LIMITS["pair_residual"]``), while kappa uses the Ritz values alone.
+Lanczos starts from a fixed vector, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,18 +35,18 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .assembly import element_csr
-from .errors import EigFailure, SingularMatrix, SolveFailure
+from .errors import LIMITS, EigFailure, SingularMatrix, SolveFailure
 from .operators import _Factor
 
 
-PAIR_TOL = 1e-8     # relative residual an extremal eigenpair must meet
-
-
 def _check_pair(lam, x, lhs, rhs):
+    """EigFailure unless (lam, x) meets the relative residual
+    LIMITS["pair_residual"] of the pencil (lhs, rhs); a NaN misses it."""
     rl = lhs @ x
     rr = rhs @ x
     res = np.linalg.norm(rl - lam * rr)
-    if res > PAIR_TOL * (np.linalg.norm(rl) + abs(lam) * np.linalg.norm(rr)):
+    if not res <= LIMITS["pair_residual"] * (np.linalg.norm(rl)
+                                             + abs(lam) * np.linalg.norm(rr)):
         raise EigFailure("extremal eigenpair residual %.3e above tolerance" % res)
 
 
@@ -55,7 +56,6 @@ def _operator(n, matvec):
     return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
-TOL = 1e-12         # relative accuracy of every Lanczos value
 MAXITER = 100       # restarts allowed per value; 14 is the most measured
 
 
@@ -63,15 +63,16 @@ def _eigsh(mat, **kwargs):
     """One Lanczos eigenpair of mat, started from a fixed vector.
 
     ARPACK stops once the residual bound of the Ritz value theta is at
-    most TOL max(eps^(2/3), |theta|), so |lambda - theta| <= TOL |theta|
-    wherever |theta| >= eps^(2/3) (``_kappa`` scales its matrix so that
-    it is).  More than MAXITER restarts is an ``EigFailure``.
+    most tol max(eps^(2/3), |theta|), tol = LIMITS["lanczos_tol"], so
+    |lambda - theta| <= tol |theta| wherever |theta| >= eps^(2/3)
+    (``_kappa`` scales its matrix so that it is).  More than MAXITER
+    restarts is an ``EigFailure``.
     """
     import scipy.sparse.linalg as spla  # here: a cut alone loads no scipy
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, mat.shape[0])
     try:
-        w, v = spla.eigsh(mat, k=1, v0=v0, tol=TOL, maxiter=MAXITER,
-                          **kwargs)
+        w, v = spla.eigsh(mat, k=1, v0=v0, tol=LIMITS["lanczos_tol"],
+                          maxiter=MAXITER, **kwargs)
     except spla.ArpackError as exc:
         raise EigFailure("Lanczos: %s" % exc)
     return float(w[0]), v[:, 0]

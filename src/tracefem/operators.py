@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import assemble_fourier
-from .errors import SolveFailure
+from .errors import LIMITS, SolveFailure
 
 # The time factor of a single item: a stack of one factor 1.
 ONE = np.ones(1)
@@ -71,11 +71,13 @@ class _Factor:
             raise SolveFailure("factorization of %s failed: %s" % (name, exc))
 
     def failing(self, b, x):
-        """Whether x misses the residual rule ||b - mat x|| <= 1e-12 ||b||:
-        one bool for vectors (n,), one per column for (n, k).  A residual
-        that is NaN or inf misses it, and nothing warns."""
+        """Whether x misses the residual rule ||b - mat x|| <= tol ||b||,
+        tol = LIMITS["solve_residual"] (1e-12): one bool for vectors (n,),
+        one per column for (n, k).  A residual that is NaN or inf misses
+        it, and nothing warns."""
+        tol = LIMITS["solve_residual"]
         with np.errstate(invalid="ignore", over="ignore"):
-            return ~(_colnorm(b - self.mat @ x) <= 1e-12 * _colnorm(b))
+            return ~(_colnorm(b - self.mat @ x) <= tol * _colnorm(b))
 
     def solve(self, b):
         """x with mat x = b, b (n,) or (n, k).  Columns that miss the
@@ -94,8 +96,9 @@ class _Factor:
             still = self.failing(bs[:, cols], xs[:, cols])
             if still.any():
                 raise SolveFailure("solve with %s: %d of %d columns miss the "
-                                   "relative residual 1e-12 after refinement"
-                                   % (self.name, still.sum(), xs.shape[1]))
+                                   "relative residual %g after refinement"
+                                   % (self.name, still.sum(), xs.shape[1],
+                                      LIMITS["solve_residual"]))
         return x
 
 

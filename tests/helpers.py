@@ -7,9 +7,12 @@ criterion 8 with the discrete Laplacian and the data norms it takes,
 the Fourier-truncated H^-1 norm on Gamma, the slicing of a series into
 blocks of BLOCK that the oracles evaluate stacked functionals on, and
 the per-step time steps, each solved and residual-checked on its own,
-that the block-verified ``heatsolver.run`` replaced, and the constant
-manufactured solutions that steady and zero runs are made of.
+that the block-verified ``heatsolver.run`` replaced, the constant
+manufactured solutions that steady and zero runs are made of, and the
+traced memory peak of a call that the memory guards bound.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -21,6 +24,21 @@ def constant(c):
     from P_h c and stays there."""
     return Manufactured(time=lambda t: c + 0.0 * t, dtime=lambda t: 0.0 * t,
                         profile=np.ones_like, dprofile=np.zeros_like)
+
+
+def traced_peak(fn):
+    """(peak, kept, out): the peak traced memory while out = fn() runs and
+    the memory still held when it returns, in bytes.  scipy's sparse
+    solvers are imported first, as ``cli.main`` does before the first
+    ``Pipeline``, so a test run alone does not trace their first import."""
+    import scipy.sparse.linalg  # noqa: F401
+    tracemalloc.start()
+    try:
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept, out
 
 
 def blockwise(fn, n):

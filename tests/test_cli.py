@@ -4,7 +4,6 @@ import pathlib
 import re
 import subprocess
 import sys
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -20,9 +19,12 @@ from tracefem.cutquad import arc_cover_defect, build_topology
 from tracefem.cli import (EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_NUMERICAL,
                           EXIT_OK, _KEYS, Pipeline, _heat_run, cut,
                           load_config, main, write_csv, write_dat)
+from tracefem.errors import LIMITS
 from tracefem.heatsolver import MANUFACTURED
 from tracefem.mesh import write_vtk
 from tracefem.operators import DiscreteOperators
+
+from helpers import traced_peak
 
 
 # (subcommand, one bad value): every row of the config table is hit
@@ -711,8 +713,8 @@ class TestNumericalFailure:
         out = tmp_path / "out"
         err = self._fails(capsys, ["diagnose", "--config", cfg,
                                    "--out", str(out)])
-        assert err == ("numerical failure: diagnose audit failed: "
-                       "sandwich_pass on n16")
+        assert err == ("numerical failure: diagnose audit failed on n16: "
+                       "sandwich_slack inf > 1.02")
         lines = (out / "diagnose.csv").read_text().splitlines()
         assert len(lines) == 2 and lines[1].endswith(",0,1")
 
@@ -742,7 +744,8 @@ def test_project_solves_only_cuts_quadcheck_accepts(tmp_path_factory,
                     n_cells=[n], k_max=16)
     main(["quadcheck", "--config", cfg, "--out", str(out)])
     row = (out / "quadcheck.csv").read_text().splitlines()[1].split(",")
-    rejected = float(row[5]) > 1e-10 or float(row[6]) > 1e-10
+    rejected = (float(row[5]) > LIMITS["rel_err"]
+                or float(row[6]) > LIMITS["cover_defect"])
     assert main(["project", "--config", cfg, "--out", str(out)]) == (
         EXIT_NUMERICAL if rejected else EXIT_OK)
 
@@ -941,12 +944,7 @@ def test_cut_stage_memory_is_the_band():
     # the cut stage builds only the band of cells near the circle: at
     # n_cells=768 the full background table alone would take 38 MB
     cfg = load_config(str(ROOT / "configs" / "circle.json"))
-    tracemalloc.start()
-    try:
-        stage = cut(cfg, 768)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, kept, stage = traced_peak(lambda: cut(cfg, 768))
     assert len(stage[2].active) > 0
     assert peak <= 20 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
     assert kept <= 8 * 2 ** 20, "kept %.1f MB" % (kept / 2 ** 20)
@@ -958,12 +956,7 @@ def test_assembly_memory_of_whole_runs():
     # (8.6 MiB measured; 9.7 MiB with runs of at most 128 nodes)
     cfg = load_config(str(ROOT / "configs" / "circle.json"))
     _, _, mesh, topo = cut(cfg, 768)
-    tracemalloc.start()
-    try:
-        system = assemble(mesh, topo)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _, system = traced_peak(lambda: assemble(mesh, topo))
     assert system.M.nnz > 0
     assert peak < 10 * 2 ** 20, "peak %.1f MiB" % (peak / 2 ** 20)
 

@@ -7,17 +7,15 @@ sparse LUs.  Here the same constants come from dense matrices:
 by hand and takes ``eigvalsh``, C_inv,h and Lambda_h each form the
 dense dual-norm Gram N = M_* K_*^-1 M_*, and each kappa is the ratio of
 the ends of the full ``eigvalsh`` spectrum.  Every constant of the
-report and every condition number of the 21-dt sweep must match within
-1e-8 relative, the bound the benchmark gates eigen-derived constants
-with.  At dt down to 1e-200, where M/dt swamps A + S1, kappa(B) and
-kappa(B_*) match the dense spectrum within 1e-11.  The projection norms,
-whose pencils are built a block of modes at a time, match the products
-of the whole B = M_*^-1 G within 1e-14.  A memory guard keeps the dense
-route out of the package.
+report, on the ladder and on an off-centre circle, and every condition
+number of the 21-dt sweep must match within 1e-8 relative, the bound the
+benchmark gates eigen-derived constants with.  At dt down to 1e-200,
+where M/dt swamps A + S1, kappa(B) and kappa(B_*) match the dense
+spectrum within 1e-11.  A memory guard keeps the dense route out of the
+package.
 """
 
 import math
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -28,9 +26,9 @@ from tracefem import diagnostics as dg
 from tracefem.cli import Pipeline
 
 from conftest import CONFIG
+from helpers import traced_peak
 
 RTOL = 1e-8
-BLOCKED_RTOL = 1e-14    # op_norms_ph against its whole-B form
 DTS = [2.0 ** (-e) for e in range(4, 25)]     # the shipped dtsweep list
 
 
@@ -71,22 +69,6 @@ def dense_op_norms_ph(operators):
     return out[0], out[1]
 
 
-def whole_op_norms_ph(operators):
-    """``op_norms_ph`` as it was before its pencils were built a block of
-    modes at a time: B = M_*^-1 G solved whole, B' (Q B) in one product."""
-    system, probe = operators.system, operators.probe
-    bmat = operators.mstar.solve(probe.G)
-    gram = np.diag(probe.H1_gram)
-    out = []
-    for q in (system.M + system.A, system.K_star):
-        c = bmat.T @ (q @ bmat)
-        c = 0.5 * (c + c.T)
-        w, v = sla.eigh(c, gram, subset_by_index=[len(c) - 1] * 2)
-        dg._check_pair(w[0], v[:, 0], c, gram)
-        out.append(float(np.sqrt(max(w[0], 0.0))))
-    return out[0], out[1]
-
-
 def dense_c_inv_h(operators):
     lam = dense_top_eig(dense(operators.system.D), dense_dual_gram(operators))
     return float(np.sqrt(max(lam, 0.0)))
@@ -115,11 +97,11 @@ def dense_report(operators, t_final, mesh_id):
         kappa_Pstar=dense_kappa(system.M_star))
 
 
-@pytest.mark.parametrize("n", [48, 96, 192])
-def test_report_matches_full_spectrum_routes(ladder, n):
-    s = ladder[n]
-    new = dg.constants_report(s.ops, t_final=1.0, mesh_id="n%d" % n)
-    old = dense_report(s.ops, 1.0, "n%d" % n)
+@pytest.mark.parametrize("n", [48, 96, 192, "off_centre96"])
+def test_report_matches_full_spectrum_routes(ladder, off_centre96, n):
+    ops = off_centre96.ops if n == "off_centre96" else ladder[n].ops
+    new = dg.constants_report(ops, t_final=1.0, mesh_id=str(n))
+    old = dense_report(ops, 1.0, str(n))
     for name in (f.name for f in fields(dg.ConstantsReport)):
         a, b = getattr(new, name), getattr(old, name)
         if isinstance(b, (str, int)):
@@ -128,15 +110,6 @@ def test_report_matches_full_spectrum_routes(ladder, n):
             assert math.isnan(a), name
         else:
             assert a == pytest.approx(b, rel=RTOL), name
-
-
-@pytest.mark.parametrize("n", [48, 96, 192, "off_centre96"])
-def test_blocked_pencils_match_whole_b(ladder, off_centre96, n):
-    # the column-blocked pencils move the norms by rounding alone: a few
-    # ulp against the whole-B products (2e-16 relative at most, measured)
-    ops = off_centre96.ops if n == "off_centre96" else ladder[n].ops
-    assert dg.op_norms_ph(ops) == pytest.approx(whole_op_norms_ph(ops),
-                                                rel=BLOCKED_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("stabilized_time,literal",
@@ -182,13 +155,9 @@ def test_report_memory_stays_below_dense(setup192):
     # the dense route holds several 878 x 878 arrays at once (29.7 MB
     # peak).  The Lanczos route peaks in op_norms_ph, in B = M_*^-1 G
     # (1.7 MiB), the 257 x 257 pencils and block-sized temporaries: 3.9 MiB
-    # measured, 6.2 MiB when B' Q B was formed whole.  The probe and the LU
-    # of K_* are read first, so the peak does not depend on test order.
+    # measured.  Forming B' Q B in one product peaks at 6.2 MiB, which
+    # the bound rejects.  The probe and the LU of K_* are read first, so
+    # the peak does not depend on test order.
     setup192.ops.probe, setup192.ops.kstar
-    tracemalloc.start()
-    try:
-        dg.constants_report(setup192.ops)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: dg.constants_report(setup192.ops))[0]
     assert peak < 5 * 2 ** 20, "peak %.1f MiB" % (peak / 2 ** 20)

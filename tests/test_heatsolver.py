@@ -3,7 +3,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,7 @@ from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, HeatRun,
 from tracefem.operators import ONE, DiscreteOperators
 
 from conftest import CONFIG
-from helpers import constant
+from helpers import constant, traced_peak
 
 DECAY = MANUFACTURED["decaying_mode"](1.0)
 FORCED = MANUFACTURED["forced_mode_2"](1.0)
@@ -197,12 +196,7 @@ class TestErrorAccumulation:
         ops = DiscreteOperators(s.system, s.ops.k_max)
         ops.probe
         cfg = HeatRun(manufactured=FORCED, dt=0.01, t_final=0.37)
-        tracemalloc.start()
-        try:
-            accumulate_errors(ops, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: accumulate_errors(ops, cfg))[0]
         table = len(ops.topology.w) * ops.probe.n_modes * 8
         assert peak < table / 2, (peak, table)
 
@@ -214,12 +208,7 @@ class TestErrorAccumulation:
         peaks = []
         for t_final in (0.3, 0.6):        # 301 and 601 steps
             cfg = HeatRun(manufactured=FORCED, dt=0.3 / 301, t_final=t_final)
-            tracemalloc.start()
-            try:
-                accumulate_errors(s.ops, cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: accumulate_errors(s.ops, cfg))[0])
         assert peaks[1] < 1.1 * peaks[0], peaks
 
     def test_memory_per_step(self):
@@ -234,12 +223,7 @@ class TestErrorAccumulation:
         peaks = []
         for nsteps in (10 ** 3, 10 ** 4):
             cfg = HeatRun(manufactured=FORCED, dt=1.0 / nsteps, t_final=1.0)
-            tracemalloc.start()
-            try:
-                accumulate_errors(ops, cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: accumulate_errors(ops, cfg))[0])
         assert peaks[1] - peaks[0] <= 16 * (10 ** 4 - 10 ** 3), peaks
 
     def test_heat_memory_per_step(self, tmp_path):
@@ -252,12 +236,8 @@ class TestErrorAccumulation:
         cmd_heat(dict(cfg, dt_rule=0.01), str(tmp_path))
         peaks = []
         for nsteps in (2000, 20000):
-            tracemalloc.start()
-            try:
-                cmd_heat(dict(cfg, dt_rule=1.0 / nsteps), str(tmp_path))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: cmd_heat(
+                dict(cfg, dt_rule=1.0 / nsteps), str(tmp_path)))[0])
         assert peaks[1] - peaks[0] <= 96 * (20000 - 2000), peaks
 
 

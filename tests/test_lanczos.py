@@ -1,7 +1,7 @@
 """The Lanczos accuracy contract, its work, and cut independence.
 
 Every n_dofs-sized eigenvalue comes from ``eigsh`` at the relative
-tolerance ``diagnostics.TOL`` with at most ``diagnostics.MAXITER``
+tolerance ``LIMITS["lanczos_tol"]`` with at most ``diagnostics.MAXITER``
 restarts.  A stand-in for ``eigsh`` here swaps the start vector and
 counts operator applications: the products with the matrix (or the
 pencil's left-hand side), or the solves of shift-invert.  Three start
@@ -113,6 +113,15 @@ def test_restart_cap_raises(setup48, monkeypatch):
     with pytest.raises(EigFailure, match="^Lanczos: ARPACK error -1: "
                                          "No convergence"):
         dg.kappa_pstar(setup48.system)
+
+
+@pytest.mark.parametrize("lam", [2.0, np.nan])
+def test_pair_residual_rejects_a_wrong_or_nan_pair(lam):
+    # the residual of (lam, e1) in the pencil (I, I) is |1 - lam|: a wrong
+    # value misses LIMITS["pair_residual"], and so does a NaN
+    eye = np.eye(3)
+    with pytest.raises(EigFailure, match="residual"):
+        dg._check_pair(lam, eye[0], eye, eye)
 
 
 def test_restart_cap_fails_dtsweep_in_one_line(tmp_path, capsys,

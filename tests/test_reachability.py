@@ -30,11 +30,17 @@ same staleness rule.  The rule matches attribute names alone, not the
 class they are read on: a field is taken as read whenever any object's
 attribute of its name is, so a field named like an attribute of another
 class (``h`` of a mesh, ``dt`` of a run) escapes it.
+
+A limit of ``errors.LIMITS`` must be named by a string somewhere in the
+package outside ``errors.py``, as a key that is looked up or an audit
+name; a limit nothing names is dead, and no allowlist keeps one.
 """
 
 import ast
 import collections
 import pathlib
+
+from tracefem.errors import LIMITS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tracefem"
@@ -315,6 +321,28 @@ class Record:
     unread, _ = _unread_fields({"a.py": ast.parse(record),
                                 "b.py": ast.parse(by_getattr)})
     assert unread == {}
+
+
+def _unread_limits(trees, limits):
+    """The names of limits that no string of the modules of trees, but
+    ``errors.py``, spells."""
+    named = {node.value for fname, tree in trees.items()
+             if fname != "errors.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(set(limits) - named)
+
+
+def test_every_limit_is_read():
+    unread = _unread_limits(_trees(), LIMITS)
+    assert not unread, "a limit nothing in src/ reads: %s" % ", ".join(unread)
+
+
+def test_a_limit_named_only_in_errors_is_unread():
+    table = "LIMITS = {'tol': 1.0, 'slack': 2.0}\n"
+    use = "LIMITS['tol']\n"
+    limits = {"tol": 1.0, "slack": 2.0}
+    assert _unread_limits({"errors.py": ast.parse(table),
+                           "a.py": ast.parse(use)}, limits) == ["slack"]
 
 
 def test_private_defaults_are_guarded_and_dunders_are_not():
