@@ -11,9 +11,13 @@ and K_*, so no n_dofs x n_dofs matrix is formed.  Each condition number
 takes lambda_max by Lanczos and lambda_min by shift-invert at 0 through
 an LU of the matrix.  The projection pencil lives on the 2 k_max + 1
 Fourier modes, whose count does not grow with h and whose top is
-clustered near 1; LAPACK takes it.  Its matrices are filled a block of
-modes at a time, so besides the probe's G and the projections B = M_*^-1 G
-no n_dofs x n_modes temporary is formed.
+clustered near 1; LAPACK takes it.  Its Gram is diagonal, so scaling
+the columns of the projections B = M_*^-1 G by H1_gram^-1/2 in place
+makes each pencil a standard symmetric problem.  Each is filled a block
+of modes at a time into one reused n_modes x n_modes buffer that LAPACK
+overwrites, and its top pair is checked against the pencil applied
+matrix-free.  Besides the probe's G and the scaled projections no
+n_dofs x n_modes array is formed.
 
 Accuracy: Lanczos stops once ARPACK bounds the residual of its Ritz
 pair by tol |theta|, tol = ``LIMITS["lanczos_tol"]`` (1e-12), which for
@@ -128,32 +132,37 @@ def op_norms_ph(operators):
 
     Columns of B = M_*^-1 G are the projections of the harmonics; the
     norms are sqrt of the largest eigenvalue of (B' Q B, H1_gram) with
-    Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.  The
-    pencil has one row per Fourier mode and is solved by LAPACK.  B is
-    solved and each pencil filled PENCIL_BLOCK columns at a time,
-    C[:, J] = B' (Q B_J), so G and B are the only n_dofs x n_modes
-    arrays and every other temporary holds one block of columns.
+    Q the H1-Gamma Gram (M + A) resp. the stabilized Gram K_*.  The Gram
+    is diagonal, so with the columns scaled in place, Bs = B H1_gram^-1/2,
+    each pencil is the standard symmetric problem Bs' Q Bs.  B is solved
+    and each pencil filled PENCIL_BLOCK columns at a time,
+    C[:, J] = Bs' (Q Bs_J), into one Fortran-ordered n_modes x n_modes
+    buffer that LAPACK overwrites, once per Q.  G and Bs are the only
+    n_dofs x n_modes arrays, and every other temporary holds one block
+    of columns.  The top pair is checked against the pencil applied
+    matrix-free, y -> Bs' (Q (Bs y)), so a wrong fill fails too.
     """
     import scipy.linalg as sla  # here: a cut alone loads no scipy
     system, probe = operators.system, operators.probe
     g = probe.G
-    blocks = [slice(j, j + PENCIL_BLOCK)
-              for j in range(0, g.shape[1], PENCIL_BLOCK)]
+    n = g.shape[1]
+    blocks = [slice(j, j + PENCIL_BLOCK) for j in range(0, n, PENCIL_BLOCK)]
     bmat = np.empty(g.shape)
     for cols in blocks:
         bmat[:, cols] = operators.mstar.solve(g[:, cols])
-    gram = np.diag(probe.H1_gram)
+    bmat /= np.sqrt(probe.H1_gram)
+    c = np.empty((n, n), order="F")
+    identity = _operator(n, lambda y: y)
     out = []
     for q in (system.M + system.A, system.K_star):
-        c = np.empty((g.shape[1], g.shape[1]))
         for cols in blocks:
             c[:, cols] = bmat.T @ (q @ bmat[:, cols])
-        c = 0.5 * (c + c.T)
         try:
-            w, v = sla.eigh(c, gram, subset_by_index=[len(c) - 1] * 2)
+            w, v = sla.eigh(c, subset_by_index=[n - 1] * 2, overwrite_a=True)
         except sla.LinAlgError as exc:
             raise EigFailure(str(exc))
-        _check_pair(w[0], v[:, 0], c, gram)
+        pencil = _operator(n, lambda y: bmat.T @ (q @ (bmat @ y)))
+        _check_pair(w[0], v[:, 0], pencil, identity)
         out.append(float(np.sqrt(max(w[0], 0.0))))
     return out[0], out[1]
 

@@ -926,17 +926,45 @@ def test_quadcheck_runs_without_scipy(tmp_path):
             == (tmp_path / "oracle.csv").read_bytes())
 
 
-def test_quadcheck_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the spectral self-test sums without BLAS, whose dot product rounds
-    # by the thread count: one and two threads write the same bytes
+# subcommand: config, from the shipped runs of tools/shipped_outputs.py
+# that take a second together; diagnose is left out, as its projection
+# pencil's GEMM rounds by the thread count
+THREAD_RUNS = {
+    "quadcheck": "configs/circle.json",
+    "project": "configs/circle.json",
+    "heat": {"n_cells": [48], "scheme": "CrankNicolson", "t_final": 0.1,
+             "data": "forced_mode_2", "dt_rule": "h2/4"},
+    "converge": {"n_cells": [24, 32, 48], "radius": 0.8,
+                 "center": [0.05, -0.03], "scheme": "BDF2", "t_final": 0.25,
+                 "data": "forced_mode_2", "dt_rule": "h2/4"},
+    "dtsweep": "configs/dtsweep.json",
+}
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # quadcheck's spectral self-test sums without BLAS, whose dot product
+    # rounds by the thread count, and no product the other runs write
+    # from does: one and two threads write the same bytes.  One child per
+    # thread count runs every subcommand
+    runs = []
+    for sub, cfg in THREAD_RUNS.items():
+        if isinstance(cfg, dict):
+            path = tmp_path / (sub + ".json")
+            path.write_text(json.dumps(cfg))
+            cfg = str(path)
+        runs.append([sub, "--config", cfg, "--out", sub])
+    child = ("import json, sys; from tracefem.cli import main; "
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        proc = run_python("-m", "tracefem.cli", "quadcheck", "--config",
-                          "configs/circle.json", "--out", str(out),
+        argv = [r[:-1] + [str(out / r[-1])] for r in runs]
+        proc = run_python("-c", child, json.dumps(argv),
                           OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
-        outs.append((out / "quadcheck.csv").read_bytes())
+        outs.append({f.relative_to(out): f.read_bytes()
+                     for f in sorted(out.rglob("*")) if f.is_file()})
+    assert len(outs[0]) >= 2 * len(runs)
     assert outs[0] == outs[1]
 
 

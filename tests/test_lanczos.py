@@ -9,9 +9,11 @@ vectors give the same kappa over the shipped dt sweep within a bounded
 number of applications per call, and ``dtsweep`` and ``diagnose`` stay
 within fixed work budgets, which catch a slowdown of this layer that
 host noise would hide from a clock.  A restart cap of one makes real
-ARPACK fail, and the CLI reports it in one line.  The constants the
-paper claims are independent of the cut stay within the criterion-3
-band over random placements of the circle.
+ARPACK fail, and the CLI reports it in one line.  A wrong or NaN top
+pair of the projection pencil, which LAPACK solves, fails its
+matrix-free residual check.  The constants the paper claims are
+independent of the cut stay within the criterion-3 band over random
+placements of the circle.
 """
 
 import json
@@ -19,6 +21,7 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +125,28 @@ def test_pair_residual_rejects_a_wrong_or_nan_pair(lam):
     eye = np.eye(3)
     with pytest.raises(EigFailure, match="residual"):
         dg._check_pair(lam, eye[0], eye, eye)
+
+
+@pytest.mark.parametrize("wrong", ["second", "nan"])
+def test_projection_pair_is_checked_matrix_free(off_centre96, monkeypatch,
+                                                wrong):
+    # LAPACK overwrites the projection pencil's buffer, so op_norms_ph
+    # checks the top pair against Bs' Q Bs applied matrix-free: the top
+    # value with the second eigenvector, or with a NaN vector, fails.  Off
+    # the centre the top two values lie 1.4e-3 apart (relative); on the
+    # centred circle at n=48 they lie 3e-8 apart, too close to the
+    # residual rule's 1e-8 for a wrong vector to fail surely
+    eigh = sla.eigh
+
+    def wrong_pair(a, subset_by_index, **kwargs):
+        top = subset_by_index[1]
+        w, v = eigh(a, subset_by_index=[top - 1, top], **kwargs)
+        x = v[:, :1] if wrong == "second" else np.full((len(a), 1), np.nan)
+        return w[1:], x
+
+    monkeypatch.setattr(sla, "eigh", wrong_pair)
+    with pytest.raises(EigFailure, match="residual"):
+        dg.op_norms_ph(off_centre96.ops)
 
 
 def test_restart_cap_fails_dtsweep_in_one_line(tmp_path, capsys,
