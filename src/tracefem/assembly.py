@@ -32,10 +32,12 @@ from .errors import AliasRisk
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-# Surface nodes per batched run of the probe's coupling matrix G: its
-# per-run basis table of larger runs stays resident through the allocator
-# and raises peak memory.
-RUN_NODES = 128
+# Surface nodes per batched run of the probe's coupling matrix G.  A
+# run's basis table, 32 x (2 k_max + 1) doubles, stays below glibc's
+# 128 KiB mmap threshold at k_max = 128, so the heap reuses it across runs.
+# At n=192 the traced peak above G is 0.44 MiB (1.1 MiB with runs of 128
+# nodes), and G takes about 6 % longer.
+RUN_NODES = 32
 
 
 @dataclass

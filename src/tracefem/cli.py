@@ -97,10 +97,10 @@ _DEFAULTS = {key: row[0] for key, row in _KEYS.items()}
 
 def _lines(rows, sep):
     """The rows as text lines: a string as it is, any other value "%.17g".
-    An array goes 4,096 rows at a time through tolist(), as list rows
-    format faster than array rows, so only a chunk is held as text."""
-    for i in range(0, len(rows), 4096):
-        chunk = rows[i:i + 4096]
+    An array goes 512 rows at a time through tolist(), as list rows format
+    faster than array rows, so only a small chunk is held as text."""
+    for i in range(0, len(rows), 512):
+        chunk = rows[i:i + 512]
         for row in chunk.tolist() if isinstance(chunk, np.ndarray) else chunk:
             yield sep.join(v if isinstance(v, str) else "%.17g" % v
                            for v in row) + "\n"

@@ -14,11 +14,12 @@ block of steps at a time, and one item is a stack of one.  Discrete
 functions reach the surface nodes through two sparse trace operators,
 ``trace`` (P1 values) and ``dtrace`` (tangential derivatives).  A
 profile is evaluated at the nodes once per mesh.  The Riesz data scale
-it by each time factor and apply trace'.  The L2* and
-H1* errors split off the projection p = P_h g of the profile once per
-mesh (``_table``), so a state costs sparse products over the dofs and no
-node quadrature.  The H^-1 error takes the Fourier coefficients of the
-smooth function instead of it.  The circle is represented exactly, so
+it by each time factor in one reused node-major workspace and apply
+trace' as trace.T, the CSC view of trace.  The L2* and H1* errors split
+off the projection p = P_h g of the profile once per mesh (``_table``),
+so a state costs sparse products over the dofs and no node quadrature.
+The H^-1 error takes the Fourier coefficients of the smooth function
+instead of it.  The circle is represented exactly, so
 ``function_coefficients`` integrates a smooth function on it with one
 rfft over equispaced angles; the Riesz data, the tables of the split
 errors and the probe's G keep the cut quadrature.  Every derived
@@ -115,6 +116,7 @@ class DiscreteOperators:
         self.k_max = k_max
         self._nodes = {}        # profile -> its values at the surface nodes
         self._tables = {}       # (profile, derivative or None) -> _table
+        self._work = np.empty(0)  # the Riesz data's node-major workspace
 
     @cached_property
     def mstar(self):
@@ -143,11 +145,6 @@ class DiscreteOperators:
         tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
         return self._nodal(np.einsum("nd,nid->ni", tangent,
                                      self.mesh.grad[topo.elem]))
-
-    @cached_property
-    def trace_t(self):
-        """trace' as a CSR copy: the Riesz data's transpose."""
-        return self.trace.T.tocsr()
 
     @cached_property
     def probe(self):
@@ -196,13 +193,19 @@ class DiscreteOperators:
         """b_i = (a g, phi_i) on Gamma for the profile g(theta), one row
         (k, n_dofs) per time factor of a (k,).
 
-        The products w * (a * profile) are formed node-major (n_nodes, k)
-        in one array the CSR trace' takes without a copy; it sums each
-        entry over its nodes in node order, as a per-node accumulation does.
+        The products w * (a * profile) are formed node-major in a
+        C-contiguous (n_nodes, k) view of one workspace, grown only to the
+        largest stack; trace.T, the CSC view of trace, takes it without a
+        copy and sums each entry over its nodes in node order, as a
+        per-node accumulation does.  The result does not alias it.
         """
-        vals = self._profile(g)[:, None] * a
+        n, k = len(self.topology.w), len(a)
+        if self._work.size < n * k:
+            self._work = np.empty(n * k)
+        vals = self._work[:n * k].reshape(n, k)
+        np.multiply(self._profile(g)[:, None], a, out=vals)
         vals *= self.topology.w[:, None]
-        return (self.trace_t @ vals).T
+        return (self.trace.T @ vals).T
 
     # -- projection ----------------------------------------------------
 

@@ -5,14 +5,17 @@ import pytest
 import scipy.io
 import scipy.linalg as sla
 
+from tracefem import assembly
 from tracefem.assembly import assemble, assemble_fourier, export_matrices
 from tracefem.cutquad import build_topology, oscillation_order
 from tracefem.errors import AliasRisk
 from tracefem.geometry import LevelSetSurface
+from tracefem.heatsolver import BLOCK, MANUFACTURED
 from tracefem.mesh import build_background, select_active
-from tracefem.operators import ONE
+from tracefem.operators import ONE, DiscreteOperators
 
 from conftest import BBOX, K_MAX, LADDER
+from helpers import traced_peak
 
 
 def _topology(radius, n):
@@ -108,6 +111,17 @@ class TestLoadVectors:
         b = setup48.ops.riesz_data(lambda th: np.cos(th) ** 2, ONE)[0]
         assert b.sum() == pytest.approx(np.pi, abs=1e-10)
 
+    def test_block_memory_is_the_result(self, setup192):
+        # a warm block of forcing data allocates its (BLOCK, n_dofs)
+        # result alone: at n=192 the traced peak is 0.13 MiB, against
+        # 1.18 MiB for a fresh (n_nodes, BLOCK) node stack per block
+        ops = DiscreteOperators(setup192.system, setup192.ops.k_max)
+        force = MANUFACTURED["forced_mode_2"](1.0)
+        a = force.ftime(0.01 * np.arange(BLOCK))
+        ops.riesz_data(force.profile, a)
+        peak = traced_peak(lambda: ops.riesz_data(force.profile, a))[0]
+        assert peak <= 0.25 * 2 ** 20, "peak %.2f MiB" % (peak / 2 ** 20)
+
 
 class TestFourierProbe:
     def test_orthonormality(self, ladder):
@@ -144,6 +158,26 @@ class TestFourierProbe:
             h = ladder[n].mesh.h
             assert oscillation_order(K_MAX, h, 1.0) == expect[n]
             assert ladder[n].topology.q_surf == expect[n]
+
+    @pytest.mark.parametrize("placement", ["setup48", "setup192",
+                                           "off_centre96"])
+    def test_coupling_independent_of_run_length(self, request, monkeypatch,
+                                                placement):
+        # the node runs only batch per-element products, so G is the
+        # same to the bit for runs of 128 nodes
+        topology = request.getfixturevalue(placement).topology
+        g = assemble_fourier(topology, K_MAX).G
+        monkeypatch.setattr(assembly, "RUN_NODES", 128)
+        assert np.array_equal(assemble_fourier(topology, K_MAX).G, g)
+
+    def test_memory_above_coupling(self, setup192):
+        # each run's basis table and blocks stay below glibc's 128 KiB
+        # mmap threshold: at n=192 the traced peak above G is 0.44 MiB,
+        # against 1.11 MiB with runs of 128 nodes
+        peak, _, probe = traced_peak(
+            lambda: assemble_fourier(setup192.topology, K_MAX))
+        above = peak - probe.G.nbytes
+        assert above <= 0.6 * 2 ** 20, "%.2f MiB above G" % (above / 2 ** 20)
 
     def test_gram_shape(self, setup48):
         p = setup48.ops.probe

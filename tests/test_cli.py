@@ -122,15 +122,14 @@ OUTPUTS = {"quadcheck": ["quadcheck.csv"],
 
 # the first-read operators of DiscreteOperators and of FemSystem, and
 # those each subcommand that builds a Pipeline reads on its small run
-OPS_FIRST_READ = ("mstar", "kstar", "kaux", "probe", "trace", "dtrace",
-                  "trace_t")
+OPS_FIRST_READ = ("mstar", "kstar", "kaux", "probe", "trace", "dtrace")
 SYSTEM_FIRST_READ = ("D", "A_star", "K_star")
 FIRST_READ_BUILT = {
-    "project": {"mstar", "trace", "dtrace", "trace_t"},
-    "heat": {"mstar", "trace", "trace_t", "A_star"},
+    "project": {"mstar", "trace", "dtrace"},
+    "heat": {"mstar", "trace", "A_star"},
     "dtsweep": set(),
     "diagnose": {"mstar", "kstar", "probe", "D", "K_star"},
-    "converge": {"mstar", "probe", "trace", "dtrace", "trace_t", "A_star"},
+    "converge": {"mstar", "probe", "trace", "dtrace", "A_star"},
 }
 
 
@@ -841,7 +840,7 @@ def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
         sep.join(row) for row in (
             ["0.10000000000000001", "-0", "nan", "4.9406564584124654e-324"],
             ["inf", "-inf", "1.0000000000000001e+300", "0.33333333333333331"])]
-    # an array is formatted 4,096 rows at a time: the same bytes across
+    # an array is formatted in chunks of rows: the same bytes across
     # chunks, the last one part-full
     many = np.tile(rows, (4099, 1))
     write(str(tmp_path / "array"), ["a"], many)
@@ -850,6 +849,18 @@ def test_float_array_rows_format_as_fmt(tmp_path, write, sep):
             == (tmp_path / "array").read_bytes())
     finite = [v for v in rows.ravel().tolist() if np.isfinite(v)]
     assert [float("%.17g" % v) for v in finite] == finite
+
+
+@pytest.mark.parametrize("sep", [",", " "])
+def test_lines_chunks_format_as_single_rows(sep):
+    # 1,300 rows cross two 512-row chunks and end in a part-full one:
+    # the text is that of each row formatted alone
+    rows = np.random.default_rng(5).standard_normal((1300, 3))
+    rows[::7, 1] = -0.0
+    alone = "".join(line for i in range(len(rows))
+                    for line in cli._lines(rows[i:i + 1], sep))
+    assert "".join(cli._lines(rows, sep)) == alone
+    assert alone.count("\n") == len(rows)
 
 
 @pytest.mark.parametrize("sub, extra", [r[:2] for r in SMALL_RUNS

@@ -227,11 +227,12 @@ class TestErrorAccumulation:
         assert peaks[1] - peaks[0] <= 16 * (10 ** 4 - 10 ** 3), peaks
 
     def test_heat_memory_per_step(self, tmp_path):
-        # heat keeps its series as numbers and formats its files 4,096 rows
+        # heat keeps its series as numbers and formats its files 512 rows
         # at a time: from 2,000 to 20,000 steps the peak grows by at most
-        # 96 B a step (54 measured, 32 of them the series and 8 the run's
-        # times).  Holding the series as lists and as text lines too, it
-        # grew by 340.  A short run first warms the imports and caches.
+        # 96 B a step (34 measured, 32 of them the series; 54 with chunks
+        # of 4,096 rows).  Holding the series as lists and as text lines
+        # too, it grew by 340.  A short run first warms the imports and
+        # caches.
         cfg = dict(CONFIG, n_cells=[16], t_final=1.0)
         cmd_heat(dict(cfg, dt_rule=0.01), str(tmp_path))
         peaks = []

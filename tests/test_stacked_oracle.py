@@ -204,6 +204,31 @@ def test_riesz_data_bit_identical(ladder, n):
         assert np.array_equal(row, ops.riesz_data(g, c(times[i:i + 1]))[0])
 
 
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_riesz_workspace_bit_identical(request, placement):
+    # fresh operators: the first stack grows the node-major workspace,
+    # the later ones reuse it.  Each result is bit for bit trace' as a
+    # CSR copy applied to a fresh (n_nodes, k) array, and a result stays
+    # as it was after the calls that follow.
+    s = request.getfixturevalue(placement)
+    ops = DiscreteOperators(s.system, s.ops.k_max)
+    force = MANUFACTURED["forced_mode_2"](1.0)
+    g, c = force.profile, force.ftime
+    trace_t = ops.trace.T.tocsr()
+    w, theta = ops.topology.w, ops.topology.theta
+    done, start = [], 0
+    for k in (16, 1, 5, 16, 3):
+        a = c(0.01 * np.arange(start, start + k))
+        start += k
+        vals = np.asarray(g(theta), dtype=float)[:, None] * a
+        vals *= w[:, None]
+        out = ops.riesz_data(g, a)
+        assert np.array_equal(out, (trace_t @ vals).T)
+        done.append((out, out.copy()))
+    for out, kept in done:
+        assert np.array_equal(out, kept)
+
+
 def test_trace_operators_match_gathers(setup96):
     # Row n of trace and of dtrace gathers the three vertices of node n's
     # element.  On one triangle a P1 function is fixed by 1, X and Y, so
