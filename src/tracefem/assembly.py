@@ -10,11 +10,11 @@ Builds, over the active P1 space:
 * ``D``   the weighted local Gram sum h_T^2 (M_T + h_T S_T),
 
 plus the truncated Fourier probe (orthonormal circle harmonics, their
-H1/H-1 diagonal Grams and the coupling matrix G).  Local blocks are
-computed as batched products over runs of elements with equal node
-counts and summed per element.  ``assemble`` forms M, A, S_j and M_*;
-every other derived matrix (D, A_*, K_*) is built on first read from the
-kept element blocks.
+diagonal Grams, G and the rfft coefficients of smooth data).  Local
+blocks are computed as batched products over runs of elements with
+equal node counts and summed per element.  ``assemble`` forms M, A, S_j
+and M_*; every other derived matrix (D, A_*, K_*) is built on first
+read from the kept element blocks.
 """
 
 from __future__ import annotations
@@ -154,19 +154,27 @@ class FourierProbe:
     """Truncated orthonormal Fourier basis on the circle.
 
     Mode order: constant, then (cos k, sin k) for k = 1..k_max; sizes
-    2 k_max + 1.  H1_gram and Hm1_gram are the diagonals 1 + k^2/R^2 and
-    its reciprocal.  G couples the FE basis to the harmonics.
+    2 k_max + 1.  H1_gram and Hm1_gram, formed on read, are the diagonals
+    1 + k^2/R^2 and its reciprocal.  G couples the FE basis to the modes.
     """
 
     k_max: int
     radius: float
-    H1_gram: np.ndarray           # diagonal entries
-    Hm1_gram: np.ndarray
     G: np.ndarray                 # (n_dofs, 2 k_max + 1)
 
     @property
     def n_modes(self):
         return 2 * self.k_max + 1
+
+    @cached_property
+    def H1_gram(self):
+        """The diagonal 1 + k^2/R^2, k the wavenumber of each mode."""
+        k = np.repeat(np.arange(self.k_max + 1.0), 2)[1:]
+        return 1.0 + k ** 2 / self.radius ** 2
+
+    @cached_property
+    def Hm1_gram(self):
+        return 1.0 / self.H1_gram
 
     def eval_basis(self, theta):
         """Basis values at angles theta: array (len(theta), n_modes)."""
@@ -177,6 +185,31 @@ class FourierProbe:
         scale = 1.0 / np.sqrt(np.pi * self.radius)
         out[:, 1::2] = scale * np.cos(kt)
         out[:, 2::2] = scale * np.sin(kt)
+        return out
+
+    def coefficients(self, g, a):
+        """Fourier coefficients (a g, e_m)_Gamma of a smooth profile g(theta),
+        one row (k, n_modes) per time factor of a (k,).
+
+        The circle is represented exactly, so these do not depend on the
+        mesh: g is taken at the M = 4 k_max + 4 angles 2 pi j / M, and one
+        rfft gives the periodic trapezoid rule for every mode at once.  It
+        is exact when g is a trigonometric polynomial of degree below
+        M - k_max and converges exponentially for analytic g.  Each mode is
+        scaled to the orthonormal basis of ``eval_basis``: 2 pi R / M over
+        sqrt(2 pi R) for the constant, over sqrt(pi R) for cos and sin, the
+        sin modes taking -Im.
+        """
+        r = self.radius
+        m = 4 * self.k_max + 4
+        theta = 2.0 * np.pi / m * np.arange(m)
+        f = np.fft.rfft(a[:, None] * g(theta))[:, :self.k_max + 1]
+        step = 2.0 * np.pi * r / m
+        out = np.empty((len(a), self.n_modes))
+        out[:, 0] = step / np.sqrt(2.0 * np.pi * r) * f[:, 0].real
+        scale = step / np.sqrt(np.pi * r)
+        out[:, 1::2] = scale * f[:, 1:].real
+        out[:, 2::2] = -scale * f[:, 1:].imag
         return out
 
 
@@ -194,16 +227,8 @@ def assemble_fourier(topology, k_max=128):
             "q_surf=%d too low for k_max=%d at h=%.3g, R=%.3g (need %d)"
             % (topology.q_surf, k_max, h, radius, needed))
 
-    k = np.zeros(2 * k_max + 1)
-    k[1::2] = np.arange(1, k_max + 1)
-    k[2::2] = np.arange(1, k_max + 1)
-    probe = FourierProbe(
-        k_max=int(k_max),
-        radius=radius,
-        H1_gram=1.0 + k ** 2 / radius ** 2,
-        Hm1_gram=1.0 / (1.0 + k ** 2 / radius ** 2),
-        G=np.zeros((mesh.n_dofs, len(k))),
-    )
+    probe = FourierProbe(k_max=int(k_max), radius=radius,
+                         G=np.zeros((mesh.n_dofs, 2 * k_max + 1)))
 
     wbary = topology.bary * topology.w[:, None]
     for els, nodes, shape in _element_runs(topology, RUN_NODES):

@@ -2,9 +2,10 @@
 
 Measures the operator norms of the stabilized projection, the inverse
 parameter C_inv,h, the dual-norm gap Lambda_h, the inf-sup bounds built
-from them, and the condition numbers of the one-step system matrices.
-Each norm and gap is the top pair of an SPD pencil.  On the n_dofs-sized
-pencils (C_inv,h, Lambda_h) it comes from Lanczos (ARPACK through
+from them, and the condition numbers of the one-step system matrices
+the heat stepper factors (``heatsolver.step_matrix``).  Each norm and
+gap is the top pair of an SPD pencil.  On the n_dofs-sized pencils
+(C_inv,h, Lambda_h) it comes from Lanczos (ARPACK through
 ``scipy.sparse.linalg.eigsh``) in generalized mode, with the dual-norm
 Gram N = M_* K_*^-1 M_* and its inverse applied through the LUs of M_*
 and K_*, so no n_dofs x n_dofs matrix is formed.  Each condition number
@@ -40,6 +41,7 @@ import numpy as np
 
 from .assembly import element_csr
 from .errors import LIMITS, EigFailure, SingularMatrix, SolveFailure
+from .heatsolver import step_matrix
 from .operators import _Factor
 
 
@@ -205,8 +207,9 @@ def infsup_bounds(norm_ph_h1star, norm_ph_h1gamma, c_inv, t_final):
 def condition_number(system, dt, stabilized_time=True, literal=False):
     """kappa of the one-implicit-step matrix.
 
-    Default: built from the bilinear forms, B_* = (1/dt)(M + S0) + A + S1
-    (stabilized time derivative) or B = (1/dt) M + A + S1.  With
+    Default: the backward Euler matrix the heat stepper factors,
+    ``heatsolver.step_matrix``: B_* = (1/dt)(M + S0) + (A + S1)
+    (stabilized time derivative) or B = (1/dt) M + (A + S1).  With
     ``literal`` the displayed h/dt-scaled forms are used instead:
     B_* = (1/dt)(M + h S) + (A + (1/dt) S), B = (1/dt) M + (A + (1/dt) S)
     with S the unscaled normal Gram and h the mesh size.
@@ -219,10 +222,8 @@ def condition_number(system, dt, stabilized_time=True, literal=False):
             mat = (system.M + system.mesh.h * s) / dt + system.A + s / dt
         else:
             mat = system.M / dt + system.A + s / dt
-    elif stabilized_time:
-        mat = system.M_star / dt + system.A + system.S[1]
     else:
-        mat = system.M / dt + system.A + system.S[1]
+        mat = step_matrix(system, "BDF1", dt, stabilized_time)
     return _kappa(mat, "one-step matrix")
 
 

@@ -2,7 +2,8 @@
 
 One implicit step solves [(c0/dt) Mt + A + S1] u_new = rhs where Mt is
 the stabilized mass M + S0 (default) or the plain surface mass M, with
-BDF1/BDF2/Crank-Nicolson coefficient choices.  A run is the scheme on a
+BDF1/BDF2/Crank-Nicolson coefficient choices; ``step_matrix`` builds it
+for the stepper and for ``diagnostics``.  A run is the scheme on a
 manufactured solution u: it starts from the stabilized projection
 P_h u(0), is forced by the f that u induces, and keeps no trajectory.  The
 steps go in blocks of BLOCK: a block is stepped with bare LU solves, then
@@ -11,13 +12,14 @@ from its first failing step it is stepped again with checked solves, so
 a step costs one right-hand side product and one LU solve.  A consumer
 (the error fold, the heat series, the VTK writer) gets the initial state
 alone and then the states of each verified block, read in place from the
-step array before it is reused, so memory does not grow with the number
-of steps.  A manufactured solution is separable, u = a(t) g(theta), and
-so are its data: the run and the error fold evaluate the time factors a
-block of steps at a time and pass them with the profile g, which the
-operators tabulate once per mesh.  Each step block of the error fold
-forms the Fourier coefficients of du/dt at its own step midpoints and
-adds its squared errors to three running sums.
+step array before it is reused.  Each block forms its own times, so
+memory does not grow with the number of steps.  A manufactured solution
+is separable, u = a(t) g(theta), and so are its data: the run and the
+error fold evaluate the time factors a block of steps at a time and pass
+them with the profile g, which the operators tabulate once per mesh.
+Each step block of the error fold forms the Fourier coefficients of
+du/dt at its own step midpoints and adds its squared errors to three
+running sums.
 """
 
 from __future__ import annotations
@@ -101,26 +103,37 @@ class HeatRun:
 
 @dataclass
 class RunResult:
-    times: np.ndarray
+    dt: float
+    nsteps: int
+
+    @property
+    def times(self):
+        """The times 0, dt, ..., nsteps dt of the run, formed on read."""
+        return self.dt * np.arange(self.nsteps + 1)
+
+
+def step_matrix(system, scheme, dt, stabilized_time_derivative):
+    """The one-step matrix (c0/dt) Mt + A_*, Mt/dt + A_*/2 for CN."""
+    if scheme not in SCHEMES:
+        raise InvalidConfig("unknown scheme %r" % scheme)
+    mt = system.M_star if stabilized_time_derivative else system.M
+    if scheme == "CrankNicolson":
+        return mt / dt + 0.5 * system.A_star
+    return SCHEMES[scheme] * mt / dt + system.A_star
 
 
 class HeatStepper:
     """Factorized one-step solver for a fixed scheme and dt."""
 
     def __init__(self, operators, scheme, dt, stabilized_time_derivative=True):
-        if scheme not in SCHEMES:
-            raise InvalidConfig("unknown scheme %r" % scheme)
+        system = operators.system
+        mat = step_matrix(system, scheme, dt, stabilized_time_derivative)
+        self.factor = _Factor(mat, "heat step matrix")
         self.scheme = scheme
         self.dt = float(dt)
-        system = operators.system
         self.mt = system.M_star if stabilized_time_derivative else system.M
-        self.k1 = system.A_star
         if scheme == "CrankNicolson":
-            mat = self.mt / dt + 0.5 * self.k1
-            self.cn_rhs = self.mt / dt - 0.5 * self.k1
-        else:
-            mat = SCHEMES[scheme] * self.mt / dt + self.k1
-        self.factor = _Factor(mat.tocsc(), "heat step matrix")
+            self.cn_rhs = self.mt / dt - 0.5 * system.A_star
 
     def rhs(self, u, u_prev, b_prev, b):
         """Right-hand side of the step from u (u_prev the state before it)
@@ -163,11 +176,10 @@ def run(operators, config, consume):
     0), then once per block that passed its k <= BLOCK new states (first
     1, 1 + BLOCK, ...).  ``states`` is a view of the step array, reused
     after the call, so a consumer copies what it keeps.  Returns the
-    RunResult with the times 0, dt, ..., nsteps dt of the run.
+    RunResult of dt and the step count, which forms the times on read.
     """
     nsteps = step_count(config)
     dt = config.dt
-    times = dt * np.arange(nsteps + 1)
     ops = operators
     n_dofs = ops.system.n_dofs
     stepper = HeatStepper(ops, config.scheme, dt,
@@ -185,10 +197,10 @@ def run(operators, config, consume):
     x = np.zeros((BLOCK + 2, n_dofs))
     b = np.zeros((BLOCK + 1, n_dofs))
     rhs = np.empty((BLOCK, n_dofs))
-    x[1:2] = ops.project(man.profile, man.time(times[:1]))
+    x[1:2] = ops.project(man.profile, man.time(np.zeros(1)))
     consume(0, x[1:2])
     if man.ftime is not None:
-        b[:1] = ops.riesz_data(man.profile, man.ftime(times[:1]))
+        b[:1] = ops.riesz_data(man.profile, man.ftime(np.zeros(1)))
 
     def march(lo, k, solve):
         """Steps lo, ..., k - 1 of the block."""
@@ -199,8 +211,8 @@ def run(operators, config, consume):
     for n in range(0, nsteps, BLOCK):
         k = min(BLOCK, nsteps - n)
         if man.ftime is not None:
-            b[1:k + 1] = ops.riesz_data(man.profile,
-                                        man.ftime(times[n + 1:n + k + 1]))
+            b[1:k + 1] = ops.riesz_data(
+                man.profile, man.ftime(dt * np.arange(n + 1, n + k + 1)))
         lo = 0
         if n == 0 and startup is not None:
             rhs[0] = startup.rhs(x[1], x[0], b[0], b[1])
@@ -212,7 +224,7 @@ def run(operators, config, consume):
             march(lo + int(np.argmax(bad)), k, factor.solve)
         consume(n + 1, x[2:k + 2])
         x[:2], b[0] = x[k:k + 2], b[k]
-    return RunResult(times=times)
+    return RunResult(dt=dt, nsteps=nsteps)
 
 
 @dataclass
@@ -274,7 +286,7 @@ class ErrorFold:
         lo = stop - len(held)
         if lo < stop - 1:
             t = dt * np.arange(lo, stop)
-            coef = ops.function_coefficients(
+            coef = ops.probe.coefficients(
                 man.profile, man.dtime(0.5 * (t[:-1] + t[1:])))
             self.hm1_sum += float(np.sum(ops.error_hm1_star(
                 coef, np.diff(held, axis=0) / dt) ** 2))

@@ -19,10 +19,9 @@ trace' as trace.T, the CSC view of trace.  The L2* and H1* errors split
 off the projection p = P_h g of the profile once per mesh (``_table``),
 so a state costs sparse products over the dofs and no node quadrature.
 The H^-1 error takes the Fourier coefficients of the smooth function
-instead of it.  The circle is represented exactly, so
-``function_coefficients`` integrates a smooth function on it with one
-rfft over equispaced angles; the Riesz data, the tables of the split
-errors and the probe's G keep the cut quadrature.  Every derived
+instead of it, which the probe forms (``FourierProbe.coefficients``)
+from the exact circle; the Riesz data, the tables of the split errors
+and the probe's G keep the cut quadrature.  Every derived
 operator is built on first read: the LUs of M_* and K_* (``mstar``,
 ``kstar``), the traces and the Fourier probe, so a run builds only
 those its quantities read.
@@ -237,33 +236,6 @@ class DiscreteOperators:
         n_modes) plus s_-1 of each row of x (k, n_dofs)."""
         return c ** 2 @ self.probe.Hm1_gram + _form(self.system.S[-1], x)
 
-    # -- Fourier coefficients of smooth data ----------------------------
-
-    def function_coefficients(self, g, a):
-        """Fourier coefficients (a g, e_m)_Gamma of a smooth profile g(theta),
-        one row (k, n_modes) per time factor of a (k,).
-
-        The circle is represented exactly, so these do not depend on the
-        mesh: g is taken at the M = 4 k_max + 4 angles 2 pi j / M, and one
-        rfft gives the periodic trapezoid rule for every mode at once.  It
-        is exact when g is a trigonometric polynomial of degree below
-        M - k_max and converges exponentially for analytic g.  Each mode is
-        scaled to the orthonormal basis of FourierProbe.eval_basis: 2 pi R / M
-        over sqrt(2 pi R) for the constant, over sqrt(pi R) for cos and sin,
-        the sin modes taking -Im.
-        """
-        probe, r = self.probe, self.probe.radius
-        m = 4 * probe.k_max + 4
-        theta = 2.0 * np.pi / m * np.arange(m)
-        f = np.fft.rfft(a[:, None] * g(theta))[:, :probe.k_max + 1]
-        step = 2.0 * np.pi * r / m
-        out = np.empty((len(a), probe.n_modes))
-        out[:, 0] = step / np.sqrt(2.0 * np.pi * r) * f[:, 0].real
-        scale = step / np.sqrt(np.pi * r)
-        out[:, 1::2] = scale * f[:, 1:].real
-        out[:, 2::2] = -scale * f[:, 1:].imag
-        return out
-
     # -- error functionals ---------------------------------------------
     # Each takes the states x (k, n_dofs) with one time factor of a (k,)
     # per row (for the H^-1 error, one row of coefficients (k, n_modes))
@@ -301,5 +273,5 @@ class DiscreteOperators:
     def error_hm1_star(self, coef, x):
         """E_Hm1*[v, v_h]^2 = ||v - v_h||^2_Hm1 + s_-1(v_h, v_h), rooted;
         ``coef`` holds the Fourier coefficients of v
-        (``function_coefficients``), one row per row of x."""
+        (``FourierProbe.coefficients``), one row per row of x."""
         return np.sqrt(self._hm1_star_sq(coef - x @ self.probe.G, x))

@@ -90,7 +90,7 @@ def hm1_gamma(ops, x):
 def hm1_gamma_of_function(ops, g, a):
     """Truncated H^-1 norm of the function a g of the profile g(theta),
     one value per time factor of a (k,)."""
-    c = ops.function_coefficients(g, a)
+    c = ops.probe.coefficients(g, a)
     return np.sqrt(c ** 2 @ ops.probe.Hm1_gram)
 
 

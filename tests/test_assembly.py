@@ -185,6 +185,78 @@ class TestFourierProbe:
         assert p.H1_gram[0] == 1.0
         assert p.H1_gram[1] == pytest.approx(2.0)   # 1 + 1^2
 
+    @pytest.mark.parametrize("placement", ["setup48", "off_centre96"])
+    def test_grams_closed_form(self, request, placement):
+        # the probe holds k_max, R and G alone; its Grams, formed from
+        # them on read, are 1 + k^2/R^2 and its reciprocal to the bit at
+        # R = 1 and R = 0.8
+        fields = dataclasses.fields(assembly.FourierProbe)
+        assert [f.name for f in fields] == ["k_max", "radius", "G"]
+        p = request.getfixturevalue(placement).ops.probe
+        k = np.zeros(p.n_modes)
+        k[1::2] = k[2::2] = np.arange(1, p.k_max + 1)
+        assert np.array_equal(p.H1_gram, 1.0 + k ** 2 / p.radius ** 2)
+        assert np.array_equal(p.Hm1_gram, 1.0 / (1.0 + k ** 2 / p.radius ** 2))
+
+
+class TestFunctionCoefficients:
+    """(v, e_m)_Gamma in closed form, to 1e-13 absolute: the basis is
+    orthonormal, so each case below has a single non-zero mode."""
+
+    TOL = 1e-13
+
+    @pytest.fixture(params=["setup48", "off_centre96"],
+                    ids=["centred-unit", "off-centre-R0.8"])
+    def probe(self, request):
+        return request.getfixturevalue(request.param).ops.probe
+
+    def _expect(self, probe, mode, value):
+        out = np.zeros(probe.n_modes)
+        out[mode] = value
+        return out
+
+    def test_constant(self, probe):
+        r = probe.radius
+        coef = probe.coefficients(np.ones_like, ONE)[0]
+        assert coef.shape == (probe.n_modes,)
+        expect = self._expect(probe, 0, np.sqrt(2.0 * np.pi * r))
+        assert np.abs(coef - expect).max() <= self.TOL
+
+    def test_cos_theta(self, probe):
+        r = probe.radius
+        coef = probe.coefficients(np.cos, ONE)[0]
+        expect = self._expect(probe, 1, np.sqrt(np.pi * r))
+        assert np.abs(coef - expect).max() <= self.TOL
+
+    def test_cos_2theta_over_times(self, probe):
+        r = probe.radius
+        times = np.linspace(0.0, 2.0, 11)
+        coef = probe.coefficients(lambda th: np.cos(2.0 * th),
+                                  np.exp(-times))
+        assert coef.shape == (len(times), probe.n_modes)
+        for t, row in zip(times, coef):
+            expect = self._expect(probe, 3, np.exp(-t) * np.sqrt(np.pi * r))
+            assert np.abs(row - expect).max() <= self.TOL
+
+    def test_sin_kmax_theta(self, probe):
+        r, k_max = probe.radius, probe.k_max
+        coef = probe.coefficients(lambda th: np.sin(k_max * th), ONE)[0]
+        expect = self._expect(probe, 2 * k_max, np.sqrt(np.pi * r))
+        assert np.abs(coef - expect).max() <= self.TOL
+
+    def test_higher_frequencies_vanish(self, probe):
+        # The rule is exact below degree M - k_max, M = 4 k_max + 4, so
+        # frequencies up to 3 k_max + 3 are orthogonal to every mode.  The
+        # rounded angles j theta are off by at most 2 u 2 pi j, which
+        # bounds the error of each coefficient by 2 pi R s u (4 pi j + 2)
+        # with |e_m| <= s = 1 / sqrt(pi R).
+        r, k_max = probe.radius, probe.k_max
+        u = np.finfo(float).eps / 2
+        for j in (k_max + 1, 2 * k_max + 2, 3 * k_max + 3):
+            coef = probe.coefficients(lambda th: np.cos(j * th), ONE)
+            tol = 2.0 * np.pi * np.sqrt(r / np.pi) * u * (4 * np.pi * j + 2)
+            assert np.abs(coef).max() <= tol, (j, np.abs(coef).max(), tol)
+
 
 def test_matrix_market_roundtrip(tmp_path, setup48):
     export_matrices(setup48.system, tmp_path, prefix="t_")

@@ -127,7 +127,7 @@ SYSTEM_FIRST_READ = ("D", "A_star", "K_star")
 FIRST_READ_BUILT = {
     "project": {"mstar", "trace", "dtrace"},
     "heat": {"mstar", "trace", "A_star"},
-    "dtsweep": set(),
+    "dtsweep": {"A_star"},
     "diagnose": {"mstar", "kstar", "probe", "D", "K_star"},
     "converge": {"mstar", "probe", "trace", "dtrace", "A_star"},
 }

@@ -9,7 +9,9 @@ dense dual-norm Gram N = M_* K_*^-1 M_*, and each kappa is the ratio of
 the ends of the full ``eigvalsh`` spectrum.  Every constant of the
 report, on the ladder and on an off-centre circle, and every condition
 number of the 21-dt sweep must match within 1e-8 relative, the bound the
-benchmark gates eigen-derived constants with.  At dt down to 1e-200,
+benchmark gates eigen-derived constants with; the non-literal ones also
+match the spectrum of the matrix the heat stepper factors.  At dt down
+to 1e-200,
 where M/dt swamps A + S1, kappa(B) and kappa(B_*) match the dense
 spectrum within 1e-11.  A memory guard keeps the dense route out of the
 package.
@@ -24,6 +26,7 @@ import scipy.linalg as sla
 
 from tracefem import diagnostics as dg
 from tracefem.cli import Pipeline
+from tracefem.heatsolver import HeatStepper
 
 from conftest import CONFIG
 from helpers import traced_peak
@@ -120,6 +123,12 @@ def test_condition_numbers_match_dense(setup96, monkeypatch,
     sy = setup96.system
     got = [dg.condition_number(sy, dt, stabilized_time, literal=literal)
            for dt in DTS]
+    if not literal:
+        # kappa of the backward Euler matrix the heat stepper factors
+        factored = [dense_kappa(HeatStepper(setup96.ops, "BDF1", dt,
+                                            stabilized_time).factor.mat)
+                    for dt in DTS]
+        assert got == pytest.approx(factored, rel=RTOL)
     # the same one-step matrices, through the dense spectrum
     monkeypatch.setattr(dg, "_kappa", lambda mat, what: dense_kappa(mat))
     want = [dg.condition_number(sy, dt, stabilized_time, literal=literal)

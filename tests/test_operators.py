@@ -266,7 +266,7 @@ class TestErrorFunctionals:
         v, dv = np.ones_like, np.zeros_like
         assert s.ops.error_l2_star(v, one, ONE)[0] <= 1e-11
         assert s.ops.error_h1_star(v, dv, one, ONE)[0] <= 1e-11
-        assert s.ops.error_hm1_star(s.ops.function_coefficients(v, ONE),
+        assert s.ops.error_hm1_star(s.ops.probe.coefficients(v, ONE),
                                     one)[0] <= 1e-11
 
     def test_interpolant_rate(self, setup48, setup96):
@@ -285,63 +285,3 @@ class TestErrorFunctionals:
     def test_interpolant_constant(self, setup48):
         x = nodal_interpolant(setup48.ops, lambda th: 3.0 * np.ones_like(th))
         assert np.abs(x - 3.0).max() <= 1e-14
-
-
-class TestFunctionCoefficients:
-    """(v, e_m)_Gamma in closed form, to 1e-13 absolute: the basis is
-    orthonormal, so each case below has a single non-zero mode."""
-
-    TOL = 1e-13
-
-    @pytest.fixture(params=["setup48", "off_centre96"],
-                    ids=["centred-unit", "off-centre-R0.8"])
-    def ops(self, request):
-        return request.getfixturevalue(request.param).ops
-
-    def _expect(self, ops, mode, value):
-        out = np.zeros(ops.probe.n_modes)
-        out[mode] = value
-        return out
-
-    def test_constant(self, ops):
-        r = ops.probe.radius
-        coef = ops.function_coefficients(np.ones_like, ONE)[0]
-        assert coef.shape == (ops.probe.n_modes,)
-        expect = self._expect(ops, 0, np.sqrt(2.0 * np.pi * r))
-        assert np.abs(coef - expect).max() <= self.TOL
-
-    def test_cos_theta(self, ops):
-        r = ops.probe.radius
-        coef = ops.function_coefficients(np.cos, ONE)[0]
-        expect = self._expect(ops, 1, np.sqrt(np.pi * r))
-        assert np.abs(coef - expect).max() <= self.TOL
-
-    def test_cos_2theta_over_times(self, ops):
-        r = ops.probe.radius
-        times = np.linspace(0.0, 2.0, 11)
-        coef = ops.function_coefficients(lambda th: np.cos(2.0 * th),
-                                         np.exp(-times))
-        assert coef.shape == (len(times), ops.probe.n_modes)
-        for t, row in zip(times, coef):
-            expect = self._expect(ops, 3, np.exp(-t) * np.sqrt(np.pi * r))
-            assert np.abs(row - expect).max() <= self.TOL
-
-    def test_sin_kmax_theta(self, ops):
-        r, k_max = ops.probe.radius, ops.probe.k_max
-        coef = ops.function_coefficients(lambda th: np.sin(k_max * th),
-                                         ONE)[0]
-        expect = self._expect(ops, 2 * k_max, np.sqrt(np.pi * r))
-        assert np.abs(coef - expect).max() <= self.TOL
-
-    def test_higher_frequencies_vanish(self, ops):
-        # The rule is exact below degree M - k_max, M = 4 k_max + 4, so
-        # frequencies up to 3 k_max + 3 are orthogonal to every mode.  The
-        # rounded angles j theta are off by at most 2 u 2 pi j, which
-        # bounds the error of each coefficient by 2 pi R s u (4 pi j + 2)
-        # with |e_m| <= s = 1 / sqrt(pi R).
-        r, k_max = ops.probe.radius, ops.probe.k_max
-        u = np.finfo(float).eps / 2
-        for j in (k_max + 1, 2 * k_max + 2, 3 * k_max + 3):
-            coef = ops.function_coefficients(lambda th: np.cos(j * th), ONE)
-            tol = 2.0 * np.pi * np.sqrt(r / np.pi) * u * (4 * np.pi * j + 2)
-            assert np.abs(coef).max() <= tol, (j, np.abs(coef).max(), tol)

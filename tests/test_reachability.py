@@ -52,6 +52,8 @@ ALLOWED = {
     "kaux": "read by the LU-fill hook of perfbench/tracer.py",
     "triangles": "BackgroundMesh.triangles, read for its length by the "
                  "tested-count hook of perfbench/tracer.py",
+    "times": "RunResult.times, read for its length by the _run hook of "
+             "perfbench/tracer.py and by the tests",
 }
 
 UNPASSED = {
@@ -70,8 +72,6 @@ UNREAD_FIELDS = {
     "ErrorRecord.int_hm1_dt_sq": "a term of e_total; test_stacked_oracle."
                                  "test_fold_identity checks it against its "
                                  "closed-form midpoint sum",
-    "RunResult.times": "read by the _run hook of perfbench/tracer.py and by "
-                       "the tests",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

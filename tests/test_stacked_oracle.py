@@ -152,7 +152,7 @@ def check_identities(ops):
                       for g, _, v in xy), np.sum(mesh.h_T * area))
     assert _close(sum(ops.error_h1_star(g, dg, v, ONE)[0] ** 2
                       for g, dg, v in xy), np.sum(area / mesh.h_T))
-    assert _close(sum(ops.error_hm1_star(ops.function_coefficients(g, ONE),
+    assert _close(sum(ops.error_hm1_star(ops.probe.coefficients(g, ONE),
                                          v)[0] ** 2 for g, _, v in xy),
                   np.sum(mesh.h_T ** 3 * area))
     a = np.array([0.5, -1.3, 2.0])
@@ -166,11 +166,11 @@ def check_identities(ops):
         g, dg = man.profile, man.dprofile
         hist, t = whole_run(ops, _config(scheme, man))
         x, a, da = hist[:BLOCK + 1], man.time(t), man.dtime(t)
-        coef = ops.function_coefficients(g, da)
+        coef = ops.probe.coefficients(g, da)
         for f, bound in [
                 (lambda s: ops.riesz_data(g, a[s]), 0.0),
                 (lambda s: ops.project(g, a[s]), 0.0),
-                (lambda s: ops.function_coefficients(g, da[s]), 0.0),
+                (lambda s: ops.probe.coefficients(g, da[s]), 0.0),
                 (lambda s: ops.l2_star(x[s]), 1e-14),
                 (lambda s: ops.dual_norm(x[s]), 1e-14),
                 (lambda s: ops.hm1_star(x[s]), 1e-14),
@@ -365,7 +365,7 @@ def test_function_coefficients_within_cut_rule_bound(request, placement):
     a = np.exp(-np.linspace(0.0, 2.0, 9))
     old = (topo.w * a[:, None] * _trig(topo.theta)) @ probe.eval_basis(
         topo.theta)
-    new = ops.function_coefficients(_trig, a)
+    new = ops.probe.coefficients(_trig, a)
     assert np.abs(new - old).max() <= gauss + cover + rounding
 
 
