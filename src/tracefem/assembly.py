@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cutquad import oscillation_order
+from .cutquad import oscillation_order, volume_rule
 from .errors import AliasRisk
 
 if TYPE_CHECKING:
@@ -115,8 +115,15 @@ def assemble(active_mesh, topology):
     elems = active_mesh.elements
     h_t = active_mesh.h_T[:, None, None]
 
+    # S_T over whole triangles, first: its temporaries go before the nodes'.
+    v_pts, v_w = volume_rule(active_mesh.coords[elems])
+    dn = topology.surface.unit_normal(v_pts) @ active_mesh.grad.mT
+    s_t = (dn * v_w[..., None]).mT @ dn
+    del v_pts, v_w, dn
+
     # Surface terms: P1 values and tangential gradients at arc nodes.
-    w, bary, nrm = topology.w, topology.bary, topology.normal
+    w, bary, theta = topology.w, topology.bary, topology.theta
+    nrm = np.column_stack([np.cos(theta), np.sin(theta)])
     grad = active_mesh.grad[topology.elem]                  # (N, 3, 2)
     gn = np.einsum("nd,nid->ni", nrm, grad)                 # normal parts
     gt = grad - gn[:, :, None] * nrm[:, None, :]
@@ -129,10 +136,6 @@ def assemble(active_mesh, topology):
         gt_k = gt[nodes].reshape(*shape, 3, 2)
         a_t[els] = np.einsum("kq,kqid,kqjd->kij", w[nodes].reshape(shape),
                              gt_k, gt_k)
-
-    # Normal-derivative Gram over the full triangle.
-    dn = topology.v_normal @ active_mesh.grad.transpose(0, 2, 1)
-    s_t = (dn * topology.v_w[..., None]).transpose(0, 2, 1) @ dn
 
     mass = element_csr(elems, m_t, n)
     stab = {j: element_csr(elems, h_t ** (1 - 2 * j) * s_t, n)

@@ -8,8 +8,8 @@ The cut works on all active triangles at once: the only loop runs over
 the at most six angle columns of an element.  It runs in the frame of
 the cut (``LevelSetSurface.frame``), so its tolerances are dimensionless.
 Surface quadrature is Gauss-Legendre in the angle, generated for all
-arcs at once into one flat node table; volume quadrature is a symmetric
-6-point rule exact to total degree 4.
+arcs at once into one flat node table of angles; the assembly applies
+the volume rule, a symmetric 6-point rule exact to total degree 4.
 """
 
 from __future__ import annotations
@@ -111,20 +111,18 @@ def cut_triangles(xi, rho):
     return ends[order], owner[order], int(grazed.sum())
 
 
-def surface_rule(center, radius, arcs, q):
+def surface_rule(radius, arcs, q):
     """Gauss-Legendre nodes on a stack of arcs (m, 2), q per arc in order.
 
-    Weights carry the factor R.  Returns points, weights, unit normals
-    and angles, each with m * q rows.
+    Weights carry the factor R.  Returns weights and angles, each with
+    m * q rows.
     """
     th0, th1 = np.reshape(np.asarray(arcs, dtype=float), (-1, 2)).T
     gx, gw = np.polynomial.legendre.leggauss(q)
     half = 0.5 * (th1 - th0)[:, None]
     theta = (half * gx + 0.5 * (th0 + th1)[:, None]).ravel()
     w = (half * gw * radius).ravel()
-    normals = np.column_stack([np.cos(theta), np.sin(theta)])
-    pts = center + radius * normals
-    return pts, w, normals, theta
+    return w, theta
 
 
 def volume_rule(tri):
@@ -143,8 +141,8 @@ class CutTopology:
     """Quadrature on the cut band as one flat table of surface nodes.
 
     The nodes of element e are rows elem_ptr[e]:elem_ptr[e+1] of every
-    node array, in the order of the element's arcs.  The volume rule is
-    stored per element.
+    node array, in the order of the element's arcs.  A node is its angle
+    theta, at c + R (cos theta, sin theta) with normal (cos theta, sin theta).
     """
 
     surface: object
@@ -153,13 +151,9 @@ class CutTopology:
     arc_ends: np.ndarray      # (n_arcs, 2) all arcs, element by element
     elem_ptr: np.ndarray      # (n_active + 1,) node offsets per element
     elem: np.ndarray          # (N,) node -> element
-    pts: np.ndarray           # (N, 2) points on Gamma
     w: np.ndarray             # (N,) weights
-    normal: np.ndarray        # (N, 2) unit normals
     theta: np.ndarray         # (N,) angles about the center
     bary: np.ndarray          # (N, 3) P1 values in the host element
-    v_w: np.ndarray           # (n_active, 6) volume weights
-    v_normal: np.ndarray      # (n_active, 6, 2) extended normal at them
     total_length: float
     dropped_contacts: int     # grazing element-edge contacts left out
 
@@ -194,7 +188,7 @@ def oscillation_order(k_max, h, radius, q_surf=10):
 
 
 def build_topology(surface, active_mesh, q_surf=10):
-    """Cut every active triangle and tabulate its quadrature rules."""
+    """Cut every active triangle and tabulate its surface rule."""
     q = int(q_surf)
     tri = active_mesh.coords[active_mesh.elements]         # (n_active, 3, 2)
     xi, rho, scale = surface.frame(tri, active_mesh.background.h_global)
@@ -207,17 +201,15 @@ def build_topology(surface, active_mesh, q_surf=10):
                               % (huge[0], 10.0 ** (e % 1.0), e // 1.0))
 
     ends, owner, dropped = cut_triangles(xi, rho)
-    pts, w, normals, theta = surface_rule(surface.center, surface.radius,
-                                          ends, q)
+    w, theta = surface_rule(surface.radius, ends, q)
     elem = np.repeat(owner, q)
     counts = np.bincount(elem, minlength=len(tri))
-    v_pts, v_w = volume_rule(tri)
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
     return CutTopology(
         surface=surface, mesh=active_mesh, q_surf=q, arc_ends=ends,
         elem_ptr=np.concatenate([[0], np.cumsum(counts)]),
-        elem=elem, pts=pts, w=w, normal=normals, theta=theta,
+        elem=elem, w=w, theta=theta,
         bary=barycentric(xi[elem], rho * normals),
-        v_w=v_w, v_normal=surface.unit_normal(v_pts),
         total_length=float(w.sum()),
         dropped_contacts=dropped,
     )

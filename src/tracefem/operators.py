@@ -15,16 +15,16 @@ functions reach the surface nodes through two sparse trace operators,
 ``trace`` (P1 values) and ``dtrace`` (tangential derivatives).  A
 profile is evaluated at the nodes once per mesh.  The Riesz data scale
 it by each time factor in one reused node-major workspace and apply
-trace' as trace.T, the CSC view of trace.  The L2* and H1* errors split
-off the projection p = P_h g of the profile once per mesh (``_table``),
-so a state costs sparse products over the dofs and no node quadrature.
-The H^-1 error takes the Fourier coefficients of the smooth function
-instead of it, which the probe forms (``FourierProbe.coefficients``)
-from the exact circle; the Riesz data, the tables of the split errors
-and the probe's G keep the cut quadrature.  Every derived
-operator is built on first read: the LUs of M_* and K_* (``mstar``,
-``kstar``), the traces and the Fourier probe, so a run builds only
-those its quantities read.
+trace' as ``trace_t``, the CSC view of trace, built once on its arrays.
+The L2* and H1* errors split off the projection p = P_h g of the
+profile once per mesh (``_table``), so a state costs sparse products
+over the dofs and no node quadrature.  The H^-1 error takes the Fourier
+coefficients of the smooth function instead of it, which the probe forms
+(``FourierProbe.coefficients``) from the exact circle; the Riesz data,
+the tables of the split errors and the probe's G keep the cut
+quadrature.  Every derived operator is built on first read: the LUs of
+M_* and K_* (``mstar``, ``kstar``), the traces and the Fourier probe, so
+a run builds only those its quantities read.
 """
 
 from __future__ import annotations
@@ -138,10 +138,15 @@ class DiscreteOperators:
         return self._nodal(self.topology.bary)
 
     @cached_property
+    def trace_t(self):
+        """trace', the CSC view of trace on its arrays, built once."""
+        return self.trace.T
+
+    @cached_property
     def dtrace(self):
         """The P1 tangential derivatives at the surface nodes."""
         topo = self.topology
-        tangent = np.column_stack([-topo.normal[:, 1], topo.normal[:, 0]])
+        tangent = np.column_stack([-np.sin(topo.theta), np.cos(topo.theta)])
         return self._nodal(np.einsum("nd,nid->ni", tangent,
                                      self.mesh.grad[topo.elem]))
 
@@ -194,8 +199,8 @@ class DiscreteOperators:
 
         The products w * (a * profile) are formed node-major in a
         C-contiguous (n_nodes, k) view of one workspace, grown only to the
-        largest stack; trace.T, the CSC view of trace, takes it without a
-        copy and sums each entry over its nodes in node order, as a
+        largest stack; ``trace_t``, the CSC view of trace, takes it without
+        a copy and sums each entry over its nodes in node order, as a
         per-node accumulation does.  The result does not alias it.
         """
         n, k = len(self.topology.w), len(a)
@@ -204,7 +209,7 @@ class DiscreteOperators:
         vals = self._work[:n * k].reshape(n, k)
         np.multiply(self._profile(g)[:, None], a, out=vals)
         vals *= self.topology.w[:, None]
-        return (self.trace.T @ vals).T
+        return (self.trace_t @ vals).T
 
     # -- projection ----------------------------------------------------
 

@@ -77,12 +77,12 @@ class TestIntersectElement:
 class TestSurfaceRule:
     def test_arc_length_weight(self):
         for q in (1, 3, 10):
-            _, w, _, _ = surface_rule(np.zeros(2), 0.5, (0.0, np.pi / 2), q)
+            w, _ = surface_rule(0.5, (0.0, np.pi / 2), q)
             assert w.sum() == pytest.approx(np.pi / 4, abs=1e-14)
 
     def test_gauss1_midpoint(self):
         eps = 1e-3
-        pts, w, _, theta = surface_rule(np.zeros(2), 1.0, (0.0, eps), 1)
+        w, theta = surface_rule(1.0, (0.0, eps), 1)
         assert theta[0] == pytest.approx(eps / 2)
         assert w[0] == pytest.approx(eps)
 
@@ -92,9 +92,12 @@ class TestSurfaceRule:
         assert acc == pytest.approx(np.pi, abs=1e-12)
 
     def test_unit_normals(self):
-        pts, _, n, _ = surface_rule(np.zeros(2), 1.0, (0.2, 1.1), 5)
+        # a node is its angle: its normal is (cos, sin) of it, and the
+        # Gauss nodes lie inside their arc
+        _, theta = surface_rule(1.0, (0.2, 1.1), 5)
+        n = np.column_stack([np.cos(theta), np.sin(theta)])
         assert np.allclose(np.hypot(n[:, 0], n[:, 1]), 1.0, atol=1e-14)
-        assert np.allclose(pts, n)      # unit circle at origin
+        assert np.all((theta > 0.2) & (theta < 1.1))
 
 
 class TestVolumeRule:
@@ -132,8 +135,14 @@ class TestTopology:
             assert arc_cover_defect(s.topology) <= 1e-10
 
     def test_nodes_on_circle_inside_host(self, setup96):
-        topo = setup96.topology
-        r = np.hypot(topo.pts[:, 0], topo.pts[:, 1])
+        # the point c + R (cos, sin) of each angle, centre 0 and R = 1, is
+        # on the circle and is the P1 interpolant of x in the host element
+        topo, mesh = setup96.topology, setup96.topology.mesh
+        pts = np.column_stack([np.cos(topo.theta), np.sin(topo.theta)])
+        host = mesh.coords[mesh.elements[topo.elem]]
+        assert np.abs(np.einsum("ni,nid->nd", topo.bary, host) - pts).max() \
+            <= 1e-12
+        r = np.hypot(pts[:, 0], pts[:, 1])
         assert np.abs(r - 1.0).max() <= 1e-12
         assert topo.bary.min() >= -1e-12
 

@@ -84,7 +84,8 @@ def check_cut(surface, mesh, topo, system, probe):
     assert arc_cover_defect(topo) <= 1e-10
 
     node = np.einsum("ni,nid->nd", topo.bary, xi[topo.elem])
-    assert np.abs(node - surface.frame(topo.pts, h)[0]).max() <= TOL
+    pts = c + r * np.column_stack([np.cos(topo.theta), np.sin(topo.theta)])
+    assert np.abs(node - surface.frame(pts, h)[0]).max() <= TOL
     assert np.abs(np.hypot(node[:, 0], node[:, 1]) - rho).max() <= TOL
     assert topo.bary.min() >= -TOL
     arcs = np.diff(topo.elem_ptr) // topo.q_surf
@@ -275,7 +276,9 @@ def test_frame_against_physical_cut():
         ends, owner, _ = cut_triangles(tri - center, radius)
         assert np.array_equal(np.diff(topo.elem_ptr), topo.q_surf
                               * np.bincount(owner, minlength=len(tri)))
-        pts, w, _, _ = surface_rule(center, radius, ends, topo.q_surf)
+        w, theta = surface_rule(radius, ends, topo.q_surf)
+        pts = center + radius * np.column_stack([np.cos(theta),
+                                                 np.sin(theta)])
         worst = np.maximum(worst, [
             np.abs(topo.arc_ends - ends).max(),
             np.abs(topo.bary - barycentric(tri[topo.elem], pts)).max(),

@@ -224,11 +224,11 @@ class TestErrorAccumulation:
     def test_memory_per_step(self):
         # The error fold keeps running sums, not a value per step: from 10^3
         # to 10^4 steps the peak grows by at most 2 B a step.  The probe is
-        # built and the operators are warmed by a short run first.  That
-        # run is shorter than a block, so the 10^3-step peak also holds the
-        # first full-block allocations and this pair cannot see an array of
-        # 8 B a step; test_memory_per_step_long does.
-        peaks = fold_peaks(0.1, (10 ** 3, 10 ** 4))
+        # built and the operators are warmed first by a run longer than a
+        # block, so both peaks hold the full-block allocations and an array
+        # of 8 B a step fails.  Below 0.2 B a step measured; 4.5 when each
+        # block built a new trace.T.
+        peaks = fold_peaks(0.2, (10 ** 3, 10 ** 4))
         assert peaks[1] - peaks[0] <= 2 * (10 ** 4 - 10 ** 3), peaks
 
     def test_heat_memory_per_step(self, tmp_path):
@@ -281,9 +281,6 @@ def test_memory_per_step_long():
     # Neither the fold nor the run keeps a value per step: after a warm-up
     # longer than a block, from 10^4 to 10^5 steps the peak grows by at
     # most 2 B a step (0.4-0.5 measured; 14.3 when the run kept its times).
-    # Below 10^4 steps the peak still grows by some 40 KB, about 56 B a
-    # block that scipy's index check in trace.T leaves for a full
-    # collection.
     peaks = fold_peaks(0.2, (10 ** 4, 10 ** 5))
     assert peaks[1] - peaks[0] <= 2 * (10 ** 5 - 10 ** 4), peaks
 

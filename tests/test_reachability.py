@@ -62,8 +62,6 @@ UNPASSED = {
 }
 
 UNREAD_FIELDS = {
-    "CutTopology.pts": "the surface nodes in the plane; tests/test_cutquad.py "
-                       "checks that they lie on the circle",
     "CutTopology.dropped_contacts": "grazing contacts left out of the cut; "
                                     "tests/test_cutquad.py checks the count",
     "ErrorRecord.int_h1_sq": "a term of e_total; test_stacked_oracle."

@@ -135,7 +135,9 @@ def check_identities(ops):
     of two runs."""
     topo, mesh, system = ops.topology, ops.mesh, ops.system
     (cx, cy), r = topo.surface.center, topo.surface.radius
-    assert np.abs(ops.trace @ mesh.coords - topo.pts).max() <= TOL
+    pts = np.column_stack([cx + r * np.cos(topo.theta),
+                           cy + r * np.sin(topo.theta)])
+    assert np.abs(ops.trace @ mesh.coords - pts).max() <= TOL
     assert np.abs(ops.dtrace @ mesh.coords - np.column_stack(
         [-np.sin(topo.theta), np.cos(topo.theta)])).max() <= TOL
     m_one = system.M @ np.ones(mesh.n_dofs)
@@ -245,9 +247,12 @@ def test_trace_operators_match_gathers(setup96):
     ones = np.ones(mesh.n_dofs)
     assert np.abs(ops.trace @ ones - 1.0).max() <= TOL
     assert np.abs(ops.dtrace @ ones).max() <= TOL
-    assert np.abs(ops.trace @ mesh.coords - topo.pts).max() <= TOL
+    cos, sin = np.cos(topo.theta), np.sin(topo.theta)
+    pts = topo.surface.center + topo.surface.radius \
+        * np.column_stack([cos, sin])
+    assert np.abs(ops.trace @ mesh.coords - pts).max() <= TOL
     assert np.abs(ops.dtrace @ mesh.coords - np.column_stack(
-        [-topo.normal[:, 1], topo.normal[:, 0]])).max() <= TOL
+        [-sin, cos])).max() <= TOL
 
 
 @pytest.mark.parametrize("split", ["blocks", "whole"])

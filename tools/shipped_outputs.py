@@ -1,6 +1,6 @@
 """The outputs of the shipped runs: python tools/shipped_outputs.py OUT
 
-Run it from the root of a checkout.  Each of the twelve runs below goes
+Run it from the root of a checkout.  Each of the thirteen runs below goes
 through the CLI of that checkout's ``src`` in a fresh interpreter with
 one BLAS thread, and writes its files into ``OUT/<run>/``.  The exit is
 non-zero, naming the run, at the first run that fails.  To check that a
@@ -42,6 +42,10 @@ RUNS = {
         []),
     # tangent to the grid lines x = +-1 between two vertices
     "project-grazing": ("project", dict(CIRCLE, center=[0.0, 0.1]), []),
+    # every assembled matrix at full precision, off the origin
+    "project-export": ("project", dict(
+        CIRCLE, export_matrices=True, n_cells=[24, 32, 48],
+        center=[0.05, -0.03]), []),
 }
 
 
