@@ -5,15 +5,17 @@ Builds, over the active P1 space:
 * ``M``   surface mass (u, v) on Gamma,
 * ``A``   surface stiffness with tangential gradients (I - n n^T) grad,
 * ``S_T`` per-element normal-derivative Grams int_T (n.grad u)(n.grad v),
+  by the symmetric 6-point volume rule exact to degree 4,
 * ``S_j`` scaled sums over elements h_T^(1-2j) S_T for j in {-1, 0, 1},
-* derived combinations M_* = M + S0, A_* = A + S1 and K_* = M + A + S1,
+* derived combinations M_* = M + S0, A_* = A + S1, K_* = M + A + S1 and
+  K_aux = K_* + S0,
 * ``D``   the weighted local Gram sum h_T^2 (M_T + h_T S_T),
 
 plus the truncated Fourier probe (orthonormal circle harmonics, their
 diagonal Grams, G and the rfft coefficients of smooth data).  Local
 blocks are computed as batched products over runs of elements with
 equal node counts and summed per element.  ``assemble`` forms M, A, S_j
-and M_*; every other derived matrix (D, A_*, K_*) is built on first
+and M_*; every other derived matrix (D, A_*, K_*, K_aux) is built on first
 read from the kept element blocks.
 """
 
@@ -26,8 +28,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cutquad import oscillation_order, volume_rule
+from .cutquad import oscillation_order
 from .errors import AliasRisk
+from .mesh import twice_area
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -39,11 +42,23 @@ if TYPE_CHECKING:
 # nodes), and G takes about 6 % longer.
 RUN_NODES = 32
 
+# Symmetric degree-4 triangle rule (6 points, positive weights that sum
+# to 1 on the reference triangle).
+_VOL_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+_VOL_BARY = np.array([
+    [0.108103018168070, 0.445948490915965, 0.445948490915965],
+    [0.445948490915965, 0.108103018168070, 0.445948490915965],
+    [0.445948490915965, 0.445948490915965, 0.108103018168070],
+    [0.816847572980459, 0.091576213509771, 0.091576213509771],
+    [0.091576213509771, 0.816847572980459, 0.091576213509771],
+    [0.091576213509771, 0.091576213509771, 0.816847572980459],
+])
+
 
 @dataclass
 class FemSystem:
-    """The assembled matrices of one mesh; D, A_* and K_* are formed on
-    first read."""
+    """The assembled matrices of one mesh; D, A_*, K_* and K_aux are
+    formed on first read."""
 
     mesh: object
     topology: object
@@ -75,6 +90,11 @@ class FemSystem:
         """M + A + S1."""
         return self.M + self.A + self.S[1]
 
+    @cached_property
+    def K_aux(self):
+        """K_* + S0, the stiffness of the stabilized inner product."""
+        return self.K_star + self.S[0]
+
 
 def _element_runs(topology, max_nodes=None):
     """Yield (elements, nodes, (k, c)) slices over runs of consecutive
@@ -99,6 +119,17 @@ def _element_runs(topology, max_nodes=None):
             yield slice(a, b), slice(ptr[a], ptr[b]), (b - a, c)
 
 
+def volume_rule(tri):
+    """Symmetric 6-point rule on triangles (..., 3, 2), exact to degree 4.
+
+    Returns points (..., 6, 2) and weights (..., 6).
+    """
+    tri = np.asarray(tri, dtype=float)
+    area = 0.5 * np.abs(twice_area(tri))
+    pts = _VOL_BARY @ tri
+    return pts, _VOL_W * area[..., None]
+
+
 def element_csr(elements, blocks, n):
     """Sum per-element 3x3 blocks (n_active, 3, 3) into an n x n CSR matrix;
     the conversion sums duplicates and sorts the indices."""
@@ -110,7 +141,7 @@ def element_csr(elements, blocks, n):
 
 def assemble(active_mesh, topology):
     """Assemble M, A, S_j and M_* of the stabilized method; the system
-    forms D, A_* and K_* when they are first read."""
+    forms D, A_*, K_* and K_aux when they are first read."""
     n = active_mesh.n_dofs
     elems = active_mesh.elements
     h_t = active_mesh.h_T[:, None, None]
@@ -244,14 +275,14 @@ def assemble_fourier(topology, k_max=128):
 
 def export_matrices(system, out_dir, prefix=""):
     """Write the assembled matrices in Matrix Market coordinate form,
-    with the stabilized-inner-product stiffness K_aux = K_star + S0."""
+    with the stabilized-inner-product stiffness K_aux."""
     import scipy.io     # here: a CLI run that exports nothing skips its import
     import scipy.sparse as sp   # here: a cut alone loads no scipy
     mats = {
         "M": system.M, "A": system.A,
         "S_m1": system.S[-1], "S_0": system.S[0], "S_1": system.S[1],
         "M_star": system.M_star, "K_star": system.K_star,
-        "K_aux": system.K_star + system.S[0], "D": system.D,
+        "K_aux": system.K_aux, "D": system.D,
     }
     for name, m in mats.items():
         path = os.path.join(out_dir, "%s%s.mtx" % (prefix, name))

@@ -1,15 +1,15 @@
-"""Quadrature on circle arcs cut by triangles and on the triangles.
+"""Quadrature on the circle arcs cut by triangles.
 
 Each active triangle intersects the circle in a union of arcs.  The arc
 endpoints come from per-edge quadratics (solved with the stabilized
-b-sign discriminant trick); the intersection angles are sorted, merged
-and the angular intervals classified by a midpoint-in-triangle test.
-The cut works on all active triangles at once: the only loop runs over
-the at most six angle columns of an element.  It runs in the frame of
-the cut (``LevelSetSurface.frame``), so its tolerances are dimensionless.
-Surface quadrature is Gauss-Legendre in the angle, generated for all
-arcs at once into one flat node table of angles; the assembly applies
-the volume rule, a symmetric 6-point rule exact to total degree 4.
+b-sign discriminant trick).  Every span between an element's sorted
+angles, the last one closing on the first plus 2 pi, is a candidate arc,
+kept if it is no sliver and its midpoint lies in the triangle; an element
+that no edge crosses but that holds the circle takes the single angle 0,
+so its span is [0, 2 pi].  The cut runs on all active triangles at once,
+with no loop, in the frame of the cut (``LevelSetSurface.frame``), so its
+tolerances are dimensionless.  Surface quadrature is Gauss-Legendre in
+the angle, for all arcs at once, into one flat node table of angles.
 """
 
 from __future__ import annotations
@@ -22,18 +22,6 @@ from .errors import SingularElement
 from .mesh import barycentric, twice_area
 
 TWO_PI = 2.0 * np.pi
-
-# Symmetric degree-4 triangle rule (6 points, positive weights that sum
-# to 1 on the reference triangle).
-_VOL_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-_VOL_BARY = np.array([
-    [0.108103018168070, 0.445948490915965, 0.445948490915965],
-    [0.445948490915965, 0.108103018168070, 0.445948490915965],
-    [0.445948490915965, 0.445948490915965, 0.108103018168070],
-    [0.816847572980459, 0.091576213509771, 0.091576213509771],
-    [0.091576213509771, 0.816847572980459, 0.091576213509771],
-    [0.091576213509771, 0.091576213509771, 0.816847572980459],
-])
 
 _MIN_ARC = 1e-12          # arcs narrower than this are measure-zero noise
 _GRAZE = 1e-14            # discriminant band treated as tangential contact
@@ -66,28 +54,25 @@ def cut_triangles(xi, rho):
     x = xi[:, :, None] + np.clip(t, 0.0, 1.0)[..., None] * d[:, :, None]
     angles = np.mod(np.arctan2(x[..., 1], x[..., 0]), TWO_PI).reshape(-1, 6)
     hit = hit.reshape(-1, 6)
-    crossed = hit.any(axis=1)
 
-    # Sort each element's angles (misses last, as +inf) and merge
-    # duplicates (shared vertices report from two edges) column by column.
-    some = np.flatnonzero(crossed)
+    # An element no edge crosses holds the whole circle or none of it: all
+    # of it if it holds both the centre and the point (rho, 0) of the
+    # circle, and then it takes the single angle 0.
+    none = np.flatnonzero(~hit.any(axis=1))
+    probe = np.array([[0.0, 0.0], [rho, 0.0]])
+    full = none[barycentric(xi[none, None], probe).min(axis=(1, 2)) >= 0.0]
+    angles[full, 0] = 0.0
+    hit[full, 0] = True
+
+    # Sort each element's angles (misses last, as +inf).  Candidate arcs
+    # run from each angle to the next, the last one to the first plus
+    # 2 pi; keep those wide enough whose midpoint is inside.  The sliver
+    # between the two angles of a vertex, hit from two edges, is too narrow.
+    some = np.flatnonzero(hit.any(axis=1))
     ang = np.sort(np.where(hit[some], angles[some], np.inf), axis=1)
-    keep = np.zeros(ang.shape, dtype=bool)
-    keep[:, 0] = True
-    last = ang[:, 0].copy()
-    for j in range(1, ang.shape[1]):
-        take = (ang[:, j] - last > _MIN_ARC) & np.isfinite(ang[:, j])
-        keep[:, j] = take
-        last[take] = ang[take, j]
-    count = keep.sum(axis=1)
-    # the last angle of an element wraps onto its first: drop the last
-    wrap = (count > 1) & ((ang[:, 0] + TWO_PI) - last <= _MIN_ARC)
-    keep[wrap, ang.shape[1] - 1 - np.argmax(keep[wrap, ::-1], axis=1)] = False
-    count -= wrap
-
-    # Candidate arcs run from each kept angle to the next, the last one
-    # to the first plus 2 pi; keep those whose midpoint is inside.
-    th0 = ang[keep]
+    finite = np.isfinite(ang)
+    th0 = ang[finite]
+    count = finite.sum(axis=1)
     owner = np.repeat(some, count)
     th1 = np.empty_like(th0)
     th1[:-1] = th0[1:]
@@ -98,17 +83,7 @@ def cut_triangles(xi, rho):
     inside = (th1 - th0 >= _MIN_ARC) \
         & (barycentric(xi[owner], p).min(axis=-1) >= -1e-12)
     ends = np.column_stack([th0, th1])[inside]
-    owner = owner[inside]
-
-    # An element no edge crosses holds the whole circle or none of it: all
-    # of it if it holds both the centre and the point (rho, 0) of the circle.
-    none = np.flatnonzero(~crossed)
-    probe = np.array([[0.0, 0.0], [rho, 0.0]])
-    full = none[barycentric(xi[none, None], probe).min(axis=(1, 2)) >= 0.0]
-    ends = np.concatenate([ends, np.tile([0.0, TWO_PI], (len(full), 1))])
-    owner = np.concatenate([owner, full])
-    order = np.argsort(owner, kind="stable")
-    return ends[order], owner[order], int(grazed.sum())
+    return ends, owner[inside], int(grazed.sum())
 
 
 def surface_rule(radius, arcs, q):
@@ -123,17 +98,6 @@ def surface_rule(radius, arcs, q):
     theta = (half * gx + 0.5 * (th0 + th1)[:, None]).ravel()
     w = (half * gw * radius).ravel()
     return w, theta
-
-
-def volume_rule(tri):
-    """Symmetric 6-point rule on triangles (..., 3, 2), exact to degree 4.
-
-    Returns points (..., 6, 2) and weights (..., 6).
-    """
-    tri = np.asarray(tri, dtype=float)
-    area = 0.5 * np.abs(twice_area(tri))
-    pts = _VOL_BARY @ tri
-    return pts, _VOL_W * area[..., None]
 
 
 @dataclass

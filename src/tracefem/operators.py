@@ -164,7 +164,7 @@ class DiscreteOperators:
     def kaux(self):
         """The LU of K_aux = K_star + S0, factored on first read; only the
         LU-fill hook of perfbench/tracer.py reads it."""
-        return _Factor(self.system.K_star + self.system.S[0], "K_aux")
+        return _Factor(self.system.K_aux, "K_aux")
 
     def _profile(self, g):
         """Values of the function g(theta) at the surface nodes, evaluated

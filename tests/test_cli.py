@@ -123,7 +123,7 @@ OUTPUTS = {"quadcheck": ["quadcheck.csv"],
 # the first-read operators of DiscreteOperators and of FemSystem, and
 # those each subcommand that builds a Pipeline reads on its small run
 OPS_FIRST_READ = ("mstar", "kstar", "kaux", "probe", "trace", "dtrace")
-SYSTEM_FIRST_READ = ("D", "A_star", "K_star")
+SYSTEM_FIRST_READ = ("D", "A_star", "K_star", "K_aux")
 FIRST_READ_BUILT = {
     "project": {"mstar", "trace", "dtrace"},
     "heat": {"mstar", "trace", "A_star"},

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracefem.assembly import volume_rule
 from tracefem.cutquad import (arc_cover_defect, build_topology,
                               cut_triangles, oscillation_order,
-                              surface_rule, volume_rule)
+                              surface_rule)
 from tracefem.geometry import LevelSetSurface
 from tracefem.mesh import build_background, select_active
 

@@ -11,6 +11,8 @@ grazing, through-vertex and near-limit placement it asks that
 - every Gauss node lies on Gamma and inside its host element, and each
   end of an arc short of the whole circle on its element's boundary;
 - the batched cut equals the cut of each element as a stack of one;
+- an arc end within 1e-9 of the angle of a mesh vertex exactly on
+  Gamma in the frame is within 4 ulps of 2 pi (3.6e-15) of that angle;
 - an active element with no arc touches Gamma, within 1e-12;
 - the matrices integrate P1 data exactly, to 1e-12 relative.  With
   u = a.x + b and X, Y the coordinate vectors: u'Mu = 2 pi R (a.c + b)^2
@@ -95,6 +97,12 @@ def check_cut(surface, mesh, topo, system, probe):
     lam = barycentric(xi[owner[part], None],
                       rho * np.stack([np.cos(th), np.sin(th)], axis=-1))
     assert np.all(np.abs(lam.min(axis=-1)) <= TOL)
+    vertex = surface.frame(mesh.coords, h)[0]
+    hits = vertex[np.hypot(vertex[:, 0], vertex[:, 1]) == rho]
+    gap = np.abs(np.mod(topo.arc_ends.ravel(), TWO_PI)[:, None]
+                 - np.mod(np.arctan2(hits[:, 1], hits[:, 0]), TWO_PI))
+    gap = np.minimum(gap, TWO_PI - gap)
+    assert np.all(gap[gap <= 1e-9] <= 4 * np.spacing(TWO_PI))
 
     dropped = 0
     for e, want in enumerate(np.split(topo.arc_ends, np.cumsum(arcs)[:-1])):
@@ -146,6 +154,14 @@ def test_ladder_matches_oracle(ladder, n):
 HARD = {
     # a circle through the grid vertex (1, 0.5) of the n=48 mesh
     "off_centre_vertex": ((0.2, -0.1), float(np.hypot(0.8, 0.6)), 48),
+    # exactly through the vertices (0.125 +- 0.75, 0.0625 +- 0.3125) of
+    # the n=24 mesh, off the axes of the centre (5-12-13 / 16), and
+    # through (0.125, 0.875) and (0.125, -0.75) on them
+    "dyadic_vertices": ((0.125, 0.0625), 0.8125, 24),
+    # a circle of 7.5 cells of the n=96 mesh, h = 1/32, exactly through
+    # its vertices (6h, +-6h) and (-3h, +-6h) off the axes of the centre
+    # (9-12-15 / 64), and through (9h, 0) and (-6h, 0) on them
+    "small_dyadic_vertices": ((0.046875, 0.0), 0.234375, 96),
     # tangent to the grid lines y = 1 and x = 1 of the n=48 mesh
     "grazing_horizontal": ((0.03, 0.0), 1.0, 48),
     "grazing_vertical": ((0.0, -0.02), 1.0, 48),

@@ -1,6 +1,6 @@
 """The outputs of the shipped runs: python tools/shipped_outputs.py OUT
 
-Run it from the root of a checkout.  Each of the thirteen runs below goes
+Run it from the root of a checkout.  Each of the fourteen runs below goes
 through the CLI of that checkout's ``src`` in a fresh interpreter with
 one BLAS thread, and writes its files into ``OUT/<run>/``.  The exit is
 non-zero, naming the run, at the first run that fails.  To check that a
@@ -46,6 +46,11 @@ RUNS = {
     "project-export": ("project", dict(
         CIRCLE, export_matrices=True, n_cells=[24, 32, 48],
         center=[0.05, -0.03]), []),
+    # exactly through grid vertices off the axes on every rung: the four
+    # (0.125 +- 0.75, 0.0625 +- 0.3125), 0.8125 away by 5-12-13 / 16
+    "project-vertices": ("project", dict(
+        CIRCLE, center=[0.125, 0.0625], radius=0.8125, n_cells=[24, 48, 96]),
+        []),
 }
 
 
