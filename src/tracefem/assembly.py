@@ -210,16 +210,22 @@ class FourierProbe:
     def Hm1_gram(self):
         return 1.0 / self.H1_gram
 
+    def _modes(self, const, cos, sin, scale=1.0):
+        """The mode layout and normalisation: the constant, cos and sin
+        parts (..., k_max) in mode order, times scale / sqrt(2 pi R) for the
+        constant and scale / sqrt(pi R) for cos and sin."""
+        out = np.empty(cos.shape[:-1] + (self.n_modes,))
+        out[..., 0] = scale / np.sqrt(2.0 * np.pi * self.radius) * const
+        scale = scale / np.sqrt(np.pi * self.radius)
+        out[..., 1::2] = scale * cos
+        out[..., 2::2] = scale * sin
+        return out
+
     def eval_basis(self, theta):
         """Basis values at angles theta: array (len(theta), n_modes)."""
         kt = np.multiply.outer(np.asarray(theta, dtype=float),
                                np.arange(1, self.k_max + 1))
-        out = np.empty((len(kt), self.n_modes))
-        out[:, 0] = 1.0 / np.sqrt(2.0 * np.pi * self.radius)
-        scale = 1.0 / np.sqrt(np.pi * self.radius)
-        out[:, 1::2] = scale * np.cos(kt)
-        out[:, 2::2] = scale * np.sin(kt)
-        return out
+        return self._modes(1.0, np.cos(kt), np.sin(kt))
 
     def coefficients(self, g, a):
         """Fourier coefficients (a g, e_m)_Gamma of a smooth profile g(theta),
@@ -229,22 +235,15 @@ class FourierProbe:
         mesh: g is taken at the M = 4 k_max + 4 angles 2 pi j / M, and one
         rfft gives the periodic trapezoid rule for every mode at once.  It
         is exact when g is a trigonometric polynomial of degree below
-        M - k_max and converges exponentially for analytic g.  Each mode is
-        scaled to the orthonormal basis of ``eval_basis``: 2 pi R / M over
-        sqrt(2 pi R) for the constant, over sqrt(pi R) for cos and sin, the
-        sin modes taking -Im.
+        M - k_max and converges exponentially for analytic g.  The row of
+        g is laid out by ``_modes`` with scale 2 pi R / M, the sin modes
+        taking -Im, and a g is rank one: row i is a[i] times that row.
         """
-        r = self.radius
         m = 4 * self.k_max + 4
-        theta = 2.0 * np.pi / m * np.arange(m)
-        f = np.fft.rfft(a[:, None] * g(theta))[:, :self.k_max + 1]
-        step = 2.0 * np.pi * r / m
-        out = np.empty((len(a), self.n_modes))
-        out[:, 0] = step / np.sqrt(2.0 * np.pi * r) * f[:, 0].real
-        scale = step / np.sqrt(np.pi * r)
-        out[:, 1::2] = scale * f[:, 1:].real
-        out[:, 2::2] = -scale * f[:, 1:].imag
-        return out
+        f = np.fft.rfft(g(2.0 * np.pi / m * np.arange(m)))[:self.k_max + 1]
+        row = self._modes(f[0].real, f[1:].real, -f[1:].imag,
+                          2.0 * np.pi * self.radius / m)
+        return a[:, None] * row
 
 
 def assemble_fourier(topology, k_max=128):

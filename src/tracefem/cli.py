@@ -9,8 +9,8 @@ and cover audits of ``quadcheck``, then the assembly of M, A, S_j and
 M_*), and ``main`` imports scipy's sparse solvers for them once, after
 parsing and before the first ``Pipeline``.
 Every derived operator is built on first read (the LUs, the traces, the
-Fourier probe, D, A_* and K_*), so a subcommand builds only what it
-reads: ``dtsweep`` factors no LU of the operators, ``diagnose`` builds
+Fourier probe, D, A_*, K_* and K_aux), so a subcommand builds only what
+it reads: ``dtsweep`` factors no LU of the operators, ``diagnose`` builds
 no trace, and only ``diagnose`` and ``converge`` read the probe.
 The subcommands that run a ladder of meshes (``project``, ``diagnose``,
 ``converge``) hold one mesh at a time: each mesh's ``Pipeline`` is dropped

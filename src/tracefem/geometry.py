@@ -25,17 +25,16 @@ class LevelSetSurface:
 
     center: np.ndarray
     radius: float
-    curvature_bound: float
 
     @staticmethod
     def circle(center=(0.0, 0.0), radius=1.0):
         if radius <= 0.0:
             raise ValueError("circle radius must be positive")
-        return LevelSetSurface(
-            center=np.asarray(center, dtype=float),
-            radius=float(radius),
-            curvature_bound=1.0 / float(radius),
-        )
+        return LevelSetSurface(np.asarray(center, dtype=float), float(radius))
+
+    @property
+    def curvature_bound(self):
+        return 1.0 / self.radius
 
     def _offset(self, x):
         """x - c and |x - c| (..., 1) for points x (..., 2)."""

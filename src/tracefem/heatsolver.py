@@ -1,9 +1,9 @@
 """Time stepping for the stabilized surface heat equation.
 
-One implicit step solves [(c0/dt) Mt + A + S1] u_new = rhs where Mt is
-the stabilized mass M + S0 (default) or the plain surface mass M, with
-BDF1/BDF2/Crank-Nicolson coefficient choices; ``step_matrix`` builds it
-for the stepper and for ``diagnostics``.  A run is the scheme on a
+One implicit step solves [(c0/dt) Mt + w (A + S1)] u_new = rhs where Mt
+is the stabilized mass M + S0 (default) or the plain surface mass M, and
+(c0, w) is the BDF1, BDF2 or Crank-Nicolson row in SCHEMES; ``step_matrix``
+builds it for the stepper and for ``diagnostics``.  A run is the scheme on a
 manufactured solution u: it starts from the stabilized projection
 P_h u(0), is forced by the f that u induces, and keeps no trajectory.  The
 steps go in blocks of BLOCK: a block is stepped with bare LU solves, then
@@ -34,8 +34,8 @@ from .operators import _Factor
 # Steps per verified block and per stacked data/functional evaluation.
 BLOCK = 16
 
-# scheme -> c0, the coefficient of Mt/dt in the one-step matrix
-SCHEMES = {"BDF1": 1.0, "BDF2": 1.5, "CrankNicolson": 1.0}
+# scheme -> (c0, w), its one-step matrix c0 Mt/dt + w A_* (step_matrix)
+SCHEMES = {"BDF1": (1.0, 1.0), "BDF2": (1.5, 1.0), "CrankNicolson": (1.0, 0.5)}
 
 
 @dataclass
@@ -113,13 +113,12 @@ class RunResult:
 
 
 def step_matrix(system, scheme, dt, stabilized_time_derivative):
-    """The one-step matrix (c0/dt) Mt + A_*, Mt/dt + A_*/2 for CN."""
+    """The one-step matrix c0 Mt/dt + w A_*, (c0, w) the scheme's row."""
     if scheme not in SCHEMES:
         raise InvalidConfig("unknown scheme %r" % scheme)
+    c0, w = SCHEMES[scheme]
     mt = system.M_star if stabilized_time_derivative else system.M
-    if scheme == "CrankNicolson":
-        return mt / dt + 0.5 * system.A_star
-    return SCHEMES[scheme] * mt / dt + system.A_star
+    return c0 * mt / dt + w * system.A_star
 
 
 class HeatStepper:
@@ -133,7 +132,8 @@ class HeatStepper:
         self.dt = float(dt)
         self.mt = system.M_star if stabilized_time_derivative else system.M
         if scheme == "CrankNicolson":
-            self.cn_rhs = self.mt / dt - 0.5 * system.A_star
+            w = SCHEMES[scheme][1]
+            self.cn_rhs = self.mt / dt - (1.0 - w) * system.A_star
 
     def rhs(self, u, u_prev, b_prev, b):
         """Right-hand side of the step from u (u_prev the state before it)

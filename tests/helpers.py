@@ -5,11 +5,9 @@ normal extension, which the geometry and best-approximation tests check
 against, the maximal-parabolic-regularity ratio of acceptance
 criterion 8 with the discrete Laplacian and the data norms it takes,
 the Fourier-truncated H^-1 norm on Gamma, the slicing of a series into
-blocks of BLOCK that the oracles evaluate stacked functionals on, and
-the per-step time steps, each solved and residual-checked on its own,
-that the block-verified ``heatsolver.run`` replaced, the constant
-manufactured solutions that steady and zero runs are made of, and the
-traced memory peak of a call that the memory guards bound.
+blocks of BLOCK that the oracles evaluate stacked functionals on, the
+constant manufactured solutions that steady and zero runs are made of,
+and the traced memory peak of a call that the memory guards bound.
 """
 
 import tracemalloc
@@ -127,18 +125,3 @@ def max_regularity_ratio(ops, history, dt, u0=None, f=None):
         return 0.0
     return (lap_int + dtu_int) / den
 
-
-# -- one checked step at a time: the oracle of the block-verified run ---------
-
-def step_bdf1(stepper, u, b_next):
-    return stepper.factor.solve(stepper.mt @ u / stepper.dt + b_next)
-
-
-def step_bdf2(stepper, u, u_prev, b_next):
-    rhs = stepper.mt @ (2.0 * u - 0.5 * u_prev) / stepper.dt + b_next
-    return stepper.factor.solve(rhs)
-
-
-def step_cn(stepper, u, b_mid):
-    rhs = stepper.cn_rhs @ u + b_mid
-    return stepper.factor.solve(rhs)

@@ -244,6 +244,15 @@ class TestFunctionCoefficients:
         expect = self._expect(probe, 2 * k_max, np.sqrt(np.pi * r))
         assert np.abs(coef - expect).max() <= self.TOL
 
+    @pytest.mark.parametrize("k", [1, 5, BLOCK])
+    @pytest.mark.parametrize("data", sorted(MANUFACTURED))
+    def test_coefficients_rank_one(self, probe, data, k):
+        # row i of a g is bit for bit a[i] times the row of g alone
+        g = MANUFACTURED[data](probe.radius).profile
+        a = np.random.default_rng(k).normal(size=k)
+        want = a[:, None] * probe.coefficients(g, ONE)[0]
+        assert np.array_equal(probe.coefficients(g, a), want)
+
     def test_higher_frequencies_vanish(self, probe):
         # The rule is exact below degree M - k_max, M = 4 k_max + 4, so
         # frequencies up to 3 k_max + 3 are orthogonal to every mode.  The

@@ -73,10 +73,24 @@ class TestStepping:
     @pytest.mark.parametrize("scheme", ["BDF1", "BDF2", "CrankNicolson"])
     def test_factors_the_step_matrix(self, setup48, scheme, stabilized):
         # the stepper factors step_matrix, the matrix diagnostics takes
-        # kappa of, entry for entry
-        stepper = HeatStepper(setup48.ops, scheme, 0.01, stabilized)
-        want = step_matrix(setup48.system, scheme, 0.01, stabilized)
-        assert np.array_equal(stepper.factor.mat.toarray(), want.toarray())
+        # kappa of; it, Crank-Nicolson's right-hand side matrix and each
+        # scheme's right-hand side are their closed forms, bit for bit
+        system, dt = setup48.system, 0.01
+        mt, a = system.M_star if stabilized else system.M, system.A_star
+        cn = mt / dt - 0.5 * a
+        u, v, b0, b1 = np.random.default_rng(0).normal(size=(4, mt.shape[0]))
+        want, rhs = {
+            "BDF1": (mt / dt + a, mt @ u / dt + b1),
+            "BDF2": (1.5 * mt / dt + a, mt @ (2.0 * u - 0.5 * v) / dt + b1),
+            "CrankNicolson": (mt / dt + 0.5 * a, cn @ u + 0.5 * (b0 + b1)),
+        }[scheme]
+        stepper = HeatStepper(setup48.ops, scheme, dt, stabilized)
+        for got in (stepper.factor.mat,
+                    step_matrix(system, scheme, dt, stabilized)):
+            assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(stepper.rhs(u, v, b0, b1), rhs)
+        if scheme == "CrankNicolson":
+            assert np.array_equal(stepper.cn_rhs.toarray(), cn.toarray())
 
     def test_time_grid_needs_a_step(self):
         # t_final within 1e-12 dt of 0 rounds to no step; just above it, one

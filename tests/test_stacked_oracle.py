@@ -18,8 +18,8 @@ centred unit circle returns the trapezoid and midpoint sums of the
 closed forms (``test_fold_identity``).
 
 ``whole_run`` is the definition of the block-verified run: it keeps the
-whole trajectory and solves and checks each step on its own
-(``helpers.step_*``).  Its states must equal the run's for block-sized
+whole trajectory and solves and checks each step on its own, through
+the stepper's ``rhs``.  Its states must equal the run's for block-sized
 and odd runs, each handed out once, when a solve in a block comes back
 inexact once or always; a solve that stays inexact raises before the
 consumer sees any state of its block.  ``replay`` hands its
@@ -44,7 +44,7 @@ from tracefem.heatsolver import (BLOCK, MANUFACTURED, ErrorFold, HeatRun,
                                  step_count)
 
 from conftest import CONFIG
-from helpers import max_regularity_ratio, step_bdf1, step_bdf2, step_cn
+from helpers import max_regularity_ratio
 
 RTOL = 1e-13
 TOL = 1e-12                  # the closed forms
@@ -101,17 +101,15 @@ def whole_run(ops, cfg):
             return np.zeros((len(t), 1))
         return ops.riesz_data(man.profile, man.ftime(t))
 
-    b = data(np.zeros(1))[0] if cfg.scheme == "CrankNicolson" else 0.0
+    b = data(np.zeros(1))[0]
     for n in range(nsteps):
         if n % block == 0:
             ends = data(dt * np.arange(n + 1, min(n + block, nsteps) + 1))
         b_prev, b = b, ends[n % block]
-        if cfg.scheme == "CrankNicolson":
-            history[n + 1] = step_cn(stepper, history[n], 0.5 * (b_prev + b))
-        elif cfg.scheme == "BDF2" and n > 0:
-            history[n + 1] = step_bdf2(stepper, history[n], history[n - 1], b)
-        else:               # BDF1, and BDF2's first step
-            history[n + 1] = step_bdf1(bdf1, history[n], b)
+        # BDF2's first step is BDF1's, which reads no state before u
+        s = bdf1 if cfg.scheme == "BDF2" and n == 0 else stepper
+        history[n + 1] = s.factor.solve(
+            s.rhs(history[n], history[max(n - 1, 0)], b_prev, b))
     return history, dt * np.arange(nsteps + 1)
 
 
